@@ -834,6 +834,18 @@ let scratch_design columns targets =
   let k = Array.length columns in
   Caffeine_linalg.Matrix.init n (k + 1) (fun i j -> if j = 0 then 1. else columns.(j - 1).(i))
 
+(* The Gram fast path as Model.fit runs it — every product from one
+   [Dataset.gram] call — on unit-normalized columns: the cached raw
+   products are divided by the same column scales. *)
+let scaled_gram_fit data ~bases ~scales ~chosen ~targets columns =
+  let g = Dataset.gram data (Array.map (fun c -> bases.(c)) chosen) ~targets in
+  let scale i = scales.(chosen.(i)) in
+  Linfit.fit_gram
+    ~dot:(fun i j -> g.Dataset.dots.(i).(j) /. (scale i *. scale j))
+    ~dot_y:(fun i -> g.Dataset.dot_ys.(i) /. scale i)
+    ~col_sum:(fun i -> g.Dataset.col_sums.(i) /. scale i)
+    ~basis_values:columns ~targets
+
 let scratch_forward_select ?max_bases ?(tolerance = 1e-6) ~basis_values ~targets () =
   let module Decomp = Caffeine_linalg.Decomp in
   let total = Array.length basis_values in
@@ -937,15 +949,7 @@ let experiment_regress options =
       Float.max !max_press_rel
         (Float.abs (incremental_press -. scratch_press_value)
         /. Float.max (Float.abs scratch_press_value) 1e-30);
-    let sel_bases = Array.init k (fun i -> bases.(selection.(i))) in
-    let scale i = scales.(selection.(i)) in
-    let gram =
-      Linfit.fit_gram
-        ~dot:(fun i j -> Dataset.dot data sel_bases.(i) sel_bases.(j) /. (scale i *. scale j))
-        ~dot_y:(fun i -> Dataset.dot_target data sel_bases.(i) ~targets /. scale i)
-        ~col_sum:(fun i -> Dataset.column_sum data sel_bases.(i) /. scale i)
-        ~basis_values:cols ~targets
-    in
+    let gram = scaled_gram_fit data ~bases ~scales ~chosen:(Array.sub selection 0 k) ~targets cols in
     max_gram_rel := Float.max !max_gram_rel (rel_diff (coeffs_of gram) scratch_coeffs)
   done;
   let tolerance = 1e-8 in
@@ -973,7 +977,6 @@ let experiment_regress options =
     t_scratch_fs t_incremental_fs fs_speedup;
   let sel_count = Array.length selection in
   let fit_cols = prefix sel_count in
-  let fit_bases = Array.init sel_count (fun i -> bases.(selection.(i))) in
   let t_scratch_fit =
     time_per_run (fun () -> ignore (Decomp.lstsq (scratch_design fit_cols targets) targets))
   in
@@ -984,14 +987,8 @@ let experiment_regress options =
     (* Warm: every ⟨col_i,col_j⟩ and ⟨col_i,y⟩ is already in the dot cache
        after the agreement sweep, so this measures the population steady
        state where Model.fit assembles the Gram matrix from cache hits. *)
-    let scale i = scales.(selection.(i)) in
     time_per_run (fun () ->
-        ignore
-          (Linfit.fit_gram
-             ~dot:(fun i j -> Dataset.dot data fit_bases.(i) fit_bases.(j) /. (scale i *. scale j))
-             ~dot_y:(fun i -> Dataset.dot_target data fit_bases.(i) ~targets /. scale i)
-             ~col_sum:(fun i -> Dataset.column_sum data fit_bases.(i) /. scale i)
-             ~basis_values:fit_cols ~targets))
+        ignore (scaled_gram_fit data ~bases ~scales ~chosen:selection ~targets fit_cols))
   in
   let us t = 1e6 *. t in
   Printf.printf "%-34s %10.1f us %10.1f us %8.2fx\n"

@@ -43,22 +43,27 @@ let accept ~wb ~wvc bases fitted =
       }
   else None
 
-(* Out-of-core fit: the bordered Gram is accumulated (or served from the
-   dot cache) in one pass over the chunks by [Dataset.gram], the solve is
-   the same guarded Cholesky core as the dense path, and the prediction
-   pass re-streams the chunks.  Every product and every prediction is
-   bit-identical to the dense computation, so the two storage paths
-   produce byte-identical fronts. *)
+(* Both storage kinds take the bordered Gram from [Dataset.gram], which
+   hashes each basis once and serves every product from the dataset's dot
+   cache, so individuals whose bases recur across the population (the
+   common case under set crossover) reuse cached products instead of
+   refactorizing from scratch.  Out of core the Gram is accumulated in one
+   pass over the chunks and the prediction pass re-streams them; every
+   product and every prediction is bit-identical to the dense computation,
+   so the two storage paths produce byte-identical fronts. *)
+let gram_products g =
+  ( (fun i j -> g.Dataset.dots.(i).(j)),
+    (fun i -> g.Dataset.dot_ys.(i)),
+    fun i -> g.Dataset.col_sums.(i) )
+
 let fit_streamed ~wb ~wvc bases ~data ~targets =
   let g = Dataset.gram data bases ~targets in
   if not (Array.for_all Fun.id g.Dataset.finite_bases) then None
   else
+    let dot, dot_y, col_sum = gram_products g in
     match
-      Linfit.fit_stream
-        ~dot:(fun i j -> g.Dataset.dots.(i).(j))
-        ~dot_y:(fun i -> g.Dataset.dot_ys.(i))
-        ~col_sum:(fun i -> g.Dataset.col_sums.(i))
-        ~k:(Array.length bases) ~n:(Dataset.n_samples data)
+      Linfit.fit_stream ~dot ~dot_y ~col_sum ~k:(Array.length bases)
+        ~n:(Dataset.n_samples data)
         ~iter:(fun f -> Dataset.iter_basis_chunks data bases ~f)
         ~targets
     with
@@ -66,24 +71,14 @@ let fit_streamed ~wb ~wvc bases ~data ~targets =
     | exception Caffeine_linalg.Decomp.Singular -> None
 
 let fit ~wb ~wvc bases ~data ~targets =
-  if Dataset.is_chunked data && Array.length bases > 0 then
-    fit_streamed ~wb ~wvc bases ~data ~targets
+  if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)
+  else if Dataset.is_chunked data then fit_streamed ~wb ~wvc bases ~data ~targets
   else
     match basis_columns bases data with
     | None -> None
     | Some columns -> (
-        (* Per-individual fits go through the Gram fast path: every entry of
-           the bordered Gram matrix is a dot product memoized on the dataset,
-           so individuals whose bases recur across the population (the common
-           case under set crossover) reuse cached products instead of
-           refactorizing from scratch. *)
-        match
-          Linfit.fit_gram
-            ~dot:(fun i j -> Dataset.dot data bases.(i) bases.(j))
-            ~dot_y:(fun i -> Dataset.dot_target data bases.(i) ~targets)
-            ~col_sum:(fun i -> Dataset.column_sum data bases.(i))
-            ~basis_values:columns ~targets
-        with
+        let dot, dot_y, col_sum = gram_products (Dataset.gram data bases ~targets) in
+        match Linfit.fit_gram ~dot ~dot_y ~col_sum ~basis_values:columns ~targets with
         | fitted -> accept ~wb ~wvc bases fitted
         | exception Caffeine_linalg.Decomp.Singular -> None)
 

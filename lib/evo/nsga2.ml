@@ -11,7 +11,10 @@ type 'a individual = {
 let sanitize objectives =
   Array.map (fun v -> if Float.is_nan v then Float.infinity else v) objectives
 
-let dominates a b =
+(* The annotation keeps this monomorphic: unannotated, the comparisons
+   compile to [caml_compare] calls and every array read checks the array's
+   tag, several times slower inside the nondominated sort. *)
+let dominates (a : float array) (b : float array) =
   let n = Array.length a in
   assert (Array.length b = n);
   let no_worse = ref true and strictly_better = ref false in

@@ -126,7 +126,47 @@ and num_weights_arg = function Const _ -> 1 | Sum ws -> num_weights_wsum ws
 and num_weights_wsum ws =
   List.fold_left (fun acc (_, b) -> acc + 1 + num_weights_basis b) 1 ws.terms
 
-let equal_basis a b = a = b
+(* Typed structural equality, weights compared by IEEE bits — the same
+   identity [Compiled.hash_basis] and [Fused]'s node keys hash by, so equal
+   bases always hash equal (a weight of [0.] and its [-0.] twin are
+   different keys, a NaN weight equals itself).  Physically equal subtrees,
+   the common case on a cache hit, answer without a walk. *)
+let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
+
+let rec same_ints (x : int array) y i = i = Array.length x || (x.(i) = y.(i) && same_ints x y (i + 1))
+
+let rec equal_basis a b =
+  a == b || (equal_vc a.vc b.vc && List.equal equal_factor a.factors b.factors)
+
+and equal_vc a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Array.length x = Array.length y && same_ints x y 0
+  | (None | Some _), _ -> false
+
+and equal_factor f g =
+  match (f, g) with
+  | Unary (o1, w1), Unary (o2, w2) -> o1 = o2 && equal_wsum w1 w2
+  | Binary (o1, x1, y1), Binary (o2, x2, y2) -> o1 = o2 && equal_arg x1 x2 && equal_arg y1 y2
+  | Lte l1, Lte l2 ->
+      equal_wsum l1.test l2.test
+      && equal_arg l1.threshold l2.threshold
+      && equal_arg l1.less l2.less
+      && equal_arg l1.otherwise l2.otherwise
+  | (Unary _ | Binary _ | Lte _), _ -> false
+
+and equal_arg x y =
+  match (x, y) with
+  | Const u, Const v -> same_bits u v
+  | Sum u, Sum v -> equal_wsum u v
+  | (Const _ | Sum _), _ -> false
+
+and equal_wsum u v =
+  u == v
+  || (same_bits u.bias v.bias && List.equal equal_term u.terms v.terms)
+
+and equal_term (w1, b1) (w2, b2) = same_bits w1 w2 && equal_basis b1 b2
+
 let compare_basis a b = compare a b
 
 (* --- validation --- *)

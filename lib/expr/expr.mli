@@ -60,10 +60,14 @@ val num_weights_basis : basis -> int
 (** Count of tunable inner weights (biases, term weights, constants). *)
 
 val equal_basis : basis -> basis -> bool
-(** Structural equality (weights compared exactly). *)
+(** Structural equality, weights compared by their IEEE bits: [0.] and
+    [-0.] differ, and a NaN weight equals itself.  This is the identity
+    {!Caffeine_expr.Compiled.hash_basis} hashes, so equal bases always
+    hash equal. *)
 
 val compare_basis : basis -> basis -> int
-(** Total order compatible with {!equal_basis}, for canonical sorting. *)
+(** Total order for canonical sorting (polymorphic [compare]).  It agrees
+    with {!equal_basis} except on signed zeros, which it ranks equal. *)
 
 val check : dims:int -> basis -> (unit, string) result
 (** Validate the canonical-form invariants: VC vectors have width [dims] and

@@ -17,36 +17,53 @@ module Fused = Caffeine_expr.Fused
    are unordered — hash = sum of the two structural hashes, equality checks
    both orders — and target products are keyed by (basis, target id) where
    ids come from a small physical-equality registry (the search passes the
-   same target array on every call). *)
+   same target array on every call).
+
+   The structural hash walks the whole tree, so every entry point hashes
+   each basis once into a [key] and every shard selection, table lookup and
+   pair key reuses it: a k-basis Gram costs k tree walks, not four per
+   entry. *)
 
 let shard_count = 16 (* power of two: shard selection is a mask *)
 
+type key = { basis : Expr.basis; hash : int }
+
+let key basis = { basis; hash = Compiled.hash_basis basis }
+
+module Key = struct
+  type t = key
+
+  let equal a b = a.hash = b.hash && Expr.equal_basis a.basis b.basis
+  let hash k = k.hash
+end
+
+module Key_tbl = Hashtbl.Make (Key)
+
 type shard = {
   lock : Mutex.t;
-  table : float array Compiled.Tbl.t;
+  table : float array Key_tbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
 module Pair_key = struct
-  type t = Expr.basis * Expr.basis
+  type t = key * key
 
   let equal (a1, b1) (a2, b2) =
-    (Compiled.Key.equal a1 a2 && Compiled.Key.equal b1 b2)
-    || (Compiled.Key.equal a1 b2 && Compiled.Key.equal b1 a2)
+    (Key.equal a1 a2 && Key.equal b1 b2) || (Key.equal a1 b2 && Key.equal b1 a2)
 
   (* Commutative combination: an unordered pair hashes the same both ways. *)
-  let hash (a, b) = (Compiled.hash_basis a + Compiled.hash_basis b) land max_int
+  let hash ((a : key), (b : key)) = (a.hash + b.hash) land max_int
 end
 
 module Pair_tbl = Hashtbl.Make (Pair_key)
 
 module Target_key = struct
-  type t = Expr.basis * int
+  type t = key * int
 
-  let equal (b1, t1) (b2, t2) = t1 = t2 && Compiled.Key.equal b1 b2
-  let hash (b, t) = (Compiled.hash_basis b + (t * 0x9e3779b1)) land max_int
+  let equal (b1, t1) (b2, t2) = t1 = t2 && Key.equal b1 b2
+  let hash ((b : key), t) = (b.hash + (t * 0x9e3779b1)) land max_int
 end
 
 module Target_tbl = Hashtbl.Make (Target_key)
@@ -75,21 +92,27 @@ type storage =
   | Dense of float array array  (* columns.(v).(i): variable v at sample i *)
   | Chunked of chunk_source
 
+(* Per-domain scratch, shared by every dataset: column evaluation reuses
+   buffers without sharing them across concurrent evaluators.  One key per
+   kind for the whole process, because OCaml never releases a DLS key — a
+   key per dataset would keep every dataset's buffers reachable forever.
+   Sharing is safe: the buffers grow on demand and every use ends within
+   one call. *)
+let scratch_key = Domain.DLS.new_key (fun () -> Compiled.scratch ())
+
+(* Per-domain tile arena for fused batch evaluation, shared the same way. *)
+let fused_scratch_key = Domain.DLS.new_key (fun () -> Fused.scratch ())
+
 type t = {
   var_names : string array;
   storage : storage;
   n : int;
-  scratch_key : Compiled.scratch Domain.DLS.key;
-      (* per-domain scratch: column evaluation reuses buffers without
-         sharing them across concurrent evaluators *)
-  fused_scratch_key : Fused.scratch Domain.DLS.key;
-      (* per-domain tile arena for fused batch evaluation *)
   shards : shard array;  (* basis -> value column on this data *)
   mutable cache_limit : int;  (* max cached columns across all shards *)
   dot_shards : dot_shard array;
   mutable dot_cache_limit : int;  (* max cached products across all shards *)
   finite_lock : Mutex.t;
-  finite_table : bool Compiled.Tbl.t;
+  finite_table : bool Key_tbl.t;
       (* chunked storage only: per-basis finiteness screened during the
          streaming Gram pass, cached so repeat fits skip the data pass *)
   ones : float array;  (* registered as target id 0: ⟨col, 1⟩ = column sum.
@@ -130,11 +153,9 @@ let make_with ~var_names ~storage ~n ~ones =
     var_names;
     storage;
     n;
-    scratch_key = Domain.DLS.new_key (fun () -> Compiled.scratch ());
-    fused_scratch_key = Domain.DLS.new_key (fun () -> Fused.scratch ());
     shards =
       Array.init shard_count (fun _ ->
-          { lock = Mutex.create (); table = Compiled.Tbl.create 64;
+          { lock = Mutex.create (); table = Key_tbl.create 64;
             hits = 0; misses = 0; evictions = 0 });
     cache_limit = default_cache_limit;
     dot_shards =
@@ -144,7 +165,7 @@ let make_with ~var_names ~storage ~n ~ones =
             dot_hits = 0; dot_misses = 0; dot_evictions = 0 });
     dot_cache_limit = default_dot_cache_limit;
     finite_lock = Mutex.create ();
-    finite_table = Compiled.Tbl.create 64;
+    finite_table = Key_tbl.create 64;
     ones;
     targets_lock = Mutex.create ();
     registered_targets = [ (ones, 0) ];
@@ -293,7 +314,7 @@ let split data ~at =
       (part 0 at, part at (data.n - at))
 
 let eval_column compiled data =
-  let scratch = Domain.DLS.get data.scratch_key in
+  let scratch = Domain.DLS.get scratch_key in
   match data.storage with
   | Dense columns -> Compiled.eval_columns compiled ~scratch ~columns ~n:data.n
   | Chunked src ->
@@ -307,20 +328,20 @@ let eval_column compiled data =
           Array.blit part 0 out row0 len);
       out
 
-let shard_of data basis = data.shards.(Compiled.hash_basis basis land (shard_count - 1))
+let shard_of data k = data.shards.(k.hash land (shard_count - 1))
 
-let basis_column data basis =
+let column_of_key data k =
   match data.storage with
   | Chunked _ ->
       (* Bypass policy (DESIGN §7j): an out-of-core column is [n] floats —
          caching even a few would blow the memory budget streaming exists
          to hold, so chunked storage materializes fresh and never fills
          the column cache.  Dot products, being scalars, stay cached. *)
-      eval_column (Compiled.compile basis) data
+      eval_column (Compiled.compile k.basis) data
   | Dense _ ->
-  let shard = shard_of data basis in
+  let shard = shard_of data k in
   Mutex.lock shard.lock;
-  match Compiled.Tbl.find_opt shard.table basis with
+  match Key_tbl.find_opt shard.table k with
   | Some col ->
       shard.hits <- shard.hits + 1;
       Mutex.unlock shard.lock;
@@ -330,18 +351,20 @@ let basis_column data basis =
       Mutex.unlock shard.lock;
       (* Evaluate outside the lock: another domain may compute the same
          column concurrently, but both results are identical. *)
-      let col = eval_column (Compiled.compile basis) data in
+      let col = eval_column (Compiled.compile k.basis) data in
       let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
       Mutex.lock shard.lock;
-      if Compiled.Tbl.length shard.table >= per_shard_limit then begin
+      if Key_tbl.length shard.table >= per_shard_limit then begin
         (* Simple bounded policy: drop the shard wholesale once full.
            Misses just re-evaluate; values are unaffected. *)
-        shard.evictions <- shard.evictions + Compiled.Tbl.length shard.table;
-        Compiled.Tbl.reset shard.table
+        shard.evictions <- shard.evictions + Key_tbl.length shard.table;
+        Key_tbl.reset shard.table
       end;
-      if not (Compiled.Tbl.mem shard.table basis) then Compiled.Tbl.add shard.table basis col;
+      if not (Key_tbl.mem shard.table k) then Key_tbl.add shard.table k col;
       Mutex.unlock shard.lock;
       col
+
+let basis_column data basis = column_of_key data (key basis)
 
 (* Probe evaluation for behavioral fingerprints: subsample a cached column
    when one is present, otherwise evaluate the tape at the probe indices
@@ -364,9 +387,10 @@ let probe data basis ~indices =
       Compiled.eval_probe (Compiled.compile basis) ~columns:gathered
         ~indices:(identity_indices indices)
   | Dense columns -> (
-      let shard = shard_of data basis in
+      let k = key basis in
+      let shard = shard_of data k in
       Mutex.lock shard.lock;
-      let cached = Compiled.Tbl.find_opt shard.table basis in
+      let cached = Key_tbl.find_opt shard.table k in
       Mutex.unlock shard.lock;
       match cached with
       | Some col -> Array.map (fun i -> col.(i)) indices
@@ -408,39 +432,39 @@ let warm_columns data bases =
      [basis_column].  Each row of the fused result is bit-identical to the
      per-expression column, so a warmed cache serves exactly the values a
      cold one would have computed. *)
-  let seen = Compiled.Tbl.create (Array.length bases) in
+  let seen = Key_tbl.create (Array.length bases) in
   let rev_missing = ref [] in
   Array.iter
     (fun basis ->
-      if not (Compiled.Tbl.mem seen basis) then begin
-        Compiled.Tbl.add seen basis ();
-        let shard = shard_of data basis in
+      let k = key basis in
+      if not (Key_tbl.mem seen k) then begin
+        Key_tbl.add seen k ();
+        let shard = shard_of data k in
         Mutex.lock shard.lock;
-        let cached = Compiled.Tbl.mem shard.table basis in
+        let cached = Key_tbl.mem shard.table k in
         Mutex.unlock shard.lock;
-        if not cached then rev_missing := basis :: !rev_missing
+        if not cached then rev_missing := k :: !rev_missing
       end)
     bases;
   match !rev_missing with
   | [] -> { fused_bases = 0; nodes_in = 0; nodes_out = 0 }
   | rev ->
       let missing = Array.of_list (List.rev rev) in
-      let fused = Fused.compile missing in
-      let scratch = Domain.DLS.get data.fused_scratch_key in
+      let fused = Fused.compile (Array.map (fun k -> k.basis) missing) in
+      let scratch = Domain.DLS.get fused_scratch_key in
       let columns = Fused.eval_columns fused ~scratch ~columns:dense_columns ~n:data.n in
       let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
       Array.iteri
-        (fun k basis ->
-          let shard = shard_of data basis in
+        (fun i k ->
+          let shard = shard_of data k in
           Mutex.lock shard.lock;
           (* The fused evaluation stands in for the per-basis miss path. *)
           shard.misses <- shard.misses + 1;
-          if Compiled.Tbl.length shard.table >= per_shard_limit then begin
-            shard.evictions <- shard.evictions + Compiled.Tbl.length shard.table;
-            Compiled.Tbl.reset shard.table
+          if Key_tbl.length shard.table >= per_shard_limit then begin
+            shard.evictions <- shard.evictions + Key_tbl.length shard.table;
+            Key_tbl.reset shard.table
           end;
-          if not (Compiled.Tbl.mem shard.table basis) then
-            Compiled.Tbl.add shard.table basis columns.(k);
+          if not (Key_tbl.mem shard.table k) then Key_tbl.add shard.table k columns.(i);
           Mutex.unlock shard.lock)
         missing;
       let nodes_in, nodes_out = record_fusion fused in
@@ -523,9 +547,9 @@ let store_target data key value =
    evaluate both bases through one fused tape per chunk; fused values are
    bit-identical to per-expression compilation (§7h), which the dense
    path's columns also come from. *)
-let chunked_dot data src b1 b2 =
+let chunked_dot src b1 b2 =
   let fused = Fused.compile [| b1; b2 |] in
-  let scratch = Domain.DLS.get data.fused_scratch_key in
+  let scratch = Domain.DLS.get fused_scratch_key in
   let out = Array.init 2 (fun _ -> Array.make src.src_chunk_rows 0.) in
   let acc = ref 0. in
   src.src_iter (fun ~row0:_ ~len columns ->
@@ -536,9 +560,9 @@ let chunked_dot data src b1 b2 =
       done);
   !acc
 
-let chunked_dot_target data src basis targets =
+let chunked_dot_target src basis targets =
   let compiled = Compiled.compile basis in
-  let scratch = Domain.DLS.get data.scratch_key in
+  let scratch = Domain.DLS.get scratch_key in
   let out = Array.make src.src_chunk_rows 0. in
   let acc = ref 0. in
   src.src_iter (fun ~row0 ~len columns ->
@@ -551,9 +575,9 @@ let chunked_dot_target data src basis targets =
 (* ⟨col, 1⟩ with the multiplication by 1. spelled out: the dense path dots
    the column against a literal ones vector, and bit-identity of the two
    paths is part of the determinism contract. *)
-let chunked_column_sum data src basis =
+let chunked_column_sum src basis =
   let compiled = Compiled.compile basis in
-  let scratch = Domain.DLS.get data.scratch_key in
+  let scratch = Domain.DLS.get scratch_key in
   let out = Array.make src.src_chunk_rows 0. in
   let acc = ref 0. in
   src.src_iter (fun ~row0:_ ~len columns ->
@@ -563,18 +587,20 @@ let chunked_column_sum data src basis =
       done);
   !acc
 
-let dot data b1 b2 =
-  let key = (b1, b2) in
-  match find_pair data key with
+let dot_keys data k1 k2 =
+  let pair = (k1, k2) in
+  match find_pair data pair with
   | Some value -> value
   | None ->
       let value =
         match data.storage with
-        | Dense _ -> dot_product data.n (basis_column data b1) (basis_column data b2)
-        | Chunked src -> chunked_dot data src b1 b2
+        | Dense _ -> dot_product data.n (column_of_key data k1) (column_of_key data k2)
+        | Chunked src -> chunked_dot src k1.basis k2.basis
       in
-      store_pair data key value;
+      store_pair data pair value;
       value
+
+let dot data b1 b2 = dot_keys data (key b1) (key b2)
 
 (* Target arrays are identified physically: the search and SAG pass the
    same array on every fit of a run, so the registry stays tiny (one entry
@@ -593,33 +619,28 @@ let target_id data targets =
   Mutex.unlock data.targets_lock;
   id
 
-let dot_target data basis ~targets =
-  if Array.length targets <> data.n then invalid_arg "Dataset.dot_target: length mismatch";
-  let key = (basis, target_id data targets) in
-  match find_target data key with
+(* ⟨col, targets⟩ memoized under target id [tid].  Id 0 is the ones vector:
+   on chunked storage that vector is only notional (never allocated at full
+   length), so its product is the streamed column sum. *)
+let target_dot data k tid targets =
+  let tkey = (k, tid) in
+  match find_target data tkey with
   | Some value -> value
   | None ->
       let value =
         match data.storage with
-        | Dense _ -> dot_product data.n (basis_column data basis) targets
-        | Chunked src -> chunked_dot_target data src basis targets
+        | Dense _ -> dot_product data.n (column_of_key data k) targets
+        | Chunked src when tid = 0 -> chunked_column_sum src k.basis
+        | Chunked src -> chunked_dot_target src k.basis targets
       in
-      store_target data key value;
+      store_target data tkey value;
       value
 
-let column_sum data basis =
-  match data.storage with
-  | Dense _ -> dot_target data basis ~targets:data.ones
-  | Chunked src -> (
-      (* Target id 0 is the ones vector; on chunked storage that vector is
-         only notional (never allocated at full length). *)
-      let key = (basis, 0) in
-      match find_target data key with
-      | Some value -> value
-      | None ->
-          let value = chunked_column_sum data src basis in
-          store_target data key value;
-          value)
+let dot_target data basis ~targets =
+  if Array.length targets <> data.n then invalid_arg "Dataset.dot_target: length mismatch";
+  target_dot data (key basis) (target_id data targets) targets
+
+let column_sum data basis = target_dot data (key basis) 0 data.ones
 
 (* --- one-pass Gram accumulation (streaming fits) -------------------------- *)
 
@@ -633,18 +654,16 @@ type gram = {
   finite_bases : bool array;
 }
 
-let find_finite data basis =
+let find_finite data k =
   Mutex.lock data.finite_lock;
-  let found = Compiled.Tbl.find_opt data.finite_table basis in
+  let found = Key_tbl.find_opt data.finite_table k in
   Mutex.unlock data.finite_lock;
   found
 
-let store_finite data basis value =
+let store_finite data k value =
   Mutex.lock data.finite_lock;
-  if Compiled.Tbl.length data.finite_table >= data.cache_limit then
-    Compiled.Tbl.reset data.finite_table;
-  if not (Compiled.Tbl.mem data.finite_table basis) then
-    Compiled.Tbl.add data.finite_table basis value;
+  if Key_tbl.length data.finite_table >= data.cache_limit then Key_tbl.reset data.finite_table;
+  if not (Key_tbl.mem data.finite_table k) then Key_tbl.add data.finite_table k value;
   Mutex.unlock data.finite_lock
 
 let gram data bases ~targets =
@@ -652,20 +671,30 @@ let gram data bases ~targets =
   let k = Array.length bases in
   if k = 0 then { dots = [||]; dot_ys = [||]; col_sums = [||]; finite_bases = [||] }
   else
+    let keys = Array.map key bases in
+    let tid = target_id data targets in
     match data.storage with
     | Dense _ ->
-        (* Dense storage assembles from the memoized single-product API —
-           same cache, same values the streaming path would produce. *)
+        (* Dense storage assembles from the memoized single products — same
+           cache, same values the streaming path would produce.  Only the
+           upper triangle is fetched: the pair key is unordered and
+           [dot_product a b] equals [dot_product b a] word for word, so the
+           mirror is exact. *)
+        let dots = Array.make_matrix k k 0. in
+        for i = 0 to k - 1 do
+          for j = i to k - 1 do
+            let v = dot_keys data keys.(i) keys.(j) in
+            dots.(i).(j) <- v;
+            dots.(j).(i) <- v
+          done
+        done;
         {
-          dots =
-            Array.init k (fun i -> Array.init k (fun j -> dot data bases.(i) bases.(j)));
-          dot_ys = Array.init k (fun i -> dot_target data bases.(i) ~targets);
-          col_sums = Array.init k (fun i -> column_sum data bases.(i));
-          finite_bases =
-            Array.init k (fun i -> Stats.is_finite_array (basis_column data bases.(i)));
+          dots;
+          dot_ys = Array.map (fun kb -> target_dot data kb tid targets) keys;
+          col_sums = Array.map (fun kb -> target_dot data kb 0 data.ones) keys;
+          finite_bases = Array.map (fun kb -> Stats.is_finite_array (column_of_key data kb)) keys;
         }
     | Chunked src ->
-        let tid = target_id data targets in
         let dots = Array.make_matrix k k Float.nan in
         let dot_ys = Array.make k Float.nan in
         let col_sums = Array.make k Float.nan in
@@ -678,23 +707,23 @@ let gram data bases ~targets =
            it involves for the evaluation pass. *)
         let needed = Array.make k false in
         for i = 0 to k - 1 do
-          (match find_target data (bases.(i), tid) with
+          (match find_target data (keys.(i), tid) with
           | Some v -> dot_ys.(i) <- v
           | None ->
               missing_dot_y.(i) <- true;
               needed.(i) <- true);
-          (match find_target data (bases.(i), 0) with
+          (match find_target data (keys.(i), 0) with
           | Some v -> col_sums.(i) <- v
           | None ->
               missing_sum.(i) <- true;
               needed.(i) <- true);
-          (match find_finite data bases.(i) with
+          (match find_finite data keys.(i) with
           | Some v -> finite_bases.(i) <- v
           | None ->
               missing_finite.(i) <- true;
               needed.(i) <- true);
           for j = i to k - 1 do
-            match find_pair data (bases.(i), bases.(j)) with
+            match find_pair data (keys.(i), keys.(j)) with
             | Some v ->
                 dots.(i).(j) <- v;
                 dots.(j).(i) <- v
@@ -720,7 +749,7 @@ let gram data bases ~targets =
              bit, so nothing is overwritten either way. *)
           let acc = Gram_stream.create (Array.length needed_idx) in
           let fused = Fused.compile (Array.map (fun i -> bases.(i)) needed_idx) in
-          let scratch = Domain.DLS.get data.fused_scratch_key in
+          let scratch = Domain.DLS.get fused_scratch_key in
           let out =
             Array.init (Array.length needed_idx) (fun _ -> Array.make src.src_chunk_rows 0.)
           in
@@ -732,22 +761,22 @@ let gram data bases ~targets =
           for i = 0 to k - 1 do
             if missing_dot_y.(i) then begin
               dot_ys.(i) <- Gram_stream.dot_y acc pos.(i);
-              store_target data (bases.(i), tid) dot_ys.(i)
+              store_target data (keys.(i), tid) dot_ys.(i)
             end;
             if missing_sum.(i) then begin
               col_sums.(i) <- Gram_stream.col_sum acc pos.(i);
-              store_target data (bases.(i), 0) col_sums.(i)
+              store_target data (keys.(i), 0) col_sums.(i)
             end;
             if missing_finite.(i) then begin
               finite_bases.(i) <- Gram_stream.finite acc pos.(i);
-              store_finite data bases.(i) finite_bases.(i)
+              store_finite data keys.(i) finite_bases.(i)
             end;
             for j = i to k - 1 do
               if missing_dot.(i).(j) then begin
                 let v = Gram_stream.dot acc pos.(i) pos.(j) in
                 dots.(i).(j) <- v;
                 dots.(j).(i) <- v;
-                store_pair data (bases.(i), bases.(j)) v
+                store_pair data (keys.(i), keys.(j)) v
               end
             done
           done
@@ -762,7 +791,7 @@ let iter_basis_chunks data bases ~f =
       f ~row0:0 ~len:data.n (Array.map (basis_column data) bases)
   | Chunked src ->
       let fused = Fused.compile bases in
-      let scratch = Domain.DLS.get data.fused_scratch_key in
+      let scratch = Domain.DLS.get fused_scratch_key in
       let out = Array.init (Array.length bases) (fun _ -> Array.make src.src_chunk_rows 0.) in
       src.src_iter (fun ~row0 ~len columns ->
           Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
@@ -774,7 +803,7 @@ let cached_columns data =
   Array.fold_left
     (fun acc shard ->
       Mutex.lock shard.lock;
-      let count = Compiled.Tbl.length shard.table in
+      let count = Key_tbl.length shard.table in
       Mutex.unlock shard.lock;
       acc + count)
     0 data.shards
@@ -787,7 +816,7 @@ let stats data =
   Array.iter
     (fun shard ->
       Mutex.lock shard.lock;
-      columns_cached := !columns_cached + Compiled.Tbl.length shard.table;
+      columns_cached := !columns_cached + Key_tbl.length shard.table;
       column_hits := !column_hits + shard.hits;
       column_misses := !column_misses + shard.misses;
       column_evictions := !column_evictions + shard.evictions;
@@ -843,7 +872,7 @@ let clear_cache data =
   Array.iter
     (fun shard ->
       Mutex.lock shard.lock;
-      Compiled.Tbl.reset shard.table;
+      Key_tbl.reset shard.table;
       Mutex.unlock shard.lock)
     data.shards;
   Array.iter
@@ -854,7 +883,7 @@ let clear_cache data =
       Mutex.unlock shard.dot_lock)
     data.dot_shards;
   Mutex.lock data.finite_lock;
-  Compiled.Tbl.reset data.finite_table;
+  Key_tbl.reset data.finite_table;
   Mutex.unlock data.finite_lock
 
 let cache_limit data = data.cache_limit

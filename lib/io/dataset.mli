@@ -4,7 +4,8 @@
     basis functions over the same sample matrices.  This type stores those
     matrices struct-of-arrays (one contiguous column per design variable),
     carries the variable names, and memoizes per-basis value columns keyed
-    by the full structural hash ({!Caffeine_expr.Compiled.Key}) — so a
+    by the full structural hash ({!Caffeine_expr.Compiled.hash_basis},
+    computed once per call) and {!Caffeine_expr.Expr.equal_basis} — so a
     basis shared between individuals, or revisited by SAG after the
     search, is compiled and evaluated on a given dataset exactly once.
 
@@ -97,8 +98,8 @@ val split : t -> at:int -> t * t
 
 val eval_column : Compiled.t -> t -> float array
 (** Evaluate a compiled basis over every sample (fresh result column, no
-    memoization); the tape's scratch buffers are reused across calls on
-    the same dataset. *)
+    memoization); the tape's scratch buffers are reused across calls
+    (one set per domain, shared by every dataset). *)
 
 val basis_column : t -> Expr.basis -> float array
 (** Memoized: compile the basis (first time only) and evaluate it over the
@@ -174,9 +175,13 @@ val gram : t -> Expr.basis array -> targets:float array -> gram
     bit-identical to the dense sequential products), then installed into
     the caches.  Per-basis finiteness is screened in the same pass and
     cached separately, so a fully-warm cache means no data pass at all.
-    On dense storage the entries come from {!dot} / {!dot_target} /
-    {!column_sum} directly.  Raises [Invalid_argument] when [targets]
-    does not have one entry per sample. *)
+    On dense storage the entries come from the same memoized products as
+    {!dot} / {!dot_target} / {!column_sum}.  Either way each basis is
+    hashed once per call, and only the upper triangle of [dots] is looked
+    up and then mirrored: the pair key is unordered and a dot product is
+    the same word for word either way round, so [dots] is symmetric bit
+    for bit.  Raises [Invalid_argument] when [targets] does not have one
+    entry per sample. *)
 
 val iter_basis_chunks :
   t ->

@@ -4,8 +4,12 @@
     rows, tens of columns); all operations are straightforward O(n^3)-or-less
     dense algorithms with no blocking. *)
 
-type t
-(** A [rows x cols] dense matrix. *)
+type t = private { rows : int; cols : int; data : float array }
+(** A [rows x cols] dense matrix.  Entry [(i, j)] is [data.(i * cols + j)].
+    The representation is readable so hot kernels in other modules can loop
+    over [data] directly: dune's dev profile compiles library modules with
+    [-opaque], so a cross-module {!get} is never inlined and boxes the
+    float it returns.  Build matrices through this module's constructors. *)
 
 val create : int -> int -> t
 (** [create rows cols] is a zero matrix.  Dimensions must be positive. *)

@@ -134,37 +134,54 @@ let press ~basis_values ~targets =
    either data path. *)
 let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
   let dim = k + 1 in
-  let g =
-    Matrix.init dim dim (fun i j ->
-        if i = 0 && j = 0 then float_of_int n
-        else if i = 0 then col_sum (j - 1)
-        else if j = 0 then col_sum (i - 1)
-        else dot (i - 1) (j - 1))
-  in
+  (* The bordered Gram is symmetric, so only its upper triangle is fetched
+     and mirrored: [dot i j] is ⟨colᵢ, colⱼ⟩, which callers compute once
+     per unordered pair, word for word the same either way round. *)
+  let g = Matrix.create dim dim in
+  let gd = g.data in
+  gd.(0) <- float_of_int n;
+  for j = 1 to k do
+    let s = col_sum (j - 1) in
+    gd.(j) <- s;
+    gd.(j * dim) <- s
+  done;
+  for i = 1 to k do
+    for j = i to k do
+      let v = dot (i - 1) (j - 1) in
+      gd.((i * dim) + j) <- v;
+      gd.((j * dim) + i) <- v
+    done
+  done;
   let degenerate = ref false in
-  let d =
-    Array.init dim (fun i ->
-        let gii = Matrix.get g i i in
-        if Float.is_finite gii && gii > 0. then 1. /. sqrt gii
-        else begin
-          degenerate := true;
-          1.
-        end)
-  in
+  let d = Array.make dim 1. in
+  for i = 0 to dim - 1 do
+    let gii = gd.((i * dim) + i) in
+    if Float.is_finite gii && gii > 0. then d.(i) <- 1. /. sqrt gii else degenerate := true
+  done;
   if !degenerate then None
   else begin
-    let gs = Matrix.init dim dim (fun i j -> d.(i) *. Matrix.get g i j *. d.(j)) in
-    let rs =
-      Array.init dim (fun i ->
-          let raw = if i = 0 then Array.fold_left ( +. ) 0. targets else dot_y (i - 1) in
-          d.(i) *. raw)
-    in
+    let gs = Matrix.create dim dim in
+    let gsd = gs.data in
+    for i = 0 to dim - 1 do
+      for j = 0 to dim - 1 do
+        gsd.((i * dim) + j) <- d.(i) *. gd.((i * dim) + j) *. d.(j)
+      done
+    done;
+    let target_sum = ref 0. in
+    for i = 0 to Array.length targets - 1 do
+      target_sum := !target_sum +. targets.(i)
+    done;
+    let rs = Array.make dim 0. in
+    for i = 0 to dim - 1 do
+      let raw = if i = 0 then !target_sum else dot_y (i - 1) in
+      rs.(i) <- d.(i) *. raw
+    done;
     match Decomp.cholesky gs with
     | exception Decomp.Singular -> None
     | l ->
         let min_pivot = ref Float.infinity and max_pivot = ref 0. in
         for i = 0 to dim - 1 do
-          let p = Matrix.get l i i in
+          let p = l.data.((i * dim) + i) in
           if p < !min_pivot then min_pivot := p;
           if p > !max_pivot then max_pivot := p
         done;
@@ -175,14 +192,14 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
           let lt = Matrix.transpose l in
           let solve b = Decomp.solve_upper_triangular lt (Decomp.solve_lower_triangular l b) in
           let x0 = solve rs in
-          let residual =
-            Array.init dim (fun i ->
-                let acc = ref rs.(i) in
-                for j = 0 to dim - 1 do
-                  acc := !acc -. (Matrix.get gs i j *. x0.(j))
-                done;
-                !acc)
-          in
+          let residual = Array.make dim 0. in
+          for i = 0 to dim - 1 do
+            let acc = ref rs.(i) in
+            for j = 0 to dim - 1 do
+              acc := !acc -. (gsd.((i * dim) + j) *. x0.(j))
+            done;
+            residual.(i) <- !acc
+          done;
           let dx = solve residual in
           Some (Array.init dim (fun i -> (x0.(i) +. dx.(i)) *. d.(i)))
         end
@@ -212,14 +229,14 @@ let fit_gram ~dot ~dot_y ~col_sum ~basis_values ~targets =
         Metrics.incr m_gram_fallbacks;
         fit ~basis_values ~targets
     | Some coeffs ->
-        let predictions =
-          Array.init n (fun i ->
-              let acc = ref coeffs.(0) in
-              for j = 0 to k - 1 do
-                acc := !acc +. (coeffs.(j + 1) *. basis_values.(j).(i))
-              done;
-              !acc)
-        in
+        let predictions = Array.make n 0. in
+        for i = 0 to n - 1 do
+          let acc = ref coeffs.(0) in
+          for j = 0 to k - 1 do
+            acc := !acc +. (coeffs.(j + 1) *. basis_values.(j).(i))
+          done;
+          predictions.(i) <- !acc
+        done;
         finish_gram ~coeffs ~k ~predictions ~targets
   end
 

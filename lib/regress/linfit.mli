@@ -55,8 +55,9 @@ val fit_gram :
 (** Normal-equations fast path for the per-individual fit: assemble the
     bordered [(k+1) x (k+1)] Gram matrix from the supplied products —
     [dot i j = ⟨colᵢ, colⱼ⟩], [dot_y i = ⟨colᵢ, y⟩], [col_sum i = ⟨colᵢ, 1⟩]
-    (typically {!Caffeine_io.Dataset.dot} and friends, memoized across the
-    population) — and solve by Cholesky with unit-diagonal equilibration
+    (typically read off a {!Caffeine_io.Dataset.gram}, memoized across the
+    population; [dot] is only asked for [i <= j] and the lower triangle
+    mirrors it) — and solve by Cholesky with unit-diagonal equilibration
     and one iterative-refinement step.  When conditioning threatens
     accuracy (non-positive diagonal, singular factorization, or a minimum
     Cholesky pivot below 1e-3 of the maximum) the call transparently falls

@@ -4,9 +4,27 @@ let require_nonempty name xs =
 let require_same_length name xs ys =
   if Array.length xs <> Array.length ys then invalid_arg (name ^ ": length mismatch")
 
+(* Every fitted candidate goes through [mean], [normalized_error] and
+   [is_finite_array], so they are written as monomorphic loops: the
+   polymorphic [Array] iterators box each float they pass through.  The
+   additions happen in the same order as a left fold. *)
+let sum xs =
+  let acc = ref 0. in
+  for i = 0 to Array.length xs - 1 do
+    acc := !acc +. xs.(i)
+  done;
+  !acc
+
+let sum_abs xs =
+  let acc = ref 0. in
+  for i = 0 to Array.length xs - 1 do
+    acc := !acc +. Float.abs xs.(i)
+  done;
+  !acc
+
 let mean xs =
   require_nonempty "Stats.mean" xs;
-  Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
+  sum xs /. float_of_int (Array.length xs)
 
 let sum_sq_dev xs =
   let m = mean xs in
@@ -64,7 +82,8 @@ let mse reference predicted =
 let rmse reference predicted = sqrt (mse reference predicted)
 
 let normalized_error reference predicted =
-  let scale = mean (Array.map Float.abs reference) in
+  require_nonempty "Stats.mean" reference;
+  let scale = sum_abs reference /. float_of_int (Array.length reference) in
   let rms = rmse reference predicted in
   if scale > 0. then rms /. scale else rms
 
@@ -89,7 +108,8 @@ let correlation xs ys =
   done;
   if !vx <= 0. || !vy <= 0. then 0. else !cov /. sqrt (!vx *. !vy)
 
-let is_finite_array xs = Array.for_all (fun x -> Float.is_finite x) xs
+let rec finite_from xs i = i = Array.length xs || (Float.is_finite xs.(i) && finite_from xs (i + 1))
+let is_finite_array xs = finite_from xs 0
 
 let worst_relative_error reference predicted =
   require_nonempty "Stats.worst_relative_error" reference;

@@ -238,6 +238,97 @@ let test_tbl_keys_deep_bases () =
   Alcotest.(check int) "a" 1 (Compiled.Tbl.find tbl a);
   Alcotest.(check int) "b" 2 (Compiled.Tbl.find tbl b)
 
+(* --- equality agrees with the hash ---------------------------------------- *)
+
+(* Rebuild a basis node by node, sharing nothing with the original, passing
+   every weight through [f]. *)
+let rec map_weights f (b : Expr.basis) =
+  Expr.{ vc = Option.map Array.copy b.vc; factors = List.map (map_factor f) b.factors }
+
+and map_factor f = function
+  | Expr.Unary (op, ws) -> Expr.Unary (op, map_wsum f ws)
+  | Expr.Binary (op, x, y) -> Expr.Binary (op, map_arg f x, map_arg f y)
+  | Expr.Lte { test; threshold; less; otherwise } ->
+      Expr.Lte
+        {
+          test = map_wsum f test;
+          threshold = map_arg f threshold;
+          less = map_arg f less;
+          otherwise = map_arg f otherwise;
+        }
+
+and map_arg f = function
+  | Expr.Const w -> Expr.Const (f w)
+  | Expr.Sum ws -> Expr.Sum (map_wsum f ws)
+
+and map_wsum f (ws : Expr.wsum) =
+  { Expr.bias = f ws.bias; terms = List.map (fun (w, b) -> (f w, map_weights f b)) ws.terms }
+
+(* Every weight of a basis, in traversal order. *)
+let weights_of b =
+  let acc = ref [] in
+  ignore (map_weights (fun w -> acc := w :: !acc; w) b : Expr.basis);
+  List.rev !acc
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* w ** x: at odd negative x the sign of a zero weight decides the sign of
+   the (infinite) value. *)
+let power_of w =
+  Expr.
+    {
+      vc = None;
+      factors = [ Binary (Op.Pow, Const w, Sum { bias = 0.; terms = [ (1., vc_basis [| 1 |]) ] }) ];
+    }
+
+let test_signed_zero_twins_differ () =
+  let pos = power_of 0. and neg = power_of (-0.) in
+  Alcotest.(check bool) "0 and -0 twins are different keys" false (Expr.equal_basis pos neg);
+  (* The twins share a structural hash (its fold drops the sign bit), so
+     only equality keeps them apart: a cache keyed by them must never serve
+     one twin's column for the other, and the columns differ in sign. *)
+  let data = Dataset.of_columns [| [| -1.; -3. |] |] in
+  let pos_col = Array.copy (Dataset.basis_column data pos) in
+  let neg_col = Dataset.basis_column data neg in
+  Alcotest.(check (array (float 0.))) "+0 column" [| Float.infinity; Float.infinity |] pos_col;
+  Alcotest.(check (array (float 0.))) "-0 column" [| Float.neg_infinity; Float.neg_infinity |]
+    neg_col
+
+let test_nan_weight_equals_itself () =
+  let basis () = power_of Float.nan in
+  let b = basis () in
+  Alcotest.(check bool) "equal to itself" true (Expr.equal_basis b b);
+  Alcotest.(check bool) "equal to a rebuilt copy" true (Expr.equal_basis b (basis ()));
+  let tbl = Compiled.Tbl.create 4 in
+  Compiled.Tbl.replace tbl b 1;
+  Compiled.Tbl.replace tbl (basis ()) 2;
+  Alcotest.(check int) "one table entry" 1 (Compiled.Tbl.length tbl);
+  Alcotest.(check int) "found again" 2 (Compiled.Tbl.find tbl (basis ()))
+
+let equality_properties =
+  [
+    QCheck.Test.make ~name:"equal bases hash equal; weights compare by bits" ~count:500
+      QCheck.small_int
+      (fun seed ->
+        let rng = Rng.create ~seed () in
+        let dims = 1 + Rng.int rng 3 in
+        let random () = Gen.random_basis rng Opset.default ~dims ~depth:4 ~max_vc_vars:dims in
+        let special w =
+          if Rng.bernoulli rng 0.6 then w else [| 0.; -0.; Float.nan; Float.infinity |].(Rng.int rng 4)
+        in
+        let a = map_weights special (random ()) in
+        (* A twin differing at most in the sign of zero weights. *)
+        let twin = map_weights (fun w -> if w = 0. && Rng.bernoulli rng 0.3 then -.w else w) a in
+        let other = random () in
+        let implies p q = (not p) || q in
+        let hash = Compiled.hash_basis in
+        Expr.equal_basis a a
+        && Expr.equal_basis a (map_weights Fun.id a)
+        && Expr.equal_basis a twin = List.for_all2 same_bits (weights_of a) (weights_of twin)
+        && implies (Expr.equal_basis a twin) (hash a = hash twin)
+        && implies (Expr.equal_basis a other) (hash a = hash other));
+  ]
+
 (* --- fold-order fidelity ------------------------------------------------- *)
 
 let test_fold_order_matches_interpreter () =
@@ -269,4 +360,7 @@ let suite =
     Alcotest.test_case "hash respects equality" `Quick test_hash_respects_equality;
     Alcotest.test_case "hash-consed table separates deep bases" `Quick test_tbl_keys_deep_bases;
     Alcotest.test_case "fold order is bit-identical" `Quick test_fold_order_matches_interpreter;
+    Alcotest.test_case "signed-zero weight twins differ" `Quick test_signed_zero_twins_differ;
+    Alcotest.test_case "NaN weight equals itself" `Quick test_nan_weight_equals_itself;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) equality_properties

@@ -174,6 +174,63 @@ let test_population_sorted_by_rank () =
   done;
   Alcotest.(check bool) "rank-sorted output" true !sorted
 
+(* Deb's sort as it read while [dominates] was still compiled polymorphic.
+   The member order of every front decides crowding ties and the unstable
+   sort in environmental selection, so the monomorphic version must
+   reproduce it exactly, not just the partition. *)
+module Reference = struct
+  let dominates a b =
+    let n = Array.length a in
+    assert (Array.length b = n);
+    let no_worse = ref true and strictly_better = ref false in
+    for i = 0 to n - 1 do
+      if a.(i) > b.(i) then no_worse := false else if a.(i) < b.(i) then strictly_better := true
+    done;
+    !no_worse && !strictly_better
+
+  let fast_nondominated_sort objectives =
+    let n = Array.length objectives in
+    let dominated_by = Array.make n [] in
+    let domination_count = Array.make n 0 in
+    for p = 0 to n - 1 do
+      for q = p + 1 to n - 1 do
+        if dominates objectives.(p) objectives.(q) then begin
+          dominated_by.(p) <- q :: dominated_by.(p);
+          domination_count.(q) <- domination_count.(q) + 1
+        end
+        else if dominates objectives.(q) objectives.(p) then begin
+          dominated_by.(q) <- p :: dominated_by.(q);
+          domination_count.(p) <- domination_count.(p) + 1
+        end
+      done
+    done;
+    let fronts = ref [] in
+    let current = ref [] in
+    for p = 0 to n - 1 do
+      if domination_count.(p) = 0 then current := p :: !current
+    done;
+    while !current <> [] do
+      fronts := List.rev !current :: !fronts;
+      let next = ref [] in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun q ->
+              domination_count.(q) <- domination_count.(q) - 1;
+              if domination_count.(q) = 0 then next := q :: !next)
+            dominated_by.(p))
+        !current;
+      current := List.rev !next
+    done;
+    Array.of_list (List.rev !fronts)
+end
+
+(* Objective sets heavy in ties: values from a small pool (duplicates are
+   the norm), with infinities, as invalid candidates produce. *)
+let tie_heavy_objectives rng ~n ~m =
+  let pool = [| 0.; 1.; 1.; 2.; 3.; 0.5; Float.infinity; Float.infinity; Float.neg_infinity; Float.nan |] in
+  Array.init n (fun _ -> Array.init m (fun _ -> pool.(Rng.int rng (Array.length pool))))
+
 let property_tests =
   [
     QCheck.Test.make ~name:"sort partitions all indices" ~count:50
@@ -194,6 +251,19 @@ let property_tests =
             Array.for_all (fun other -> not (Nsga2.dominates other objectives.(p)))
               objectives)
           fronts.(0));
+    QCheck.Test.make ~name:"reference: fronts identical to Deb's sort, members in order"
+      ~count:500
+      QCheck.(triple small_int (int_range 0 80) (int_range 1 3))
+      (fun (seed, n, m) ->
+        let rng = Rng.create ~seed () in
+        let objectives = tie_heavy_objectives rng ~n ~m in
+        Nsga2.fast_nondominated_sort objectives = Reference.fast_nondominated_sort objectives
+        && Array.for_all
+             (fun a ->
+               Array.for_all
+                 (fun b -> Nsga2.dominates a b = Reference.dominates a b)
+                 objectives)
+             objectives);
   ]
 
 let suite =

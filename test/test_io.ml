@@ -4,6 +4,10 @@ module Csv = Caffeine_io.Csv
 module Dataset = Caffeine_io.Dataset
 module Expr = Caffeine_expr.Expr
 module Compiled = Caffeine_expr.Compiled
+module Op = Caffeine_expr.Op
+module Rng = Caffeine_util.Rng
+module Gen = Caffeine.Gen
+module Opset = Caffeine.Opset
 
 let sample_table =
   {
@@ -349,6 +353,68 @@ let test_dataset_stats_counters () =
 
 module Colstore = Caffeine_io.Colstore
 
+let test_dataset_scratch_not_retained () =
+  (* Evaluation scratch is per domain, not per dataset: OCaml never frees a
+     domain-local key, so a key per dataset kept every dataset's buffers
+     reachable for the life of the process.  Throwaway datasets must leave
+     no heap behind. *)
+  let rows = 243 in
+  let leaf e = Expr.{ vc = Some [| e; 1 |]; factors = [] } in
+  let sum e = Expr.Sum { bias = 1.; terms = [ (2., leaf e); (3., leaf (e + 1)) ] } in
+  let basis =
+    Expr.{ vc = Some [| 1; 0 |]; factors = [ Binary (Op.Max, sum 1, sum 2); Binary (Op.Min, sum 3, sum 4) ] }
+  in
+  let make () =
+    Dataset.of_columns (Array.init 2 (fun v -> Array.init rows (fun i -> float (i + v + 1))))
+  in
+  ignore (Dataset.basis_column (make ()) basis);
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  for _ = 1 to 400 do
+    ignore (Dataset.basis_column (make ()) basis)
+  done;
+  Gc.full_major ();
+  let grown = float ((Gc.stat ()).Gc.live_words - before) *. float (Sys.word_size / 8) in
+  if grown > 1e6 then Alcotest.failf "400 dropped datasets left %.1f MB live" (grown /. 1e6)
+
+let gram_properties =
+  let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  [
+    QCheck.Test.make ~name:"dense gram is symmetric and equals per-pair dot word for word"
+      ~count:200
+      QCheck.(pair small_int (int_range 1 50))
+      (fun (seed, n) ->
+        let rng = Rng.create ~seed () in
+        let dims = 1 + Rng.int rng 3 in
+        let columns = Array.init dims (fun _ -> Array.init n (fun _ -> Rng.range rng (-2.) 2.)) in
+        let targets = Array.init n (fun _ -> Rng.range rng (-3.) 3.) in
+        let k = 1 + Rng.int rng 6 in
+        let pool =
+          Array.init k (fun _ -> Gen.random_basis rng Opset.default ~dims ~depth:3 ~max_vc_vars:2)
+        in
+        (* Repeats: a basis paired with itself and with its duplicates. *)
+        let bases = Array.init (k + 2) (fun _ -> pool.(Rng.int rng k)) in
+        let g = Dataset.gram (Dataset.of_columns columns) bases ~targets in
+        (* Products from a separate, cold dataset: nothing is shared with
+           the Gram's cache. *)
+        let fresh = Dataset.of_columns columns in
+        let m = Array.length bases in
+        let ok = ref true in
+        for i = 0 to m - 1 do
+          for j = 0 to m - 1 do
+            ok :=
+              !ok
+              && feq g.Dataset.dots.(i).(j) g.Dataset.dots.(j).(i)
+              && feq g.Dataset.dots.(i).(j) (Dataset.dot fresh bases.(i) bases.(j))
+          done;
+          ok :=
+            !ok
+            && feq g.Dataset.dot_ys.(i) (Dataset.dot_target fresh bases.(i) ~targets)
+            && feq g.Dataset.col_sums.(i) (Dataset.column_sum fresh bases.(i))
+        done;
+        !ok);
+  ]
+
 let write_store ~chunk_rows ~rows ~dims =
   let path = Filename.temp_file "caffeine_colstore" ".cafs" in
   let var_names = Array.init dims (fun d -> Printf.sprintf "v%d" d) in
@@ -437,6 +503,8 @@ let suite =
     Alcotest.test_case "dataset stats counters" `Quick test_dataset_stats_counters;
     Alcotest.test_case "dataset eval matches interpreter" `Quick
       test_dataset_eval_column_matches_interpreter;
+    Alcotest.test_case "dropped datasets release their scratch" `Quick
+      test_dataset_scratch_not_retained;
     Alcotest.test_case "column extraction" `Quick test_column_extraction;
     Alcotest.test_case "columns except" `Quick test_columns_except;
     Alcotest.test_case "read errors" `Quick test_read_errors;
@@ -453,3 +521,4 @@ let suite =
     Alcotest.test_case "colstore round-trip (buffered and mmap)" `Quick test_colstore_roundtrip;
     Alcotest.test_case "colstore validation" `Quick test_colstore_validation;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) gram_properties

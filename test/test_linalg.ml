@@ -298,6 +298,313 @@ let test_qr_update_rejects_duplicate_column () =
   Alcotest.(check (float 0.)) "press unchanged" before (Qr_update.press qr);
   Alcotest.(check bool) "probe rejects too" true (Qr_update.press_probe qr doubled = None)
 
+(* --- reference kernels ----------------------------------------------------- *)
+
+(* The Householder QR, triangular solves, LU, Cholesky and least-squares
+   paths as they read before [Decomp]'s kernels moved onto the raw
+   row-major array (R-first rank test, Q only for full-rank designs, one
+   factorization per PRESS).  Kept verbatim, through the public
+   [Matrix.get]/[Matrix.set] API, so the properties below can pin the
+   rewritten kernels to them IEEE word for IEEE word. *)
+module Reference = struct
+  exception Singular = Decomp.Singular
+
+  let qr a =
+    let m = Matrix.rows a and n = Matrix.cols a in
+    if m < n then invalid_arg "Decomp.qr: need rows >= cols";
+    let r = Matrix.copy a in
+    let reflectors = Array.make n None in
+    let apply_reflector target k v vnorm2 =
+      let width = Matrix.cols target in
+      for j = 0 to width - 1 do
+        let dot = ref 0. in
+        for i = k to m - 1 do
+          dot := !dot +. (v.(i) *. Matrix.get target i j)
+        done;
+        let factor = 2. *. !dot /. vnorm2 in
+        if factor <> 0. then
+          for i = k to m - 1 do
+            Matrix.set target i j (Matrix.get target i j -. (factor *. v.(i)))
+          done
+      done
+    in
+    for k = 0 to n - 1 do
+      let norm = ref 0. in
+      for i = k to m - 1 do
+        let x = Matrix.get r i k in
+        norm := !norm +. (x *. x)
+      done;
+      let norm = sqrt !norm in
+      if norm > 0. then begin
+        let v = Array.make m 0. in
+        let head = Matrix.get r k k in
+        let alpha = if head >= 0. then -.norm else norm in
+        v.(k) <- head -. alpha;
+        for i = k + 1 to m - 1 do
+          v.(i) <- Matrix.get r i k
+        done;
+        let vnorm2 = ref 0. in
+        for i = k to m - 1 do
+          vnorm2 := !vnorm2 +. (v.(i) *. v.(i))
+        done;
+        if !vnorm2 > 0. then begin
+          apply_reflector r k v !vnorm2;
+          reflectors.(k) <- Some (v, !vnorm2)
+        end
+      end
+    done;
+    let q = Matrix.init m n (fun i j -> if i = j then 1. else 0.) in
+    for k = n - 1 downto 0 do
+      match reflectors.(k) with
+      | None -> ()
+      | Some (v, vnorm2) -> apply_reflector q k v vnorm2
+    done;
+    let r_top = Matrix.init n n (fun i j -> if i <= j then Matrix.get r i j else 0.) in
+    (q, r_top)
+
+  let solve_upper_triangular r b =
+    let n = Matrix.rows r in
+    if Matrix.cols r <> n || Array.length b <> n then
+      invalid_arg "Decomp.solve_upper_triangular: dimension mismatch";
+    let x = Array.make n 0. in
+    for i = n - 1 downto 0 do
+      let acc = ref b.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (Matrix.get r i j *. x.(j))
+      done;
+      let pivot = Matrix.get r i i in
+      if pivot = 0. then raise Singular;
+      x.(i) <- !acc /. pivot
+    done;
+    x
+
+  let solve_lower_triangular l b =
+    let n = Matrix.rows l in
+    if Matrix.cols l <> n || Array.length b <> n then
+      invalid_arg "Decomp.solve_lower_triangular: dimension mismatch";
+    let x = Array.make n 0. in
+    for i = 0 to n - 1 do
+      let acc = ref b.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (Matrix.get l i j *. x.(j))
+      done;
+      let pivot = Matrix.get l i i in
+      if pivot = 0. then raise Singular;
+      x.(i) <- !acc /. pivot
+    done;
+    x
+
+  let lu_solve a b =
+    let n = Matrix.rows a in
+    if Matrix.cols a <> n || Array.length b <> n then
+      invalid_arg "Decomp.lu_solve: dimension mismatch";
+    let work = Matrix.copy a in
+    let rhs = Array.copy b in
+    for k = 0 to n - 1 do
+      let best = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs (Matrix.get work i k) > Float.abs (Matrix.get work !best k) then best := i
+      done;
+      if !best <> k then begin
+        for j = 0 to n - 1 do
+          let tmp = Matrix.get work k j in
+          Matrix.set work k j (Matrix.get work !best j);
+          Matrix.set work !best j tmp
+        done;
+        let tmp = rhs.(k) in
+        rhs.(k) <- rhs.(!best);
+        rhs.(!best) <- tmp
+      end;
+      let pivot = Matrix.get work k k in
+      if Float.abs pivot < 1e-300 then raise Singular;
+      for i = k + 1 to n - 1 do
+        let factor = Matrix.get work i k /. pivot in
+        if factor <> 0. then begin
+          for j = k to n - 1 do
+            Matrix.set work i j (Matrix.get work i j -. (factor *. Matrix.get work k j))
+          done;
+          rhs.(i) <- rhs.(i) -. (factor *. rhs.(k))
+        end
+      done
+    done;
+    solve_upper_triangular work rhs
+
+  let cholesky a =
+    let n = Matrix.rows a in
+    if Matrix.cols a <> n then invalid_arg "Decomp.cholesky: not square";
+    let l = Matrix.create n n in
+    for i = 0 to n - 1 do
+      for j = 0 to i do
+        let acc = ref (Matrix.get a i j) in
+        for k = 0 to j - 1 do
+          acc := !acc -. (Matrix.get l i k *. Matrix.get l j k)
+        done;
+        if i = j then begin
+          if !acc <= 0. then raise Singular;
+          Matrix.set l i i (sqrt !acc)
+        end
+        else Matrix.set l i j (!acc /. Matrix.get l j j)
+      done
+    done;
+    l
+
+  let solve_spd a b =
+    let l = cholesky a in
+    let y = solve_lower_triangular l b in
+    solve_upper_triangular (Matrix.transpose l) y
+
+  let rank_from_r ?(tol = 1e-10) r =
+    let n = min (Matrix.rows r) (Matrix.cols r) in
+    let largest = ref 0. in
+    for i = 0 to n - 1 do
+      largest := Float.max !largest (Float.abs (Matrix.get r i i))
+    done;
+    let threshold = !largest *. tol in
+    let count = ref 0 in
+    for i = 0 to n - 1 do
+      if Float.abs (Matrix.get r i i) > threshold then incr count
+    done;
+    !count
+
+  let gram_trace a =
+    let n = Matrix.cols a in
+    let g = Matrix.gram a in
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      acc := !acc +. Matrix.get g i i
+    done;
+    (g, Float.max !acc 1.)
+
+  let ridge_solve ?ridge a b =
+    let n = Matrix.cols a in
+    let g, trace = gram_trace a in
+    let lambda = match ridge with Some r -> r | None -> 1e-10 *. trace /. float_of_int n in
+    let regularized =
+      Matrix.init n n (fun i j ->
+          let base = Matrix.get g i j in
+          if i = j then base +. lambda else base)
+    in
+    let atb = Matrix.mul_vec (Matrix.transpose a) b in
+    solve_spd regularized atb
+
+  let lstsq ?ridge a b =
+    if Matrix.rows a <> Array.length b then invalid_arg "Decomp.lstsq: dimension mismatch";
+    if Matrix.rows a < Matrix.cols a then ridge_solve ?ridge a b
+    else
+      let q, r = qr a in
+      if rank_from_r r < Matrix.cols a then ridge_solve ?ridge a b
+      else
+        let qtb = Matrix.mul_vec (Matrix.transpose q) b in
+        solve_upper_triangular r qtb
+
+  let hat_diag ?ridge a =
+    let m = Matrix.rows a and n = Matrix.cols a in
+    let via_ridge () =
+      let g, trace = gram_trace a in
+      let lambda = match ridge with Some r -> r | None -> 1e-10 *. trace /. float_of_int n in
+      let regularized =
+        Matrix.init n n (fun i j ->
+            let base = Matrix.get g i j in
+            if i = j then base +. lambda else base)
+      in
+      let l = cholesky regularized in
+      let h = Array.make m 0. in
+      for i = 0 to m - 1 do
+        let ai = Matrix.row a i in
+        let y = solve_lower_triangular l ai in
+        let z = solve_upper_triangular (Matrix.transpose l) y in
+        let acc = ref 0. in
+        for k = 0 to n - 1 do
+          acc := !acc +. (ai.(k) *. z.(k))
+        done;
+        h.(i) <- !acc
+      done;
+      h
+    in
+    if m < n then via_ridge ()
+    else
+      let q, r = qr a in
+      if rank_from_r r < n then via_ridge ()
+      else
+        Array.init m (fun i ->
+            let acc = ref 0. in
+            for j = 0 to n - 1 do
+              let qij = Matrix.get q i j in
+              acc := !acc +. (qij *. qij)
+            done;
+            !acc)
+
+  let press ?ridge a b =
+    let coeffs = lstsq ?ridge a b in
+    let predicted = Matrix.mul_vec a coeffs in
+    let leverages = hat_diag ?ridge a in
+    let m = Matrix.rows a in
+    let acc = ref 0. in
+    for i = 0 to m - 1 do
+      let denom = Float.max (1. -. leverages.(i)) 1e-9 in
+      let e = (b.(i) -. predicted.(i)) /. denom in
+      acc := !acc +. (e *. e)
+    done;
+    !acc
+end
+
+(* IEEE-word equality, NaN payloads included. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let same_matrix a b =
+  Matrix.rows a = Matrix.rows b
+  && Matrix.cols a = Matrix.cols b
+  && Array.for_all2 same_vec (Matrix.to_arrays a) (Matrix.to_arrays b)
+
+(* Same value or same exception: the kernels must also fail alike. *)
+let same_outcome eq f g =
+  match f () with
+  | x -> ( match g () with y -> eq x y | exception _ -> false)
+  | exception e1 -> ( match g () with _ -> false | exception e2 -> e1 = e2)
+
+(* Designs of the shapes the fit fallback meets: full rank, or rank-deficient
+   through duplicated, scaled-duplicate, constant or zero columns, sometimes
+   wide (fewer rows than columns) and sometimes with a non-finite cell. *)
+let reference_design seed =
+  let rng = Rng.create ~seed () in
+  let n = 1 + Rng.int rng 8 in
+  let m = if n > 1 && Rng.int rng 6 = 0 then 1 + Rng.int rng (n - 1) else n + Rng.int rng 30 in
+  let cols = Array.init n (fun _ -> random_vector rng m) in
+  for _ = 1 to Rng.int rng 3 do
+    let j = Rng.int rng n and src = Rng.int rng n in
+    cols.(j) <-
+      (match Rng.int rng 4 with
+      | 0 -> Array.copy cols.(src)
+      | 1 -> Array.map (fun x -> 2.5 *. x) cols.(src)
+      | 2 -> Array.make m (Rng.range rng (-2.) 2.)
+      | _ -> Array.make m 0.)
+  done;
+  if Rng.int rng 10 = 0 then
+    cols.(Rng.int rng n).(Rng.int rng m) <-
+      [| Float.infinity; Float.neg_infinity; Float.nan |].(Rng.int rng 3);
+  (Matrix.init m n (fun i j -> cols.(j).(i)), random_vector rng m)
+
+let rank_deficient_243x8 () =
+  let rng = Rng.create ~seed:243 () in
+  let cols = Array.init 8 (fun _ -> random_vector rng 243) in
+  cols.(7) <- Array.copy cols.(2);
+  (Matrix.init 243 8 (fun i j -> cols.(j).(i)), random_vector rng 243)
+
+let test_lstsq_allocation_ceiling () =
+  (* The rank-deficient path decides the rank from R and never builds Q:
+     a 243x8 design (the OTA fit's shape) stays far below the 1.4 MB the
+     [Matrix.get]-based kernels allocated. *)
+  let a, b = rank_deficient_243x8 () in
+  ignore (Decomp.lstsq a b : float array);
+  (* Empty the minor heap first: promoting older survivors inside the
+     window would be subtracted from the count. *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Decomp.lstsq a b : float array);
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes >= 256. *. 1024. then Alcotest.failf "lstsq allocated %.0f bytes (limit 256 KB)" bytes
+
 (* --- qcheck properties --- *)
 
 let property_tests =
@@ -383,7 +690,43 @@ let property_tests =
           && Float.is_finite (Decomp.press design b));
     ]
   in
-  qr_update_tests
+  let reference_tests =
+    [
+      QCheck.Test.make ~count:1000 QCheck.int
+        ~name:"reference: qr/lstsq/hat_diag/press IEEE-identical to the Matrix.get kernels"
+        (fun seed ->
+          let a, b = reference_design seed in
+          (Matrix.rows a < Matrix.cols a
+          || same_outcome
+               (fun (q1, r1) (q2, r2) -> same_matrix q1 q2 && same_matrix r1 r2)
+               (fun () -> Decomp.qr a)
+               (fun () -> Reference.qr a))
+          && Decomp.rank_from_r (Matrix.gram a) = Reference.rank_from_r (Matrix.gram a)
+          && same_outcome same_vec (fun () -> Decomp.lstsq a b) (fun () -> Reference.lstsq a b)
+          && same_outcome same_vec (fun () -> Decomp.hat_diag a) (fun () -> Reference.hat_diag a)
+          && same_outcome same_bits (fun () -> Decomp.press a b) (fun () -> Reference.press a b)
+          && same_outcome same_vec
+               (fun () -> Decomp.lstsq ~ridge:0.5 a b)
+               (fun () -> Reference.lstsq ~ridge:0.5 a b));
+      QCheck.Test.make ~count:500 QCheck.int
+        ~name:"reference: lu/cholesky/triangular solves IEEE-identical" (fun seed ->
+          let rng = Rng.create ~seed () in
+          let n = 1 + Rng.int rng 8 in
+          let a = random_matrix rng n n in
+          let b = random_vector rng n in
+          let spd = Matrix.add (Matrix.gram a) (Matrix.scale (Rng.range rng (-1.) 1.) (Matrix.identity n)) in
+          same_outcome same_vec (fun () -> Decomp.lu_solve a b) (fun () -> Reference.lu_solve a b)
+          && same_outcome same_matrix (fun () -> Decomp.cholesky spd) (fun () -> Reference.cholesky spd)
+          && same_outcome same_vec (fun () -> Decomp.solve_spd spd b) (fun () -> Reference.solve_spd spd b)
+          && same_outcome same_vec
+               (fun () -> Decomp.solve_upper_triangular a b)
+               (fun () -> Reference.solve_upper_triangular a b)
+          && same_outcome same_vec
+               (fun () -> Decomp.solve_lower_triangular a b)
+               (fun () -> Reference.solve_lower_triangular a b));
+    ]
+  in
+  qr_update_tests @ reference_tests
   @ [
     QCheck.Test.make ~name:"qr reconstructs for random shapes" ~count:60 seeded
       (fun (seed, (m, extra), ()) ->
@@ -432,6 +775,8 @@ let suite =
     Alcotest.test_case "lstsq: rank-deficient fallback" `Quick test_lstsq_rank_deficient_falls_back;
     Alcotest.test_case "hat diag: range and trace" `Quick test_hat_diag_range_and_trace;
     Alcotest.test_case "press equals explicit LOO" `Quick test_press_equals_explicit_loo;
+    Alcotest.test_case "lstsq: rank-deficient 243x8 allocates under 256 KB" `Quick
+      test_lstsq_allocation_ceiling;
     Alcotest.test_case "qr_update: validation" `Quick test_qr_update_validation;
     Alcotest.test_case "qr_update: duplicate rejected" `Quick test_qr_update_rejects_duplicate_column;
     Alcotest.test_case "cmatrix: real system" `Quick test_cmatrix_solve_real_system;

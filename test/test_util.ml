@@ -224,6 +224,19 @@ let property_tests =
     QCheck.Test.make ~name:"min <= mean <= max" ~count:200 nonempty_floats (fun xs ->
         Stats.min_value xs <= Stats.mean xs +. 1e-9
         && Stats.mean xs <= Stats.max_value xs +. 1e-9);
+    (* The fitness measure reaches every front, so its loops must add in
+       the order of the left folds that define it, to the last bit. *)
+    QCheck.Test.make ~name:"mean and normalized error are the left-fold values, bit for bit"
+      ~count:300 (QCheck.pair nonempty_floats nonempty_floats) (fun (xs, ys) ->
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        let fold_mean v = Array.fold_left ( +. ) 0. v /. float_of_int (Array.length v) in
+        let ys = Array.init (Array.length xs) (fun i -> ys.(i mod Array.length ys)) in
+        let rms =
+          sqrt (fold_mean (Array.mapi (fun i x -> (x -. ys.(i)) *. (x -. ys.(i))) xs))
+        in
+        let scale = fold_mean (Array.map Float.abs xs) in
+        same (Stats.mean xs) (fold_mean xs)
+        && same (Stats.normalized_error xs ys) (if scale > 0. then rms /. scale else rms));
     QCheck.Test.make ~name:"rng int stays in bounds" ~count:200
       QCheck.(pair small_int (int_range 1 1000))
       (fun (seed, bound) ->
