@@ -12,6 +12,12 @@
 # byte-identical, and so must each run's deterministic trace projection
 # (`trace --counts`): per-generation error statistics, SAG's PRESS rounds
 # and the final front, all at full precision.
+#
+# Every other float writer is byte-diffed too: the two `gen-data` CSVs,
+# one `predict --dump` per target on the test DOE (the serve protocol's
+# JSON encoding), one `--checkpoint` snapshot per target (snapshot codec
+# and input fingerprint) and `export --language c-front` of each front.
+# The new CLI must also resume REF's snapshot to REF's front.
 . "$(dirname "$0")/lib.sh"
 
 if [ $# -ne 1 ]; then
@@ -30,25 +36,61 @@ git archive "$rev" | tar -x -C "$scratch/ref"
 (cd "$scratch/ref" && dune build --root . bin/caffeine_cli.exe)
 REF_CLI=$scratch/ref/_build/default/bin/caffeine_cli.exe
 
+cli_of() {
+  if [ "$1" = ref ]; then echo "$REF_CLI"; else echo "$CLI"; fi
+}
+
 # The benchmark's set-up: a 243-point training DOE and a denser test DOE.
-"$CLI" gen-data --dx 0.10 --out "$scratch/train.csv" > /dev/null
-"$CLI" gen-data --dx 0.03 --out "$scratch/test.csv" > /dev/null
+for side in ref new; do
+  cli=$(cli_of $side)
+  "$cli" gen-data --dx 0.10 --out "$scratch/train-$side.csv" > /dev/null
+  "$cli" gen-data --dx 0.03 --out "$scratch/test-$side.csv" > /dev/null
+done
+diff -u "$scratch/train-ref.csv" "$scratch/train-new.csv"
+diff -u "$scratch/test-ref.csv" "$scratch/test-new.csv"
+train=$scratch/train-new.csv
+test=$scratch/test-new.csv
 
 fits=0
 for target in ALF fu PM voffset SRp SRn; do
   for seed in 7 11; do
     for side in ref new; do
-      if [ "$side" = ref ]; then cli=$REF_CLI; else cli=$CLI; fi
+      cli=$(cli_of $side)
       run=$scratch/$target-$seed-$side
-      "$cli" fit --train "$scratch/train.csv" --test "$scratch/test.csv" --target "$target" \
-        --pop 200 --gens 15 --seed "$seed" --eval-cache exact \
+      # Seed 7 also snapshots, every 5 generations and through SAG, to one
+      # path for both sides: the trace names it.
+      ckpt=
+      if [ "$seed" = 7 ]; then ckpt="--checkpoint $scratch/snapshot.ckpt --checkpoint-every 5"; fi
+      "$cli" fit --train "$train" --test "$test" --target "$target" \
+        --pop 200 --gens 15 --seed "$seed" --eval-cache exact $ckpt \
         --out "$run.models" --trace "$run.jsonl" > /dev/null
+      if [ "$seed" = 7 ]; then mv "$scratch/snapshot.ckpt" "$run.ckpt"; fi
       "$cli" trace --counts "$run.jsonl" > "$run.counts"
     done
     diff -u "$scratch/$target-$seed-ref.models" "$scratch/$target-$seed-new.models"
     diff -u "$scratch/$target-$seed-ref.counts" "$scratch/$target-$seed-new.counts"
     fits=$((fits + 1))
   done
+
+  # The other writers, on the seed-7 front.
+  front=$scratch/$target-7-ref.models
+  for side in ref new; do
+    cli=$(cli_of $side)
+    run=$scratch/$target-7-$side
+    "$cli" predict --models "$front" --data "$test" --target "$target" \
+      --dump "$run.dump" > /dev/null
+    "$cli" export --models "$front" --language c-front > "$run.c"
+  done
+  for ext in ckpt dump c; do
+    diff -u "$scratch/$target-7-ref.$ext" "$scratch/$target-7-new.$ext"
+  done
+  cp "$scratch/$target-7-ref.ckpt" "$scratch/$target-resume.ckpt"
+  "$CLI" fit --train "$train" --test "$test" --target "$target" \
+    --pop 200 --gens 15 --seed 7 --eval-cache exact --resume "$scratch/$target-resume.ckpt" \
+    --out "$scratch/$target-resumed.models" > /dev/null
+  diff -u "$front" "$scratch/$target-resumed.models"
 done
 
-echo "fronts-vs-ref: $fits fronts and traces byte-identical to $ref ($(echo "$rev" | cut -c1-12))"
+echo "fronts-vs-ref: $fits fronts and traces, 2 data CSVs, and per target a prediction dump," \
+  "snapshot and C export byte-identical to $ref ($(echo "$rev" | cut -c1-12));" \
+  "its snapshots resume to its fronts"

@@ -3,6 +3,7 @@ module Expr = Caffeine_expr.Expr
 module Op = Caffeine_expr.Op
 module Nsga2 = Caffeine_evo.Nsga2
 module Dataset = Caffeine_io.Dataset
+module Float_text = Caffeine_obs.Float_text
 module Json = Caffeine_obs.Json
 module Metrics = Caffeine_obs.Metrics
 
@@ -26,15 +27,16 @@ let phase_name = function Evolving _ -> "evolving" | Simplifying _ -> "simplifyi
 (* The fingerprint covers every input that determines the search result:
    all config fields except [jobs] (parallelism never changes results, and
    resuming at a different --jobs is a supported use), the operator set,
-   and the full data and targets rendered with %.17g so the digest changes
-   iff some bit of some input changes. *)
+   and the full data and targets rendered with 17 significant digits so the
+   digest changes iff some bit of some input changes. *)
 let fingerprint (config : Config.t) ~data ~targets =
   let buffer = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
+  let g17 = Float_text.g17 in
   add "v%d;pop=%d;gens=%d;max_bases=%d;max_depth=%d;" version config.pop_size config.generations
     config.max_bases config.max_depth;
-  add "wb=%.17g;wvc=%.17g;pmw=%.17g;cx=%.17g;max_vc_vars=%d;" config.wb config.wvc
-    config.param_mutation_weight config.crossover_probability config.max_vc_vars;
+  add "wb=%s;wvc=%s;pmw=%s;cx=%s;max_vc_vars=%d;" (g17 config.wb) (g17 config.wvc)
+    (g17 config.param_mutation_weight) (g17 config.crossover_probability) config.max_vc_vars;
   let opset = config.opset in
   add "unops=%s;"
     (String.concat "," (List.map Op.unary_name (Array.to_list opset.Opset.unops)));
@@ -45,9 +47,14 @@ let fingerprint (config : Config.t) ~data ~targets =
     opset.Opset.min_exponent;
   add "n=%d;dims=%d;vars=%s;" (Dataset.n_samples data) (Dataset.dims data)
     (String.concat "," (Array.to_list (Dataset.var_names data)));
-  Array.iter (fun y -> add "%.17g," y) targets;
+  let add_floats =
+    Array.iter (fun x ->
+        Float_text.add_g17 buffer x;
+        Buffer.add_char buffer ',')
+  in
+  add_floats targets;
   for v = 0 to Dataset.dims data - 1 do
-    Array.iter (fun x -> add "%.17g," x) (Dataset.column data v)
+    add_floats (Dataset.column data v)
   done;
   Digest.to_hex (Digest.string (Buffer.contents buffer))
 

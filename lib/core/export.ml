@@ -6,9 +6,9 @@ type language =
   | Verilog_a
 
 let literal v =
-  (* %.17g keeps full double precision; ensure a decimal marker so the C
-     constant stays a double. *)
-  let text = Printf.sprintf "%.17g" v in
+  (* 17 significant digits keep full double precision; ensure a decimal
+     marker so the C constant stays a double. *)
+  let text = Caffeine_obs.Float_text.g17 v in
   if String.contains text '.' || String.contains text 'e' || String.contains text 'n' then text
   else text ^ ".0"
 

@@ -16,14 +16,13 @@ let parse_model ~var_names ~wb ~wvc source =
           complexity = Model.complexity_of ~wb ~wvc bases;
         }
 
-(* [%.17g] round-trips every finite double through [float_of_string]; the
-   three non-finite values use the lowercase spellings [float_of_string]
-   accepts natively. *)
+(* The three non-finite values use the lowercase spellings
+   [float_of_string] accepts natively. *)
 let encode_float v =
   if Float.is_nan v then "nan"
   else if v = Float.infinity then "infinity"
   else if v = Float.neg_infinity then "-infinity"
-  else Printf.sprintf "%.17g" v
+  else Caffeine_obs.Float_text.g17 v
 
 let save ~path ~var_names models =
   let channel = open_out path in

@@ -17,7 +17,7 @@ let write ~path table =
       output_char channel '\n';
       Array.iter
         (fun row ->
-          let cells = Array.to_list (Array.map (fun v -> Printf.sprintf "%.17g" v) row) in
+          let cells = Array.to_list (Array.map Caffeine_obs.Float_text.g17 row) in
           output_string channel (String.concat "," cells);
           output_char channel '\n')
         table.rows)

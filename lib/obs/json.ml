@@ -221,13 +221,13 @@ let int_array_of fields name =
 
 (* --- encoding helpers ---------------------------------------------------- *)
 
-(* %.17g round-trips every finite double through float_of_string; the three
-   non-finite values are not valid JSON numbers and travel as strings. *)
+(* The three non-finite values are not valid JSON numbers and travel as
+   strings. *)
 let add_float buffer v =
-  if Float.is_nan v then Buffer.add_string buffer "\"NaN\""
-  else if v = Float.infinity then Buffer.add_string buffer "\"Infinity\""
-  else if v = Float.neg_infinity then Buffer.add_string buffer "\"-Infinity\""
-  else Buffer.add_string buffer (Printf.sprintf "%.17g" v)
+  if Float.is_finite v then Float_text.add_g17 buffer v
+  else if Float.is_nan v then Buffer.add_string buffer "\"NaN\""
+  else if v > 0. then Buffer.add_string buffer "\"Infinity\""
+  else Buffer.add_string buffer "\"-Infinity\""
 
 let add_string buffer s =
   Buffer.add_char buffer '"';

@@ -5,10 +5,11 @@
     objects, arrays, strings, literals, and numbers kept as raw lexemes so
     63-bit integers survive without a round-trip through [float].  The
     writer side provides the encoding conventions every codec in the
-    repository uses: floats as [%.17g] (which round-trips every finite
-    double through [float_of_string]) with the three non-finite values
-    travelling as the JSON strings ["NaN"], ["Infinity"] and ["-Infinity"],
-    and strings with full escaping. *)
+    repository uses: finite floats as {!Float_text.add_g17} writes them
+    (exactly [%.17g], which round-trips every finite double through
+    [float_of_string]) with the three non-finite values travelling as the
+    JSON strings ["NaN"], ["Infinity"] and ["-Infinity"], and strings with
+    full escaping. *)
 
 type t =
   | Null
@@ -51,7 +52,8 @@ val int_array_of : (string * t) list -> string -> int array
 (** {2 Encoding helpers} *)
 
 val add_float : Buffer.t -> float -> unit
-(** [%.17g], or a quoted ["NaN"] / ["Infinity"] / ["-Infinity"]. *)
+(** {!Float_text.add_g17} for a finite float, or a quoted ["NaN"] /
+    ["Infinity"] / ["-Infinity"]. *)
 
 val add_string : Buffer.t -> string -> unit
 (** Quoted and escaped. *)

@@ -92,7 +92,9 @@ let op_predict config (front : Registry.front) fields =
   let outputs = Fused.eval_columns front.fused ~scratch:config.scratch ~columns ~n in
   let models = Array.length front.models in
   Metrics.add config.m_predictions (models * n);
-  let b = Buffer.create (64 + (models * n * 8)) in
+  (* Room for the widest float (24 bytes) and a separator per output, so
+     the buffer never regrows. *)
+  let b = Buffer.create (64 + (models * ((n * 25) + 2))) in
   Printf.bprintf b "{\"ok\":true,\"models\":%d,\"rows\":%d,\"outputs\":[" models n;
   Array.iteri
     (fun k out ->
@@ -245,16 +247,24 @@ let rec write_all fd bytes pos len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes pos len
     | n -> write_all fd bytes (pos + n) (len - n)
 
+(* Index of the first newline in [bytes.[from .. until - 1]];
+   [Bytes.index_from_opt] would also scan the stale bytes past [until]. *)
+let rec newline_from bytes from until =
+  if from >= until then None
+  else if Bytes.unsafe_get bytes from = '\n' then Some from
+  else newline_from bytes (from + 1) until
+
 let serve_fds ?(on_line = ignore) config ~input ~output =
   let chunk_len = 65536 in
-  let chunk = Bytes.create chunk_len in
-  let pending = ref "" in
+  (* Unconsumed input is [buf.[start .. fill - 1]], and [buf.[start ..
+     scanned - 1]] holds no newline, so each byte is read once and scanned
+     once however many reads a line spans or lines a read carries. *)
+  let buf = ref (Bytes.create chunk_len) in
+  let start = ref 0 and scanned = ref 0 and fill = ref 0 in
   let stop = ref false in
-  let respond line =
-    let line =
-      let len = String.length line in
-      if len > 0 && line.[len - 1] = '\r' then String.sub line 0 (len - 1) else line
-    in
+  let respond first last =
+    let last = if last > first && Bytes.get !buf (last - 1) = '\r' then last - 1 else last in
+    let line = Bytes.sub_string !buf first (last - first) in
     (if String.trim line <> "" then begin
        on_line line;
        let response = handle_line config line ^ "\n" in
@@ -264,16 +274,32 @@ let serve_fds ?(on_line = ignore) config ~input ~output =
        requests behind it do not start. *)
     if draining config then stop := true
   in
-  let consume_lines () =
-    let continue = ref true in
-    while !continue && not !stop do
-      match String.index_opt !pending '\n' with
-      | None -> continue := false
+  let rec consume_lines () =
+    if not !stop then
+      match newline_from !buf !scanned !fill with
+      | None -> scanned := !fill
       | Some nl ->
-          let line = String.sub !pending 0 nl in
-          pending := String.sub !pending (nl + 1) (String.length !pending - nl - 1);
-          respond line
-    done
+          let first = !start in
+          start := nl + 1;
+          scanned := nl + 1;
+          respond first nl;
+          consume_lines ()
+  in
+  (* Room for one more chunk: drop the consumed prefix once it is all of
+     the input or passes half the buffer, and double the buffer when still
+     short. *)
+  let make_room () =
+    if !start = !fill || !start > Bytes.length !buf / 2 then begin
+      Bytes.blit !buf !start !buf 0 (!fill - !start);
+      scanned := !scanned - !start;
+      fill := !fill - !start;
+      start := 0
+    end;
+    if Bytes.length !buf - !fill < chunk_len then begin
+      let grown = Bytes.create (max (2 * Bytes.length !buf) (!fill + chunk_len)) in
+      Bytes.blit !buf 0 grown 0 !fill;
+      buf := grown
+    end
   in
   let eof = ref false in
   while (not !stop) && not !eof do
@@ -281,14 +307,15 @@ let serve_fds ?(on_line = ignore) config ~input ~output =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | [], _, _ -> if draining config then stop := true
     | _ ->
-        let n = read_retry input chunk 0 chunk_len in
+        make_room ();
+        let n = read_retry input !buf !fill chunk_len in
         if n = 0 then eof := true
         else begin
-          pending := !pending ^ Bytes.sub_string chunk 0 n;
+          fill := !fill + n;
           consume_lines ()
         end
   done;
-  if !eof && (not !stop) && String.trim !pending <> "" then respond !pending
+  if !eof && not !stop then respond !start !fill
 
 let serve_socket ?(on_ready = ignore) config ~path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());

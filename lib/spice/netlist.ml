@@ -8,28 +8,56 @@ let lowercase = String.lowercase_ascii
 
 (* --- engineering notation ------------------------------------------------ *)
 
-let suffix_multipliers =
+(* Longest first: "meg" and "mil" before "m". *)
+let scale_factors =
   [
-    ("meg", 1e6); ("f", 1e-15); ("p", 1e-12); ("n", 1e-9); ("u", 1e-6); ("m", 1e-3);
-    ("k", 1e3); ("g", 1e9); ("t", 1e12);
+    ("meg", 1e6); ("mil", 25.4e-6); ("f", 1e-15); ("p", 1e-12); ("n", 1e-9); ("u", 1e-6);
+    ("m", 1e-3); ("k", 1e3); ("g", 1e9); ("t", 1e12);
   ]
 
+let is_digit c = c >= '0' && c <= '9'
+let is_letter c = c >= 'a' && c <= 'z'
+
+(* [numeral][scale][letters], SPICE-style: the scale factor multiplies, the
+   unit letters after it are ignored ("1uF", "2.2kOhm").  Unit letters
+   starting with 'x' are refused so a hex literal ("0xff") is an error, not
+   a silent 0. *)
 let parse_value text =
   let text = lowercase (String.trim text) in
-  if text = "" then None
+  let len = String.length text in
+  let rec skip pred i = if i < len && pred text.[i] then skip pred (i + 1) else i in
+  let sign_end = if len > 0 && (text.[0] = '+' || text.[0] = '-') then 1 else 0 in
+  let int_end = skip is_digit sign_end in
+  let frac_end =
+    if int_end < len && text.[int_end] = '.' then skip is_digit (int_end + 1) else int_end
+  in
+  let mantissa_digits = int_end - sign_end + max 0 (frac_end - int_end - 1) in
+  if mantissa_digits = 0 then None
   else begin
-    (* Longest suffix first ("meg" before "m"). *)
-    let rec try_suffixes = function
-      | [] -> float_of_string_opt text
-      | (suffix, multiplier) :: rest ->
-          let ls = String.length suffix and lt = String.length text in
-          if lt > ls && String.sub text (lt - ls) ls = suffix then
-            match float_of_string_opt (String.sub text 0 (lt - ls)) with
-            | Some base -> Some (base *. multiplier)
-            | None -> try_suffixes rest
-          else try_suffixes rest
+    (* An exponent needs at least one digit; otherwise the 'e' is a unit
+       letter. *)
+    let numeral_end =
+      if frac_end < len && text.[frac_end] = 'e' then
+        let digits_start =
+          if frac_end + 1 < len && (text.[frac_end + 1] = '+' || text.[frac_end + 1] = '-') then
+            frac_end + 2
+          else frac_end + 1
+        in
+        let exp_end = skip is_digit digits_start in
+        if exp_end > digits_start then exp_end else frac_end
+      else frac_end
     in
-    try_suffixes suffix_multipliers
+    let base = float_of_string (String.sub text 0 numeral_end) in
+    let rest = String.sub text numeral_end (len - numeral_end) in
+    let value, unit_start =
+      match List.find_opt (fun (prefix, _) -> String.starts_with ~prefix rest) scale_factors with
+      | Some (prefix, multiplier) -> (base *. multiplier, numeral_end + String.length prefix)
+      | None -> (base, numeral_end)
+    in
+    let units_ok =
+      skip is_letter unit_start = len && not (unit_start < len && text.[unit_start] = 'x')
+    in
+    if units_ok && Float.is_finite value then Some value else None
   end
 
 (* --- deck parsing --------------------------------------------------------- *)

@@ -18,12 +18,12 @@
 
     Element type is selected by the first letter of the name (R, C, V, I,
     G = VCCS, M = MOSFET), node names are arbitrary identifiers ([0], [gnd]
-    and [GND] are ground), and values take engineering suffixes
-    (f p n u m k meg g t).  A first line that does not begin with a card
-    letter or [.] is taken as the deck title.  [.model] cards define MOS
-    parameter sets (they may appear after the devices that use them); a
-    MOSFET referring to an undefined model named [NMOS]/[PMOS] gets the
-    built-in defaults. *)
+    and [GND] are ground), and values take SPICE scale factors
+    (f p n u m mil k meg g t) followed by ignored unit letters.  A first
+    line that does not begin with a card letter or [.] is taken as the
+    deck title.  [.model] cards define MOS parameter sets (they may appear
+    after the devices that use them); a MOSFET referring to an undefined
+    model named [NMOS]/[PMOS] gets the built-in defaults. *)
 
 type t = {
   circuit : Circuit.t;
@@ -42,6 +42,11 @@ val node : t -> string -> int
     Raises [Not_found]. *)
 
 val parse_value : string -> float option
-(** Engineering-notation number: ["10k"] is 1e4, ["2.5u"] is 2.5e-6,
-    ["3meg"] is 3e6; a bare number passes through.  [None] when
-    unparseable. *)
+(** SPICE number, case-insensitive: a decimal numeral
+    [[+-]digits[.digits][e[+-]digits]] (a leading or trailing [.] is
+    allowed), then optionally the longest matching scale factor, then any
+    unit letters not starting with [x], which are ignored.  ["10k"] is
+    1e4, ["2.5u"] is 2.5e-6, ["3meg"] is 3e6, ["1uF"] is 1e-6 and
+    ["2.2kOhm"] is 2200; a bare numeral passes through.  [None] for
+    anything else ([nan], [inf], [1_000], [0x10], [0xff], ...) and for
+    values that overflow to infinity. *)

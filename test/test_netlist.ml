@@ -129,7 +129,8 @@ let test_parse_errors_carry_line_numbers () =
   expect_error "M1 d g s b NMOS L=1u\n" "missing W=";
   expect_error ".tran 1n 1u\n" "unsupported directive";
   expect_error "" "no elements";
-  expect_error "R1 a 0 -5\n" "non-positive"
+  expect_error "R1 a 0 -5\n" "non-positive";
+  expect_error "V1 a 0 1\nR1 a 0 nan\n" "line 2"
 
 let test_parse_end_stops_reading () =
   let deck = parse_ok "R1 a 0 1k\n.end\nthis is not a card and must be ignored\n" in
@@ -190,6 +191,46 @@ let structured_fuzz_property =
     (fun source ->
       match Netlist.parse source with Ok _ -> true | Error _ -> true)
 
+(* --- strict numerals: SPICE scale factors and unit letters --- *)
+
+let test_parse_value_strict () =
+  let bits = Option.map Int64.bits_of_float in
+  let accepted =
+    [
+      ("1uF", 1e-6); ("10mA", 10e-3); ("2.2kOhm", 2.2e3); ("1megohm", 1e6); ("1MEG", 1e6);
+      ("3mil", 3. *. 25.4e-6); ("5.", 5.); (".5", 0.5); ("-.5p", -0.5e-12); ("+2", 2.);
+      ("1e3", 1e3); ("1E-3k", 1.); ("1e", 1.); ("2.5e+2Hz", 250.); ("007", 7.);
+    ]
+  in
+  List.iter
+    (fun (text, expected) ->
+      match Netlist.parse_value text with
+      | Some v -> Alcotest.(check (float 1e-12)) text expected v
+      | None -> Alcotest.failf "%S refused" text)
+    accepted;
+  List.iter
+    (fun text ->
+      Alcotest.(check (option (float 0.))) text None (Netlist.parse_value text))
+    [
+      "nan"; "NaN"; "inf"; "-infinity"; "infinity"; "1_000"; "0x10"; "0xff"; "1e400"; ".";
+      "-"; "e5"; "1.2.3"; "1k2"; "1 k"; "10u)"; "1e-"; "k";
+    ];
+  (* Unit letters are ignored without touching the bits of the scaled
+     value, and a bare numeral is exactly [float_of_string]. *)
+  List.iter
+    (fun (with_unit, bare) ->
+      Alcotest.(check (option int64)) with_unit
+        (bits (Netlist.parse_value bare))
+        (bits (Netlist.parse_value with_unit)))
+    [ ("1uF", "1u"); ("10mA", "10m"); ("2.2kOhm", "2.2k"); ("1megohm", "1meg"); ("47pF", "47p") ];
+  List.iter
+    (fun text ->
+      Alcotest.(check (option int64)) text
+        (bits (Some (float_of_string text)))
+        (bits (Netlist.parse_value text)))
+    [ "0.1"; "1.1"; "3.3e-7"; "-2.5"; "123456789.123456789" ]
+
 let suite =
   suite
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ fuzz_property; structured_fuzz_property ]
+  @ [ Alcotest.test_case "values: strict numerals and unit letters" `Quick test_parse_value_strict ]

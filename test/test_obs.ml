@@ -524,3 +524,110 @@ let suite =
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
       [ roundtrip_test; single_line_test; deterministic_projection_test ]
+
+(* --- Float_text: exact %.17g ----------------------------------------------- *)
+
+module Float_text = Caffeine_obs.Float_text
+
+let printf_g17 v = Printf.sprintf "%.17g" v
+let power_of_ten j = float_of_string (Printf.sprintf "1e%d" j)
+let ulps_from v d = Int64.float_of_bits (Int64.add (Int64.bits_of_float v) (Int64.of_int d))
+
+(* Exact ties at 17 digits: m·2^-j with m odd and m·5^j of 18 digits ends
+   in 5, so the dropped digit is exactly half. *)
+let tie_gen =
+  let open QCheck.Gen in
+  let rec pow5 j = if j = 0 then 1 else 5 * pow5 (j - 1) in
+  int_range 2 25 >>= fun j ->
+  let p = pow5 j in
+  let lo = (100_000_000_000_000_000 + p - 1) / p
+  and hi = min ((1_000_000_000_000_000_000 - 1) / p) ((1 lsl 53) - 1) in
+  map
+    (fun m -> Float.ldexp (float_of_int (if m land 1 = 1 then m else m - 1)) (-j))
+    (int_range (lo + 1) hi)
+
+let g17_gen =
+  let open QCheck.Gen in
+  let signed g = map2 (fun v negative -> if negative then -.v else v) g bool in
+  frequency
+    [
+      (* Both signs, NaN and subnormals; zeros and infinities explicitly. *)
+      (3, map Int64.float_of_bits int64);
+      (1, signed (oneofl [ 0.; Float.infinity; Float.nan; Float.min_float; 4.9e-324 ]));
+      (3, signed (map (fun e -> 10. ** e) (float_range (-10.) 17.)));
+      ( 2,
+        signed
+          (map2 ulps_from
+             (map power_of_ten (int_range (-12) 18))
+             (int_range (-2000) 2000)) );
+      (1, signed (map2 ulps_from (oneofl [ 1e-10; 1e17 ]) (int_range (-2000) 2000)));
+      (2, signed tie_gen);
+    ]
+
+let g17_test =
+  QCheck.Test.make ~name:"Float_text.g17 is Printf %.17g" ~count:100_000
+    (QCheck.make ~print:(Printf.sprintf "%h") g17_gen)
+    (fun v -> Float_text.g17 v = printf_g17 v)
+
+let test_g17_ties_to_even () =
+  List.iter
+    (fun (v, expected) ->
+      Alcotest.(check string) expected expected (Float_text.g17 v);
+      Alcotest.(check string) ("printf " ^ expected) expected (printf_g17 v))
+    [
+      (1000000000000000.25, "1000000000000000.2");
+      (1000000000000000.75, "1000000000000000.8");
+      (-1000000000000000.25, "-1000000000000000.2");
+    ]
+
+(* Every ulp within 2000 of each power of ten 1e-12 .. 1e18, where the
+   decimal exponent estimate and its correction are decided. *)
+let test_g17_near_powers_of_ten () =
+  for j = -12 to 18 do
+    for d = -2000 to 2000 do
+      let v = ulps_from (power_of_ten j) d in
+      List.iter
+        (fun v ->
+          let ours = Float_text.g17 v in
+          if ours <> printf_g17 v then
+            Alcotest.failf "%h: g17 %s, printf %s" v ours (printf_g17 v))
+        [ v; -.v ]
+    done
+  done
+
+(* Two domains encoding the same array at once must each write the bytes
+   of a sequential pass: any scratch shared between calls would mix them. *)
+let test_g17_concurrent_domains () =
+  let rng = Random.State.make [| 14 |] in
+  let values =
+    Array.init 100_000 (fun i ->
+        if i mod 10 = 0 then Int64.float_of_bits (Random.State.int64 rng Int64.max_int)
+        else (10. ** Random.State.float rng 8.) *. if Random.State.bool rng then 1. else -1.)
+  in
+  let encode () =
+    let buffer = Buffer.create (25 * Array.length values) in
+    Array.iter
+      (fun v ->
+        Float_text.add_g17 buffer v;
+        Buffer.add_char buffer ',')
+      values;
+    Buffer.contents buffer
+  in
+  let sequential = encode () in
+  let domains = List.init 2 (fun _ -> Domain.spawn encode) in
+  List.iteri
+    (fun i domain ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d matches the sequential pass" i)
+        true
+        (String.equal sequential (Domain.join domain)))
+    domains
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest ~long:false g17_test;
+      Alcotest.test_case "float_text: ties round half to even" `Quick test_g17_ties_to_even;
+      Alcotest.test_case "float_text: ulps near powers of ten" `Quick test_g17_near_powers_of_ten;
+      Alcotest.test_case "float_text: concurrent domains" `Quick test_g17_concurrent_domains;
+    ]

@@ -321,6 +321,78 @@ let test_drain_finishes_in_flight_only () =
       | _ -> Alcotest.failf "in-flight response not ok: %s" (List.hd responses));
       Alcotest.(check bool) "still draining" true (Server.draining server))
 
+(* Run [serve_fds] over pipes with a writer and a reader domain, so input
+   and output may exceed the pipe buffers.  The writer sends [pieces] in
+   order and pauses after each, so the server's read ends where a piece
+   does.  Returns everything the server wrote. *)
+let serve_streamed server pieces =
+  let in_r, in_w = Unix.pipe ~cloexec:false () in
+  let out_r, out_w = Unix.pipe ~cloexec:false () in
+  let writer =
+    Domain.spawn (fun () ->
+        List.iter
+          (fun piece ->
+            let bytes = Bytes.of_string piece in
+            ignore (Unix.write in_w bytes 0 (Bytes.length bytes));
+            Unix.sleepf 0.02)
+          pieces;
+        Unix.close in_w)
+  in
+  let reader = Domain.spawn (fun () -> read_all out_r) in
+  Server.serve_fds server ~input:in_r ~output:out_w;
+  Unix.close out_w;
+  Domain.join writer;
+  let output = Domain.join reader in
+  Unix.close in_r;
+  Unix.close out_r;
+  output
+
+let predict_line rows =
+  "{\"op\":\"predict\",\"rows\":["
+  ^ String.concat "," (List.map (fun (x, y) -> Printf.sprintf "[%d,%g]" x y) rows)
+  ^ "]}"
+
+let test_serve_fds_long_line () =
+  with_temp_file (fun path ->
+      spit path front_v2;
+      let server, _ = server_on path in
+      (* Over three 64 KiB reads, with its CRLF split between two reads. *)
+      let line = predict_line (List.init 16_000 (fun i -> (i, float_of_int i *. 0.25))) in
+      Alcotest.(check bool)
+        "line spans more than three reads" true
+        (String.length line > 3 * 65536);
+      let front = "{\"op\":\"front\"}" in
+      let cut k = String.sub line (k * 70_000) 70_000 in
+      let tail = String.sub line 140_000 (String.length line - 140_000) in
+      let pieces = [ cut 0; cut 1; tail ^ "\r"; "\n" ^ front ^ "\n" ] in
+      let expected =
+        Server.handle_line server line ^ "\n" ^ Server.handle_line server front ^ "\n"
+      in
+      Alcotest.(check bool) "responses byte-equal handle_line" true
+        (String.equal expected (serve_streamed server pieces)))
+
+let test_serve_fds_pipelined () =
+  with_temp_file (fun path ->
+      spit path front_v2;
+      let server, _ = server_on path in
+      (* Every seventh request ends in CRLF; the last has no newline. *)
+      let lines = List.init 5000 (fun i -> predict_line [ (i, float_of_int i /. 7.) ]) in
+      let script =
+        String.concat ""
+          (List.mapi
+             (fun i line ->
+               if i = 4999 then line else if i mod 7 = 0 then line ^ "\r\n" else line ^ "\n")
+             lines)
+      in
+      let expected =
+        String.concat "" (List.map (fun line -> Server.handle_line server line ^ "\n") lines)
+      in
+      let output = serve_streamed server [ script ] in
+      Alcotest.(check int) "one response per request" 5000
+        (List.length (String.split_on_char '\n' output) - 1);
+      Alcotest.(check bool) "answered in order, byte-equal handle_line" true
+        (String.equal expected output))
+
 let test_sigterm_sets_drain () =
   with_temp_file (fun path ->
       spit path front_v2;
@@ -358,4 +430,6 @@ let suite =
       test_serve_fds_trailing_line_without_newline;
     Alcotest.test_case "drain: finishes in-flight only" `Quick test_drain_finishes_in_flight_only;
     Alcotest.test_case "sigterm: sets drain" `Quick test_sigterm_sets_drain;
+    Alcotest.test_case "serve_fds: line over many reads" `Quick test_serve_fds_long_line;
+    Alcotest.test_case "serve_fds: 5000 pipelined requests" `Quick test_serve_fds_pipelined;
   ]
