@@ -13,6 +13,10 @@
 # (`trace --counts`): per-generation error statistics, SAG's PRESS rounds
 # and the final front, all at full precision.
 #
+# Two of the fits run again with `--data-stream --chunk-rows 50`, so the
+# search and SAG run on chunked (streamed) storage; their fronts and trace
+# projections must match REF's byte for byte as well.
+#
 # Every other float writer is byte-diffed too: the two `gen-data` CSVs,
 # one `predict --dump` per target on the test DOE (the serve protocol's
 # JSON encoding), one `--checkpoint` snapshot per target (snapshot codec
@@ -91,6 +95,22 @@ for target in ALF fu PM voffset SRp SRn; do
   diff -u "$front" "$scratch/$target-resumed.models"
 done
 
-echo "fronts-vs-ref: $fits fronts and traces, 2 data CSVs, and per target a prediction dump," \
+# Streamed training data: the CLI packs the CSV into a column store of
+# 50-row chunks.
+for target in PM SRp; do
+  for side in ref new; do
+    cli=$(cli_of $side)
+    run=$scratch/$target-stream-$side
+    "$cli" fit --train "$train" --test "$test" --target "$target" \
+      --pop 200 --gens 15 --seed 7 --eval-cache exact --data-stream --chunk-rows 50 \
+      --out "$run.models" --trace "$run.jsonl" > /dev/null
+    "$cli" trace --counts "$run.jsonl" > "$run.counts"
+  done
+  diff -u "$scratch/$target-stream-ref.models" "$scratch/$target-stream-new.models"
+  diff -u "$scratch/$target-stream-ref.counts" "$scratch/$target-stream-new.counts"
+  fits=$((fits + 1))
+done
+
+echo "fronts-vs-ref: $fits fronts and traces (2 streamed), 2 data CSVs, and per target a prediction dump," \
   "snapshot and C export byte-identical to $ref ($(echo "$rev" | cut -c1-12));" \
   "its snapshots resume to its fronts"

@@ -24,7 +24,7 @@ let complexity_of ~wb ~wvc bases =
     0. bases
 
 let basis_columns bases data =
-  let columns = Array.map (Dataset.basis_column data) bases in
+  let columns = Dataset.basis_columns data bases in
   if Array.for_all Stats.is_finite_array columns then Some columns else None
 
 let accept ~wb ~wvc bases fitted =
@@ -70,17 +70,21 @@ let fit_streamed ~wb ~wvc bases ~data ~targets =
     | fitted -> accept ~wb ~wvc bases fitted
     | exception Caffeine_linalg.Decomp.Singular -> None
 
+let fit_columns ~wb ~wvc bases ~columns ~data ~targets =
+  if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)
+  else
+    let dot, dot_y, col_sum = gram_products (Dataset.gram data bases ~targets) in
+    match Linfit.fit_gram ~dot ~dot_y ~col_sum ~basis_values:columns ~targets with
+    | fitted -> accept ~wb ~wvc bases fitted
+    | exception Caffeine_linalg.Decomp.Singular -> None
+
 let fit ~wb ~wvc bases ~data ~targets =
   if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)
   else if Dataset.is_chunked data then fit_streamed ~wb ~wvc bases ~data ~targets
   else
     match basis_columns bases data with
     | None -> None
-    | Some columns -> (
-        let dot, dot_y, col_sum = gram_products (Dataset.gram data bases ~targets) in
-        match Linfit.fit_gram ~dot ~dot_y ~col_sum ~basis_values:columns ~targets with
-        | fitted -> accept ~wb ~wvc bases fitted
-        | exception Caffeine_linalg.Decomp.Singular -> None)
+    | Some columns -> fit_columns ~wb ~wvc bases ~columns ~data ~targets
 
 let evaluator model =
   let compiled = Array.map Compiled.compile model.bases in
@@ -93,17 +97,24 @@ let evaluator model =
 
 let predict_point model x = evaluator model x
 
+(* Row by row, with the per-row left fold of [Linfit.fit_stream]'s
+   prediction pass: intercept first, then each weighted basis in order.
+   Chunked storage evaluates all of the model's bases in one fused pass;
+   dense storage reads the memoized columns. *)
 let predict model data =
-  let n = Dataset.n_samples data in
-  let predictions = Array.make n model.intercept in
-  Array.iteri
-    (fun j basis ->
-      let column = Dataset.basis_column data basis in
-      let w = model.weights.(j) in
-      for i = 0 to n - 1 do
-        predictions.(i) <- predictions.(i) +. (w *. column.(i))
-      done)
-    model.bases;
+  let predictions = Array.make (Dataset.n_samples data) model.intercept in
+  let k = Array.length model.bases in
+  if k > 0 then begin
+    let weights = model.weights in
+    Dataset.iter_basis_chunks data model.bases ~f:(fun ~row0 ~len columns ->
+        for i = 0 to len - 1 do
+          let acc = ref model.intercept in
+          for j = 0 to k - 1 do
+            acc := !acc +. (weights.(j) *. columns.(j).(i))
+          done;
+          predictions.(row0 + i) <- !acc
+        done)
+  end;
   predictions
 
 let warm model data = ignore (Dataset.warm_columns data model.bases : Dataset.fuse_stats)

@@ -21,15 +21,30 @@ val complexity_of : wb:float -> wvc:float -> Expr.basis array -> float
 (** Eq. (1): [Σ_j (w_b + nnodes(j) + Σ_k w_vc·Σ_d |vc_k(d)|)]. *)
 
 val basis_columns : Expr.basis array -> Dataset.t -> float array array option
-(** Evaluate each basis on each sample (memoized on the dataset); [None]
-    when any value is not finite (the model is invalid on this data).  The
-    returned columns are the dataset's cached arrays — do not mutate. *)
+(** Evaluate each basis on each sample ({!Dataset.basis_columns}: memoized
+    on dense storage, one fused pass on chunked storage); [None] when any
+    value is not finite (the model is invalid on this data).  Dense
+    columns are the dataset's cached arrays — do not mutate. *)
 
 val fit :
   wb:float -> wvc:float -> Expr.basis array -> data:Dataset.t -> targets:float array ->
   t option
 (** Least-squares weighting of the basis functions; [None] for invalid
     models.  An empty basis array yields the constant model. *)
+
+val fit_columns :
+  wb:float ->
+  wvc:float ->
+  Expr.basis array ->
+  columns:float array array ->
+  data:Dataset.t ->
+  targets:float array ->
+  t option
+(** {!fit} from value columns the caller already holds: [columns.(j)] is
+    basis [j]'s finite column on [data], as {!basis_columns} returns it.
+    The Gram products still come from [data]'s dot cache, but the columns
+    are not evaluated again, on either storage.  Bit-identical to {!fit}
+    on the same bases. *)
 
 val evaluator : t -> float array -> float
 (** [evaluator model] compiles every basis once and returns a fast
@@ -41,7 +56,10 @@ val predict_point : t -> float array -> float
     loops. *)
 
 val predict : t -> Dataset.t -> float array
-(** Batched response over a dataset, from cached basis columns. *)
+(** Batched response over a dataset: per row, the intercept plus each
+    weighted basis value in order.  Reads cached columns on dense storage
+    and evaluates the model's bases in one fused pass on chunked storage.
+    A model with no bases predicts its intercept everywhere. *)
 
 val warm : t -> Dataset.t -> unit
 (** Fill the dataset's column cache for every basis of the model through

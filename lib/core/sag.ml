@@ -29,15 +29,31 @@ let simplify_model ?executor ?(trace = Trace.null) ?(model_index = 0) ~wb ~wvc
         in
         let chosen = Linfit.forward_select ?executor ?on_round ~basis_values:columns ~targets () in
         let bases = Array.map (fun i -> model.Model.bases.(i)) chosen in
-        let refit = Model.fit ~wb ~wvc bases ~data ~targets in
+        (* Both refits reuse the columns held for selection rather than
+           evaluating the bases again (a whole pass over streamed data
+           each); held columns give the same fit bit for bit. *)
+        let refit =
+          Model.fit_columns ~wb ~wvc bases
+            ~columns:(Array.map (fun i -> columns.(i)) chosen)
+            ~data ~targets
+        in
         let pruned = match refit with Some m -> m | None -> model in
         let cleaned = Model.simplify ~wb ~wvc pruned in
-        (* Keep the cleanup only if it did not break the fit. *)
-        let result =
-          match Model.fit ~wb ~wvc cleaned.Model.bases ~data ~targets with
-          | Some refitted -> refitted
-          | None -> pruned
+        let held basis =
+          Option.map
+            (fun i -> columns.(i))
+            (Array.find_index (Expr.equal_basis basis) model.Model.bases)
         in
+        let cleaned_columns = Array.map held cleaned.Model.bases in
+        let refitted =
+          if Array.for_all Option.is_some cleaned_columns then
+            Model.fit_columns ~wb ~wvc cleaned.Model.bases
+              ~columns:(Array.map Option.get cleaned_columns)
+              ~data ~targets
+          else Model.fit ~wb ~wvc cleaned.Model.bases ~data ~targets
+        in
+        (* Keep the cleanup only if it did not break the fit. *)
+        let result = match refitted with Some m -> m | None -> pruned in
         if not (Trace.is_null trace) then
           Trace.emit trace
             (Trace.Sag_model

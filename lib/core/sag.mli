@@ -9,7 +9,9 @@
 
     All basis evaluation reuses the dataset's memoized compiled columns:
     passing the same {!Caffeine_io.Dataset.t} the search ran on makes SAG
-    essentially free of re-evaluation. *)
+    essentially free of re-evaluation.  On streamed (chunked) data each
+    model's bases are evaluated in one fused pass, and the refits reuse
+    those columns instead of streaming the data again. *)
 
 module Dataset = Caffeine_io.Dataset
 

@@ -148,50 +148,16 @@ let ensure scratch ~slots ~n =
     scratch.bufs <- fresh
   end
 
-(* Per-instruction loops with the operator match hoisted out of the sample
-   loop; the bodies reuse Op.apply_* so any NaN convention change stays in
-   one place. *)
+(* Monomials and operators run the allocation-free array kernels
+   ([Expr.mul_int_pow_into], [Op.unary_into], [Op.binary_into]) that
+   Fused's tiles also run, so the operator semantics live in [Op] and
+   [Expr] for both tapes. *)
 
 let fill_vc buf ~n ~columns vars exps =
   Array.fill buf 0 n 1.;
   for k = 0 to Array.length vars - 1 do
-    let column = columns.(vars.(k)) in
-    let e = exps.(k) in
-    if e = 1 then
-      for i = 0 to n - 1 do
-        buf.(i) <- buf.(i) *. column.(i)
-      done
-    else
-      for i = 0 to n - 1 do
-        buf.(i) <- buf.(i) *. Expr.int_pow column.(i) e
-      done
+    Expr.mul_int_pow_into ~dst:buf ~src:columns.(vars.(k)) ~off:0 ~e:exps.(k) ~len:n
   done
-
-let apply_unary_column op buf n =
-  match op with
-  | Op.Square ->
-      for i = 0 to n - 1 do
-        buf.(i) <- buf.(i) *. buf.(i)
-      done
-  | Op.Abs ->
-      for i = 0 to n - 1 do
-        buf.(i) <- Float.abs buf.(i)
-      done
-  | op ->
-      for i = 0 to n - 1 do
-        buf.(i) <- Op.apply_unary op buf.(i)
-      done
-
-let apply_binary_column op x y n =
-  match op with
-  | Op.Div ->
-      for i = 0 to n - 1 do
-        x.(i) <- (if y.(i) = 0. then Float.nan else x.(i) /. y.(i))
-      done
-  | op ->
-      for i = 0 to n - 1 do
-        x.(i) <- Op.apply_binary op x.(i) y.(i)
-      done
 
 (* Runs the column tape and leaves the result in [scratch.bufs.(0)]
    (first [n] cells); the public entry points copy it out. *)
@@ -208,9 +174,12 @@ let eval_columns_core t ~scratch ~columns ~n =
       | Ivc (vars, exps) ->
           fill_vc bufs.(!sp) ~n ~columns vars exps;
           incr sp
-      | Iunary op -> apply_unary_column op bufs.(!sp - 1) n
+      | Iunary op ->
+          let buf = bufs.(!sp - 1) in
+          Op.unary_into op ~src:buf ~dst:buf ~len:n
       | Ibinary op ->
-          apply_binary_column op bufs.(!sp - 2) bufs.(!sp - 1) n;
+          let x = bufs.(!sp - 2) in
+          Op.binary_into op ~a:x ~b:bufs.(!sp - 1) ~dst:x ~len:n;
           decr sp
       | Ilte ->
           let test = bufs.(!sp - 4)

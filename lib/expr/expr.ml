@@ -17,20 +17,38 @@ let constant_wsum bias = { bias; terms = [] }
 
 (* --- evaluation --- *)
 
-let int_pow x e =
+(* Square-and-multiply with float refs, which the compiler keeps unboxed
+   (a recursive helper would box its float arguments on every step).
+   Inlined into [mul_int_pow_into], so the column form runs the same
+   operations in the same order without a boxed result per sample. *)
+let[@inline] int_pow x e =
   if e = 0 then 1.
   else begin
-    let negative = e < 0 in
-    let exponent = abs e in
-    let rec loop acc base e =
-      if e = 0 then acc
-      else
-        let acc = if e land 1 = 1 then acc *. base else acc in
-        loop acc (base *. base) (e lsr 1)
-    in
-    let power = loop 1. x exponent in
-    if negative then if power = 0. then Float.nan else 1. /. power else power
+    let acc = ref 1. and base = ref x and k = ref (abs e) in
+    while !k <> 0 do
+      if !k land 1 = 1 then acc := !acc *. !base;
+      base := !base *. !base;
+      k := !k lsr 1
+    done;
+    if e < 0 then if !acc = 0. then Float.nan else 1. /. !acc else !acc
   end
+
+let mul_int_pow_into ~(dst : float array) ~(src : float array) ~off ~e ~len =
+  if len < 0 || off < 0 || off + len > Array.length src || len > Array.length dst then
+    invalid_arg "Expr.mul_int_pow_into: range out of bounds";
+  if e = 1 then
+    for j = 0 to len - 1 do
+      Array.unsafe_set dst j (Array.unsafe_get dst j *. Array.unsafe_get src (off + j))
+    done
+  else
+    for j = 0 to len - 1 do
+      (* Bound first, so the product keeps [dst.(j)] as its first operand
+         (a NaN times a NaN returns the first one's payload): left in
+         place, the load would be folded into the multiply with the
+         operands swapped. *)
+      let product = Array.unsafe_get dst j in
+      Array.unsafe_set dst j (product *. int_pow (Array.unsafe_get src (off + j)) e)
+    done
 
 let eval_vc exponents x =
   let acc = ref 1. in

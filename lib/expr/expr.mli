@@ -37,6 +37,14 @@ val constant_wsum : float -> wsum
 val int_pow : float -> int -> float
 (** [int_pow x e] for any integer [e]; [int_pow 0. e] with [e < 0] is [nan]. *)
 
+val mul_int_pow_into :
+  dst:float array -> src:float array -> off:int -> e:int -> len:int -> unit
+(** The column form of {!int_pow} that monomial evaluation uses:
+    [dst.(j) <- dst.(j) *. int_pow src.(off + j) e] for [j < len], except
+    that [e = 1] multiplies by [src.(off + j)] itself.  Bit-identical to
+    the scalar form, without allocating.  Raises [Invalid_argument] when
+    the ranges fall outside the arrays. *)
+
 val eval_vc : vc -> float array -> float
 val eval_basis : basis -> float array -> float
 val eval_wsum : wsum -> float array -> float

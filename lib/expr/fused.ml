@@ -284,9 +284,10 @@ let ensure scratch ~slots ~width =
 
 (* One tile of every kernel.  [indices = None] reads samples [lo, lo+len);
    [Some idx] gathers samples [idx.(lo+j)] (the probe path).  Output rows
-   are indexed by tile position either way.  The loops match Compiled's
-   per-instruction bodies exactly (same Op.apply_* calls, same Square/Abs
-   specializations, same Div and Lte NaN conventions). *)
+   are indexed by tile position either way.  Monomials and operators run
+   the same array kernels as Compiled ([Expr.mul_int_pow_into],
+   [Op.unary_into], [Op.binary_into]); the gathered probe path applies the
+   scalar [Expr.int_pow] per sample instead. *)
 let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
   Array.iter
     (fun k ->
@@ -298,18 +299,8 @@ let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
           for k = 0 to Array.length vars - 1 do
             let column = columns.(Array.unsafe_get vars k) in
             let e = Array.unsafe_get exps k in
-            (match indices with
-            | None ->
-                if e = 1 then
-                  for j = 0 to len - 1 do
-                    Array.unsafe_set buf j
-                      (Array.unsafe_get buf j *. Array.unsafe_get column (lo + j))
-                  done
-                else
-                  for j = 0 to len - 1 do
-                    Array.unsafe_set buf j
-                      (Array.unsafe_get buf j *. Expr.int_pow (Array.unsafe_get column (lo + j)) e)
-                  done
+            match indices with
+            | None -> Expr.mul_int_pow_into ~dst:buf ~src:column ~off:lo ~e ~len
             | Some idx ->
                 if e = 1 then
                   for j = 0 to len - 1 do
@@ -324,38 +315,11 @@ let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
                       *. Expr.int_pow
                            (Array.unsafe_get column (Array.unsafe_get idx (lo + j)))
                            e)
-                  done)
+                  done
           done
-      | Kunary { dst; src; op } -> (
-          let src = bufs.(src) and dst = bufs.(dst) in
-          match op with
-          | Op.Square ->
-              for j = 0 to len - 1 do
-                let v = Array.unsafe_get src j in
-                Array.unsafe_set dst j (v *. v)
-              done
-          | Op.Abs ->
-              for j = 0 to len - 1 do
-                Array.unsafe_set dst j (Float.abs (Array.unsafe_get src j))
-              done
-          | op ->
-              for j = 0 to len - 1 do
-                Array.unsafe_set dst j (Op.apply_unary op (Array.unsafe_get src j))
-              done)
-      | Kbinary { dst; a; b; op } -> (
-          let a = bufs.(a) and b = bufs.(b) and dst = bufs.(dst) in
-          match op with
-          | Op.Div ->
-              for j = 0 to len - 1 do
-                let y = Array.unsafe_get b j in
-                Array.unsafe_set dst j
-                  (if y = 0. then Float.nan else Array.unsafe_get a j /. y)
-              done
-          | op ->
-              for j = 0 to len - 1 do
-                Array.unsafe_set dst j
-                  (Op.apply_binary op (Array.unsafe_get a j) (Array.unsafe_get b j))
-              done)
+      | Kunary { dst; src; op } -> Op.unary_into op ~src:bufs.(src) ~dst:bufs.(dst) ~len
+      | Kbinary { dst; a; b; op } ->
+          Op.binary_into op ~a:bufs.(a) ~b:bufs.(b) ~dst:bufs.(dst) ~len
       | Klte { dst; test; threshold; less; otherwise } ->
           let test = bufs.(test)
           and threshold = bufs.(threshold)

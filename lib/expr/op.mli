@@ -46,3 +46,21 @@ val binary_pretty : binary -> string
 
 val apply_unary : unary -> float -> float
 val apply_binary : binary -> float -> float -> float
+
+(** {2 Array kernels}
+
+    [apply_*] over the first [len] cells of arrays, with the operator
+    dispatched once per call instead of once per sample: the tape
+    evaluators' inner loops.  Every cell is bit-identical to the scalar
+    [apply_*] (same IEEE operations, libm calls and NaN conventions) and
+    the kernels allocate nothing.  Each loop reads cell [j] of every
+    operand before writing cell [j] of [dst], so [dst] may alias an
+    operand.  Raise [Invalid_argument] when an array is shorter than
+    [len]. *)
+
+val unary_into : unary -> src:float array -> dst:float array -> len:int -> unit
+(** [dst.(j) <- apply_unary op src.(j)] for [j < len]. *)
+
+val binary_into :
+  binary -> a:float array -> b:float array -> dst:float array -> len:int -> unit
+(** [dst.(j) <- apply_binary op a.(j) b.(j)] for [j < len]. *)

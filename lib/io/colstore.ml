@@ -125,9 +125,14 @@ type t = {
   (* Buffered reads go through a per-(pid, domain) channel: domains must
      not share an [in_channel] (its buffer is not thread-safe), and the
      processes backend forks workers, which would otherwise share the
-     parent's file offset through the inherited descriptor. *)
-  channel_key : (int * in_channel) option ref Domain.DLS.key;
+     parent's file offset through the inherited descriptor.  The channels
+     live in one table per store, not in domain-local state, so [close]
+     reaches every domain's channel. *)
+  channels_lock : Mutex.t;
+  channels : (int * int, in_channel) Hashtbl.t;
 }
+
+let channel_owner () = (Unix.getpid (), (Domain.self () :> int))
 
 let read_int64 channel =
   let b = Bytes.create 8 in
@@ -191,32 +196,40 @@ let openfile ?(mmap = false) path =
       chunk_rows;
       data_offset;
       mapped;
-      channel_key = Domain.DLS.new_key (fun () -> ref None);
+      channels_lock = Mutex.create ();
+      channels = Hashtbl.create 4;
     }
   in
-  if not mmap then begin
-    (* Seed the opening thread's slot with the channel used for the header. *)
-    let slot = Domain.DLS.get t.channel_key in
-    slot := Some (Unix.getpid (), channel)
-  end;
+  (* The opening domain keeps the channel used for the header. *)
+  if not mmap then Hashtbl.replace t.channels (channel_owner ()) channel;
   t
 
 let var_names t = t.var_names
 let n_rows t = t.n
 let chunk_rows t = t.chunk_rows
 
+let close_quietly chan = try close_in chan with Sys_error _ -> ()
+
 let channel t =
-  let slot = Domain.DLS.get t.channel_key in
-  let pid = Unix.getpid () in
-  match !slot with
-  | Some (owner, chan) when owner = pid -> chan
-  | stale ->
-      (match stale with
-      | Some (_, chan) -> (try close_in chan with Sys_error _ -> ())
-      | None -> ());
-      let chan = open_in_bin t.path in
-      slot := Some (pid, chan);
-      chan
+  let ((pid, _) as owner) = channel_owner () in
+  Mutex.protect t.channels_lock (fun () ->
+      match Hashtbl.find_opt t.channels owner with
+      | Some chan -> chan
+      | None ->
+          (* A forked worker inherits its parent's entries; their
+             descriptors share the parent's file offsets, so the worker
+             closes its copies before opening its own. *)
+          Hashtbl.filter_map_inplace
+            (fun (other, _) chan ->
+              if other = pid then Some chan
+              else begin
+                close_quietly chan;
+                None
+              end)
+            t.channels;
+          let chan = open_in_bin t.path in
+          Hashtbl.replace t.channels owner chan;
+          chan)
 
 (* Absolute float index of (chunk, variable, row-in-chunk) in the mapped
    data region; mirrors the on-disk layout arithmetic. *)
@@ -292,11 +305,9 @@ let column t d =
       Array.blit columns.(d) 0 out row0 len);
   out
 
+(* Every entry is a descriptor of this process: its own channels, plus, in
+   a forked worker, the copies it inherited. *)
 let close t =
-  (match t.mapped with Some _ -> () | None -> ());
-  let slot = Domain.DLS.get t.channel_key in
-  match !slot with
-  | Some (owner, chan) when owner = Unix.getpid () ->
-      (try close_in chan with Sys_error _ -> ());
-      slot := None
-  | _ -> ()
+  Mutex.protect t.channels_lock (fun () ->
+      Hashtbl.iter (fun _ chan -> close_quietly chan) t.channels;
+      Hashtbl.reset t.channels)

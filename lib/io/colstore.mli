@@ -57,5 +57,6 @@ val column : t -> int -> float array
 (** Materialize one variable as a fresh [n_rows] array. *)
 
 val close : t -> unit
-(** Close this (process, domain)'s buffered channel, if any.  Mapped
-    regions are unmapped by the GC. *)
+(** Close every buffered channel this process holds on the store,
+    whichever domain opened it.  Mapped regions are unmapped by the GC.
+    A later read reopens a channel. *)

@@ -797,6 +797,19 @@ let iter_basis_chunks data bases ~f =
           Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
           f ~row0 ~len out)
 
+let basis_columns data bases =
+  match data.storage with
+  | Dense _ -> Array.map (basis_column data) bases
+  | Chunked _ when Array.length bases = 0 -> [||]
+  | Chunked _ ->
+      (* One fused pass for the whole set, where per-basis [basis_column]
+         calls would stream the data once per basis.  Fresh columns, never
+         cached: the same bypass policy as [column_of_key]. *)
+      let columns = Array.map (fun _ -> Array.make data.n 0.) bases in
+      iter_basis_chunks data bases ~f:(fun ~row0 ~len chunk ->
+          Array.iteri (fun j column -> Array.blit chunk.(j) 0 column row0 len) columns);
+      columns
+
 (* --- cache management ----------------------------------------------------- *)
 
 let cached_columns data =

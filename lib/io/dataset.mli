@@ -197,6 +197,13 @@ val iter_basis_chunks :
     whole-dataset call from memoized columns.  Raises [Invalid_argument]
     on an empty basis array. *)
 
+val basis_columns : t -> Expr.basis array -> float array array
+(** Every basis's full value column: the values {!basis_column} gives
+    for each, bit for bit (NaN payloads aside).  Dense storage returns the
+    memoized columns (shared, do not mutate); chunked storage evaluates
+    the whole set through one fused tape in a single pass over the chunks
+    and returns fresh columns, uncached. *)
+
 val cached_columns : t -> int
 (** Number of distinct bases memoized so far (cache introspection). *)
 

@@ -267,8 +267,129 @@ let generated_basis =
   in
   QCheck.make gen
 
-let property_tests =
+(* --- array kernels pinned to the scalar operators --- *)
+
+(* The recursive square-and-multiply [Expr.int_pow] used before it became a
+   loop: the loop and its column form must reproduce it bit for bit. *)
+let reference_int_pow x e =
+  if e = 0 then 1.
+  else begin
+    let negative = e < 0 in
+    let exponent = abs e in
+    let rec loop acc base e =
+      if e = 0 then acc
+      else
+        let acc = if e land 1 = 1 then acc *. base else acc in
+        loop acc (base *. base) (e lsr 1)
+    in
+    let power = loop 1. x exponent in
+    if negative then if power = 0. then Float.nan else 1. /. power else power
+  end
+
+let special_floats =
   [
+    0.; -0.; 1.; -1.; 2.; -2.; 0.5; -0.5; 10.; 1e-3; -7.25;
+    Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+    Int64.float_of_bits 0x7FF8_0000_0000_0123L (* NaN with a payload *);
+    Float.min_float; 4.9e-324; -4.9e-324; 1e-310; -1e-310 (* subnormals *);
+    Float.max_float; -.Float.max_float; 1e300; -1e300; 710.; -750.;
+  ]
+
+let kernel_input =
+  QCheck.Gen.(
+    array_size (int_range 0 48)
+      (frequency
+         [ (3, oneofl special_floats); (3, float_range (-20.) 20.); (1, float) ]))
+
+let print_floats values =
+  "[|" ^ String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") values)) ^ "|]"
+
+let kernel_arb = QCheck.make ~print:print_floats kernel_input
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let bits_equal expected (actual : float array) =
+  Array.for_all2 same_bits expected (Array.sub actual 0 (Array.length expected))
+
+(* A kernel over the first [len] cells leaves the cells past [len] alone. *)
+let sentinel = 123.25
+let padded (values : float array) = Array.append values [| sentinel; sentinel |]
+
+let tail_untouched len (dst : float array) =
+  same_bits dst.(len) sentinel && same_bits dst.(len + 1) sentinel
+
+let unary_kernel_matches src =
+  let len = Array.length src in
+  List.for_all
+    (fun op ->
+      let expected = Array.map (Op.apply_unary op) src in
+      let dst = padded (Array.make len 0.) in
+      Op.unary_into op ~src ~dst ~len;
+      let in_place = padded src in
+      Op.unary_into op ~src:in_place ~dst:in_place ~len;
+      bits_equal expected dst && tail_untouched len dst
+      && bits_equal expected in_place && tail_untouched len in_place)
+    Op.all_unary
+
+let binary_kernel_matches (a, b) =
+  let len = Int.min (Array.length a) (Array.length b) in
+  let a = Array.sub a 0 len and b = Array.sub b 0 len in
+  List.for_all
+    (fun op ->
+      let expected = Array.init len (fun j -> Op.apply_binary op a.(j) b.(j)) in
+      let dst = padded (Array.make len 0.) in
+      Op.binary_into op ~a ~b ~dst ~len;
+      (* [dst] aliasing either operand, and both operands one array. *)
+      let onto_a = padded a in
+      Op.binary_into op ~a:onto_a ~b ~dst:onto_a ~len;
+      let onto_b = padded b in
+      Op.binary_into op ~a ~b:onto_b ~dst:onto_b ~len;
+      let both = padded a in
+      Op.binary_into op ~a:both ~b:both ~dst:both ~len;
+      bits_equal expected dst && tail_untouched len dst
+      && bits_equal expected onto_a && tail_untouched len onto_a
+      && bits_equal expected onto_b && tail_untouched len onto_b
+      && bits_equal (Array.map (fun x -> Op.apply_binary op x x) a) both
+      && tail_untouched len both)
+    Op.all_binary
+
+let exponents = List.init 25 (fun i -> i - 12) @ [ 1000; -1000; max_int; min_int ]
+
+let int_pow_matches_reference values =
+  let values = Array.append values (Array.of_list special_floats) in
+  let len = Array.length values in
+  List.for_all
+    (fun e ->
+      Array.for_all (fun x -> same_bits (reference_int_pow x e) (Expr.int_pow x e)) values
+      &&
+      (* The column form, reading [src] at an offset and multiplying into
+         [dst]; exponent 1 multiplies by the value itself.  [dst.(j)] is
+         the product's first operand, whose payload a NaN times a NaN
+         keeps. *)
+      let src = Array.append [| 3.; -3. |] values in
+      let dst = padded (Array.init len (fun j -> values.(len - 1 - j))) in
+      let expected =
+        Array.init len (fun j ->
+            let x = src.(2 + j) in
+            dst.(j) *. if e = 1 then x else reference_int_pow x e)
+      in
+      Expr.mul_int_pow_into ~dst ~src ~off:2 ~e ~len;
+      bits_equal expected dst && tail_untouched len dst)
+    exponents
+
+let kernel_tests =
+  [
+    QCheck.Test.make ~name:"unary kernels equal apply_unary bit for bit" ~count:300 kernel_arb
+      unary_kernel_matches;
+    QCheck.Test.make ~name:"binary kernels equal apply_binary bit for bit" ~count:300
+      (QCheck.pair kernel_arb kernel_arb) binary_kernel_matches;
+    QCheck.Test.make ~name:"int_pow and its column form equal the recursive reference"
+      ~count:100 kernel_arb int_pow_matches_reference;
+  ]
+
+let property_tests =
+  kernel_tests
+  @ [
     QCheck.Test.make ~name:"generated bases satisfy canonical invariants" ~count:300
       generated_basis (fun b -> Expr.check ~dims:4 b = Ok ());
     QCheck.Test.make ~name:"generated bases respect the depth budget" ~count:300

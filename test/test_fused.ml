@@ -214,6 +214,73 @@ let test_probe_many_bit_identical () =
         bases)
     [ [||]; [| 0 |]; [| 5; 5; 1 |]; Array.init n Fun.id ]
 
+(* --- allocation ceiling ------------------------------------------------------ *)
+
+(* One root per operator, each a product with the monomial x0^3 / x1^2, so
+   the tape runs every unary and binary kernel and both exponent forms of
+   the monomial kernel; the first root carries a conditional as well. *)
+let every_operator_bases () =
+  let monomial = Some [| 3; -2 |] in
+  let arg vc = { Expr.bias = 0.5; terms = [ (1.5, { Expr.vc = Some vc; factors = [] }) ] } in
+  let lte =
+    Expr.Lte
+      {
+        test = arg [| 1; 0 |];
+        threshold = Expr.Const 1.;
+        less = Expr.Sum (arg [| 0; 1 |]);
+        otherwise = Expr.Const (-2.);
+      }
+  in
+  let unary op = { Expr.vc = monomial; factors = [ Expr.Unary (op, arg [| 1; 0 |]) ] } in
+  let binary op =
+    {
+      Expr.vc = monomial;
+      factors = [ Expr.Binary (op, Expr.Sum (arg [| 1; 0 |]), Expr.Sum (arg [| 0; 1 |])) ];
+    }
+  in
+  let bases = Array.of_list (List.map unary Op.all_unary @ List.map binary Op.all_binary) in
+  bases.(0) <- { (bases.(0)) with Expr.factors = lte :: bases.(0).Expr.factors };
+  bases
+
+(* Minor words one call allocates, measured after a warm-up call (scratch
+   buffers grow on first use) and an emptied minor heap. *)
+let minor_words_of f =
+  f ();
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_tape_allocation_ceiling () =
+  let n = 4096 in
+  let columns =
+    [|
+      Array.init n (fun i -> float_of_int ((i mod 61) - 12) /. 8.);
+      Array.init n (fun i -> float_of_int ((i mod 37) - 5) /. 4.);
+    |]
+  in
+  let bases = every_operator_bases () in
+  let ceiling = 256. in
+  let fused = Fused.compile bases in
+  let scratch = Fused.scratch () in
+  let out = Array.map (fun _ -> Array.make n 0.) bases in
+  let words = minor_words_of (fun () -> Fused.eval_columns_into fused ~scratch ~columns ~n ~out) in
+  if words >= ceiling then
+    Alcotest.failf "Fused.eval_columns_into allocated %.0f words over %d rows (limit %.0f)" words n
+      ceiling;
+  let scratch = Compiled.scratch () in
+  let out = Array.make n 0. in
+  Array.iteri
+    (fun k basis ->
+      let compiled = Compiled.compile basis in
+      let words =
+        minor_words_of (fun () -> Compiled.eval_columns_into compiled ~scratch ~columns ~n ~out)
+      in
+      if words >= ceiling then
+        Alcotest.failf "Compiled.eval_columns_into allocated %.0f words on root %d (limit %.0f)"
+          words k ceiling)
+    bases
+
 (* --- qcheck property: fused ≡ per-expression ------------------------------ *)
 
 let close a b =
@@ -255,5 +322,6 @@ let suite =
     Alcotest.test_case "CSE counters" `Quick test_cse_counters;
     Alcotest.test_case "warm_columns is bit-identical" `Quick test_warm_columns_bit_identical;
     Alcotest.test_case "probe_many is bit-identical" `Quick test_probe_many_bit_identical;
+    Alcotest.test_case "tape evaluation allocation ceiling" `Quick test_tape_allocation_ceiling;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests

@@ -473,6 +473,29 @@ let test_colstore_roundtrip () =
   check_store_contents ~mmap:true ~rows ~dims ~chunk_rows path cell;
   Sys.remove path
 
+let test_colstore_close_releases_every_domain () =
+  (* A store read from a second domain holds a channel there too; [close]
+     on the opening domain must release it, or every reopen of a store
+     that a pool worker read leaks one descriptor. *)
+  let fd_dir = "/proc/self/fd" in
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir fd_dir) in
+  let path, _ = write_store ~chunk_rows:4 ~rows:10 ~dims:2 in
+  let cycle () =
+    let store = Colstore.openfile path in
+    ignore (Domain.join (Domain.spawn (fun () -> Colstore.column store 1)) : float array);
+    ignore (Colstore.column store 0 : float array);
+    Colstore.close store
+  in
+  cycle ();
+  let before = open_fds () in
+  for _ = 1 to 20 do
+    cycle ()
+  done;
+  let after = open_fds () in
+  Sys.remove path;
+  Alcotest.(check int) "descriptors after 20 open/read/close cycles" before after
+
 let test_colstore_validation () =
   let expect_invalid f =
     Alcotest.(check bool) "rejected" true
@@ -520,5 +543,7 @@ let suite =
       test_dataset_ragged_names_offender;
     Alcotest.test_case "colstore round-trip (buffered and mmap)" `Quick test_colstore_roundtrip;
     Alcotest.test_case "colstore validation" `Quick test_colstore_validation;
+    Alcotest.test_case "colstore close releases every domain's channel" `Quick
+      test_colstore_close_releases_every_domain;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) gram_properties

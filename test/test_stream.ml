@@ -13,6 +13,7 @@ module Dataset = Caffeine_io.Dataset
 module Expr = Caffeine_expr.Expr
 module Linfit = Caffeine_regress.Linfit
 module Model = Caffeine.Model
+module Sag = Caffeine.Sag
 module Search = Caffeine.Search
 module Config = Caffeine.Config
 module Opset = Caffeine.Opset
@@ -174,7 +175,85 @@ let test_front_identity () =
       check_same "chunked/domains"
         (Search.run ~seed:23 ~executor config ~data:chunked ~targets).Search.front)
 
+(* SAG after the search — PRESS pruning, both refits, then test scoring —
+   must also come out bit-identical on streamed data, for every chunk size
+   and on both executors: streamed SAG evaluates each model in one fused
+   pass and refits from the columns it holds. *)
+let test_sag_identity () =
+  let structured ~seed ~n =
+    let rng = Rng.create ~seed () in
+    let columns = Array.init 3 (fun _ -> Array.init n (fun _ -> Rng.range rng 0.2 2.)) in
+    let targets =
+      Array.init n (fun i ->
+          let a = columns.(0).(i) and b = columns.(1).(i) and c = columns.(2).(i) in
+          3. +. (2. *. a *. b) -. (0.5 *. c *. c) +. Rng.range rng (-0.05) 0.05)
+    in
+    (columns, targets)
+  in
+  let n = 64 and test_n = 40 in
+  let columns, targets = structured ~seed:7 ~n in
+  let test_columns, test_targets = structured ~seed:8 ~n:test_n in
+  let names = [| "a"; "b"; "c" |] in
+  let config = Config.scaled ~pop_size:16 ~generations:3 Config.paper in
+  let wb = config.Config.wb and wvc = config.Config.wvc in
+  let front =
+    (Search.run ~seed:23 config ~data:(Dataset.of_columns ~var_names:names columns) ~targets)
+      .Search.front
+  in
+  let sag executor ~data ~test_data =
+    let simplified = Sag.process_front ~executor ~wb ~wvc front ~data ~targets in
+    (simplified, Sag.test_tradeoff simplified ~data:test_data ~targets:test_targets)
+  in
+  let dense () =
+    (Dataset.of_columns ~var_names:names columns, Dataset.of_columns ~var_names:names test_columns)
+  in
+  let chunked chunk_rows () =
+    ( Dataset.chunked_of_columns ~var_names:names ~chunk_rows columns,
+      Dataset.chunked_of_columns ~var_names:names ~chunk_rows test_columns )
+  in
+  let run executor storage =
+    let data, test_data = storage () in
+    sag executor ~data ~test_data
+  in
+  let ref_simplified, ref_scored = run Executor.sequential dense in
+  Alcotest.(check bool) "SAG keeps a model with bases" true
+    (List.exists (fun (m : Model.t) -> Model.num_bases m > 0) ref_simplified);
+  let same_model label (a : Model.t) (b : Model.t) =
+    Alcotest.(check string)
+      (label ^ ": model text")
+      (Model.to_string ~var_names:names a)
+      (Model.to_string ~var_names:names b);
+    Alcotest.(check bool) (label ^ ": intercept") true (feq a.Model.intercept b.Model.intercept);
+    Alcotest.(check bool) (label ^ ": weights") true (farr_eq a.Model.weights b.Model.weights);
+    Alcotest.(check bool) (label ^ ": train error") true (feq a.Model.train_error b.Model.train_error)
+  in
+  let check_same label (simplified, scored) =
+    Alcotest.(check int) (label ^ ": simplified size") (List.length ref_simplified)
+      (List.length simplified);
+    List.iter2 (same_model (label ^ " simplified")) ref_simplified simplified;
+    Alcotest.(check int) (label ^ ": tradeoff size") (List.length ref_scored) (List.length scored);
+    List.iter2
+      (fun (a : Sag.scored) (b : Sag.scored) ->
+        same_model (label ^ " scored") a.Sag.model b.Sag.model;
+        Alcotest.(check bool) (label ^ ": test error") true (feq a.Sag.test_error b.Sag.test_error))
+      ref_scored scored
+  in
+  let storages =
+    [ ("chunk 1", chunked 1); ("chunk 7", chunked 7); ("chunk n", chunked n) ]
+  in
+  List.iter
+    (fun (name, storage) -> check_same (name ^ "/seq") (run Executor.sequential storage))
+    storages;
+  Executor.with_executor ~jobs:2 Executor.Domains (fun executor ->
+      List.iter
+        (fun (name, storage) -> check_same (name ^ "/domains") (run executor storage))
+        (("dense", dense) :: storages))
+
 let suite =
-  Alcotest.test_case "evolved fronts are bit-identical across storages/backends" `Quick
-    test_front_identity
-  :: List.map QCheck_alcotest.to_alcotest property_tests
+  (Alcotest.test_case "evolved fronts are bit-identical across storages/backends" `Quick
+     test_front_identity
+  :: List.map QCheck_alcotest.to_alcotest property_tests)
+  @ [
+      Alcotest.test_case "SAG and test scoring are bit-identical across storages/backends"
+        `Quick test_sag_identity;
+    ]
