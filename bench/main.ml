@@ -23,7 +23,7 @@ module Search = Caffeine.Search
 module Sag = Caffeine.Sag
 module Opset = Caffeine.Opset
 module Dataset = Caffeine_io.Dataset
-module Compiled = Caffeine_expr.Compiled
+module Fused = Caffeine_expr.Fused
 module Linfit = Caffeine_regress.Linfit
 module Pool = Caffeine_par.Pool
 module Executor = Caffeine_par.Executor
@@ -33,7 +33,7 @@ module Tran = Caffeine_spice.Tran
 
 (* The reference tree interpreter — only the compiled_vs_interpreted group
    and the micro-benchmarks may touch it; everything else evaluates through
-   Compiled/Dataset. *)
+   Fused/Dataset. *)
 module Interp = Caffeine_expr.Expr
 
 type options = {
@@ -557,13 +557,16 @@ let experiment_eval options =
     Array.init n (fun i ->
         Array.init dims (fun j -> 0.5 +. Float.abs (sin (float_of_int ((i * dims) + j)))))
   in
-  let data = Dataset.of_rows rows in
+  let columns = Array.init dims (fun v -> Array.map (fun row -> row.(v)) rows) in
   let config = Config.paper in
+  (* One precompiled one-root tape per basis, as a dataset column miss
+     evaluates it. *)
+  let one_root b = Fused.compile [| b |] in
   (* Draw until the single basis has real structure (a bare monomial lowers
-     to one instruction and would flatter the compiled path). *)
+     to one node and would flatter the compiled path). *)
   let rec draw () =
     let b = Caffeine.Gen.random_basis rng config.Config.opset ~dims ~depth:6 ~max_vc_vars:3 in
-    if Compiled.length (Compiled.compile b) >= 8 then b else draw ()
+    if Fused.nodes_in (one_root b) >= 8 then b else draw ()
   in
   let basis = draw () in
   let front_individuals = if options.smoke then 4 else 12 in
@@ -571,22 +574,22 @@ let experiment_eval options =
     Array.concat
       (List.init front_individuals (fun _ -> Caffeine.Gen.random_individual rng config ~dims))
   in
-  Printf.printf
-    "workload: %d samples x %d dims; single basis (%d tape instructions), front of %d bases\n" n
-    dims
-    (Compiled.length (Compiled.compile basis))
+  Printf.printf "workload: %d samples x %d dims; single basis (%d tape nodes), front of %d bases\n"
+    n dims
+    (Fused.nodes_in (one_root basis))
     (Array.length front);
+  let scratch = Fused.scratch () in
   let interp_single () = Array.iter (fun row -> ignore (Interp.eval_basis basis row)) rows in
   let compiled_single =
-    let c = Compiled.compile basis in
-    fun () -> ignore (Dataset.eval_column c data)
+    let tape = one_root basis in
+    fun () -> ignore (Fused.eval_columns tape ~scratch ~columns ~n)
   in
   let interp_front () =
     Array.iter (fun b -> Array.iter (fun row -> ignore (Interp.eval_basis b row)) rows) front
   in
   let compiled_front =
-    let cs = Array.map Compiled.compile front in
-    fun () -> Array.iter (fun c -> ignore (Dataset.eval_column c data)) cs
+    let tapes = Array.map one_root front in
+    fun () -> Array.iter (fun tape -> ignore (Fused.eval_columns tape ~scratch ~columns ~n)) tapes
   in
   let t_is = time_per_run interp_single in
   let t_cs = time_per_run compiled_single in
@@ -1336,14 +1339,14 @@ let experiment_dedup options =
 let experiment_fuse options =
   let module Trace = Caffeine_obs.Trace in
   let module Eval_cache = Caffeine.Eval_cache in
-  let module Fused = Caffeine_expr.Fused in
+  let module Tbl = Caffeine_expr.Expr.Tbl in
   section "fuse: cross-tree CSE and tiled batch kernels";
   let train = Ota.doe_dataset ~dx:0.10 in
   let n = Array.length train.Ota.inputs in
   let dims = Array.length Ota.var_names in
   let targets = Array.map (Ota.modeling_target Ota.Pm) (Ota.targets train Ota.Pm) in
   (* Fresh dataset per measurement: warm basis columns must not leak from
-     one fuse setting into the next. *)
+     one backend or cache mode into the next. *)
   let fresh_data () = Dataset.of_rows ~var_names:Ota.var_names train.Ota.inputs in
   let config =
     Config.scaled
@@ -1352,9 +1355,8 @@ let experiment_fuse options =
       Config.paper
   in
   let seed = options.seed in
-  let reps = if options.smoke then 3 else 5 in
-  Printf.printf "workload: OTA PM, %d samples x %d dims, pop %d, gens %d, min of %d runs%s\n" n
-    dims config.Config.pop_size config.Config.generations reps
+  Printf.printf "workload: OTA PM, %d samples x %d dims, pop %d, gens %d%s\n" n dims
+    config.Config.pop_size config.Config.generations
     (if options.smoke then " (smoke)" else "");
   (* --- the front workload: every basis instance of evolved fronts ---------- *)
   (* Evaluating a whole Pareto front per model — what export, insight and
@@ -1364,13 +1366,13 @@ let experiment_fuse options =
      that duplication kept: fused evaluation hash-conses the repeats (and
      any subtrees distinct bases still share) into single DAG nodes,
      while the per-expression baseline evaluates each instance on its own
-     tape.  The workload search runs its own budget (independent of
+     one-root tape.  The workload search runs its own budget (independent of
      --smoke); fronts accumulate across seeds until 40 distinct bases are
      represented. *)
   let workload_target = 40 in
   let workload_config = Config.scaled ~pop_size:60 ~generations:60 Config.paper in
   let front_instances, distinct_bases =
-    let seen = Compiled.Tbl.create 64 in
+    let seen = Tbl.create 64 in
     let acc = ref [] in
     let distinct = ref 0 in
     let next_seed = ref seed in
@@ -1383,8 +1385,8 @@ let experiment_fuse options =
             Array.iter
               (fun b ->
                 acc := b :: !acc;
-                if not (Compiled.Tbl.mem seen b) then begin
-                  Compiled.Tbl.add seen b ();
+                if not (Tbl.mem seen b) then begin
+                  Tbl.add seen b ();
                   incr distinct
                 end)
               m.Model.bases)
@@ -1402,9 +1404,8 @@ let experiment_fuse options =
      (CSE %.2fx), %d slots, tile %d\n"
     (Array.length front_instances) distinct_bases nodes_in nodes_out cse_ratio
     (Fused.slots fused) (Fused.tile fused);
-  (* --- exactness: fused rows must equal per-expression rows bit for bit ---- *)
-  let compiled = Array.map Compiled.compile front_instances in
-  let cscratch = Compiled.scratch () in
+  (* --- exactness: fused rows must equal one-root rows bit for bit --------- *)
+  let one_root = Array.map (fun b -> Fused.compile [| b |]) front_instances in
   let fscratch = Fused.scratch () in
   let fused_rows = Fused.eval_columns fused ~scratch:fscratch ~columns ~n in
   let bits = Int64.bits_of_float in
@@ -1414,21 +1415,21 @@ let experiment_fuse options =
   in
   let rows_identical =
     Array.for_all2
-      (fun c row -> rows_equal row (Compiled.eval_columns c ~scratch:cscratch ~columns ~n))
-      compiled fused_rows
+      (fun tape row -> rows_equal row (Fused.eval_columns tape ~scratch:fscratch ~columns ~n).(0))
+      one_root fused_rows
   in
   let probe_indices = [| 0; 3; 3; n - 1 |] in
   let probe_rows = Fused.eval_probe fused ~columns ~indices:probe_indices in
   let probe_identical =
     Array.for_all2
-      (fun c row -> rows_equal row (Compiled.eval_probe c ~columns ~indices:probe_indices))
-      compiled probe_rows
+      (fun tape row -> rows_equal row (Fused.eval_probe tape ~columns ~indices:probe_indices).(0))
+      one_root probe_rows
   in
   Printf.printf "fused rows bit-identical to per-expression rows: %b (probe: %b)\n"
     rows_identical probe_identical;
   (* --- throughput: the fused tape must clear the speedup floor ------------- *)
   let per_expr_run () =
-    Array.iter (fun c -> ignore (Compiled.eval_columns c ~scratch:cscratch ~columns ~n)) compiled
+    Array.iter (fun tape -> ignore (Fused.eval_columns tape ~scratch:fscratch ~columns ~n)) one_root
   in
   let fused_run () = ignore (Fused.eval_columns fused ~scratch:fscratch ~columns ~n) in
   let t_per_expr = time_per_run per_expr_run in
@@ -1436,11 +1437,11 @@ let experiment_fuse options =
   let speedup = t_per_expr /. t_fused in
   let speedup_floor = 1.3 in
   let us t = 1e6 *. t in
-  Printf.printf "%-34s %10.1f us\n" "per-expression tapes" (us t_per_expr);
+  Printf.printf "%-34s %10.1f us\n" "per-expression one-root tapes" (us t_per_expr);
   Printf.printf "%-34s %10.1f us  (%.2fx, floor %.1fx)\n" "fused tape" (us t_fused) speedup
     speedup_floor;
   let speedup_ok = speedup >= speedup_floor in
-  (* --- search exactness: the front must not move when fusion turns off ----- *)
+  (* --- search exactness: the front must not move with backend or cache ----- *)
   let signature (outcome : Search.outcome) =
     String.concat ";"
       (List.map
@@ -1449,64 +1450,50 @@ let experiment_fuse options =
              (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") m.Model.weights))))
          outcome.Search.front)
   in
-  let front_of backend ?jobs ?shards ~fuse mode =
+  let front_of backend ?jobs ?shards mode =
     let data = fresh_data () in
     Executor.with_executor ?jobs ?shards backend @@ fun executor ->
-    signature (Search.run ~seed ~executor ~eval_cache:mode ~fuse config ~data ~targets)
+    signature (Search.run ~seed ~executor ~eval_cache:mode config ~data ~targets)
   in
-  let reference = front_of Executor.Seq ~fuse:true Eval_cache.Off in
+  let reference = front_of Executor.Seq Eval_cache.Off in
+  let modes =
+    [ ("off", Eval_cache.Off); ("exact", Eval_cache.Exact); ("behavioral", Eval_cache.Behavioral) ]
+  in
   let front_cases =
-    [
-      ("seq_unfused_off", front_of Executor.Seq ~fuse:false Eval_cache.Off);
-      ("seq_unfused_exact", front_of Executor.Seq ~fuse:false Eval_cache.Exact);
-      ("seq_unfused_behavioral", front_of Executor.Seq ~fuse:false Eval_cache.Behavioral);
-      ("seq_fused_behavioral", front_of Executor.Seq ~fuse:true Eval_cache.Behavioral);
-      ("domains_4_fused_off", front_of Executor.Domains ~jobs:4 ~fuse:true Eval_cache.Off);
-      ("domains_4_unfused_off", front_of Executor.Domains ~jobs:4 ~fuse:false Eval_cache.Off);
-      ("processes_3_fused_off", front_of Executor.Processes ~shards:3 ~fuse:true Eval_cache.Off);
-      ( "processes_3_unfused_off",
-        front_of Executor.Processes ~shards:3 ~fuse:false Eval_cache.Off );
-    ]
+    List.concat_map
+      (fun (backend, run) ->
+        List.filter_map
+          (fun (mode_name, mode) ->
+            if backend = "seq" && mode = Eval_cache.Off then None
+            else Some (backend ^ "_" ^ mode_name, run mode))
+          modes)
+      (* Processes before domains, in this order: on OCaml 5.1, once
+         this process has run a domain pool, forking the processes
+         backend's workers can fail. *)
+      [
+        ("seq", fun mode -> front_of Executor.Seq mode);
+        ("processes_3", fun mode -> front_of Executor.Processes ~shards:3 mode);
+        ("domains_4", fun mode -> front_of Executor.Domains ~jobs:4 mode);
+      ]
   in
   let exactness = List.map (fun (name, s) -> (name, s = reference)) front_cases in
   List.iter
-    (fun (name, ok) -> Printf.printf "front identical to fused seq baseline at %-26s %b\n" name ok)
+    (fun (name, ok) -> Printf.printf "front identical to seq baseline at %-22s %b\n" name ok)
     exactness;
   let fronts_identical = List.for_all snd exactness in
   (* --- determinism: projected traces must not move either ------------------ *)
   (* The per-generation fused_stats records depend on chunk boundaries and
-     cache state, so the deterministic projection must drop them: fuse
-     on/off and jobs 1/4 all project to the same lines. *)
-  let capture ?(jobs = 1) ~fuse () =
+     cache state, so the deterministic projection must drop them: jobs 1
+     and 4 project to the same lines. *)
+  let capture ~jobs =
     let data = fresh_data () in
     Executor.with_executor ~jobs Executor.Domains @@ fun executor ->
     let sink = Trace.memory () in
-    ignore (Search.run ~seed ~executor ~trace:sink ~fuse config ~data ~targets);
+    ignore (Search.run ~seed ~executor ~trace:sink config ~data ~targets);
     List.filter_map Trace.deterministic (Trace.contents sink) |> List.map Trace.to_line
   in
-  let lines_fused = capture ~fuse:true () in
-  let lines_unfused = capture ~fuse:false () in
-  let lines_fused_par = capture ~jobs:4 ~fuse:true () in
-  let traces_identical = lines_fused = lines_unfused && lines_fused = lines_fused_par in
-  Printf.printf "deterministic projections identical with fusion on/off and jobs 1/4: %b\n"
-    traces_identical;
-  (* --- whole-search throughput: fusion must not slow the search ------------ *)
-  let best_of ~fuse =
-    let best = ref Float.infinity in
-    for _ = 1 to reps do
-      let data = fresh_data () in
-      let t0 = Unix.gettimeofday () in
-      ignore (Search.run ~seed ~fuse config ~data ~targets);
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let t_unfused_search = best_of ~fuse:false in
-  let t_fused_search = best_of ~fuse:true in
-  let search_not_slower = t_fused_search <= t_unfused_search +. 0.05 in
-  Printf.printf "%-34s %8.3f s\n" "search, fusion off" t_unfused_search;
-  Printf.printf "%-34s %8.3f s (%.2fx)\n" "search, fusion on" t_fused_search
-    (t_unfused_search /. t_fused_search);
+  let traces_identical = capture ~jobs:1 = capture ~jobs:4 in
+  Printf.printf "deterministic projections identical at jobs 1/4: %b\n" traces_identical;
   (* --- record and gate ------------------------------------------------------ *)
   let fronts_json =
     "{ "
@@ -1520,7 +1507,6 @@ let experiment_fuse options =
       ("dims", string_of_int dims);
       ("pop", string_of_int config.Config.pop_size);
       ("gens", string_of_int config.Config.generations);
-      ("reps", string_of_int reps);
       ("front_instances", string_of_int (Array.length front_instances));
       ("distinct_bases", string_of_int distinct_bases);
       ("nodes_in", string_of_int nodes_in);
@@ -1537,29 +1523,21 @@ let experiment_fuse options =
       ("probe_identical", string_of_bool probe_identical);
       ("fronts_identical", fronts_json);
       ("traces_identical", string_of_bool traces_identical);
-      ("search_unfused_s", Printf.sprintf "%.4f" t_unfused_search);
-      ("search_fused_s", Printf.sprintf "%.4f" t_fused_search);
-      ("search_not_slower", string_of_bool search_not_slower);
     ];
   if not (rows_identical && probe_identical) then begin
-    Printf.eprintf "fuse: fused evaluation is not bit-identical to per-expression tapes\n";
+    Printf.eprintf "fuse: fused evaluation is not bit-identical to one-root tapes\n";
     exit 1
   end;
   if not fronts_identical then begin
-    Printf.eprintf "fuse: fronts differ between fuse settings\n";
+    Printf.eprintf "fuse: fronts differ between backends or cache modes\n";
     exit 1
   end;
   if not traces_identical then begin
-    Printf.eprintf "fuse: deterministic trace projections differ between fuse settings\n";
+    Printf.eprintf "fuse: deterministic trace projections differ between jobs settings\n";
     exit 1
   end;
   if not speedup_ok then begin
     Printf.eprintf "fuse: fused speedup %.2fx below the %.1fx floor\n" speedup speedup_floor;
-    exit 1
-  end;
-  if not search_not_slower then begin
-    Printf.eprintf "fuse: fused search slower than unfused (%.3fs vs %.3fs)\n" t_fused_search
-      t_unfused_search;
     exit 1
   end
 
@@ -1956,7 +1934,6 @@ let experiment_micro () =
   let rng = Caffeine_util.Rng.create ~seed:99 () in
   let opset = Opset.default in
   let basis = Caffeine.Gen.random_basis rng opset ~dims:13 ~depth:6 ~max_vc_vars:3 in
-  let compiled = Compiled.compile basis in
   let point = Array.make 13 1.2 in
   let design =
     Caffeine_linalg.Matrix.init 243 16 (fun i j ->
@@ -1970,8 +1947,6 @@ let experiment_micro () =
     [
       Test.make ~name:"expr eval (1 basis, 1 point)"
         (Staged.stage (fun () -> ignore (Interp.eval_basis basis point)));
-      Test.make ~name:"compiled eval (1 basis, 1 point)"
-        (Staged.stage (fun () -> ignore (Compiled.eval_point compiled point)));
       Test.make ~name:"lstsq 243x16"
         (Staged.stage (fun () -> ignore (Caffeine_linalg.Decomp.lstsq design rhs)));
       Test.make ~name:"press 243x16"

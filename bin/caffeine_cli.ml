@@ -193,8 +193,7 @@ let load_streaming ~path ~target ~chunk_rows =
   let data = Dataset.of_colstore ~exclude:(target :: performance_names) store in
   (data, targets)
 
-let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path max_bases no_sag verbose trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after eval_cache eval_cache_limit no_fuse data_stream chunk_rows out =
-  let fuse = not no_fuse in
+let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path max_bases no_sag verbose trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after eval_cache eval_cache_limit data_stream chunk_rows out =
   let data, raw_targets =
     (* A .cafs store has no dense representation to load — packed input
        always takes the streaming path, flag or no flag. *)
@@ -318,7 +317,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
           processed := model :: !processed;
           save_sag_snapshot ~front ~processed:(List.rev !processed) ~gen:index
         in
-        Sag.process_front ~executor ~trace ~already ~on_model ~fuse ~wb:config.Config.wb
+        Sag.process_front ~executor ~trace ~already ~on_model ~wb:config.Config.wb
           ~wvc:config.Config.wvc front ~data ~targets
       end
     in
@@ -335,7 +334,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
     | Some _ | None ->
         let outcome =
           Search.run ~seed ~executor ~trace ?on_generation ?checkpoint_path ~checkpoint_every
-            ?resume:resume_snapshot ~eval_cache ~eval_cache_limit ~fuse config ~data ~targets
+            ?resume:resume_snapshot ~eval_cache ~eval_cache_limit config ~data ~targets
         in
         run_sag outcome.Search.front
   in
@@ -378,9 +377,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
   in
   (* One fused pass over the whole front fills the testing dataset's column
      cache before the per-model error loop below reads it. *)
-  (match test_data with
-  | Some (test_set, _) when fuse -> Model.warm_front front test_set
-  | _ -> ());
+  (match test_data with Some (test_set, _) -> Model.warm_front front test_set | None -> ());
   Printf.printf "\n%-10s %-10s %-9s expression\n" "train err" "test err" "complexity";
   List.iter
     (fun (m : Model.t) ->
@@ -505,16 +502,6 @@ let verbose_arg =
            after cross-tree sharing) and, with --eval-cache, the evaluation-cache counters \
            and hit rate.")
 
-let no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ]
-        ~doc:
-          "Disable fused multi-expression evaluation: each basis is compiled and evaluated \
-           on its own tape instead of batching a generation's (or the front's) distinct \
-           bases into one shared DAG.  Results are bit-identical either way; the flag \
-           exists for benchmarking and bisection.")
-
 let fit_out_arg =
   Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Save the model front to a models file.")
 
@@ -629,7 +616,7 @@ let fit_cmd =
       const fit $ train_arg $ test_arg $ target_arg $ pop_arg $ gens_arg $ seed_arg $ jobs_arg
       $ backend_arg $ shard_arg $ log_target_arg $ grammar_arg $ max_bases_arg $ no_sag_arg $ verbose_arg $ trace_out_arg
       $ metrics_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ kill_after_arg
-      $ eval_cache_arg $ eval_cache_limit_arg $ no_fuse_arg $ data_stream_arg $ chunk_rows_arg
+      $ eval_cache_arg $ eval_cache_limit_arg $ data_stream_arg $ chunk_rows_arg
       $ fit_out_arg)
 
 (* --- pack --------------------------------------------------------------- *)

@@ -4,8 +4,8 @@
 set -eu
 
 here=$(dirname "$0")
-for script in fuse-determinism trace-determinism-jobs backend-determinism \
-              kill-resume serve-e2e stream-gate; do
+for script in trace-determinism-jobs backend-determinism kill-resume serve-e2e \
+              stream-gate; do
   echo "=== ci/$script.sh"
   "$here/$script.sh"
 done

@@ -20,7 +20,9 @@
 # Every other float writer is byte-diffed too: the two `gen-data` CSVs,
 # one `predict --dump` per target on the test DOE (the serve protocol's
 # JSON encoding), one `--checkpoint` snapshot per target (snapshot codec
-# and input fingerprint) and `export --language c-front` of each front.
+# and input fingerprint), `export --language c-front` of each front, and
+# `insight --index k` for every model of each target's seed-7 front (point
+# evaluation by the interpreter, Sobol indices by batched prediction).
 # The new CLI must also resume REF's snapshot to REF's front.
 . "$(dirname "$0")/lib.sh"
 
@@ -56,6 +58,7 @@ train=$scratch/train-new.csv
 test=$scratch/test-new.csv
 
 fits=0
+insights=0
 for target in ALF fu PM voffset SRp SRn; do
   for seed in 7 11; do
     for side in ref new; do
@@ -88,6 +91,16 @@ for target in ALF fu PM voffset SRp SRn; do
   for ext in ckpt dump c; do
     diff -u "$scratch/$target-7-ref.$ext" "$scratch/$target-7-new.$ext"
   done
+  models=$(grep -c '^#: train_error=' "$front")
+  k=0
+  while [ "$k" -lt "$models" ]; do
+    for side in ref new; do
+      "$(cli_of $side)" insight --models "$front" --index "$k" > "$scratch/$target-7-$side.insight"
+    done
+    diff -u "$scratch/$target-7-ref.insight" "$scratch/$target-7-new.insight"
+    k=$((k + 1))
+    insights=$((insights + 1))
+  done
   cp "$scratch/$target-7-ref.ckpt" "$scratch/$target-resume.ckpt"
   "$CLI" fit --train "$train" --test "$test" --target "$target" \
     --pop 200 --gens 15 --seed 7 --eval-cache exact --resume "$scratch/$target-resume.ckpt" \
@@ -111,6 +124,6 @@ for target in PM SRp; do
   fits=$((fits + 1))
 done
 
-echo "fronts-vs-ref: $fits fronts and traces (2 streamed), 2 data CSVs, and per target a prediction dump," \
-  "snapshot and C export byte-identical to $ref ($(echo "$rev" | cut -c1-12));" \
-  "its snapshots resume to its fronts"
+echo "fronts-vs-ref: $fits fronts and traces (2 streamed), 2 data CSVs, $insights insight reports," \
+  "and per target a prediction dump, snapshot and C export byte-identical to $ref" \
+  "($(echo "$rev" | cut -c1-12)); its snapshots resume to its fronts"

@@ -1,6 +1,5 @@
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
-module Compiled = Caffeine_expr.Compiled
 module Dataset = Caffeine_io.Dataset
 module Metrics = Caffeine_obs.Metrics
 
@@ -58,7 +57,7 @@ module Individual_key = struct
      basis order affects the regression's pivoting, so permuted
      individuals are distinct keys. *)
   let hash individual =
-    Array.fold_left (fun h b -> (h * 0x01000193) + Compiled.hash_basis b) 0x811c9dc5 individual
+    Array.fold_left (fun h b -> (h * 0x01000193) + Expr.hash_basis b) 0x811c9dc5 individual
     land max_int
 end
 

@@ -7,7 +7,7 @@
     those duplicate evaluations at two levels:
 
     - {b L1 (exact)} — bounded, sharded, keyed by the full structural hash
-      of the whole individual ({!Caffeine_expr.Compiled.hash_basis} folded
+      of the whole individual ({!Caffeine_expr.Expr.hash_basis} folded
       over the bases, {!Caffeine_expr.Expr.equal_basis} collision checks).
       A hit returns the objectives computed when the structure was first
       fitted, {e bit-identical to recomputation by construction}: the

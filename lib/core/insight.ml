@@ -13,8 +13,7 @@ let unused_variables ~dims model =
 
 let sensitivities (model : Model.t) ~at =
   let dims = Array.length at in
-  (* Compile the bases once; every probe is then a flat tape walk. *)
-  let f = Model.evaluator model in
+  let f = Model.predict_point model in
   let base_value = f at in
   let used = variables_used model in
   Array.init dims (fun i ->

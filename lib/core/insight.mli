@@ -7,10 +7,10 @@
     sensitivities at a design point, and how variable usage evolves along
     an error/complexity tradeoff front.
 
-    Point probes run through {!Model.evaluator} (bases compiled once per
-    query) and the Sobol estimator batches its sample matrices through
-    {!Model.predict} over column-major datasets — no tree interpretation
-    anywhere. *)
+    Point probes run through {!Model.predict_point}, the tree
+    interpreter (a handful of points per query), and the Sobol estimator
+    batches its sample matrices through {!Model.predict} over
+    column-major datasets on fused tapes. *)
 
 val variables_used : Model.t -> int list
 (** Sorted indices of the design variables appearing in the model (the

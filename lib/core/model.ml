@@ -1,5 +1,4 @@
 module Expr = Caffeine_expr.Expr
-module Compiled = Caffeine_expr.Compiled
 module Dataset = Caffeine_io.Dataset
 module Linfit = Caffeine_regress.Linfit
 module Stats = Caffeine_util.Stats
@@ -86,16 +85,10 @@ let fit ~wb ~wvc bases ~data ~targets =
     | None -> None
     | Some columns -> fit_columns ~wb ~wvc bases ~columns ~data ~targets
 
-let evaluator model =
-  let compiled = Array.map Compiled.compile model.bases in
-  fun x ->
-    let acc = ref model.intercept in
-    Array.iteri
-      (fun j c -> acc := !acc +. (model.weights.(j) *. Compiled.eval_point c x))
-      compiled;
-    !acc
-
-let predict_point model x = evaluator model x
+let predict_point model x =
+  let acc = ref model.intercept in
+  Array.iteri (fun j b -> acc := !acc +. (model.weights.(j) *. Expr.eval_basis b x)) model.bases;
+  !acc
 
 (* Row by row, with the per-row left fold of [Linfit.fit_stream]'s
    prediction pass: intercept first, then each weighted basis in order.

@@ -2,9 +2,11 @@
     least-squares-learned linear weights, plus its training error and the
     complexity measure of eq. (1).
 
-    All batch evaluation goes through the compiled engine: basis value
-    columns come from {!Caffeine_io.Dataset.basis_column} (tape-compiled,
-    memoized per dataset) rather than re-interpreting the trees. *)
+    All batch evaluation goes through the tape engine: basis value
+    columns come from {!Caffeine_io.Dataset.basis_column} (evaluated on a
+    {!Caffeine_expr.Fused} tape, memoized per dataset) rather than
+    re-interpreting the trees.  Single points go through the interpreter,
+    {!Caffeine_expr.Expr.eval_basis}. *)
 
 module Expr = Caffeine_expr.Expr
 module Dataset = Caffeine_io.Dataset
@@ -46,14 +48,11 @@ val fit_columns :
     are not evaluated again, on either storage.  Bit-identical to {!fit}
     on the same bases. *)
 
-val evaluator : t -> float array -> float
-(** [evaluator model] compiles every basis once and returns a fast
-    point-evaluation closure — use it when probing many single points
-    (sensitivities, exported-code checks). *)
-
 val predict_point : t -> float array -> float
-(** One-shot [evaluator model x]; prefer {!evaluator} or {!predict} in
-    loops. *)
+(** The response at one design point: the intercept plus each weighted
+    basis value in order, each basis interpreted by
+    {!Caffeine_expr.Expr.eval_basis}.  Prefer {!predict} for many
+    points. *)
 
 val predict : t -> Dataset.t -> float array
 (** Batched response over a dataset: per row, the intercept plus each

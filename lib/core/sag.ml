@@ -82,17 +82,15 @@ let dedup_by_key key models =
        (fun acc m -> if List.exists (fun kept -> key kept = key m) acc then acc else m :: acc)
        [] models)
 
-let process_front ?executor ?trace ?(already = []) ?on_model ?(fuse = true) ~wb ~wvc front
-    ~data ~targets =
+let process_front ?executor ?trace ?(already = []) ?on_model ~wb ~wvc front ~data ~targets =
   (* [already] is the prefix of results a resumed run restored from its
      checkpoint: those members are not re-simplified (fronts are small, so
      the List.nth walk is irrelevant). *)
   (* Front models overlap heavily (neighbors on the front differ by a few
      bases), so one fused evaluation of the whole front warms every column
-     the per-model selection loops below will read.  Warmed columns are
-     bit-identical to lazily computed ones; [fuse:false] restores the
-     exact PR-7 evaluation pattern. *)
-  if fuse then Model.warm_front front data;
+     the per-model selection loops below will read; a warmed column is
+     the words a lazily computed one would be. *)
+  Model.warm_front front data;
   let skip = List.length already in
   let simplified =
     List.mapi
@@ -111,10 +109,10 @@ let process_front ?executor ?trace ?(already = []) ?on_model ?(fuse = true) ~wb 
   |> dedup_by_key key
   |> List.sort (fun a b -> compare a.Model.complexity b.Model.complexity)
 
-let test_tradeoff ?(trace = Trace.null) ?(fuse = true) front ~data ~targets =
+let test_tradeoff ?(trace = Trace.null) front ~data ~targets =
   (* Scoring evaluates every model on the testing data: fuse the whole
      front against it once before the per-model error loop. *)
-  if fuse then Model.warm_front front data;
+  Model.warm_front front data;
   let scored =
     List.map (fun m -> { model = m; test_error = Model.error_on m ~data ~targets }) front
   in

@@ -7,8 +7,8 @@
     weights refit — then the set is evaluated on testing data and filtered
     down to the models on the (test error, complexity) tradeoff.
 
-    All basis evaluation reuses the dataset's memoized compiled columns:
-    passing the same {!Caffeine_io.Dataset.t} the search ran on makes SAG
+    All basis evaluation reuses the dataset's memoized columns: passing
+    the same {!Caffeine_io.Dataset.t} the search ran on makes SAG
     essentially free of re-evaluation.  On streamed (chunked) data each
     model's bases are evaluated in one fused pass, and the refits reuse
     those columns instead of streaming the data again. *)
@@ -46,7 +46,6 @@ val process_front :
   ?trace:Caffeine_obs.Trace.sink ->
   ?already:Model.t list ->
   ?on_model:(int -> Model.t -> unit) ->
-  ?fuse:bool ->
   wb:float ->
   wvc:float ->
   Model.t list ->
@@ -64,21 +63,20 @@ val process_front :
     member (index in [front], result) as it completes; the CLI checkpoints
     from this callback.
 
-    [fuse] (default [true]) pre-warms the dataset's column cache with one
-    fused evaluation of the whole front ({!Model.warm_front}) before the
-    per-model selection loops; results are bit-identical either way. *)
+    The dataset's column cache is pre-warmed with one fused evaluation of
+    the whole front ({!Model.warm_front}) before the per-model selection
+    loops; a warmed column is the words a lazily computed one would be. *)
 
 val test_tradeoff :
   ?trace:Caffeine_obs.Trace.sink ->
-  ?fuse:bool ->
   Model.t list ->
   data:Dataset.t ->
   targets:float array ->
   scored list
 (** Score each model on testing data and keep only models on the
     (test error, complexity) tradeoff, sorted by increasing complexity.
-    [fuse] (default [true]) warms the testing dataset's columns with one
-    fused front evaluation first; scores are bit-identical either way.
+    The testing dataset's columns are warmed with one fused front
+    evaluation first.
 
     When {e every} model's test error is non-finite (the whole front blew
     up on out-of-range testing samples), an empty result would silently

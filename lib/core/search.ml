@@ -18,16 +18,6 @@ let log_src = Logs.Src.create "caffeine.search" ~doc:"CAFFEINE evolutionary sear
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Per-basis evaluation columns and their pairwise dot products are
-   memoized inside the dataset, keyed by the full structural hash
-   (Compiled.Key) — weights included: a mutated weight is a different
-   column.  Bases shared between individuals (the common case under set
-   crossover) are compiled, evaluated and Gram-assembled once.  The
-   dataset caches and scratch buffers are domain-safe, so the same closure
-   serves the parallel evaluation paths unchanged. *)
-
-let fit_cached ~wb ~wvc bases ~data ~targets = Model.fit ~wb ~wvc bases ~data ~targets
-
 let validate_data ~data ~targets =
   let n = Dataset.n_samples data in
   if n < 2 then invalid_arg "Search.run: need at least 2 samples";
@@ -79,11 +69,18 @@ let with_search_executor ?executor config f =
 
 let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?on_generation
     ?start ?on_checkpoint ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) ?(fuse = true) config ~data ~targets =
+    ?(eval_cache_limit = Eval_cache.default_limit) config ~data ~targets =
   let dims = validate_data ~data ~targets in
   let wb = config.Config.wb and wvc = config.Config.wvc in
+  (* Per-basis evaluation columns and their pairwise dot products are
+     memoized inside the dataset, keyed by the full structural hash
+     (Expr.Key) — weights included: a mutated weight is a different
+     column.  Bases shared between individuals (the common case under set
+     crossover) are compiled, evaluated and Gram-assembled once.  The
+     dataset caches and scratch buffers are domain-safe, so the same
+     closure serves the parallel evaluation paths unchanged. *)
   let objectives individual =
-    match fit_cached ~wb ~wvc individual ~data ~targets with
+    match Model.fit ~wb ~wvc individual ~data ~targets with
     | Some model -> [| model.Model.train_error; model.Model.complexity |]
     | None -> [| Float.infinity; Model.complexity_of ~wb ~wvc individual |]
   in
@@ -104,26 +101,22 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
   (* Fused warming: before a chunk of genomes is evaluated, all of their
      bases are hash-consed into one Fused DAG and the missing columns are
      computed together (shared subtrees once), so the per-genome fits that
-     follow hit the column cache.  Purely a throughput hint — warmed
-     columns are bit-identical to lazily computed ones — so fronts do not
-     move with fusion on or off.  The accumulators are atomics because
-     [prepare] runs on pool domains; totals are drained per generation
-     into a Fused_stats trace record (dropped by the deterministic
-     projection, like the other effectiveness reports). *)
+     follow hit the column cache.  Purely a throughput hint — a warmed
+     column is the words a lazily computed one would be — so fronts do
+     not depend on how the chunks were cut.  The accumulators are atomics
+     because [prepare] runs on pool domains; totals are drained per
+     generation into a Fused_stats trace record (dropped by the
+     deterministic projection, like the other effectiveness reports). *)
   let fused_batches = Atomic.make 0
   and fused_nodes_in = Atomic.make 0
   and fused_nodes_out = Atomic.make 0 in
-  let prepare =
-    if not fuse then None
-    else
-      Some
-        (fun (chunk : Vary.individual array) ->
-          let stats = Dataset.warm_columns data (Array.concat (Array.to_list chunk)) in
-          if stats.Dataset.fused_bases > 0 then begin
-            Atomic.incr fused_batches;
-            ignore (Atomic.fetch_and_add fused_nodes_in stats.Dataset.nodes_in);
-            ignore (Atomic.fetch_and_add fused_nodes_out stats.Dataset.nodes_out)
-          end)
+  let prepare (chunk : Vary.individual array) =
+    let stats = Dataset.warm_columns data (Array.concat (Array.to_list chunk)) in
+    if stats.Dataset.fused_bases > 0 then begin
+      Atomic.incr fused_batches;
+      ignore (Atomic.fetch_and_add fused_nodes_in stats.Dataset.nodes_in);
+      ignore (Atomic.fetch_and_add fused_nodes_out stats.Dataset.nodes_out)
+    end
   in
   (* Record construction (objective sorts, variation tallies) happens only
      when someone listens — with the null sink and no callback a traced
@@ -182,23 +175,17 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
         }
       in
       Vary.reset_stats vary_stats;
-      let fused_record : Trace.fused_stats option =
-        if fuse then
-          Some
-            {
-              gen;
-              batches = Atomic.exchange fused_batches 0;
-              nodes_in = Atomic.exchange fused_nodes_in 0;
-              nodes_out = Atomic.exchange fused_nodes_out 0;
-            }
-        else None
-      in
       if not (Trace.is_null trace) then begin
         Trace.emit trace (Trace.Generation record);
         Trace.emit trace (Trace.Op_stats op_record);
-        match fused_record with
-        | Some f -> Trace.emit trace (Trace.Fused_stats f)
-        | None -> ()
+        Trace.emit trace
+          (Trace.Fused_stats
+             {
+               gen;
+               batches = Atomic.exchange fused_batches 0;
+               nodes_in = Atomic.exchange fused_nodes_in 0;
+               nodes_out = Atomic.exchange fused_nodes_out 0;
+             })
       end;
       match on_generation with None -> () | Some f -> f record
     end;
@@ -211,7 +198,7 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
     match on_checkpoint with None -> () | Some f -> f gen population
   in
   let population =
-    Nsga2.run ~on_generation:notify ~executor ?start ?cache:nsga_cache ?prepare ~rng
+    Nsga2.run ~on_generation:notify ~executor ?start ?cache:nsga_cache ~prepare ~rng
       {
         Nsga2.pop_size = config.Config.pop_size;
         generations = config.Config.generations;
@@ -226,7 +213,7 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
   let candidate_models =
     Array.to_list front_genomes
     |> List.filter_map (fun (ind : Vary.individual Nsga2.individual) ->
-           fit_cached ~wb ~wvc ind.Nsga2.genome ~data ~targets)
+           Model.fit ~wb ~wvc ind.Nsga2.genome ~data ~targets)
   in
   let constant =
     let fitted = Linfit.fit_constant ~targets in
@@ -362,7 +349,7 @@ let island_start = function
    to [deliver] in island order, so the emitted trace is the sequential
    trace (plus one Migration record per island). *)
 let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache
-    ~eval_cache_limit ~fuse islands config ~data ~targets =
+    ~eval_cache_limit islands config ~data ~targets =
   let generations = config.Config.generations in
   let observing = (not (Trace.is_null trace)) || Option.is_some on_generation in
   let run_island ~emit ~progress ~island:_ state =
@@ -382,7 +369,7 @@ let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache
         in
         let outcome =
           run_with_rng ~rng ~trace:worker_trace ?start ?on_checkpoint ~eval_cache
-            ~eval_cache_limit ~fuse config ~data ~targets
+            ~eval_cache_limit config ~data ~targets
         in
         outcome.front
   in
@@ -408,7 +395,7 @@ let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache
 (* {3 The in-process backends (sequential and domain pool)} *)
 
 let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache
-    ~eval_cache_limit ~fuse islands config ~data ~targets =
+    ~eval_cache_limit islands config ~data ~targets =
   let generations = config.Config.generations in
   let run_island k =
     match islands.(k) with
@@ -432,7 +419,7 @@ let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cac
              below, those nested calls fall back to sequential evaluation
              inside the island. *)
           run_with_rng ~rng ~executor ~trace ?on_generation ?start ?on_checkpoint ~eval_cache
-            ~eval_cache_limit ~fuse config ~data ~targets
+            ~eval_cache_limit config ~data ~targets
         in
         (match checkpoint with
         | Some ctx ->
@@ -454,14 +441,14 @@ let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cac
   else Array.map run_island indices
 
 let run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-    ~fuse islands config ~data ~targets =
+    islands config ~data ~targets =
   match Executor.backend executor with
   | Executor.Processes ->
       run_islands_processes ~shards:(Executor.shards executor) ~trace ?on_generation
-        ?checkpoint ~eval_cache ~eval_cache_limit ~fuse islands config ~data ~targets
+        ?checkpoint ~eval_cache ~eval_cache_limit islands config ~data ~targets
   | Executor.Seq | Executor.Domains ->
       run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache
-        ~eval_cache_limit ~fuse islands config ~data ~targets
+        ~eval_cache_limit islands config ~data ~targets
 
 let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry config ~data
     ~targets =
@@ -486,7 +473,7 @@ let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry co
 
 let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
     ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) ?(fuse = true) config ~data ~targets =
+    ?(eval_cache_limit = Eval_cache.default_limit) config ~data ~targets =
   ignore (validate_data ~data ~targets);
   let fingerprint, checkpoint =
     checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry:"Search.run"
@@ -503,7 +490,7 @@ let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_
     let on_generation = Option.map (fun f ~island:_ record -> f record) on_generation in
     let fronts =
       run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-        ~fuse islands config ~data ~targets
+        islands config ~data ~targets
     in
     {
       front = fronts.(0);
@@ -516,7 +503,7 @@ let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_
 
 let run_multi ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
     ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) ?(fuse = true) ~restarts config ~data ~targets =
+    ?(eval_cache_limit = Eval_cache.default_limit) ~restarts config ~data ~targets =
   if restarts < 1 then invalid_arg "Search.run_multi: need at least 1 restart";
   ignore (validate_data ~data ~targets);
   let fingerprint, checkpoint =
@@ -540,7 +527,7 @@ let run_multi ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?check
   with_search_executor ?executor config @@ fun executor ->
   let fronts =
     run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-      ~fuse islands config ~data ~targets
+      islands config ~data ~targets
   in
   let outcome =
     {

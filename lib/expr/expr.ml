@@ -145,10 +145,10 @@ and num_weights_wsum ws =
   List.fold_left (fun acc (_, b) -> acc + 1 + num_weights_basis b) 1 ws.terms
 
 (* Typed structural equality, weights compared by IEEE bits — the same
-   identity [Compiled.hash_basis] and [Fused]'s node keys hash by, so equal
-   bases always hash equal (a weight of [0.] and its [-0.] twin are
-   different keys, a NaN weight equals itself).  Physically equal subtrees,
-   the common case on a cache hit, answer without a walk. *)
+   identity [hash_basis] and [Fused]'s node keys hash by, so equal bases
+   always hash equal (a weight of [0.] and its [-0.] twin are different
+   keys, a NaN weight equals itself).  Physically equal subtrees, the
+   common case on a cache hit, answer without a walk. *)
 let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
 
 let rec same_ints (x : int array) y i = i = Array.length x || (x.(i) = y.(i) && same_ints x y (i + 1))
@@ -186,6 +186,52 @@ and equal_wsum u v =
 and equal_term (w1, b1) (w2, b2) = same_bits w1 w2 && equal_basis b1 b2
 
 let compare_basis a b = compare a b
+
+(* --- structural hashing --- *)
+
+(* A fold over every node: unlike [Hashtbl.hash] (which stops after a
+   bounded number of meaningful words, so deep bases with a shared prefix
+   all collide) this visits the whole tree.  Weights hash by their IEEE
+   bits so any weight mutation changes the key. *)
+
+let combine h k = (h * 0x01000193) + k (* FNV-ish multiply-and-add, wraps *)
+let combine_float h f = combine h (Int64.to_int (Int64.bits_of_float f))
+
+let rec hash_basis_acc h b =
+  let h =
+    match b.vc with
+    | None -> combine h 0x11
+    | Some exponents -> Array.fold_left combine (combine h 0x12) exponents
+  in
+  combine (List.fold_left hash_factor_acc (combine h 0x13) b.factors) 0x14
+
+and hash_factor_acc h = function
+  | Unary (op, ws) -> hash_wsum_acc (combine (combine h 0x21) (Hashtbl.hash op)) ws
+  | Binary (op, a1, a2) ->
+      hash_arg_acc (hash_arg_acc (combine (combine h 0x22) (Hashtbl.hash op)) a1) a2
+  | Lte { test; threshold; less; otherwise } ->
+      hash_arg_acc
+        (hash_arg_acc (hash_arg_acc (hash_wsum_acc (combine h 0x23) test) threshold) less)
+        otherwise
+
+and hash_arg_acc h = function
+  | Const w -> combine_float (combine h 0x31) w
+  | Sum ws -> hash_wsum_acc (combine h 0x32) ws
+
+and hash_wsum_acc h ws =
+  let h = combine_float (combine h 0x41) ws.bias in
+  combine (List.fold_left (fun h (w, b) -> hash_basis_acc (combine_float h w) b) h ws.terms) 0x42
+
+let hash_basis b = hash_basis_acc 0x1505 b land max_int
+
+module Key = struct
+  type t = basis
+
+  let equal = equal_basis
+  let hash = hash_basis
+end
+
+module Tbl = Hashtbl.Make (Key)
 
 (* --- validation --- *)
 

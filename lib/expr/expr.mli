@@ -46,7 +46,13 @@ val mul_int_pow_into :
     the ranges fall outside the arrays. *)
 
 val eval_vc : vc -> float array -> float
+
 val eval_basis : basis -> float array -> float
+(** The tree interpreter, at one design point: the reference semantics of
+    canonical-form expressions.  Every compiled tape ({!Fused}) has its
+    IEEE bits wherever the value is not NaN, and is NaN exactly where it
+    is (payloads are unspecified). *)
+
 val eval_wsum : wsum -> float array -> float
 
 (* {2 Structure} *)
@@ -70,12 +76,25 @@ val num_weights_basis : basis -> int
 val equal_basis : basis -> basis -> bool
 (** Structural equality, weights compared by their IEEE bits: [0.] and
     [-0.] differ, and a NaN weight equals itself.  This is the identity
-    {!Caffeine_expr.Compiled.hash_basis} hashes, so equal bases always
-    hash equal. *)
+    {!hash_basis} hashes, so equal bases always hash equal. *)
 
 val compare_basis : basis -> basis -> int
 (** Total order for canonical sorting (polymorphic [compare]).  It agrees
     with {!equal_basis} except on signed zeros, which it ranks equal. *)
+
+val hash_basis : basis -> int
+(** Structural hash over the {e entire} tree: every constructor, operator,
+    exponent and weight participates (weights included: a mutated weight is
+    a different column).  [Hashtbl.hash] only inspects a bounded prefix of
+    the tree, so deep bases sharing a prefix all collide under it; this
+    fold does not.  Non-negative; the hash-consing key of every per-basis
+    cache. *)
+
+module Key : Hashtbl.HashedType with type t = basis
+(** Hash-consing key: {!equal_basis} + {!hash_basis}. *)
+
+module Tbl : Hashtbl.S with type key = basis
+(** Hash tables keyed by whole basis trees under {!Key}. *)
 
 val check : dims:int -> basis -> (unit, string) result
 (** Validate the canonical-form invariants: VC vectors have width [dims] and

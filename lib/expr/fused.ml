@@ -1,8 +1,8 @@
 (* Cross-tree CSE over sets of bases, evaluated with tiled kernels.
 
-   Lowering mirrors Compiled one instruction per DAG node, so every node
-   value equals the corresponding single-expression stack value bit for
-   bit:
+   Lowering follows the interpreter's fold ([Expr.eval_basis]) one
+   operation per DAG node, so every node value is the interpreter's value
+   for that subexpression (NaN payloads aside):
 
      basis      ->  VC (or CONST 1)  then one MUL per factor
      wsum       ->  CONST bias  then one FMA per term
@@ -34,7 +34,7 @@ type node =
 
 (* --- hash-consing ------------------------------------------------------- *)
 
-(* Same identity as Compiled.Key lifted to DAG nodes: children by id,
+(* Same identity as Expr.Key lifted to DAG nodes: children by id,
    weights by IEEE bits (so -0. and 0. are distinct columns and NaN
    weights are self-equal), same FNV-ish combine. *)
 
@@ -96,7 +96,7 @@ let intern b node =
       Node_tbl.add b.tbl node id;
       id
 
-(* --- lowering (mirrors Compiled.compile exactly) ------------------------ *)
+(* --- lowering (the interpreter's fold, one node per operation) ----------- *)
 
 let vc_node b exponents =
   let vars = ref [] and exps = ref [] in
@@ -283,11 +283,12 @@ let ensure scratch ~slots ~width =
   end
 
 (* One tile of every kernel.  [indices = None] reads samples [lo, lo+len);
-   [Some idx] gathers samples [idx.(lo+j)] (the probe path).  Output rows
-   are indexed by tile position either way.  Monomials and operators run
-   the same array kernels as Compiled ([Expr.mul_int_pow_into],
-   [Op.unary_into], [Op.binary_into]); the gathered probe path applies the
-   scalar [Expr.int_pow] per sample instead. *)
+   [Some idx] gathers samples [idx.(lo+j)] (the probe path, whose indices
+   [eval_probe] has checked).  Output rows are indexed by tile position
+   either way.  Monomials and operators run the shared array kernels
+   ([Expr.mul_int_pow_into], [Op.unary_into], [Op.binary_into]); the
+   gathered probe path applies the scalar [Expr.int_pow] per sample
+   instead. *)
 let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
   Array.iter
     (fun k ->
@@ -383,6 +384,24 @@ let eval_columns_into t ~scratch:s ~columns ~n ~out =
     done
   end
 
+(* The gather loop reads [column.(idx.(j))] unchecked, so every index is
+   checked first against the shortest column the tape reads. *)
 let eval_probe t ~columns ~indices =
+  let rows =
+    Array.fold_left
+      (fun rows k ->
+        match k with
+        | Kvc { vars; _ } ->
+            Array.fold_left (fun rows v -> Stdlib.min rows (Array.length columns.(v))) rows vars
+        | Kconst _ | Kunary _ | Kbinary _ | Klte _ | Kmul _ | Kfma _ | Kout _ -> rows)
+      max_int t.code
+  in
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= rows then
+        invalid_arg
+          (Printf.sprintf "Fused.eval_probe: index %d outside the %d samples the tape reads" i
+             rows))
+    indices;
   eval_over t ~scratch:(scratch ()) ~columns ~indices:(Some indices)
     ~n:(Array.length indices)

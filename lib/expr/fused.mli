@@ -1,28 +1,32 @@
-(** Fused evaluation of {e sets} of canonical-form basis functions.
+(** Tape evaluation of canonical-form basis functions, one or many at once.
 
-    {!Compiled} lowers one basis to one postfix tape; evaluating a whole
-    generation (or a whole Pareto front) that way recomputes every subtree
-    shared between candidates — and GP populations under set crossover
-    share enormously.  This module hash-conses a set of bases into a
-    single DAG using the same structural identity as {!Compiled.Key}
-    (structural equality, weights by IEEE bits), emits one
-    topologically-ordered tape where each distinct subtree is computed
-    exactly once, and evaluates it with cache-tiled kernels: the sample
-    dimension is blocked so the whole working set (one tile per live
-    slot) stays L1/L2-resident, inner loops use unsafe accesses, and
-    per-root output rows are the only allocations — intermediate tiles
-    live in a reusable scratch arena whose slots are recycled by liveness
-    (a value's slot is reused as soon as its last consumer has read it).
+    {!Expr.eval_basis} interprets a tree recursively, one sample at a
+    time, re-walking the same lists and closures on every sample.  This
+    module lowers a {e set} of bases (one basis is the one-root case)
+    into a single DAG, hash-consed under the structural identity of
+    {!Expr.Key} (structural equality, weights by IEEE bits), so every
+    distinct subtree is computed exactly once — and GP populations under
+    set crossover share enormously.  The DAG is emitted as one
+    topologically-ordered tape and evaluated with cache-tiled kernels:
+    the sample dimension is blocked so the whole working set (one tile
+    per live slot) stays L1/L2-resident, inner loops use unsafe
+    accesses, and per-root output rows are the only allocations —
+    intermediate tiles live in a reusable scratch arena whose slots are
+    recycled by liveness (a value's slot is reused as soon as its last
+    consumer has read it).
 
-    Results are {b bit-identical} to per-expression {!Compiled}
-    evaluation: every DAG node corresponds to one instruction of the
-    single-expression tape, applied in the same order and association
-    ({!Compiled}'s lowering is mirrored exactly, including the eager
-    4-operand conditional, the [Div]-by-zero NaN guard and the monomial
-    fill order), and all kernels are elementwise, so fusing, tiling and
-    slot reuse cannot change any IEEE word.  Fusion is therefore safe on
-    the search hot path: workers fusing their own chunk of a generation
-    produce the same objectives as sequential per-expression evaluation. *)
+    {b Semantics.}  {!Expr.eval_basis} is the reference.  Every value a
+    tape computes that is not NaN has the interpreter's IEEE bits: each
+    DAG node applies one operation of the interpreter's fold, in the same
+    order and association (the conditional evaluates all four operands
+    eagerly and selects per sample, which is value-equivalent to the
+    interpreter's lazy branch because expressions are pure).  A value is
+    NaN exactly where the interpreter's is, with the NaN payload
+    unspecified.  Every kernel is elementwise and the same code runs a
+    node however it was reached, so tiling, slot reuse and sharing cannot
+    change an IEEE word: {b adding roots to a set never changes a root's
+    bits}, NaN payloads included.  That is why a set fused by a worker
+    gives the same columns as one basis compiled alone. *)
 
 type node =
   | Const of float
@@ -39,8 +43,9 @@ type t
 (** A fused DAG compiled to a slot-allocated, tiled kernel tape. *)
 
 val compile : Expr.basis array -> t
-(** Hash-cons the bases into one DAG and compile it.  [compile [||]] is
-    valid and evaluates to zero output rows.  Products and weighted sums
+(** Hash-cons the bases into one DAG and compile it.  [compile [| b |]]
+    is the compiled form of a single basis; [compile [||]] is valid and
+    evaluates to zero output rows.  Products and weighted sums
     are consed one fold step at a time ({!Mul}/{!Fma} chains), so shared
     {e prefixes} of factor lists and term lists deduplicate too, not just
     whole subtrees. *)
@@ -59,8 +64,8 @@ val nodes : t -> node array
     This is the codegen surface for fused export. *)
 
 val nodes_in : t -> int
-(** DAG nodes the input expressions would create without sharing — the
-    per-expression compilation cost. *)
+(** DAG nodes the input expressions would create without any sharing:
+    one per operation of each root's fold. *)
 
 val nodes_out : t -> int
 (** Distinct DAG nodes after hash-consing ([Array.length (nodes t)]).
@@ -83,8 +88,8 @@ val eval_columns :
   t -> scratch:scratch -> columns:float array array -> n:int -> float array array
 (** [eval_columns t ~scratch ~columns ~n] evaluates every root over all
     [n] samples ([columns.(v).(i)] is design variable [v] at sample [i]).
-    Row [r] of the result is a fresh length-[n] column equal, bit for
-    bit, to [Compiled.eval_columns (Compiled.compile bases.(r)) ...]. *)
+    Row [r] of the result is a fresh length-[n] column; it is the row
+    [compile [| bases.(r) |]] gives, bit for bit. *)
 
 val eval_columns_into :
   t ->
@@ -101,7 +106,10 @@ val eval_columns_into :
     unless [out] has one buffer of length >= [n] per root. *)
 
 val eval_probe : t -> columns:float array array -> indices:int array -> float array array
-(** Evaluate every root at the selected sample indices only — the fused
-    behavioral-fingerprint probe.  Entry [(r, j)] equals the
-    corresponding entry of per-expression {!Compiled.eval_probe} bit for
-    bit.  [indices] may be empty, a single index, or contain repeats. *)
+(** Evaluate every root at the selected sample indices only — the
+    behavioral-fingerprint probe.  Entry [(r, j)] is root [r] at sample
+    [indices.(j)], under the semantics above; as with {!eval_columns},
+    the entries of a root do not depend on the other roots.  [indices]
+    may be empty, a single index, or contain repeats.  Raises
+    [Invalid_argument], naming the index, before evaluating anything
+    when an index falls outside a column the tape reads. *)

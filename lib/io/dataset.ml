@@ -1,5 +1,4 @@
 module Expr = Caffeine_expr.Expr
-module Compiled = Caffeine_expr.Compiled
 module Fused = Caffeine_expr.Fused
 
 (* The basis-column memo table is sharded by the full structural hash, each
@@ -28,7 +27,7 @@ let shard_count = 16 (* power of two: shard selection is a mask *)
 
 type key = { basis : Expr.basis; hash : int }
 
-let key basis = { basis; hash = Compiled.hash_basis basis }
+let key basis = { basis; hash = Expr.hash_basis basis }
 
 module Key = struct
   type t = key
@@ -92,16 +91,13 @@ type storage =
   | Dense of float array array  (* columns.(v).(i): variable v at sample i *)
   | Chunked of chunk_source
 
-(* Per-domain scratch, shared by every dataset: column evaluation reuses
-   buffers without sharing them across concurrent evaluators.  One key per
-   kind for the whole process, because OCaml never releases a DLS key — a
-   key per dataset would keep every dataset's buffers reachable forever.
-   Sharing is safe: the buffers grow on demand and every use ends within
-   one call. *)
-let scratch_key = Domain.DLS.new_key (fun () -> Compiled.scratch ())
-
-(* Per-domain tile arena for fused batch evaluation, shared the same way. *)
-let fused_scratch_key = Domain.DLS.new_key (fun () -> Fused.scratch ())
+(* Per-domain tile arena, shared by every dataset: tape evaluation reuses
+   buffers without sharing them across concurrent evaluators.  One key for
+   the whole process, because OCaml never releases a DLS key — a key per
+   dataset would keep every dataset's buffers reachable forever.  Sharing
+   is safe: the buffers grow on demand and every use ends within one
+   call. *)
+let scratch_key = Domain.DLS.new_key (fun () -> Fused.scratch ())
 
 type t = {
   var_names : string array;
@@ -313,88 +309,97 @@ let split data ~at =
       in
       (part 0 at, part at (data.n - at))
 
-let eval_column compiled data =
-  let scratch = Domain.DLS.get scratch_key in
-  match data.storage with
-  | Dense columns -> Compiled.eval_columns compiled ~scratch ~columns ~n:data.n
-  | Chunked src ->
-      (* Chunk-by-chunk evaluation is elementwise identical to whole-column
-         evaluation ([Compiled.eval_columns] applies the same tape op to
-         each sample independently), so materialized columns match the
-         dense path bit for bit. *)
-      let out = Array.make data.n 0. in
-      src.src_iter (fun ~row0 ~len columns ->
-          let part = Compiled.eval_columns compiled ~scratch ~columns ~n:len in
-          Array.blit part 0 out row0 len);
-      out
-
 let shard_of data k = data.shards.(k.hash land (shard_count - 1))
+
+(* Chunked storage: visit the bases' values chunk by chunk in row order,
+   through one fused tape per pass.  The tape is elementwise, so every
+   chunk holds the words a whole-column evaluation would hold at those
+   rows. *)
+let iter_chunks src bases ~f =
+  let fused = Fused.compile bases in
+  let scratch = Domain.DLS.get scratch_key in
+  let out = Array.map (fun _ -> Array.make src.src_chunk_rows 0.) bases in
+  src.src_iter (fun ~row0 ~len columns ->
+      Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
+      f ~row0 ~len out)
+
+let chunked_columns data src bases =
+  let columns = Array.map (fun _ -> Array.make data.n 0.) bases in
+  iter_chunks src bases ~f:(fun ~row0 ~len chunk ->
+      Array.iteri (fun j column -> Array.blit chunk.(j) 0 column row0 len) columns);
+  columns
+
+(* Add a column to the cache under the bounded-shard policy: drop the
+   shard wholesale once full (misses just re-evaluate; values are
+   unaffected), and keep whichever copy of a racing duplicate landed
+   first — both are the same words. *)
+let install data k col =
+  let shard = shard_of data k in
+  let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
+  Mutex.lock shard.lock;
+  if Key_tbl.length shard.table >= per_shard_limit then begin
+    shard.evictions <- shard.evictions + Key_tbl.length shard.table;
+    Key_tbl.reset shard.table
+  end;
+  if not (Key_tbl.mem shard.table k) then Key_tbl.add shard.table k col;
+  Mutex.unlock shard.lock
 
 let column_of_key data k =
   match data.storage with
-  | Chunked _ ->
+  | Chunked src ->
       (* Bypass policy (DESIGN §7j): an out-of-core column is [n] floats —
          caching even a few would blow the memory budget streaming exists
          to hold, so chunked storage materializes fresh and never fills
          the column cache.  Dot products, being scalars, stay cached. *)
-      eval_column (Compiled.compile k.basis) data
-  | Dense _ ->
-  let shard = shard_of data k in
-  Mutex.lock shard.lock;
-  match Key_tbl.find_opt shard.table k with
-  | Some col ->
-      shard.hits <- shard.hits + 1;
-      Mutex.unlock shard.lock;
-      col
-  | None ->
-      shard.misses <- shard.misses + 1;
-      Mutex.unlock shard.lock;
-      (* Evaluate outside the lock: another domain may compute the same
-         column concurrently, but both results are identical. *)
-      let col = eval_column (Compiled.compile k.basis) data in
-      let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
+      (chunked_columns data src [| k.basis |]).(0)
+  | Dense columns -> (
+      let shard = shard_of data k in
       Mutex.lock shard.lock;
-      if Key_tbl.length shard.table >= per_shard_limit then begin
-        (* Simple bounded policy: drop the shard wholesale once full.
-           Misses just re-evaluate; values are unaffected. *)
-        shard.evictions <- shard.evictions + Key_tbl.length shard.table;
-        Key_tbl.reset shard.table
-      end;
-      if not (Key_tbl.mem shard.table k) then Key_tbl.add shard.table k col;
-      Mutex.unlock shard.lock;
-      col
+      match Key_tbl.find_opt shard.table k with
+      | Some col ->
+          shard.hits <- shard.hits + 1;
+          Mutex.unlock shard.lock;
+          col
+      | None ->
+          shard.misses <- shard.misses + 1;
+          Mutex.unlock shard.lock;
+          (* Evaluate outside the lock: another domain may compute the same
+             column concurrently, but both results are identical.  A
+             one-root tape gives the row [warm_columns] would install. *)
+          let col =
+            (Fused.eval_columns
+               (Fused.compile [| k.basis |])
+               ~scratch:(Domain.DLS.get scratch_key) ~columns ~n:data.n).(0)
+          in
+          install data k col;
+          col)
 
 let basis_column data basis = column_of_key data (key basis)
 
-(* Probe evaluation for behavioral fingerprints: subsample a cached column
-   when one is present, otherwise evaluate the tape at the probe indices
-   only — never filling the cache (probes touch a handful of samples, so a
-   full column is not worth materializing for them).  Both paths produce
-   the same IEEE words ([Compiled.eval_probe] matches [eval_columns] entry
-   for entry), so fingerprints are stable across cache eviction. *)
-
-(* On chunked storage, probes gather the input variables at the probe rows
-   and evaluate with identity indices over the gathered slices: probe
-   evaluation is elementwise, so the values match what a materialized
-   column would hold at those rows — fingerprints agree across storage
+(* Probe evaluation for behavioral fingerprints: evaluate the tape at the
+   probe indices only, never reading or filling the column cache (probes
+   touch a handful of samples, so a full column is not worth
+   materializing for them), so probe words cannot depend on cache state.
+   Indices are checked against the dataset first, whatever the storage.
+   On chunked storage, probes gather the input variables at the probe
+   rows and evaluate with identity indices over the gathered slices:
+   probe evaluation is elementwise, so the values match what dense
+   storage gives at those rows — fingerprints agree across storage
    kinds. *)
-let identity_indices indices = Array.init (Array.length indices) Fun.id
-
-let probe data basis ~indices =
+let probe_many data bases ~indices =
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= data.n then
+        invalid_arg (Printf.sprintf "Dataset.probe: index %d outside %d samples" i data.n))
+    indices;
+  let fused = Fused.compile bases in
   match data.storage with
+  | Dense columns -> Fused.eval_probe fused ~columns ~indices
   | Chunked src ->
-      let gathered = src.src_gather indices in
-      Compiled.eval_probe (Compiled.compile basis) ~columns:gathered
-        ~indices:(identity_indices indices)
-  | Dense columns -> (
-      let k = key basis in
-      let shard = shard_of data k in
-      Mutex.lock shard.lock;
-      let cached = Key_tbl.find_opt shard.table k in
-      Mutex.unlock shard.lock;
-      match cached with
-      | Some col -> Array.map (fun i -> col.(i)) indices
-      | None -> Compiled.eval_probe (Compiled.compile basis) ~columns ~indices)
+      Fused.eval_probe fused ~columns:(src.src_gather indices)
+        ~indices:(Array.init (Array.length indices) Fun.id)
+
+let probe data basis ~indices = (probe_many data [| basis |] ~indices).(0)
 
 (* --- fused batch evaluation ---------------------------------------------- *)
 
@@ -427,11 +432,11 @@ let warm_columns data bases =
   | Dense dense_columns ->
   (* One pass to find the bases with no memoized column (first occurrence
      only: a fused compile handles duplicate roots, but the cache needs
-     one install per distinct basis), then one fused evaluation of all of
-     them together, installed under the same bounded-shard policy as
-     [basis_column].  Each row of the fused result is bit-identical to the
-     per-expression column, so a warmed cache serves exactly the values a
-     cold one would have computed. *)
+     one install per distinct basis), counting each as a miss, then one
+     fused evaluation of all of them together, installed like a
+     [basis_column] miss.  A root's row does not depend on the other
+     roots, so a warmed cache serves exactly the words a cold one would
+     have computed. *)
   let seen = Key_tbl.create (Array.length bases) in
   let rev_missing = ref [] in
   Array.iter
@@ -442,6 +447,7 @@ let warm_columns data bases =
         let shard = shard_of data k in
         Mutex.lock shard.lock;
         let cached = Key_tbl.mem shard.table k in
+        if not cached then shard.misses <- shard.misses + 1;
         Mutex.unlock shard.lock;
         if not cached then rev_missing := k :: !rev_missing
       end)
@@ -451,37 +457,11 @@ let warm_columns data bases =
   | rev ->
       let missing = Array.of_list (List.rev rev) in
       let fused = Fused.compile (Array.map (fun k -> k.basis) missing) in
-      let scratch = Domain.DLS.get fused_scratch_key in
+      let scratch = Domain.DLS.get scratch_key in
       let columns = Fused.eval_columns fused ~scratch ~columns:dense_columns ~n:data.n in
-      let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
-      Array.iteri
-        (fun i k ->
-          let shard = shard_of data k in
-          Mutex.lock shard.lock;
-          (* The fused evaluation stands in for the per-basis miss path. *)
-          shard.misses <- shard.misses + 1;
-          if Key_tbl.length shard.table >= per_shard_limit then begin
-            shard.evictions <- shard.evictions + Key_tbl.length shard.table;
-            Key_tbl.reset shard.table
-          end;
-          if not (Key_tbl.mem shard.table k) then Key_tbl.add shard.table k columns.(i);
-          Mutex.unlock shard.lock)
-        missing;
+      Array.iteri (fun i k -> install data k columns.(i)) missing;
       let nodes_in, nodes_out = record_fusion fused in
       { fused_bases = Array.length missing; nodes_in; nodes_out }
-
-let probe_many data bases ~indices =
-  (* Probes never fill the column cache (same policy as [probe]); the
-     fused path exists so fingerprinting a whole individual stops
-     re-walking subtrees its bases share.  Values are bit-identical to
-     per-basis [probe] in every cache state, so fingerprints cannot
-     depend on whether an individual went through the fused path. *)
-  match data.storage with
-  | Dense columns -> Fused.eval_probe (Fused.compile bases) ~columns ~indices
-  | Chunked src ->
-      let gathered = src.src_gather indices in
-      Fused.eval_probe (Fused.compile bases) ~columns:gathered
-        ~indices:(identity_indices indices)
 
 (* --- dot products -------------------------------------------------------- *)
 
@@ -543,17 +523,11 @@ let store_target data key value =
 
 (* Streamed products carry one scalar accumulator across chunk boundaries
    in row order, so every one of them reproduces the dense sequential
-   [dot_product] to the last bit (same additions, same order).  Pair dots
-   evaluate both bases through one fused tape per chunk; fused values are
-   bit-identical to per-expression compilation (§7h), which the dense
-   path's columns also come from. *)
+   [dot_product] to the last bit (same additions, same order, same tape
+   values). *)
 let chunked_dot src b1 b2 =
-  let fused = Fused.compile [| b1; b2 |] in
-  let scratch = Domain.DLS.get fused_scratch_key in
-  let out = Array.init 2 (fun _ -> Array.make src.src_chunk_rows 0.) in
   let acc = ref 0. in
-  src.src_iter (fun ~row0:_ ~len columns ->
-      Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
+  iter_chunks src [| b1; b2 |] ~f:(fun ~row0:_ ~len out ->
       let a = out.(0) and b = out.(1) in
       for r = 0 to len - 1 do
         acc := !acc +. (a.(r) *. b.(r))
@@ -561,14 +535,11 @@ let chunked_dot src b1 b2 =
   !acc
 
 let chunked_dot_target src basis targets =
-  let compiled = Compiled.compile basis in
-  let scratch = Domain.DLS.get scratch_key in
-  let out = Array.make src.src_chunk_rows 0. in
   let acc = ref 0. in
-  src.src_iter (fun ~row0 ~len columns ->
-      Compiled.eval_columns_into compiled ~scratch ~columns ~n:len ~out;
+  iter_chunks src [| basis |] ~f:(fun ~row0 ~len out ->
+      let a = out.(0) in
       for r = 0 to len - 1 do
-        acc := !acc +. (out.(r) *. targets.(row0 + r))
+        acc := !acc +. (a.(r) *. targets.(row0 + r))
       done);
   !acc
 
@@ -576,14 +547,11 @@ let chunked_dot_target src basis targets =
    the column against a literal ones vector, and bit-identity of the two
    paths is part of the determinism contract. *)
 let chunked_column_sum src basis =
-  let compiled = Compiled.compile basis in
-  let scratch = Domain.DLS.get scratch_key in
-  let out = Array.make src.src_chunk_rows 0. in
   let acc = ref 0. in
-  src.src_iter (fun ~row0:_ ~len columns ->
-      Compiled.eval_columns_into compiled ~scratch ~columns ~n:len ~out;
+  iter_chunks src [| basis |] ~f:(fun ~row0:_ ~len out ->
+      let a = out.(0) in
       for r = 0 to len - 1 do
-        acc := !acc +. (out.(r) *. 1.)
+        acc := !acc +. (a.(r) *. 1.)
       done);
   !acc
 
@@ -748,13 +716,7 @@ let gram data bases ~targets =
              their cached value — recomputation would reproduce it bit for
              bit, so nothing is overwritten either way. *)
           let acc = Gram_stream.create (Array.length needed_idx) in
-          let fused = Fused.compile (Array.map (fun i -> bases.(i)) needed_idx) in
-          let scratch = Domain.DLS.get fused_scratch_key in
-          let out =
-            Array.init (Array.length needed_idx) (fun _ -> Array.make src.src_chunk_rows 0.)
-          in
-          src.src_iter (fun ~row0 ~len columns ->
-              Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
+          iter_chunks src (Array.map (fun i -> bases.(i)) needed_idx) ~f:(fun ~row0 ~len out ->
               Gram_stream.update acc ~columns:out ~targets ~row0 ~len);
           let pos = Array.make k (-1) in
           Array.iteri (fun p i -> pos.(i) <- p) needed_idx;
@@ -789,26 +751,17 @@ let iter_basis_chunks data bases ~f =
   | Dense _ ->
       (* One "chunk" covering the whole dataset, from memoized columns. *)
       f ~row0:0 ~len:data.n (Array.map (basis_column data) bases)
-  | Chunked src ->
-      let fused = Fused.compile bases in
-      let scratch = Domain.DLS.get fused_scratch_key in
-      let out = Array.init (Array.length bases) (fun _ -> Array.make src.src_chunk_rows 0.) in
-      src.src_iter (fun ~row0 ~len columns ->
-          Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
-          f ~row0 ~len out)
+  | Chunked src -> iter_chunks src bases ~f
 
 let basis_columns data bases =
   match data.storage with
   | Dense _ -> Array.map (basis_column data) bases
   | Chunked _ when Array.length bases = 0 -> [||]
-  | Chunked _ ->
+  | Chunked src ->
       (* One fused pass for the whole set, where per-basis [basis_column]
          calls would stream the data once per basis.  Fresh columns, never
          cached: the same bypass policy as [column_of_key]. *)
-      let columns = Array.map (fun _ -> Array.make data.n 0.) bases in
-      iter_basis_chunks data bases ~f:(fun ~row0 ~len chunk ->
-          Array.iteri (fun j column -> Array.blit chunk.(j) 0 column row0 len) columns);
-      columns
+      chunked_columns data src bases
 
 (* --- cache management ----------------------------------------------------- *)
 

@@ -4,10 +4,15 @@
     basis functions over the same sample matrices.  This type stores those
     matrices struct-of-arrays (one contiguous column per design variable),
     carries the variable names, and memoizes per-basis value columns keyed
-    by the full structural hash ({!Caffeine_expr.Compiled.hash_basis},
+    by the full structural hash ({!Caffeine_expr.Expr.hash_basis},
     computed once per call) and {!Caffeine_expr.Expr.equal_basis} — so a
     basis shared between individuals, or revisited by SAG after the
     search, is compiled and evaluated on a given dataset exactly once.
+    Every column is evaluated on a {!Caffeine_expr.Fused} tape: one root
+    on a cache miss, a whole batch when warming, one tape per chunk on
+    streamed storage.  A root's values do not depend on the other roots
+    of its tape, so a column's IEEE words, NaN payloads included, do not
+    depend on which of those paths computed it.
 
     Datasets are safe to evaluate from multiple domains concurrently (the
     parallel search evaluates NSGA-II candidates and whole islands against
@@ -27,7 +32,6 @@
     hit/miss/eviction counters through {!stats}. *)
 
 module Expr = Caffeine_expr.Expr
-module Compiled = Caffeine_expr.Compiled
 module Fused = Caffeine_expr.Fused
 
 type t
@@ -96,24 +100,23 @@ val split : t -> at:int -> t * t
     [0 < at < n_samples], or on chunked storage (split the source file
     instead). *)
 
-val eval_column : Compiled.t -> t -> float array
-(** Evaluate a compiled basis over every sample (fresh result column, no
-    memoization); the tape's scratch buffers are reused across calls
-    (one set per domain, shared by every dataset). *)
-
 val basis_column : t -> Expr.basis -> float array
-(** Memoized: compile the basis (first time only) and evaluate it over the
-    dataset.  Subsequent calls with a structurally equal basis return the
-    cached column — shared, do not mutate.  Agrees with
-    {!Expr.eval_basis} on every sample. *)
+(** Memoized: on a miss, evaluate the basis over the dataset on a one-root
+    tape and cache the column.  Subsequent calls with a structurally equal
+    basis return the cached column — shared, do not mutate.  Agrees with
+    {!Expr.eval_basis} on every sample (NaN payloads aside), and is the
+    same words, NaN payloads included, that {!warm_columns} installs.
+    Chunked storage evaluates a fresh column on every call and never
+    caches it. *)
 
 val probe : t -> Expr.basis -> indices:int array -> float array
 (** [probe data basis ~indices] is the basis value at the selected sample
-    indices — the raw material of behavioral fingerprints.  Reuses a
-    memoized column when one is present and otherwise evaluates the tape
-    at the probe points only, {e without} filling the column cache; both
-    paths return the same IEEE words, so probe outputs do not depend on
-    cache state ({!clear_cache} mid-run included). *)
+    indices — the raw material of behavioral fingerprints.  The tape runs
+    at the probe points only, never reading or filling the column cache,
+    so probe outputs do not depend on cache state ({!clear_cache} mid-run
+    included) and agree with {!basis_column} wherever the value is not
+    NaN.  Raises [Invalid_argument] naming the index when one is outside
+    [0 .. n_samples - 1]. *)
 
 type fuse_stats = {
   fused_bases : int;  (** distinct bases that had no memoized column *)
@@ -125,11 +128,13 @@ val warm_columns : t -> Expr.basis array -> fuse_stats
 (** [warm_columns data bases] fills the column cache for every basis that
     has no memoized column yet, by hash-consing all of the missing bases
     into one {!Caffeine_expr.Fused} DAG and evaluating shared subtrees
-    exactly once with tiled kernels.  Each installed column is
-    bit-identical to what {!basis_column} would have computed, so warming
-    is purely a throughput optimization: subsequent {!basis_column} /
-    {!dot} / {!probe} calls return the same IEEE words whether or not a
-    batch was warmed (and under the same bounded-shard eviction policy).
+    exactly once with tiled kernels.  Each installed column is the words
+    {!basis_column} would have computed on a cold dataset, NaN payloads
+    included, so warming is purely a throughput optimization: subsequent
+    {!basis_column} / {!dot} calls return the same IEEE words whether or
+    not a batch was warmed (and under the same bounded-shard eviction
+    policy).  Chunked storage caches no columns, so there it does
+    nothing.
     Bumps the [fused.nodes_in] / [fused.nodes_out] counters and the
     [fused.cse_ratio] gauge; the returned stats cover this call only. *)
 
@@ -138,7 +143,8 @@ val probe_many : t -> Expr.basis array -> indices:int array -> float array array
     through one fused DAG — row [k] equals [probe data bases.(k) ~indices]
     bit for bit, in every cache state.  Used by behavioral fingerprinting
     so probing an individual evaluates subtrees shared between its bases
-    once.  Never fills the column cache. *)
+    once.  Never reads or fills the column cache.  Raises
+    [Invalid_argument] like {!probe}. *)
 
 val dot : t -> Expr.basis -> Expr.basis -> float
 (** [dot data b1 b2] is the dot product of the two bases' value columns
@@ -199,7 +205,7 @@ val iter_basis_chunks :
 
 val basis_columns : t -> Expr.basis array -> float array array
 (** Every basis's full value column: the values {!basis_column} gives
-    for each, bit for bit (NaN payloads aside).  Dense storage returns the
+    for each, bit for bit.  Dense storage returns the
     memoized columns (shared, do not mutate); chunked storage evaluates
     the whole set through one fused tape in a single pass over the chunks
     and returns fresh columns, uncached. *)

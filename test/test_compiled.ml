@@ -1,12 +1,13 @@
-(* Tests for the compiled evaluation engine: tape lowering agrees with the
-   tree interpreter on random bases (including NaN/∞ propagation), and the
-   full structural hash distinguishes deep bases that collide under the
-   depth-bounded polymorphic [Hashtbl.hash]. *)
+(* Tests for the compiled form of one basis — a one-root fused tape — and
+   for the structural hash: the tape agrees with the tree interpreter on
+   random bases (including NaN/∞ propagation), at a single sample and as a
+   dataset column, and the full structural hash distinguishes deep bases
+   that collide under the depth-bounded polymorphic [Hashtbl.hash]. *)
 
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
 module Op = Caffeine_expr.Op
-module Compiled = Caffeine_expr.Compiled
+module Fused = Caffeine_expr.Fused
 module Dataset = Caffeine_io.Dataset
 module Opset = Caffeine.Opset
 module Gen = Caffeine.Gen
@@ -22,6 +23,15 @@ let agree expected actual =
 let check_agree msg expected actual =
   if not (agree expected actual) then
     Alcotest.failf "%s: interpreter %.17g, compiled %.17g" msg expected actual
+
+(* The one-root tape at a single sample: each design variable becomes a
+   one-sample column. *)
+let eval_point basis point =
+  (Fused.eval_columns
+     (Fused.compile [| basis |])
+     ~scratch:(Fused.scratch ())
+     ~columns:(Array.map (fun x -> [| x |]) point)
+     ~n:1).(0).(0)
 
 (* --- property: compiled = interpreted on random bases ------------------- *)
 
@@ -43,18 +53,16 @@ let test_random_bases_agree () =
     let basis = Gen.random_basis rng Opset.default ~dims ~depth ~max_vc_vars:dims in
     let n = 3 + Rng.int rng 15 in
     let rows = random_matrix rng ~n ~dims in
-    let compiled = Compiled.compile basis in
     (* Point evaluation. *)
     Array.iteri
       (fun i row ->
         check_agree
           (Printf.sprintf "trial %d point %d" trial i)
-          (Expr.eval_basis basis row)
-          (Compiled.eval_point compiled row))
+          (Expr.eval_basis basis row) (eval_point basis row))
       rows;
     (* Column evaluation over the whole matrix. *)
     let data = Dataset.of_rows rows in
-    let column = Dataset.eval_column compiled data in
+    let column = Dataset.basis_column data basis in
     Array.iteri
       (fun i row ->
         check_agree
@@ -69,10 +77,9 @@ let vc_basis exponents = Expr.{ vc = Some exponents; factors = [] }
 
 let check_all_evals msg basis point =
   let expected = Expr.eval_basis basis point in
-  let compiled = Compiled.compile basis in
-  check_agree (msg ^ " (point)") expected (Compiled.eval_point compiled point);
+  check_agree (msg ^ " (point)") expected (eval_point basis point);
   let data = Dataset.of_rows [| point |] in
-  check_agree (msg ^ " (column)") expected (Dataset.eval_column compiled data).(0)
+  check_agree (msg ^ " (column)") expected (Dataset.basis_column data basis).(0)
 
 let test_negative_exponent_on_zero () =
   (* x0^-1 at x0 = 0 is nan (int_pow's convention), not an infinity. *)
@@ -128,7 +135,7 @@ let test_lte_nan_propagation () =
   (* Finite case selects per sample: both branches exercised in one column. *)
   let finite = lte ~test_bias:0. ~threshold:(Expr.Const 1.) in
   let rows = [| [| 0.5 |]; [| 3. |]; [| 1. |] |] in
-  let column = Dataset.eval_column (Compiled.compile finite) (Dataset.of_rows rows) in
+  let column = Dataset.basis_column (Dataset.of_rows rows) finite in
   Array.iteri
     (fun i row -> check_agree (Printf.sprintf "select %d" i) (Expr.eval_basis finite row) column.(i))
     rows
@@ -209,7 +216,7 @@ let test_structural_hash_beats_polymorphic () =
   Alcotest.(check int) "polymorphic hash collides" (Hashtbl.hash a) (Hashtbl.hash b);
   (* ...while the full structural hash separates them. *)
   Alcotest.(check bool) "structural hash separates" false
-    (Compiled.hash_basis a = Compiled.hash_basis b)
+    (Expr.hash_basis a = Expr.hash_basis b)
 
 let test_hash_respects_equality () =
   let rng = Rng.create ~seed:7 () in
@@ -218,25 +225,25 @@ let test_hash_respects_equality () =
     let basis = Gen.random_basis rng Opset.default ~dims ~depth:5 ~max_vc_vars:dims in
     (* Equal bases hash equally, and the hash is non-negative. *)
     let copy = Expr.{ vc = basis.vc; factors = basis.factors } in
-    Alcotest.(check int) "hash of equal" (Compiled.hash_basis basis) (Compiled.hash_basis copy);
-    Alcotest.(check bool) "non-negative" true (Compiled.hash_basis basis >= 0)
+    Alcotest.(check int) "hash of equal" (Expr.hash_basis basis) (Expr.hash_basis copy);
+    Alcotest.(check bool) "non-negative" true (Expr.hash_basis basis >= 0)
   done;
   (* Weights participate: a mutated inner weight is a different column. *)
   let with_weight w =
     Expr.{ vc = None; factors = [ Unary (Op.Sin, { bias = 0.; terms = [ (w, vc_basis [| 1 |]) ] }) ] }
   in
   Alcotest.(check bool) "weight changes hash" false
-    (Compiled.hash_basis (with_weight 2.) = Compiled.hash_basis (with_weight 2.0000001))
+    (Expr.hash_basis (with_weight 2.) = Expr.hash_basis (with_weight 2.0000001))
 
 let test_tbl_keys_deep_bases () =
   (* The hash-consing table keeps deep near-identical bases apart. *)
-  let tbl = Compiled.Tbl.create 16 in
+  let tbl = Expr.Tbl.create 16 in
   let a = deep_chain ~depth:25 1 and b = deep_chain ~depth:25 2 in
-  Compiled.Tbl.replace tbl a 1;
-  Compiled.Tbl.replace tbl b 2;
-  Alcotest.(check int) "two entries" 2 (Compiled.Tbl.length tbl);
-  Alcotest.(check int) "a" 1 (Compiled.Tbl.find tbl a);
-  Alcotest.(check int) "b" 2 (Compiled.Tbl.find tbl b)
+  Expr.Tbl.replace tbl a 1;
+  Expr.Tbl.replace tbl b 2;
+  Alcotest.(check int) "two entries" 2 (Expr.Tbl.length tbl);
+  Alcotest.(check int) "a" 1 (Expr.Tbl.find tbl a);
+  Alcotest.(check int) "b" 2 (Expr.Tbl.find tbl b)
 
 (* --- equality agrees with the hash ---------------------------------------- *)
 
@@ -299,11 +306,11 @@ let test_nan_weight_equals_itself () =
   let b = basis () in
   Alcotest.(check bool) "equal to itself" true (Expr.equal_basis b b);
   Alcotest.(check bool) "equal to a rebuilt copy" true (Expr.equal_basis b (basis ()));
-  let tbl = Compiled.Tbl.create 4 in
-  Compiled.Tbl.replace tbl b 1;
-  Compiled.Tbl.replace tbl (basis ()) 2;
-  Alcotest.(check int) "one table entry" 1 (Compiled.Tbl.length tbl);
-  Alcotest.(check int) "found again" 2 (Compiled.Tbl.find tbl (basis ()))
+  let tbl = Expr.Tbl.create 4 in
+  Expr.Tbl.replace tbl b 1;
+  Expr.Tbl.replace tbl (basis ()) 2;
+  Alcotest.(check int) "one table entry" 1 (Expr.Tbl.length tbl);
+  Alcotest.(check int) "found again" 2 (Expr.Tbl.find tbl (basis ()))
 
 let equality_properties =
   [
@@ -321,7 +328,7 @@ let equality_properties =
         let twin = map_weights (fun w -> if w = 0. && Rng.bernoulli rng 0.3 then -.w else w) a in
         let other = random () in
         let implies p q = (not p) || q in
-        let hash = Compiled.hash_basis in
+        let hash = Expr.hash_basis in
         Expr.equal_basis a a
         && Expr.equal_basis a (map_weights Fun.id a)
         && Expr.equal_basis a twin = List.for_all2 same_bits (weights_of a) (weights_of twin)
@@ -341,7 +348,7 @@ let test_fold_order_matches_interpreter () =
     let basis = Gen.random_basis rng Opset.default ~dims ~depth:6 ~max_vc_vars:3 in
     let point = Array.init dims (fun _ -> Rng.range rng 0.3 1.7) in
     let expected = Expr.eval_basis basis point in
-    let actual = Compiled.eval_point (Compiled.compile basis) point in
+    let actual = eval_point basis point in
     if Float.is_nan expected then Alcotest.(check bool) "nan" true (Float.is_nan actual)
     else
       Alcotest.(check bool) "bit-identical" true

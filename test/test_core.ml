@@ -956,9 +956,9 @@ let test_eval_cache_fingerprint_stable_under_clear () =
       Expr.{ vc = Some [| 2; 0 |]; factors = [] };
     |]
   in
-  (* Warm the dataset's column cache so the first fingerprint subsamples
-     cached columns, then drop it so the second one re-evaluates through
-     the compiled probe path: the IEEE words must agree. *)
+  (* Fill the dataset's column cache for the first fingerprint, then drop
+     it for the second: probes never read the cache, so the IEEE words
+     must agree. *)
   ignore (Model.fit ~wb:10. ~wvc:0.25 ind ~data ~targets);
   let warm = Eval_cache.fingerprint cache ind in
   Dataset.clear_cache data;

@@ -1,13 +1,14 @@
 (* Tests for the fused multi-expression engine: hash-consing a set of bases
-   into one DAG and evaluating it with tiled kernels must agree bit for bit
-   with the per-expression compiled tapes — on random expression sets, on
-   the probe edge cases (empty index set, single sample, repeated indices)
-   and through the dataset's warm-columns / probe-many entry points. *)
+   into one DAG and evaluating it with tiled kernels must give every root
+   the bits of that basis on its own one-root tape, and the interpreter's
+   bits wherever the value is not NaN — on random expression sets, on the
+   probe edge cases (empty index set, single sample, repeated indices,
+   out-of-range indices) and through the dataset's warm-columns /
+   probe-many entry points. *)
 
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
 module Op = Caffeine_expr.Op
-module Compiled = Caffeine_expr.Compiled
 module Fused = Caffeine_expr.Fused
 module Dataset = Caffeine_io.Dataset
 module Opset = Caffeine.Opset
@@ -39,13 +40,24 @@ let random_bases rng ~count ~dims =
   Array.init count (fun _ ->
       Gen.random_basis rng Opset.default ~dims ~depth:(2 + Rng.int rng 4) ~max_vc_vars:dims)
 
-(* Per-expression reference: each basis on its own compiled tape. *)
+(* Per-expression reference: each basis on its own one-root tape. *)
 let reference_columns bases ~columns ~n =
-  let scratch = Compiled.scratch () in
-  Array.map (fun b -> Compiled.eval_columns (Compiled.compile b) ~scratch ~columns ~n) bases
+  let scratch = Fused.scratch () in
+  Array.map (fun b -> (Fused.eval_columns (Fused.compile [| b |]) ~scratch ~columns ~n).(0)) bases
 
 let reference_probe bases ~columns ~indices =
-  Array.map (fun b -> Compiled.eval_probe (Compiled.compile b) ~columns ~indices) bases
+  Array.map (fun b -> (Fused.eval_probe (Fused.compile [| b |]) ~columns ~indices).(0)) bases
+
+(* The interpreter's value at sample [i], against a tape's: the same bits,
+   or both NaN (payloads are unspecified). *)
+let check_interpreter_bits msg basis ~columns i actual =
+  let expected = Expr.eval_basis basis (Array.map (fun column -> column.(i)) columns) in
+  let same =
+    if Float.is_nan expected then Float.is_nan actual
+    else Int64.equal (bits expected) (bits actual)
+  in
+  if not same then
+    Alcotest.failf "%s: sample %d: interpreter %.17g, tape %.17g" msg i expected actual
 
 (* --- full-column agreement on random sets -------------------------------- *)
 
@@ -62,6 +74,29 @@ let test_random_sets_bit_identical () =
     let expected = reference_columns bases ~columns ~n in
     Array.iteri
       (fun k row -> check_row_bits (Printf.sprintf "trial %d root %d" trial k) expected.(k) row)
+      rows
+  done
+
+let test_random_sets_match_interpreter () =
+  (* The interpreter is the reference semantics: every fused value has its
+     bits, except that a NaN may carry another payload. *)
+  let rng = Rng.create ~seed:2028 () in
+  for trial = 1 to 50 do
+    let dims = 1 + Rng.int rng 6 in
+    let count = 1 + Rng.int rng 12 in
+    let n = 1 + Rng.int rng 40 in
+    let bases = random_bases rng ~count ~dims in
+    let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
+    let rows = Fused.eval_columns (Fused.compile bases) ~scratch:(Fused.scratch ()) ~columns ~n in
+    let probes = Fused.eval_probe (Fused.compile bases) ~columns ~indices:(Array.init n Fun.id) in
+    Array.iteri
+      (fun k row ->
+        Array.iteri
+          (fun i v ->
+            let msg = Printf.sprintf "trial %d root %d" trial k in
+            check_interpreter_bits msg bases.(k) ~columns i v;
+            check_interpreter_bits (msg ^ " probe") bases.(k) ~columns i probes.(k).(i))
+          row)
       rows
   done
 
@@ -102,20 +137,63 @@ let test_probe_edge_cases () =
     cases
 
 let test_compiled_probe_edge_cases () =
-  (* The per-expression probe honors the same contracts on its own. *)
+  (* A one-root tape's probe honors the same contracts on its own. *)
   let rng = Rng.create ~seed:32 () in
   let dims = 3 in
   let n = 9 in
   let basis = Gen.random_basis rng Opset.default ~dims ~depth:4 ~max_vc_vars:dims in
   let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
-  let compiled = Compiled.compile basis in
-  let full = Compiled.eval_columns compiled ~scratch:(Compiled.scratch ()) ~columns ~n in
+  let compiled = Fused.compile [| basis |] in
+  let full = (Fused.eval_columns compiled ~scratch:(Fused.scratch ()) ~columns ~n).(0) in
   Alcotest.(check int) "empty probe" 0
-    (Array.length (Compiled.eval_probe compiled ~columns ~indices:[||]));
-  let single = Compiled.eval_probe compiled ~columns ~indices:[| n - 1 |] in
+    (Array.length (Fused.eval_probe compiled ~columns ~indices:[||]).(0));
+  let single = (Fused.eval_probe compiled ~columns ~indices:[| n - 1 |]).(0) in
   check_row_bits "single" [| full.(n - 1) |] single;
-  let repeated = Compiled.eval_probe compiled ~columns ~indices:[| 2; 2; 2 |] in
+  let repeated = (Fused.eval_probe compiled ~columns ~indices:[| 2; 2; 2 |]).(0) in
   check_row_bits "repeated" [| full.(2); full.(2); full.(2) |] repeated
+
+(* Out-of-range probe indices are a typed error naming the index on every
+   probe entry point, never an unchecked read.  Only -1 and n are probed:
+   one word outside the column. *)
+let test_probe_rejects_out_of_range () =
+  let rng = Rng.create ~seed:38 () in
+  let dims = 3 in
+  let n = 10 in
+  let rows = random_matrix rng ~n ~dims in
+  let columns = columns_of_rows dims rows in
+  (* Every basis reads x0, so the tape reads at least one column. *)
+  let bases =
+    Array.map
+      (fun (b : Expr.basis) -> { b with Expr.vc = Some [| 1; 0; 0 |] })
+      (random_bases rng ~count:3 ~dims)
+  in
+  let names_index msg i =
+    let needle = string_of_int i in
+    let k = String.length needle in
+    let rec scan p = p + k <= String.length msg && (String.sub msg p k = needle || scan (p + 1)) in
+    scan 0
+  in
+  let check_rejects what i f =
+    match f () with
+    | (_ : float array) -> Alcotest.failf "%s accepted index %d" what i
+    | exception Invalid_argument msg ->
+        if not (names_index msg i) then
+          Alcotest.failf "%s: message %S does not name index %d" what msg i
+  in
+  let dense = Dataset.of_rows rows in
+  let chunked = Dataset.chunked_of_columns ~chunk_rows:4 columns in
+  let fused = Fused.compile bases in
+  List.iter
+    (fun i ->
+      let indices = [| 0; i |] in
+      List.iter
+        (fun (name, data) ->
+          check_rejects (name ^ " probe") i (fun () -> Dataset.probe data bases.(0) ~indices);
+          check_rejects (name ^ " probe_many") i (fun () ->
+              (Dataset.probe_many data bases ~indices).(0)))
+        [ ("dense", dense); ("chunked", chunked) ];
+      check_rejects "Fused.eval_probe" i (fun () -> (Fused.eval_probe fused ~columns ~indices).(0)))
+    [ -1; n ]
 
 (* --- single-sample evaluation -------------------------------------------- *)
 
@@ -198,6 +276,34 @@ let test_warm_columns_bit_identical () =
   let again = Dataset.warm_columns warmed_data bases in
   Alcotest.(check int) "second warm is a no-op" 0 again.Dataset.fused_bases
 
+let test_warm_equals_lazy_nan_payloads () =
+  (* NaN-heavy data: a warmed column must be the lazily computed one word
+     for word, NaN payloads included, since a root's row does not depend
+     on the tape it shares. *)
+  let rng = Rng.create ~seed:5 () in
+  let entry () =
+    match Rng.int rng 6 with
+    | 0 -> 0.
+    | 1 -> -.Rng.range rng 0.1 3.0
+    | 2 -> Float.nan
+    | 3 -> Float.neg_infinity
+    | _ -> Rng.range rng 0.05 4.0
+  in
+  for trial = 1 to 300 do
+    let dims = 1 + Rng.int rng 4 in
+    let rows = Array.init 30 (fun _ -> Array.init dims (fun _ -> entry ())) in
+    let bases = random_bases rng ~count:10 ~dims in
+    let cold = Dataset.of_rows rows in
+    let warmed = Dataset.of_rows rows in
+    ignore (Dataset.warm_columns warmed bases : Dataset.fuse_stats);
+    Array.iteri
+      (fun k b ->
+        check_row_bits
+          (Printf.sprintf "trial %d basis %d" trial k)
+          (Dataset.basis_column cold b) (Dataset.basis_column warmed b))
+      bases
+  done
+
 let test_probe_many_bit_identical () =
   let rng = Rng.create ~seed:37 () in
   let dims = 4 in
@@ -268,16 +374,16 @@ let test_tape_allocation_ceiling () =
   if words >= ceiling then
     Alcotest.failf "Fused.eval_columns_into allocated %.0f words over %d rows (limit %.0f)" words n
       ceiling;
-  let scratch = Compiled.scratch () in
-  let out = Array.make n 0. in
+  let scratch = Fused.scratch () in
+  let out = [| Array.make n 0. |] in
   Array.iteri
     (fun k basis ->
-      let compiled = Compiled.compile basis in
+      let one_root = Fused.compile [| basis |] in
       let words =
-        minor_words_of (fun () -> Compiled.eval_columns_into compiled ~scratch ~columns ~n ~out)
+        minor_words_of (fun () -> Fused.eval_columns_into one_root ~scratch ~columns ~n ~out)
       in
       if words >= ceiling then
-        Alcotest.failf "Compiled.eval_columns_into allocated %.0f words on root %d (limit %.0f)"
+        Alcotest.failf "one-root eval_columns_into allocated %.0f words on root %d (limit %.0f)"
           words k ceiling)
     bases
 
@@ -314,13 +420,19 @@ let property_tests =
 let suite =
   [
     Alcotest.test_case "random sets are bit-identical" `Quick test_random_sets_bit_identical;
+    Alcotest.test_case "random sets match the interpreter's bits" `Quick
+      test_random_sets_match_interpreter;
     Alcotest.test_case "probe edge cases (fused)" `Quick test_probe_edge_cases;
     Alcotest.test_case "probe edge cases (compiled)" `Quick test_compiled_probe_edge_cases;
+    Alcotest.test_case "probe rejects out-of-range indices" `Quick
+      test_probe_rejects_out_of_range;
     Alcotest.test_case "single-sample columns" `Quick test_single_sample_columns;
     Alcotest.test_case "empty expression set" `Quick test_empty_set;
     Alcotest.test_case "duplicate bases collapse to one node" `Quick test_duplicates_collapse;
     Alcotest.test_case "CSE counters" `Quick test_cse_counters;
     Alcotest.test_case "warm_columns is bit-identical" `Quick test_warm_columns_bit_identical;
+    Alcotest.test_case "warmed columns equal lazy ones, NaN payloads included" `Quick
+      test_warm_equals_lazy_nan_payloads;
     Alcotest.test_case "probe_many is bit-identical" `Quick test_probe_many_bit_identical;
     Alcotest.test_case "tape evaluation allocation ceiling" `Quick test_tape_allocation_ceiling;
   ]

@@ -3,7 +3,6 @@
 module Csv = Caffeine_io.Csv
 module Dataset = Caffeine_io.Dataset
 module Expr = Caffeine_expr.Expr
-module Compiled = Caffeine_expr.Compiled
 module Op = Caffeine_expr.Op
 module Rng = Caffeine_util.Rng
 module Gen = Caffeine.Gen
@@ -278,7 +277,7 @@ let test_dataset_eval_column_matches_interpreter () =
         factors = [ Unary (Caffeine_expr.Op.Sqrt, { bias = 1.; terms = [] }) ];
       }
   in
-  let column = Dataset.eval_column (Compiled.compile basis) data in
+  let column = Dataset.basis_column data basis in
   Array.iteri
     (fun i row ->
       Alcotest.(check (float 1e-12)) "agrees" (Expr.eval_basis basis row) column.(i))
