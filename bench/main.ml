@@ -1185,11 +1185,14 @@ let experiment_dedup options =
     Executor.with_executor ?jobs ?shards backend @@ fun executor ->
     signature (Search.run ~seed ~executor ~eval_cache:mode config ~data ~targets)
   in
+  (* Processes before domains, in this order: on OCaml 5.1, once this
+     process has run a domain pool, forking the processes backend's
+     workers can fail. *)
   let backends =
     [
       ("seq", fun mode -> front_of Executor.Seq mode);
-      ("domains_4", fun mode -> front_of Executor.Domains ~jobs:4 mode);
       ("processes_3", fun mode -> front_of Executor.Processes ~shards:3 mode);
+      ("domains_4", fun mode -> front_of Executor.Domains ~jobs:4 mode);
     ]
   in
   let reference = (snd (List.hd backends)) Eval_cache.Off in

@@ -46,28 +46,30 @@ let accept ~wb ~wvc bases fitted =
    hashes each basis once and serves every product from the dataset's dot
    cache, so individuals whose bases recur across the population (the
    common case under set crossover) reuse cached products instead of
-   refactorizing from scratch.  Out of core the Gram is accumulated in one
-   pass over the chunks and the prediction pass re-streams them; every
-   product and every prediction is bit-identical to the dense computation,
-   so the two storage paths produce byte-identical fronts. *)
+   recomputing them.  The prediction pass then reads the columns through
+   [Dataset.iter_basis_chunks]: memoized columns as one chunk on resident
+   data, a re-streamed pass out of core.  The chunk size changes no word,
+   so the two storages produce byte-identical fronts. *)
 let gram_products g =
   ( (fun i j -> g.Dataset.dots.(i).(j)),
     (fun i -> g.Dataset.dot_ys.(i)),
     fun i -> g.Dataset.col_sums.(i) )
 
-let fit_streamed ~wb ~wvc bases ~data ~targets =
-  let g = Dataset.gram data bases ~targets in
-  if not (Array.for_all Fun.id g.Dataset.finite_bases) then None
+let fit ~wb ~wvc bases ~data ~targets =
+  if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)
   else
-    let dot, dot_y, col_sum = gram_products g in
-    match
-      Linfit.fit_stream ~dot ~dot_y ~col_sum ~k:(Array.length bases)
-        ~n:(Dataset.n_samples data)
-        ~iter:(fun f -> Dataset.iter_basis_chunks data bases ~f)
-        ~targets
-    with
-    | fitted -> accept ~wb ~wvc bases fitted
-    | exception Caffeine_linalg.Decomp.Singular -> None
+    let g = Dataset.gram data bases ~targets in
+    if not (Array.for_all Fun.id g.Dataset.finite_bases) then None
+    else
+      let dot, dot_y, col_sum = gram_products g in
+      match
+        Linfit.fit_stream ~dot ~dot_y ~col_sum ~k:(Array.length bases)
+          ~n:(Dataset.n_samples data)
+          ~iter:(fun f -> Dataset.iter_basis_chunks data bases ~f)
+          ~targets
+      with
+      | fitted -> accept ~wb ~wvc bases fitted
+      | exception Caffeine_linalg.Decomp.Singular -> None
 
 let fit_columns ~wb ~wvc bases ~columns ~data ~targets =
   if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)
@@ -76,14 +78,6 @@ let fit_columns ~wb ~wvc bases ~columns ~data ~targets =
     match Linfit.fit_gram ~dot ~dot_y ~col_sum ~basis_values:columns ~targets with
     | fitted -> accept ~wb ~wvc bases fitted
     | exception Caffeine_linalg.Decomp.Singular -> None
-
-let fit ~wb ~wvc bases ~data ~targets =
-  if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)
-  else if Dataset.is_chunked data then fit_streamed ~wb ~wvc bases ~data ~targets
-  else
-    match basis_columns bases data with
-    | None -> None
-    | Some columns -> fit_columns ~wb ~wvc bases ~columns ~data ~targets
 
 let predict_point model x =
   let acc = ref model.intercept in

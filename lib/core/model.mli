@@ -3,10 +3,10 @@
     complexity measure of eq. (1).
 
     All batch evaluation goes through the tape engine: basis value
-    columns come from {!Caffeine_io.Dataset.basis_column} (evaluated on a
-    {!Caffeine_expr.Fused} tape, memoized per dataset) rather than
-    re-interpreting the trees.  Single points go through the interpreter,
-    {!Caffeine_expr.Expr.eval_basis}. *)
+    columns come from {!Caffeine_io.Dataset.iter_basis_chunks} (evaluated
+    on a {!Caffeine_expr.Fused} tape, memoized per dataset on resident
+    data) rather than re-interpreting the trees.  Single points go
+    through the interpreter, {!Caffeine_expr.Expr.eval_basis}. *)
 
 module Expr = Caffeine_expr.Expr
 module Dataset = Caffeine_io.Dataset
@@ -32,7 +32,10 @@ val fit :
   wb:float -> wvc:float -> Expr.basis array -> data:Dataset.t -> targets:float array ->
   t option
 (** Least-squares weighting of the basis functions; [None] for invalid
-    models.  An empty basis array yields the constant model. *)
+    models.  An empty basis array yields the constant model.  One path on
+    both storages: the products and per-basis finiteness from
+    {!Dataset.gram}, then {!Caffeine_regress.Linfit.fit_stream} over
+    {!Dataset.iter_basis_chunks}. *)
 
 val fit_columns :
   wb:float ->
@@ -44,9 +47,10 @@ val fit_columns :
   t option
 (** {!fit} from value columns the caller already holds: [columns.(j)] is
     basis [j]'s finite column on [data], as {!basis_columns} returns it.
-    The Gram products still come from [data]'s dot cache, but the columns
-    are not evaluated again, on either storage.  Bit-identical to {!fit}
-    on the same bases. *)
+    The Gram products still come from {!Dataset.gram}, and the held
+    columns are the one chunk of {!Caffeine_regress.Linfit.fit_gram}, so
+    the bases are not streamed again on either storage.  Bit-identical to
+    {!fit} on the same bases. *)
 
 val predict_point : t -> float array -> float
 (** The response at one design point: the intercept plus each weighted

@@ -10,13 +10,14 @@ module Fused = Caffeine_expr.Fused
 
    The dot-product caches follow the same design one level up: the Gram
    matrix the regression engine assembles for each individual is made of
-   ⟨col_i, col_j⟩ and ⟨col_i, y⟩ entries, and bases recur heavily across a
-   population and across generations (set crossover copies them wholesale),
-   so each pairwise product is worth computing once per dataset.  Pair keys
-   are unordered — hash = sum of the two structural hashes, equality checks
-   both orders — and target products are keyed by (basis, target id) where
-   ids come from a small physical-equality registry (the search passes the
-   same target array on every call).
+   ⟨col_i, col_j⟩, ⟨col_i, y⟩ and ⟨col_i, 1⟩ entries, and bases recur
+   heavily across a population and across generations (set crossover
+   copies them wholesale), so each product is worth computing once per
+   dataset.  Pair keys are unordered — hash = sum of the two structural
+   hashes, equality checks both orders — and target products are keyed by
+   (basis, target id) where ids come from a small physical-equality
+   registry (the search passes the same target array on every call); id 0
+   stands for the notional ones vector, so it keys column sums.
 
    The structural hash walks the whole tree, so every entry point hashes
    each basis once into a [key] and every shard selection, table lookup and
@@ -109,13 +110,8 @@ type t = {
   mutable dot_cache_limit : int;  (* max cached products across all shards *)
   finite_lock : Mutex.t;
   finite_table : bool Key_tbl.t;
-      (* chunked storage only: per-basis finiteness screened during the
-         streaming Gram pass, cached so repeat fits skip the data pass *)
-  ones : float array;  (* registered as target id 0: ⟨col, 1⟩ = column sum.
-                          On chunked storage this is a private 1-element
-                          sentinel (a full ones column would defeat the
-                          memory bound); the streamed ⟨col, 1⟩ multiplies
-                          by the literal 1. instead. *)
+      (* per-basis finiteness screened during the Gram pass, cached so
+         repeat fits skip the data pass *)
   targets_lock : Mutex.t;
   mutable registered_targets : (float array * int) list;  (* keyed by (==) *)
   mutable next_target_id : int;
@@ -144,7 +140,7 @@ let resolve_names ~dims var_names =
       if Array.length names <> dims then invalid_arg "Dataset: name/column count mismatch";
       names
 
-let make_with ~var_names ~storage ~n ~ones =
+let make_with ~var_names ~storage ~n =
   {
     var_names;
     storage;
@@ -162,10 +158,9 @@ let make_with ~var_names ~storage ~n ~ones =
     dot_cache_limit = default_dot_cache_limit;
     finite_lock = Mutex.create ();
     finite_table = Key_tbl.create 64;
-    ones;
     targets_lock = Mutex.create ();
-    registered_targets = [ (ones, 0) ];
-    next_target_id = 1;
+    registered_targets = [];
+    next_target_id = 1 (* 0 keys column sums *);
   }
 
 let make ?var_names columns n =
@@ -182,18 +177,14 @@ let make ?var_names columns n =
           (Printf.sprintf "Dataset: column %S has %d values, expected %d" var_names.(v)
              (Array.length col) n))
     columns;
-  make_with ~var_names ~storage:(Dense columns) ~n ~ones:(Array.make n 1.)
+  make_with ~var_names ~storage:(Dense columns) ~n
 
 let make_chunked ?var_names ~dims source n =
   if dims = 0 then invalid_arg "Dataset: zero design variables";
   if n < 1 then invalid_arg "Dataset: streaming source has no samples";
   if source.src_chunk_rows < 1 then invalid_arg "Dataset: chunk_rows must be positive";
   let var_names = resolve_names ~dims var_names in
-  (* The sentinel ones array is never exposed; its only job is holding
-     target id 0 in the physical-identity registry.  No caller-supplied
-     target can alias it ([Array.make] allocates fresh), so ⟨col, 1⟩
-     lookups cannot collide with a real target. *)
-  make_with ~var_names ~storage:(Chunked source) ~n ~ones:(Array.make 1 1.)
+  make_with ~var_names ~storage:(Chunked source) ~n
 
 let of_columns ?var_names columns =
   if Array.length columns = 0 then invalid_arg "Dataset.of_columns: no columns";
@@ -465,13 +456,6 @@ let warm_columns data bases =
 
 (* --- dot products -------------------------------------------------------- *)
 
-let dot_product n a b =
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
-  done;
-  !acc
-
 let dot_shard_entries shard = Pair_tbl.length shard.pairs + Target_tbl.length shard.target_dots
 
 (* Drop the whole shard once the pair + target tables together exceed the
@@ -497,12 +481,22 @@ let find_pair data key =
   Mutex.unlock shard.dot_lock;
   found
 
+(* The store functions install a value unless the key is already held,
+   and return the held word either way: a key has one word however many
+   times, in whichever order, it was computed. *)
 let store_pair data key value =
   let shard = pair_shard data key in
   Mutex.lock shard.dot_lock;
   trim_dot_shard data shard;
-  if not (Pair_tbl.mem shard.pairs key) then Pair_tbl.add shard.pairs key value;
-  Mutex.unlock shard.dot_lock
+  let held =
+    match Pair_tbl.find_opt shard.pairs key with
+    | Some held -> held
+    | None ->
+        Pair_tbl.add shard.pairs key value;
+        value
+  in
+  Mutex.unlock shard.dot_lock;
+  held
 
 let find_target data key =
   let shard = target_shard data key in
@@ -518,61 +512,19 @@ let store_target data key value =
   let shard = target_shard data key in
   Mutex.lock shard.dot_lock;
   trim_dot_shard data shard;
-  if not (Target_tbl.mem shard.target_dots key) then Target_tbl.add shard.target_dots key value;
-  Mutex.unlock shard.dot_lock
-
-(* Streamed products carry one scalar accumulator across chunk boundaries
-   in row order, so every one of them reproduces the dense sequential
-   [dot_product] to the last bit (same additions, same order, same tape
-   values). *)
-let chunked_dot src b1 b2 =
-  let acc = ref 0. in
-  iter_chunks src [| b1; b2 |] ~f:(fun ~row0:_ ~len out ->
-      let a = out.(0) and b = out.(1) in
-      for r = 0 to len - 1 do
-        acc := !acc +. (a.(r) *. b.(r))
-      done);
-  !acc
-
-let chunked_dot_target src basis targets =
-  let acc = ref 0. in
-  iter_chunks src [| basis |] ~f:(fun ~row0 ~len out ->
-      let a = out.(0) in
-      for r = 0 to len - 1 do
-        acc := !acc +. (a.(r) *. targets.(row0 + r))
-      done);
-  !acc
-
-(* ⟨col, 1⟩ with the multiplication by 1. spelled out: the dense path dots
-   the column against a literal ones vector, and bit-identity of the two
-   paths is part of the determinism contract. *)
-let chunked_column_sum src basis =
-  let acc = ref 0. in
-  iter_chunks src [| basis |] ~f:(fun ~row0:_ ~len out ->
-      let a = out.(0) in
-      for r = 0 to len - 1 do
-        acc := !acc +. (a.(r) *. 1.)
-      done);
-  !acc
-
-let dot_keys data k1 k2 =
-  let pair = (k1, k2) in
-  match find_pair data pair with
-  | Some value -> value
-  | None ->
-      let value =
-        match data.storage with
-        | Dense _ -> dot_product data.n (column_of_key data k1) (column_of_key data k2)
-        | Chunked src -> chunked_dot src k1.basis k2.basis
-      in
-      store_pair data pair value;
-      value
-
-let dot data b1 b2 = dot_keys data (key b1) (key b2)
+  let held =
+    match Target_tbl.find_opt shard.target_dots key with
+    | Some held -> held
+    | None ->
+        Target_tbl.add shard.target_dots key value;
+        value
+  in
+  Mutex.unlock shard.dot_lock;
+  held
 
 (* Target arrays are identified physically: the search and SAG pass the
    same array on every fit of a run, so the registry stays tiny (one entry
-   per modeled performance, plus the internal ones vector). *)
+   per modeled performance). *)
 let target_id data targets =
   Mutex.lock data.targets_lock;
   let id =
@@ -587,41 +539,6 @@ let target_id data targets =
   Mutex.unlock data.targets_lock;
   id
 
-(* ⟨col, targets⟩ memoized under target id [tid].  Id 0 is the ones vector:
-   on chunked storage that vector is only notional (never allocated at full
-   length), so its product is the streamed column sum. *)
-let target_dot data k tid targets =
-  let tkey = (k, tid) in
-  match find_target data tkey with
-  | Some value -> value
-  | None ->
-      let value =
-        match data.storage with
-        | Dense _ -> dot_product data.n (column_of_key data k) targets
-        | Chunked src when tid = 0 -> chunked_column_sum src k.basis
-        | Chunked src -> chunked_dot_target src k.basis targets
-      in
-      store_target data tkey value;
-      value
-
-let dot_target data basis ~targets =
-  if Array.length targets <> data.n then invalid_arg "Dataset.dot_target: length mismatch";
-  target_dot data (key basis) (target_id data targets) targets
-
-let column_sum data basis = target_dot data (key basis) 0 data.ones
-
-(* --- one-pass Gram accumulation (streaming fits) -------------------------- *)
-
-module Gram_stream = Caffeine_regress.Gram_stream
-module Stats = Caffeine_util.Stats
-
-type gram = {
-  dots : float array array;  (* k x k, symmetric, fully populated *)
-  dot_ys : float array;
-  col_sums : float array;
-  finite_bases : bool array;
-}
-
 let find_finite data k =
   Mutex.lock data.finite_lock;
   let found = Key_tbl.find_opt data.finite_table k in
@@ -631,127 +548,116 @@ let find_finite data k =
 let store_finite data k value =
   Mutex.lock data.finite_lock;
   if Key_tbl.length data.finite_table >= data.cache_limit then Key_tbl.reset data.finite_table;
-  if not (Key_tbl.mem data.finite_table k) then Key_tbl.add data.finite_table k value;
-  Mutex.unlock data.finite_lock
+  let held =
+    match Key_tbl.find_opt data.finite_table k with
+    | Some held -> held
+    | None ->
+        Key_tbl.add data.finite_table k value;
+        value
+  in
+  Mutex.unlock data.finite_lock;
+  held
+
+(* --- the one Gram pass --------------------------------------------------- *)
+
+module Gram_stream = Caffeine_regress.Gram_stream
+
+(* A pass over the bases' columns: resident columns come from the memo
+   table as a single whole-dataset chunk, streamed ones through one fused
+   tape per chunk, never cached. *)
+let iter_key_chunks data keys ~f =
+  match data.storage with
+  | Dense _ -> f ~row0:0 ~len:data.n (Array.map (column_of_key data) keys)
+  | Chunked src -> iter_chunks src (Array.map (fun k -> k.basis) keys) ~f
+
+let iter_basis_chunks data bases ~f =
+  if Array.length bases = 0 then invalid_arg "Dataset.iter_basis_chunks: no bases";
+  iter_key_chunks data (Array.map key bases) ~f
+
+type gram = {
+  dots : float array array;  (* k x k, symmetric, fully populated *)
+  dot_ys : float array;
+  col_sums : float array;
+  finite_bases : bool array;
+}
 
 let gram data bases ~targets =
   if Array.length targets <> data.n then invalid_arg "Dataset.gram: target length mismatch";
   let k = Array.length bases in
   if k = 0 then { dots = [||]; dot_ys = [||]; col_sums = [||]; finite_bases = [||] }
-  else
+  else begin
     let keys = Array.map key bases in
     let tid = target_id data targets in
-    match data.storage with
-    | Dense _ ->
-        (* Dense storage assembles from the memoized single products — same
-           cache, same values the streaming path would produce.  Only the
-           upper triangle is fetched: the pair key is unordered and
-           [dot_product a b] equals [dot_product b a] word for word, so the
-           mirror is exact. *)
-        let dots = Array.make_matrix k k 0. in
-        for i = 0 to k - 1 do
-          for j = i to k - 1 do
-            let v = dot_keys data keys.(i) keys.(j) in
+    let dots = Array.make_matrix k k Float.nan in
+    let dot_ys = Array.make k Float.nan in
+    let col_sums = Array.make k Float.nan in
+    let finite_bases = Array.make k true in
+    (* Look every entry up, the upper triangle of [dots] in row-major
+       order, collecting the misses in lookup order and marking every
+       basis a miss involves for the pass. *)
+    let needed = Array.make k false in
+    let pairs = ref [] and missing_dot_ys = ref [] and missing_sums = ref [] in
+    let missing_finite = ref [] in
+    let lookup found entries missing i =
+      match found with
+      | Some v -> entries.(i) <- v
+      | None ->
+          missing := i :: !missing;
+          needed.(i) <- true
+    in
+    for i = 0 to k - 1 do
+      lookup (find_target data (keys.(i), tid)) dot_ys missing_dot_ys i;
+      lookup (find_target data (keys.(i), 0)) col_sums missing_sums i;
+      lookup (find_finite data keys.(i)) finite_bases missing_finite i;
+      for j = i to k - 1 do
+        match find_pair data (keys.(i), keys.(j)) with
+        | Some v ->
             dots.(i).(j) <- v;
             dots.(j).(i) <- v
-          done
-        done;
-        {
-          dots;
-          dot_ys = Array.map (fun kb -> target_dot data kb tid targets) keys;
-          col_sums = Array.map (fun kb -> target_dot data kb 0 data.ones) keys;
-          finite_bases = Array.map (fun kb -> Stats.is_finite_array (column_of_key data kb)) keys;
-        }
-    | Chunked src ->
-        let dots = Array.make_matrix k k Float.nan in
-        let dot_ys = Array.make k Float.nan in
-        let col_sums = Array.make k Float.nan in
-        let finite_bases = Array.make k true in
-        let missing_dot = Array.make_matrix k k false in
-        let missing_dot_y = Array.make k false in
-        let missing_sum = Array.make k false in
-        let missing_finite = Array.make k false in
-        (* Which entries the caches already hold; any gap marks every basis
-           it involves for the evaluation pass. *)
-        let needed = Array.make k false in
-        for i = 0 to k - 1 do
-          (match find_target data (keys.(i), tid) with
-          | Some v -> dot_ys.(i) <- v
-          | None ->
-              missing_dot_y.(i) <- true;
-              needed.(i) <- true);
-          (match find_target data (keys.(i), 0) with
-          | Some v -> col_sums.(i) <- v
-          | None ->
-              missing_sum.(i) <- true;
-              needed.(i) <- true);
-          (match find_finite data keys.(i) with
-          | Some v -> finite_bases.(i) <- v
-          | None ->
-              missing_finite.(i) <- true;
-              needed.(i) <- true);
-          for j = i to k - 1 do
-            match find_pair data (keys.(i), keys.(j)) with
-            | Some v ->
-                dots.(i).(j) <- v;
-                dots.(j).(i) <- v
-            | None ->
-                missing_dot.(i).(j) <- true;
-                needed.(i) <- true;
-                needed.(j) <- true
-          done
-        done;
-        let needed_idx =
-          let rev = ref [] in
-          for i = k - 1 downto 0 do
-            if needed.(i) then rev := i :: !rev
-          done;
-          Array.of_list !rev
-        in
-        if Array.length needed_idx > 0 then begin
-          (* One pass over the data: evaluate every needed basis through a
-             fused tape per chunk and advance all accumulators.  The full
-             sub-Gram of the needed set is accumulated (a missing (i, j)
-             needs both columns in the pass anyway); cached entries keep
-             their cached value — recomputation would reproduce it bit for
-             bit, so nothing is overwritten either way. *)
-          let acc = Gram_stream.create (Array.length needed_idx) in
-          iter_chunks src (Array.map (fun i -> bases.(i)) needed_idx) ~f:(fun ~row0 ~len out ->
-              Gram_stream.update acc ~columns:out ~targets ~row0 ~len);
-          let pos = Array.make k (-1) in
-          Array.iteri (fun p i -> pos.(i) <- p) needed_idx;
-          for i = 0 to k - 1 do
-            if missing_dot_y.(i) then begin
-              dot_ys.(i) <- Gram_stream.dot_y acc pos.(i);
-              store_target data (keys.(i), tid) dot_ys.(i)
-            end;
-            if missing_sum.(i) then begin
-              col_sums.(i) <- Gram_stream.col_sum acc pos.(i);
-              store_target data (keys.(i), 0) col_sums.(i)
-            end;
-            if missing_finite.(i) then begin
-              finite_bases.(i) <- Gram_stream.finite acc pos.(i);
-              store_finite data keys.(i) finite_bases.(i)
-            end;
-            for j = i to k - 1 do
-              if missing_dot.(i).(j) then begin
-                let v = Gram_stream.dot acc pos.(i) pos.(j) in
-                dots.(i).(j) <- v;
-                dots.(j).(i) <- v;
-                store_pair data (keys.(i), keys.(j)) v
-              end
-            done
-          done
-        end;
-        { dots; dot_ys; col_sums; finite_bases }
-
-let iter_basis_chunks data bases ~f =
-  if Array.length bases = 0 then invalid_arg "Dataset.iter_basis_chunks: no bases";
-  match data.storage with
-  | Dense _ ->
-      (* One "chunk" covering the whole dataset, from memoized columns. *)
-      f ~row0:0 ~len:data.n (Array.map (basis_column data) bases)
-  | Chunked src -> iter_chunks src bases ~f
+        | None ->
+            pairs := (i, j) :: !pairs;
+            needed.(i) <- true;
+            needed.(j) <- true
+      done
+    done;
+    let needed = List.filter (fun i -> needed.(i)) (List.init k Fun.id) |> Array.of_list in
+    if Array.length needed > 0 then begin
+      (* One pass over the needed bases' columns accumulates exactly the
+         missing entries.  Each is then installed and the cached word read
+         back, so an unordered pair that recurs in one individual (a
+         repeated basis), or that another fit installed meanwhile, gets
+         one word — whichever order its two columns were multiplied in. *)
+      let pos = Array.make k (-1) in
+      Array.iteri (fun p i -> pos.(i) <- p) needed;
+      let in_order missing = Array.of_list (List.rev missing) in
+      let pairs = in_order !pairs and missing_dot_ys = in_order !missing_dot_ys in
+      let missing_sums = in_order !missing_sums and missing_finite = in_order !missing_finite in
+      let at = Array.map (fun i -> pos.(i)) in
+      let acc =
+        Gram_stream.create (Array.length needed)
+          ~pairs:(Array.map (fun (i, j) -> (pos.(i), pos.(j))) pairs)
+          ~dot_ys:(at missing_dot_ys) ~col_sums:(at missing_sums) ~finite:(at missing_finite)
+      in
+      iter_key_chunks data (Array.map (fun i -> keys.(i)) needed) ~f:(fun ~row0 ~len columns ->
+          Gram_stream.update acc ~columns ~targets ~row0 ~len);
+      Array.iteri
+        (fun p i -> dot_ys.(i) <- store_target data (keys.(i), tid) (Gram_stream.dot_y acc p))
+        missing_dot_ys;
+      Array.iteri
+        (fun p i -> col_sums.(i) <- store_target data (keys.(i), 0) (Gram_stream.col_sum acc p))
+        missing_sums;
+      Array.iteri
+        (fun p i -> finite_bases.(i) <- store_finite data keys.(i) (Gram_stream.finite acc p))
+        missing_finite;
+      Array.iteri
+        (fun p (i, j) ->
+          let v = store_pair data (keys.(i), keys.(j)) (Gram_stream.dot acc p) in
+          dots.(i).(j) <- v;
+          dots.(j).(i) <- v)
+        pairs
+    end;
+    { dots; dot_ys; col_sums; finite_bases }
+  end
 
 let basis_columns data bases =
   match data.storage with

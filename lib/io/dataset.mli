@@ -24,12 +24,19 @@
     shards are dropped wholesale and simply re-evaluate on the next miss.
 
     On top of the column cache sits a bounded, sharded dot-product cache
-    feeding the incremental regression engine: {!dot} memoizes
+    feeding the incremental regression engine: {!gram} memoizes
     [⟨col_i, col_j⟩] under an unordered structural-hash pair key, and
-    {!dot_target} memoizes [⟨col_i, y⟩] per registered target array, so
-    the Gram matrix of an individual whose bases recur across the
-    population is assembled from cached entries.  Both caches expose
-    hit/miss/eviction counters through {!stats}. *)
+    [⟨col_i, y⟩] and [⟨col_i, 1⟩] per (basis, target array), so the Gram
+    matrix of an individual whose bases recur across the population is
+    assembled from cached entries.  Both caches expose hit/miss/eviction
+    counters through {!stats}.
+
+    Resident and streamed data share one Gram algorithm: resident data is
+    the one-chunk case of the streamed pass, read from the column cache.
+    What stays tied to the storage kind is the column-cache policy
+    (resident columns are memoized, streamed ones never are),
+    {!warm_columns}, the access functions, and {!rows} and {!split},
+    which work on resident data only. *)
 
 module Expr = Caffeine_expr.Expr
 module Fused = Caffeine_expr.Fused
@@ -58,7 +65,7 @@ val chunked_of_columns : ?var_names:string array -> chunk_rows:int -> float arra
     stand-in for a {!Colstore} file, used to pin streaming ≡ dense
     equivalence in tests without touching disk.  All evaluation goes
     through the chunk source: columns are never cached, dots accumulate
-    chunk by chunk (bit-identical to the dense sequential products — see
+    chunk by chunk (bit-identical to the resident one-chunk products — see
     {!gram}). *)
 
 val of_colstore : ?exclude:string list -> Colstore.t -> t
@@ -131,7 +138,7 @@ val warm_columns : t -> Expr.basis array -> fuse_stats
     exactly once with tiled kernels.  Each installed column is the words
     {!basis_column} would have computed on a cold dataset, NaN payloads
     included, so warming is purely a throughput optimization: subsequent
-    {!basis_column} / {!dot} calls return the same IEEE words whether or
+    {!basis_column} / {!gram} calls return the same IEEE words whether or
     not a batch was warmed (and under the same bounded-shard eviction
     policy).  Chunked storage caches no columns, so there it does
     nothing.
@@ -146,24 +153,6 @@ val probe_many : t -> Expr.basis array -> indices:int array -> float array array
     once.  Never reads or fills the column cache.  Raises
     [Invalid_argument] like {!probe}. *)
 
-val dot : t -> Expr.basis -> Expr.basis -> float
-(** [dot data b1 b2] is the dot product of the two bases' value columns
-    over every sample, memoized under an unordered pair key:
-    [dot data a b] and [dot data b a] share one cache entry.  Agrees with
-    computing the product from {!basis_column} directly. *)
-
-val dot_target : t -> Expr.basis -> targets:float array -> float
-(** [dot_target data basis ~targets] is [⟨basis column, targets⟩],
-    memoized per (basis, target array).  Target arrays are identified
-    physically ([==]) in a small registry — pass the same array across
-    calls, as the search loop does; a fresh array per call would grow the
-    registry without reuse.  Raises [Invalid_argument] when [targets]
-    does not have one entry per sample. *)
-
-val column_sum : t -> Expr.basis -> float
-(** [Σ_i col.(i)] of the basis column — the border row of the regression
-    engine's Gram matrix ([⟨col, 1⟩], cached like any target product). *)
-
 type gram = {
   dots : float array array;  (** [k x k] symmetric: [⟨colᵢ, colⱼ⟩] *)
   dot_ys : float array;  (** [⟨colᵢ, y⟩] *)
@@ -172,36 +161,39 @@ type gram = {
 }
 
 val gram : t -> Expr.basis array -> targets:float array -> gram
-(** Every product {!Caffeine_regress.Linfit.fit_gram} needs for one
-    individual, in one batch.  On chunked storage this is the streaming
-    workhorse: entries already memoized in the dot cache are reused
-    without touching the data; the remaining entries are accumulated by
-    {!Caffeine_regress.Gram_stream} in a single pass over the chunks
-    (each scalar carried across chunk boundaries in row order, hence
-    bit-identical to the dense sequential products), then installed into
-    the caches.  Per-basis finiteness is screened in the same pass and
-    cached separately, so a fully-warm cache means no data pass at all.
-    On dense storage the entries come from the same memoized products as
-    {!dot} / {!dot_target} / {!column_sum}.  Either way each basis is
-    hashed once per call, and only the upper triangle of [dots] is looked
-    up and then mirrored: the pair key is unordered and a dot product is
-    the same word for word either way round, so [dots] is symmetric bit
-    for bit.  Raises [Invalid_argument] when [targets] does not have one
-    entry per sample. *)
+(** Every product {!Caffeine_regress.Linfit.fit_stream} needs for one
+    individual, in one batch, by one algorithm on both storages.  Each
+    entry is looked up in the dataset's caches (products in the dot
+    cache, finiteness in a per-basis table); exactly the missing entries
+    are accumulated by {!Caffeine_regress.Gram_stream} in a single
+    {!iter_basis_chunks} pass over the bases they involve, each scalar
+    carried across chunk boundaries in row order, so the chunk size does
+    not change a word.  Each computed entry is then installed and the
+    cached word returned — every entry of the result is the word the
+    cache holds, so an unordered pair has one word per call even when a
+    basis repeats, NaN payloads included.  A fully-warm cache means no
+    data pass at all.  Each basis is hashed once per call, and only the
+    upper triangle of [dots] is looked up and then mirrored, so [dots] is
+    symmetric bit for bit.  [⟨col_i, y⟩] is keyed by the target array
+    ([==]) in a small registry — pass the same array across calls, as
+    the search loop does; a fresh array per call would grow the registry
+    without reuse.  Raises [Invalid_argument] when [targets] does not
+    have one entry per sample. *)
 
 val iter_basis_chunks :
   t ->
   Expr.basis array ->
   f:(row0:int -> len:int -> float array array -> unit) ->
   unit
-(** Visit the bases' value columns as row chunks in order — the
-    [iter] argument of {!Caffeine_regress.Linfit.fit_stream}.
-    [columns.(j)] holds basis [j]'s values for rows [row0 .. row0+len-1]
-    in its first [len] cells; buffers are only valid during the callback.
-    Chunked storage evaluates all bases through one fused tape per chunk
-    (never materializing a full column); dense storage makes a single
-    whole-dataset call from memoized columns.  Raises [Invalid_argument]
-    on an empty basis array. *)
+(** Visit the bases' value columns as row chunks in order — the pass
+    {!gram} accumulates over, and the [iter] argument of
+    {!Caffeine_regress.Linfit.fit_stream}.  [columns.(j)] holds basis
+    [j]'s values for rows [row0 .. row0+len-1] in its first [len] cells;
+    buffers are only valid during the callback.  Chunked storage
+    evaluates all bases through one fused tape per chunk (never
+    materializing a full column); dense storage is the one-chunk case, a
+    single whole-dataset call from memoized columns.  Raises
+    [Invalid_argument] on an empty basis array. *)
 
 val basis_columns : t -> Expr.basis array -> float array array
 (** Every basis's full value column: the values {!basis_column} gives
@@ -239,9 +231,10 @@ val publish_metrics : t -> unit
     they are reporting data, not part of the determinism contract. *)
 
 val clear_cache : t -> unit
-(** Drop every memoized column and dot product.  Useful between
-    independent experiments on one dataset (e.g. benchmark repetitions)
-    and after a long run whose cache is no longer worth its memory. *)
+(** Drop every memoized column, dot product and finiteness flag.  Useful
+    between independent experiments on one dataset (e.g. benchmark
+    repetitions) and after a long run whose cache is no longer worth its
+    memory. *)
 
 val cache_limit : t -> int
 (** Current bound on the number of memoized columns (default 32768). *)

@@ -1,32 +1,40 @@
 (* Single-pass streaming accumulation of the Gram entries feeding
-   {!Linfit.fit_gram} / {!Linfit.fit_stream}.
+   {!Linfit.fit_stream}, restricted to the entries the caller asks for.
 
-   Each chunk contributes its rows as rank-1 updates — for every row r,
-   G += x_r x_rᵀ, organized pairwise: per (i, j) the scalar accumulator is
-   loaded once, advanced through the chunk's rows in order, and stored
+   Each chunk advances every requested scalar through the chunk's rows:
+   the accumulator is loaded once, advanced in row order, and stored
    back.  Because each scalar therefore sees exactly the sequence
-   acc ← acc +. (a.(r) *. b.(r)) over rows 0..n-1 in global row order, the
-   accumulated value is bit-identical to the dense sequential dot product
-   the in-memory path computes — the property the determinism contract
-   (bit-identical fronts across backends and data paths) rests on. *)
+   acc ← acc +. (a.(r) *. b.(r)) over rows 0..n-1 in global row order,
+   the accumulated value does not depend on how the rows are cut into
+   chunks — resident data is the one-chunk case — which is the property
+   the determinism contract (bit-identical fronts across backends and
+   data paths) rests on. *)
 
 type t = {
   k : int;
-  dots : float array array;  (* upper triangle: dots.(i).(j) valid for j >= i *)
+  pairs : (int * int) array;
+  dots : float array;  (* dots.(p) = ⟨colᵢ, colⱼ⟩ for pairs.(p) = (i, j) *)
+  dot_y_cols : int array;
   dot_ys : float array;
+  col_sum_cols : int array;
   col_sums : float array;
+  finite_cols : int array;
   finite : bool array;
   mutable rows_seen : int;
 }
 
-let create k =
+let create k ~pairs ~dot_ys ~col_sums ~finite =
   if k < 1 then invalid_arg "Gram_stream.create: need at least one column";
   {
     k;
-    dots = Array.init k (fun _ -> Array.make k 0.);
-    dot_ys = Array.make k 0.;
-    col_sums = Array.make k 0.;
-    finite = Array.make k true;
+    pairs;
+    dots = Array.make (Array.length pairs) 0.;
+    dot_y_cols = dot_ys;
+    dot_ys = Array.make (Array.length dot_ys) 0.;
+    col_sum_cols = col_sums;
+    col_sums = Array.make (Array.length col_sums) 0.;
+    finite_cols = finite;
+    finite = Array.make (Array.length finite) true;
     rows_seen = 0;
   }
 
@@ -35,42 +43,48 @@ let update t ~columns ~targets ~row0 ~len =
   if row0 <> t.rows_seen then invalid_arg "Gram_stream.update: chunks out of order";
   if row0 + len > Array.length targets then
     invalid_arg "Gram_stream.update: chunk exceeds target length";
-  for i = 0 to t.k - 1 do
-    let a = columns.(i) in
-    (* Finiteness screening rides the same pass (the dense path checks
-       materialized columns with [Stats.is_finite_array]). *)
-    if t.finite.(i) then begin
-      let ok = ref true in
+  Array.iteri
+    (fun p i ->
+      if t.finite.(p) then begin
+        let a = columns.(i) in
+        let ok = ref true in
+        for r = 0 to len - 1 do
+          if not (Float.is_finite a.(r)) then ok := false
+        done;
+        if not !ok then t.finite.(p) <- false
+      end)
+    t.finite_cols;
+  Array.iteri
+    (fun p i ->
+      let a = columns.(i) in
+      let acc = ref t.col_sums.(p) in
       for r = 0 to len - 1 do
-        if not (Float.is_finite a.(r)) then ok := false
+        acc := !acc +. a.(r)
       done;
-      if not !ok then t.finite.(i) <- false
-    end;
-    (* ⟨colᵢ, 1⟩: the explicit [*. 1.] mirrors the dense path's dot against
-       the ones vector word for word. *)
-    let acc = ref t.col_sums.(i) in
-    for r = 0 to len - 1 do
-      acc := !acc +. (a.(r) *. 1.)
-    done;
-    t.col_sums.(i) <- !acc;
-    let acc = ref t.dot_ys.(i) in
-    for r = 0 to len - 1 do
-      acc := !acc +. (a.(r) *. targets.(row0 + r))
-    done;
-    t.dot_ys.(i) <- !acc;
-    for j = i to t.k - 1 do
-      let b = columns.(j) in
-      let acc = ref t.dots.(i).(j) in
+      t.col_sums.(p) <- !acc)
+    t.col_sum_cols;
+  Array.iteri
+    (fun p i ->
+      let a = columns.(i) in
+      let acc = ref t.dot_ys.(p) in
+      for r = 0 to len - 1 do
+        acc := !acc +. (a.(r) *. targets.(row0 + r))
+      done;
+      t.dot_ys.(p) <- !acc)
+    t.dot_y_cols;
+  Array.iteri
+    (fun p (i, j) ->
+      let a = columns.(i) and b = columns.(j) in
+      let acc = ref t.dots.(p) in
       for r = 0 to len - 1 do
         acc := !acc +. (a.(r) *. b.(r))
       done;
-      t.dots.(i).(j) <- !acc
-    done
-  done;
+      t.dots.(p) <- !acc)
+    t.pairs;
   t.rows_seen <- t.rows_seen + len
 
 let rows_seen t = t.rows_seen
-let dot t i j = if i <= j then t.dots.(i).(j) else t.dots.(j).(i)
-let dot_y t i = t.dot_ys.(i)
-let col_sum t i = t.col_sums.(i)
-let finite t i = t.finite.(i)
+let dot t p = t.dots.(p)
+let dot_y t p = t.dot_ys.(p)
+let col_sum t p = t.col_sums.(p)
+let finite t p = t.finite.(p)

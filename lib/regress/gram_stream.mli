@@ -1,20 +1,27 @@
-(** Streaming Gram accumulator: build every product {!Linfit.fit_gram}
+(** Streaming Gram accumulator: build the products {!Linfit.fit_stream}
     needs — [⟨colᵢ, colⱼ⟩], [⟨colᵢ, y⟩], [⟨colᵢ, 1⟩], per-column
     finiteness — in one pass over row chunks, without ever materializing a
-    full column.
+    full column.  Only the entries named at {!create} are accumulated, so a
+    caller holding most of them in a cache pays for exactly the rest.
 
     Each scalar accumulates row products in global row order (the
-    accumulator is carried across chunk boundaries), so the result is
-    bit-identical to the sequential dot product over the dense column —
-    not merely close: streaming and in-memory fits agree to the last IEEE
-    bit, which keeps Pareto fronts byte-identical across the two data
-    paths.  See DESIGN.md §7j. *)
+    accumulator is carried across chunk boundaries), so the result does
+    not depend on the chunk size: resident data fed as one chunk and
+    out-of-core data fed in slices agree to the last IEEE bit, which keeps
+    Pareto fronts byte-identical across the two storages.  See DESIGN.md
+    §7j. *)
 
 type t
 
-val create : int -> t
-(** [create k] starts an accumulator for [k] columns, all products zero.
-    Raises [Invalid_argument] when [k < 1]. *)
+val create :
+  int -> pairs:(int * int) array -> dot_ys:int array -> col_sums:int array -> finite:int array -> t
+(** [create k ~pairs ~dot_ys ~col_sums ~finite] starts an accumulator over
+    chunks of [k] columns, every product zero.  [pairs.(p) = (i, j)] asks
+    for [⟨colᵢ, colⱼ⟩] (computed as [colᵢ.(r) *. colⱼ.(r)], in that
+    order); [dot_ys], [col_sums] and [finite] list the columns whose
+    [⟨col, y⟩], [⟨col, 1⟩] and finiteness are wanted.  A column may be
+    listed more than once.  Raises [Invalid_argument] when [k < 1]; an
+    index outside [0 .. k-1] makes {!update} raise it. *)
 
 val update : t -> columns:float array array -> targets:float array -> row0:int -> len:int -> unit
 (** Feed the chunk covering rows [row0 .. row0+len-1]: [columns.(i)] holds
@@ -25,12 +32,16 @@ val update : t -> columns:float array array -> targets:float array -> row0:int -
 
 val rows_seen : t -> int
 
-val dot : t -> int -> int -> float
-(** [⟨colᵢ, colⱼ⟩] over the rows seen so far (symmetric). *)
+val dot : t -> int -> float
+(** [dot t p] is the product asked for by [pairs.(p)], over the rows seen
+    so far. *)
 
 val dot_y : t -> int -> float
+(** [dot_y t p] is [⟨col, y⟩] for the column [dot_ys.(p)]. *)
+
 val col_sum : t -> int -> float
+(** [col_sum t p] is [⟨col, 1⟩] for the column [col_sums.(p)]. *)
 
 val finite : t -> int -> bool
-(** Whether every value of column [i] seen so far is finite — the
-    streaming stand-in for [Stats.is_finite_array] on the dense column. *)
+(** [finite t p] is whether every value seen so far of the column
+    [finite.(p)] is finite. *)

@@ -65,27 +65,27 @@ let incremental_design columns targets =
     in
     add 0
 
+let finish ~targets coeffs predictions =
+  {
+    intercept = coeffs.(0);
+    weights = Array.sub coeffs 1 (Array.length coeffs - 1);
+    predictions;
+    train_error = Stats.normalized_error targets predictions;
+  }
+
 let fit ~basis_values ~targets =
   if Array.length basis_values = 0 then fit_constant ~targets
   else begin
     let n = check_columns "Linfit.fit" basis_values in
     if n <> Array.length targets then invalid_arg "Linfit.fit: sample count mismatch";
-    let finish coeffs predictions =
-      {
-        intercept = coeffs.(0);
-        weights = Array.sub coeffs 1 (Array.length coeffs - 1);
-        predictions;
-        train_error = Stats.normalized_error targets predictions;
-      }
-    in
     Metrics.incr m_fits;
     match incremental_design basis_values targets with
-    | Some qr -> finish (Qr_update.coefficients qr) (Qr_update.predictions qr)
+    | Some qr -> finish ~targets (Qr_update.coefficients qr) (Qr_update.predictions qr)
     | None ->
         Metrics.incr m_qr_fallbacks;
         let design = design_matrix basis_values in
         let coeffs = Decomp.lstsq design targets in
-        finish coeffs (Matrix.mul_vec design coeffs)
+        finish ~targets coeffs (Matrix.mul_vec design coeffs)
   end
 
 let predict model ~basis_values =
@@ -124,19 +124,16 @@ let press ~basis_values ~targets =
         Decomp.press (design_matrix basis_values) targets
   end
 
-(* Shared core of the normal-equations fast path: assemble the bordered
-   Gram matrix from the supplied products and solve it with the guards —
+(* Core of the normal-equations fast path: assemble the bordered Gram
+   matrix from the supplied products and solve it with the guards —
    unit-diagonal equilibration, a minimum Cholesky-pivot threshold, one
    iterative-refinement step.  [None] means a guard tripped and the caller
-   must take its QR fallback.  Both the dense ({!fit_gram}) and the
-   streaming ({!fit_stream}) entry points run exactly this code, so a
-   given set of products yields the same coefficients word for word on
-   either data path. *)
+   must take its QR fallback. *)
 let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
   let dim = k + 1 in
   (* The bordered Gram is symmetric, so only its upper triangle is fetched
-     and mirrored: [dot i j] is ⟨colᵢ, colⱼ⟩, which callers compute once
-     per unordered pair, word for word the same either way round. *)
+     and mirrored: [dot i j] is ⟨colᵢ, colⱼ⟩, one word per unordered
+     pair. *)
   let g = Matrix.create dim dim in
   let gd = g.data in
   gd.(0) <- float_of_int n;
@@ -205,49 +202,13 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
         end
   end
 
-let finish_gram ~coeffs ~k ~predictions ~targets =
-  {
-    intercept = coeffs.(0);
-    weights = Array.sub coeffs 1 k;
-    predictions;
-    train_error = Stats.normalized_error targets predictions;
-  }
-
-(* Per-individual fast path: solve the normal equations from a bordered
+(* The per-individual fit: solve the normal equations from a bordered
    Gram matrix whose entries the caller supplies (typically memoized dot
-   products shared across the population), falling back to the QR path
-   ({!fit}) whenever a conditioning guard trips. *)
-let fit_gram ~dot ~dot_y ~col_sum ~basis_values ~targets =
-  let k = Array.length basis_values in
-  if k = 0 then fit_constant ~targets
-  else begin
-    let n = check_columns "Linfit.fit_gram" basis_values in
-    if n <> Array.length targets then invalid_arg "Linfit.fit_gram: sample count mismatch";
-    Metrics.incr m_gram_fits;
-    match gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets with
-    | None ->
-        Metrics.incr m_gram_fallbacks;
-        fit ~basis_values ~targets
-    | Some coeffs ->
-        let predictions = Array.make n 0. in
-        for i = 0 to n - 1 do
-          let acc = ref coeffs.(0) in
-          for j = 0 to k - 1 do
-            acc := !acc +. (coeffs.(j + 1) *. basis_values.(j).(i))
-          done;
-          predictions.(i) <- !acc
-        done;
-        finish_gram ~coeffs ~k ~predictions ~targets
-  end
-
-(* Streaming variant: identical solve, but basis values arrive as row
-   chunks through [iter] instead of materialized columns.  The prediction
-   for each sample is computed with the same per-row operation order as
-   {!fit_gram}'s loop (each sample's accumulation is independent), so the
-   two paths return bit-identical predictions given bit-identical
-   products.  The QR fallback has no streaming form — it materializes the
-   columns through one [iter] pass and delegates to {!fit}, which is the
-   same computation the dense fallback performs. *)
+   products shared across the population), with basis values arriving as
+   row chunks through [iter].  Each sample's prediction is an independent
+   left fold, so the chunking does not change a word.  The QR fallback
+   has no streaming form — it materializes the columns through one [iter]
+   pass and delegates to {!fit}. *)
 let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
   if k = 0 then fit_constant ~targets
   else begin
@@ -273,15 +234,24 @@ let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
               done;
               predictions.(row0 + i) <- !acc
             done);
-        finish_gram ~coeffs ~k ~predictions ~targets
+        finish ~targets coeffs predictions
   end
+
+(* Resident columns are the one-chunk case of [fit_stream]. *)
+let fit_gram ~dot ~dot_y ~col_sum ~basis_values ~targets =
+  let k = Array.length basis_values in
+  if k = 0 then fit_constant ~targets
+  else
+    let n = check_columns "Linfit.fit_gram" basis_values in
+    if n <> Array.length targets then invalid_arg "Linfit.fit_gram: sample count mismatch";
+    fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter:(fun f -> f ~row0:0 ~len:n basis_values) ~targets
 
 let forward_select ?(executor = Caffeine_par.Executor.sequential) ?max_bases
     ?(tolerance = 1e-6) ?on_round ~basis_values ~targets () =
   let total = Array.length basis_values in
   let cap = match max_bases with Some m -> min m total | None -> total in
   let n = Array.length targets in
-  if n = 0 then invalid_arg "Linfit.press: no targets";
+  if n = 0 then invalid_arg "Linfit.forward_select: no targets";
   let usable = Array.map Stats.is_finite_array basis_values in
   let chosen_mask = Array.make total false in
   let chosen = ref [] in (* reverse selection order *)

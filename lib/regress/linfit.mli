@@ -15,8 +15,9 @@
     refactorization.  Whenever a column set is numerically rank-deficient
     the engine rejects it and the code falls back to the scratch
     {!Caffeine_linalg.Decomp} path (ridge regression), so results agree
-    with the pre-engine implementation within 1e-8 relative.  {!fit_gram}
-    adds a normal-equations fast path fed by memoized dot products.
+    with the pre-engine implementation within 1e-8 relative.
+    {!fit_stream} adds a normal-equations fast path fed by memoized dot
+    products, with {!fit_gram} as its one-chunk case.
 
     The engine reports into {!Caffeine_obs.Metrics.default}: counters
     [linfit.fits], [linfit.qr_fallbacks] (rank-deficient sets refactorized
@@ -45,25 +46,6 @@ val fit : basis_values:float array array -> targets:float array -> t
 val fit_constant : targets:float array -> t
 (** The zero-complexity model: intercept = mean of targets. *)
 
-val fit_gram :
-  dot:(int -> int -> float) ->
-  dot_y:(int -> float) ->
-  col_sum:(int -> float) ->
-  basis_values:float array array ->
-  targets:float array ->
-  t
-(** Normal-equations fast path for the per-individual fit: assemble the
-    bordered [(k+1) x (k+1)] Gram matrix from the supplied products —
-    [dot i j = ⟨colᵢ, colⱼ⟩], [dot_y i = ⟨colᵢ, y⟩], [col_sum i = ⟨colᵢ, 1⟩]
-    (typically read off a {!Caffeine_io.Dataset.gram}, memoized across the
-    population; [dot] is only asked for [i <= j] and the lower triangle
-    mirrors it) — and solve by Cholesky with unit-diagonal equilibration
-    and one iterative-refinement step.  When conditioning threatens
-    accuracy (non-positive diagonal, singular factorization, or a minimum
-    Cholesky pivot below 1e-3 of the maximum) the call transparently falls
-    back to {!fit}, so the result always matches the QR answer within the
-    engine's 1e-8 contract. *)
-
 val fit_stream :
   dot:(int -> int -> float) ->
   dot_y:(int -> float) ->
@@ -73,21 +55,36 @@ val fit_stream :
   iter:((row0:int -> len:int -> float array array -> unit) -> unit) ->
   targets:float array ->
   t
-(** {!fit_gram} for out-of-core data: the [k] basis columns are never
-    materialized — [iter f] must visit the samples as row chunks in order,
-    calling [f ~row0 ~len columns] with [columns.(j)] holding column [j]'s
-    values for rows [row0 .. row0+len-1] in its first [len] cells.  The
-    Gram solve is the shared {!fit_gram} core (same guards, same
-    refinement), and the prediction pass applies the coefficients with the
-    same per-sample operation order, so given bit-identical products the
-    two entry points return bit-identical fits.  The supplied products are
-    typically a {!Gram_stream} accumulation (see
-    {!Caffeine_io.Dataset.gram}), whose chunk-carried accumulators
-    reproduce the dense sequential dot products exactly.  When a
-    conditioning guard trips, the columns are materialized through one
-    extra [iter] pass and the call falls back to {!fit} — the identical
-    fallback computation to {!fit_gram}'s.  [iter] is invoked at most
-    twice (prediction pass, or materialization on fallback). *)
+(** Normal-equations fast path for the per-individual fit: assemble the
+    bordered [(k+1) x (k+1)] Gram matrix from the supplied products —
+    [dot i j = ⟨colᵢ, colⱼ⟩], [dot_y i = ⟨colᵢ, y⟩], [col_sum i = ⟨colᵢ, 1⟩]
+    (typically read off a {!Caffeine_io.Dataset.gram}, memoized across the
+    population; [dot] is only asked for [i <= j] and the lower triangle
+    mirrors it) — and solve by Cholesky with unit-diagonal equilibration
+    and one iterative-refinement step.  The [k] basis columns are never
+    materialized: [iter f] must visit the [n] samples as row chunks in
+    order, calling [f ~row0 ~len columns] with [columns.(j)] holding
+    column [j]'s values for rows [row0 .. row0+len-1] in its first [len]
+    cells, and each sample's prediction is a left fold over the weighted
+    bases, so how the rows are chunked changes no word.  When
+    conditioning threatens accuracy (non-positive diagonal, singular
+    factorization, or a minimum Cholesky pivot below 1e-3 of the maximum)
+    the columns are materialized through one extra [iter] pass and the
+    call falls back to {!fit}, so the result always matches the QR answer
+    within the engine's 1e-8 contract.  [iter] is invoked once (the
+    prediction pass, or the materialization on fallback). *)
+
+val fit_gram :
+  dot:(int -> int -> float) ->
+  dot_y:(int -> float) ->
+  col_sum:(int -> float) ->
+  basis_values:float array array ->
+  targets:float array ->
+  t
+(** {!fit_stream} over one chunk: the caller already holds the finite
+    value columns [basis_values], one per basis, each with one entry per
+    target.  Raises [Invalid_argument] when a column is empty, ragged,
+    non-finite or of the wrong length. *)
 
 val predict : t -> basis_values:float array array -> float array
 (** Apply fitted weights to basis values measured at other sample points. *)

@@ -288,21 +288,26 @@ let test_dataset_dot_cache () =
   let data = Dataset.of_rows rows in
   let squares = Expr.{ vc = Some [| 2 |]; factors = [] } in
   let cubes = Expr.{ vc = Some [| 3 |]; factors = [] } in
+  let targets = [| 1.; 1.; 1. |] in
   let manual a b = Array.fold_left ( +. ) 0. (Array.mapi (fun i x -> x *. b.(i)) a) in
   let sq_col = Dataset.basis_column data squares in
   let cu_col = Dataset.basis_column data cubes in
-  Alcotest.(check (float 1e-9)) "dot value" (manual sq_col cu_col) (Dataset.dot data squares cubes);
+  let g = Dataset.gram data [| squares; cubes |] ~targets in
+  Alcotest.(check (float 1e-9)) "dot value" (manual sq_col cu_col) g.Dataset.dots.(0).(1);
+  (* Seven lookups, all misses: three pairs (the upper triangle), and a
+     target product and a column sum per basis. *)
   let stats = Dataset.stats data in
-  Alcotest.(check int) "one dot cached" 1 stats.Dataset.dots_cached;
-  Alcotest.(check int) "first dot is a miss" 1 stats.Dataset.dot_misses;
+  Alcotest.(check int) "seven products cached" 7 stats.Dataset.dots_cached;
+  Alcotest.(check int) "every first lookup is a miss" 7 stats.Dataset.dot_misses;
   (* The pair key is unordered: (a, b) and (b, a) share one entry. *)
+  let swapped = Dataset.gram data [| cubes; squares |] ~targets in
   Alcotest.(check (float 1e-9)) "symmetric hit" (manual sq_col cu_col)
-    (Dataset.dot data cubes squares);
+    swapped.Dataset.dots.(0).(1);
   let stats = Dataset.stats data in
-  Alcotest.(check int) "still one dot cached" 1 stats.Dataset.dots_cached;
-  Alcotest.(check int) "swapped order hits" 1 stats.Dataset.dot_hits;
+  Alcotest.(check int) "still seven products cached" 7 stats.Dataset.dots_cached;
+  Alcotest.(check int) "swapped order hits" 7 stats.Dataset.dot_hits;
   Alcotest.(check (float 1e-9)) "column sum" (Array.fold_left ( +. ) 0. sq_col)
-    (Dataset.column_sum data squares)
+    g.Dataset.col_sums.(0)
 
 let test_dataset_dot_target_keying () =
   let rows = [| [| 2. |]; [| 3. |]; [| 4. |] |] in
@@ -312,18 +317,19 @@ let test_dataset_dot_target_keying () =
   let manual b = Array.fold_left ( +. ) 0. (Array.mapi (fun i x -> x *. b.(i)) col) in
   let targets_a = [| 1.; 0.; -1. |] in
   let targets_b = [| 2.; 2.; 2. |] in
+  let dot_target targets = (Dataset.gram data [| basis |] ~targets).Dataset.dot_ys.(0) in
   (* Distinct target vectors must key distinct cache entries even for the
      same basis. *)
-  Alcotest.(check (float 1e-9)) "target a" (manual targets_a)
-    (Dataset.dot_target data basis ~targets:targets_a);
-  Alcotest.(check (float 1e-9)) "target b" (manual targets_b)
-    (Dataset.dot_target data basis ~targets:targets_b);
-  Alcotest.(check (float 1e-9)) "target a again" (manual targets_a)
-    (Dataset.dot_target data basis ~targets:targets_a);
+  Alcotest.(check (float 1e-9)) "target a" (manual targets_a) (dot_target targets_a);
+  Alcotest.(check (float 1e-9)) "target b" (manual targets_b) (dot_target targets_b);
+  Alcotest.(check (float 1e-9)) "target a again" (manual targets_a) (dot_target targets_a);
+  (* The first call misses its target product, column sum and pair; the
+     second misses only its own target product; the third hits all three. *)
   let stats = Dataset.stats data in
-  Alcotest.(check int) "repeat was a hit" 1 stats.Dataset.dot_hits;
+  Alcotest.(check int) "new target was a miss" 4 stats.Dataset.dot_misses;
+  Alcotest.(check int) "repeat was a hit" 5 stats.Dataset.dot_hits;
   Alcotest.(check bool) "length mismatch rejected" true
-    (match Dataset.dot_target data basis ~targets:[| 1. |] with
+    (match Dataset.gram data [| basis |] ~targets:[| 1. |] with
     | _ -> false
     | exception Invalid_argument _ -> true);
   Dataset.clear_cache data;
@@ -394,9 +400,12 @@ let gram_properties =
         (* Repeats: a basis paired with itself and with its duplicates. *)
         let bases = Array.init (k + 2) (fun _ -> pool.(Rng.int rng k)) in
         let g = Dataset.gram (Dataset.of_columns columns) bases ~targets in
-        (* Products from a separate, cold dataset: nothing is shared with
-           the Gram's cache. *)
+        (* Per-pair products from a separate, cold dataset: nothing is
+           shared with the Gram's cache, and each pair is computed on its
+           own in a one- or two-basis Gram, the first time it is met. *)
         let fresh = Dataset.of_columns columns in
+        let single b = Dataset.gram fresh [| b |] ~targets in
+        let dot a b = (Dataset.gram fresh [| a; b |] ~targets).Dataset.dots.(0).(1) in
         let m = Array.length bases in
         let ok = ref true in
         for i = 0 to m - 1 do
@@ -404,12 +413,12 @@ let gram_properties =
             ok :=
               !ok
               && feq g.Dataset.dots.(i).(j) g.Dataset.dots.(j).(i)
-              && feq g.Dataset.dots.(i).(j) (Dataset.dot fresh bases.(i) bases.(j))
+              && feq g.Dataset.dots.(i).(j) (dot bases.(i) bases.(j))
           done;
           ok :=
             !ok
-            && feq g.Dataset.dot_ys.(i) (Dataset.dot_target fresh bases.(i) ~targets)
-            && feq g.Dataset.col_sums.(i) (Dataset.column_sum fresh bases.(i))
+            && feq g.Dataset.dot_ys.(i) (single bases.(i)).Dataset.dot_ys.(0)
+            && feq g.Dataset.col_sums.(i) (single bases.(i)).Dataset.col_sums.(0)
         done;
         !ok);
   ]

@@ -116,6 +116,11 @@ let test_forward_select_stops_on_noise () =
   let chosen = Linfit.forward_select ~basis_values:columns ~targets () in
   Alcotest.(check bool) "few noise columns admitted" true (Array.length chosen <= 2)
 
+let test_forward_select_names_itself () =
+  Alcotest.check_raises "empty targets"
+    (Invalid_argument "Linfit.forward_select: no targets")
+    (fun () -> ignore (Linfit.forward_select ~basis_values:[||] ~targets:[||] () : int array))
+
 let test_design_matrix_shape () =
   let m = Linfit.design_matrix [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   Alcotest.(check int) "rows" 2 (Caffeine_linalg.Matrix.rows m);
@@ -247,6 +252,7 @@ let suite =
     Alcotest.test_case "forward select: cap" `Quick test_forward_select_respects_max_bases;
     Alcotest.test_case "forward select: non-finite" `Quick test_forward_select_skips_nonfinite_columns;
     Alcotest.test_case "forward select: noise rejected" `Quick test_forward_select_stops_on_noise;
+    Alcotest.test_case "forward select: error names it" `Quick test_forward_select_names_itself;
     Alcotest.test_case "design matrix shape" `Quick test_design_matrix_shape;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests

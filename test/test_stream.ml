@@ -142,6 +142,46 @@ let property_tests =
         select (values dense) = select (values chunked))
   ]
 
+(* Dense ≡ chunked Gram, word for word, where NaN payloads can tell the
+   two apart: columns full of zeros, negatives, NaN and -∞, and
+   individuals that repeat a basis, so one unordered pair recurs within a
+   Gram and its two columns meet in both orders.  Every entry must be the
+   word the cache holds, on both storages and for every chunk size. *)
+let test_gram_nan_repeats () =
+  let gram_eq (a : Dataset.gram) (b : Dataset.gram) =
+    a.Dataset.finite_bases = b.Dataset.finite_bases
+    && Array.for_all2 farr_eq a.Dataset.dots b.Dataset.dots
+    && farr_eq a.Dataset.dot_ys b.Dataset.dot_ys
+    && farr_eq a.Dataset.col_sums b.Dataset.col_sums
+  in
+  let dims = 3 in
+  let mismatches = ref [] in
+  for seed = 0 to 2999 do
+    let rng = Rng.create ~seed () in
+    let n = 1 + Rng.int rng 40 in
+    let entry () =
+      match Rng.int rng 5 with
+      | 0 -> 0.
+      | 1 -> -.Rng.range rng 0.1 3.
+      | 2 -> Float.nan
+      | 3 -> Float.neg_infinity
+      | _ -> Rng.range rng 0.1 3.
+    in
+    let columns = Array.init dims (fun _ -> Array.init n (fun _ -> entry ())) in
+    let targets = Array.init n (fun _ -> Rng.range rng (-3.) 3.) in
+    let pool =
+      Array.init (1 + Rng.int rng 4) (fun _ ->
+          Gen.random_basis rng Opset.default ~dims ~depth:3 ~max_vc_vars:2)
+    in
+    let bases = Array.init (1 + Rng.int rng 5) (fun _ -> Rng.choose rng pool) in
+    let chunk_rows = 1 + Rng.int rng n in
+    let dense = Dataset.gram (Dataset.of_columns columns) bases ~targets in
+    let chunked = Dataset.gram (Dataset.chunked_of_columns ~chunk_rows columns) bases ~targets in
+    if not (gram_eq dense chunked) then mismatches := seed :: !mismatches
+  done;
+  Alcotest.(check (list int)) "seeds whose dense and chunked Grams differ" []
+    (List.rev !mismatches)
+
 (* A whole evolved front — search loop, NSGA-II, eval cache, SAG-ready
    models — must come out byte-for-byte the same whether the samples are
    resident or streamed, and regardless of the execution backend. *)
@@ -256,4 +296,6 @@ let suite =
   @ [
       Alcotest.test_case "SAG and test scoring are bit-identical across storages/backends"
         `Quick test_sag_identity;
+      Alcotest.test_case "dense and chunked Grams agree word for word on NaN-heavy repeats"
+        `Quick test_gram_nan_repeats;
     ]
