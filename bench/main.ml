@@ -1199,12 +1199,8 @@ let experiment_dedup options =
   let exactness =
     List.map
       (fun (name, run) ->
-        let ok =
-          run Eval_cache.Off = reference
-          && run Eval_cache.Exact = reference
-          && run Eval_cache.Behavioral = reference
-        in
-        Printf.printf "front identical off/exact/behavioral at %-12s %b\n" name ok;
+        let ok = run Eval_cache.Off = reference && run Eval_cache.Exact = reference in
+        Printf.printf "front identical off/exact at %-12s %b\n" name ok;
         (name, ok))
       backends
   in
@@ -1223,13 +1219,8 @@ let experiment_dedup options =
     (hits, misses, float_of_int hits /. float_of_int (Stdlib.max 1 (hits + misses)))
   in
   let exact_hits, exact_misses, exact_rate = traffic Eval_cache.Exact in
-  let behavioral_hits, behavioral_misses, behavioral_rate = traffic Eval_cache.Behavioral in
-  Printf.printf "exact:      %5d hits / %5d lookups (%.1f%% served from cache)\n" exact_hits
+  Printf.printf "exact: %5d hits / %5d lookups (%.1f%% served from cache)\n" exact_hits
     (exact_hits + exact_misses) (100. *. exact_rate);
-  Printf.printf "behavioral: %5d hits / %5d lookups (%.1f%% served from cache)\n"
-    behavioral_hits
-    (behavioral_hits + behavioral_misses)
-    (100. *. behavioral_rate);
   (* --- throughput: cached runs must not be slower ------------------------- *)
   (* Minimum over repetitions on both sides: scheduler noise only ever adds
      time, so min-of-reps is the stable estimator; a small absolute floor
@@ -1246,12 +1237,8 @@ let experiment_dedup options =
   in
   let t_off = best_of Eval_cache.Off in
   let t_exact = best_of Eval_cache.Exact in
-  let t_behavioral = best_of Eval_cache.Behavioral in
-  let not_slower t = t <= t_off +. 0.05 in
   Printf.printf "%-28s %8.3f s\n" "cache off" t_off;
   Printf.printf "%-28s %8.3f s (%.2fx)\n" "cache exact" t_exact (t_off /. t_exact);
-  Printf.printf "%-28s %8.3f s (%.2fx)\n" "cache behavioral" t_behavioral
-    (t_off /. t_behavioral);
   (* --- determinism: projected traces must not move either ----------------- *)
   let capture ?(jobs = 1) mode =
     let data = fresh_data () in
@@ -1260,35 +1247,16 @@ let experiment_dedup options =
     ignore (Search.run ~seed ~executor ~trace:sink ~eval_cache:mode config ~data ~targets);
     List.filter_map Trace.deterministic (Trace.contents sink) |> List.map Trace.to_line
   in
-  (* behavioral_diversity is jobs-invariant but mode-sensitive (-1 except in
-     behavioral mode), so the cross-mode comparison neutralizes it; the
-     cross-jobs comparison within one mode keeps it. *)
-  let neutral_diversity lines =
-    List.map
-      (fun line ->
-        match Trace.of_line line with
-        | Ok (Trace.Generation g) ->
-            Trace.to_line (Trace.Generation Trace.{ g with behavioral_diversity = -1 })
-        | Ok _ | Error _ -> line)
-      lines
-  in
   let lines_off = capture Eval_cache.Off in
   let lines_exact = capture Eval_cache.Exact in
   let lines_exact_par = capture ~jobs:4 Eval_cache.Exact in
-  let lines_behavioral = capture Eval_cache.Behavioral in
-  let lines_behavioral_par = capture ~jobs:4 Eval_cache.Behavioral in
-  let traces_identical =
-    lines_off = lines_exact
-    && lines_exact = lines_exact_par
-    && lines_behavioral = lines_behavioral_par
-    && neutral_diversity lines_behavioral = lines_off
-  in
+  let traces_identical = lines_off = lines_exact && lines_exact = lines_exact_par in
   Printf.printf "deterministic projections identical across cache modes and jobs: %b\n"
     traces_identical;
   (* --- record and gate ----------------------------------------------------- *)
   let hit_rate_floor = 0.10 in
   let hit_rate_ok = exact_rate > hit_rate_floor in
-  let throughput_ok = not_slower t_exact && not_slower t_behavioral in
+  let throughput_ok = t_exact <= t_off +. 0.05 in
   let fronts_json =
     "{ "
     ^ String.concat ", "
@@ -1306,13 +1274,9 @@ let experiment_dedup options =
       ("exact_hits", string_of_int exact_hits);
       ("exact_misses", string_of_int exact_misses);
       ("exact_hit_rate", Printf.sprintf "%.4f" exact_rate);
-      ("behavioral_hits", string_of_int behavioral_hits);
-      ("behavioral_misses", string_of_int behavioral_misses);
-      ("behavioral_hit_rate", Printf.sprintf "%.4f" behavioral_rate);
       ("hit_rate_floor", Printf.sprintf "%.2f" hit_rate_floor);
       ("off_s", Printf.sprintf "%.4f" t_off);
       ("exact_s", Printf.sprintf "%.4f" t_exact);
-      ("behavioral_s", Printf.sprintf "%.4f" t_behavioral);
       ("traces_identical", string_of_bool traces_identical);
       ("hit_rate_ok", string_of_bool hit_rate_ok);
       ("throughput_ok", string_of_bool throughput_ok);
@@ -1331,9 +1295,8 @@ let experiment_dedup options =
     exit 1
   end;
   if not throughput_ok then begin
-    Printf.eprintf "dedup: cached run slower than the uncached baseline (off %.3fs, exact \
-                    %.3fs, behavioral %.3fs)\n"
-      t_off t_exact t_behavioral;
+    Printf.eprintf "dedup: cached run slower than the uncached baseline (off %.3fs, exact %.3fs)\n"
+      t_off t_exact;
     exit 1
   end
 
@@ -1421,15 +1384,7 @@ let experiment_fuse options =
       (fun tape row -> rows_equal row (Fused.eval_columns tape ~scratch:fscratch ~columns ~n).(0))
       one_root fused_rows
   in
-  let probe_indices = [| 0; 3; 3; n - 1 |] in
-  let probe_rows = Fused.eval_probe fused ~columns ~indices:probe_indices in
-  let probe_identical =
-    Array.for_all2
-      (fun tape row -> rows_equal row (Fused.eval_probe tape ~columns ~indices:probe_indices).(0))
-      one_root probe_rows
-  in
-  Printf.printf "fused rows bit-identical to per-expression rows: %b (probe: %b)\n"
-    rows_identical probe_identical;
+  Printf.printf "fused rows bit-identical to per-expression rows: %b\n" rows_identical;
   (* --- throughput: the fused tape must clear the speedup floor ------------- *)
   let per_expr_run () =
     Array.iter (fun tape -> ignore (Fused.eval_columns tape ~scratch:fscratch ~columns ~n)) one_root
@@ -1459,9 +1414,7 @@ let experiment_fuse options =
     signature (Search.run ~seed ~executor ~eval_cache:mode config ~data ~targets)
   in
   let reference = front_of Executor.Seq Eval_cache.Off in
-  let modes =
-    [ ("off", Eval_cache.Off); ("exact", Eval_cache.Exact); ("behavioral", Eval_cache.Behavioral) ]
-  in
+  let modes = [ ("off", Eval_cache.Off); ("exact", Eval_cache.Exact) ] in
   let front_cases =
     List.concat_map
       (fun (backend, run) ->
@@ -1523,11 +1476,10 @@ let experiment_fuse options =
       ("speedup_floor", Printf.sprintf "%.2f" speedup_floor);
       ("speedup_ok", string_of_bool speedup_ok);
       ("rows_identical", string_of_bool rows_identical);
-      ("probe_identical", string_of_bool probe_identical);
       ("fronts_identical", fronts_json);
       ("traces_identical", string_of_bool traces_identical);
     ];
-  if not (rows_identical && probe_identical) then begin
+  if not rows_identical then begin
     Printf.eprintf "fuse: fused evaluation is not bit-identical to one-root tapes\n";
     exit 1
   end;

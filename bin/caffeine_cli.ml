@@ -193,7 +193,7 @@ let load_streaming ~path ~target ~chunk_rows =
   let data = Dataset.of_colstore ~exclude:(target :: performance_names) store in
   (data, targets)
 
-let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path max_bases no_sag verbose trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after eval_cache eval_cache_limit data_stream chunk_rows out =
+let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path max_bases no_sag verbose trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after eval_cache data_stream chunk_rows out =
   let data, raw_targets =
     (* A .cafs store has no dense representation to load — packed input
        always takes the streaming path, flag or no flag. *)
@@ -334,7 +334,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
     | Some _ | None ->
         let outcome =
           Search.run ~seed ~executor ~trace ?on_generation ?checkpoint_path ~checkpoint_every
-            ?resume:resume_snapshot ~eval_cache ~eval_cache_limit config ~data ~targets
+            ?resume:resume_snapshot ~eval_cache config ~data ~targets
         in
         run_sag outcome.Search.front
   in
@@ -568,25 +568,14 @@ let eval_cache_arg =
   let doc =
     "Evaluation cache in front of objective evaluation: $(b,off) (default) fits every \
      candidate; $(b,exact) memoizes objectives by the individual's structural hash — \
-     bit-identical to recomputation, so the final front is unchanged at every backend; \
-     $(b,behavioral) additionally reuses the fitted training error across structurally \
-     different candidates whose compiled outputs match exactly on a fixed probe subsample, \
-     and reports per-generation behavioral diversity in the trace.  Each island keeps a \
-     private cache; caches never enter checkpoint snapshots."
+     bit-identical to recomputation, so the final front is unchanged at every backend.  \
+     Each island keeps a private cache of at most 65536 entries; caches never enter \
+     checkpoint snapshots."
   in
   Arg.(
     value
     & opt (conv (parse, print)) Eval_cache.Off
     & info [ "eval-cache" ] ~docv:"MODE" ~doc)
-
-let eval_cache_limit_arg =
-  Arg.(
-    value
-    & opt int Eval_cache.default_limit
-    & info [ "eval-cache-limit" ] ~docv:"N"
-        ~doc:
-          "Maximum entries per cache level before shard-wise eviction (default 65536).  \
-           Evictions only cost recomputation; they never change results.")
 
 let data_stream_arg =
   Arg.(
@@ -616,7 +605,7 @@ let fit_cmd =
       const fit $ train_arg $ test_arg $ target_arg $ pop_arg $ gens_arg $ seed_arg $ jobs_arg
       $ backend_arg $ shard_arg $ log_target_arg $ grammar_arg $ max_bases_arg $ no_sag_arg $ verbose_arg $ trace_out_arg
       $ metrics_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ kill_after_arg
-      $ eval_cache_arg $ eval_cache_limit_arg $ data_stream_arg $ chunk_rows_arg
+      $ eval_cache_arg $ data_stream_arg $ chunk_rows_arg
       $ fit_out_arg)
 
 (* --- pack --------------------------------------------------------------- *)
@@ -1094,9 +1083,7 @@ let counts_arg =
            zeroed; the dataset cache_stats record, the eval_cache_stats record (the final \
            eval.cache_hits/misses/evictions counters of --eval-cache runs) and per-generation \
            fused_stats records are dropped, since all depend on scheduling or cache state; \
-           per-generation op_stats records are kept verbatim.  \
-           Note that a generation's behavioral_diversity field is jobs-invariant but differs \
-           across --eval-cache modes, so only compare projections of runs with the same mode.")
+           per-generation op_stats records are kept verbatim.")
 
 let trace_cmd =
   let info =

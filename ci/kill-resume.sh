@@ -3,16 +3,16 @@
 # snapshot, and require the resumed final front to be byte-identical to the
 # uninterrupted run's — at 1 and 4 domains and under the process backend at
 # 3 shards, and across all three.  The last case also runs with the
-# behavioral evaluation cache on: caches never enter snapshots, so a resumed
-# cached run starts cold and must still reproduce the uninterrupted
-# (cache-off) front exactly.
+# evaluation cache on: caches never enter snapshots, so a resumed cached
+# run starts cold and must still reproduce the uninterrupted (cache-off)
+# front exactly.
 . "$(dirname "$0")/lib.sh"
 
 build_cli
 
 "$CLI" gen-data --out "$scratch/ckpt-data.csv"
 for case in "domains:1:" "domains:4:" "processes:3:" \
-            "domains:4:--eval-cache behavioral"; do
+            "domains:4:--eval-cache exact"; do
   backend=$(echo "$case" | cut -d: -f1)
   workers=$(echo "$case" | cut -d: -f2)
   cache=$(echo "$case" | cut -d: -f3)

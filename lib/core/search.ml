@@ -68,8 +68,7 @@ let with_search_executor ?executor config f =
   | None -> Executor.with_executor ~jobs:config.Config.jobs Executor.Domains f
 
 let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?on_generation
-    ?start ?on_checkpoint ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) config ~data ~targets =
+    ?start ?on_checkpoint ?(eval_cache = Eval_cache.Off) config ~data ~targets =
   let dims = validate_data ~data ~targets in
   let wb = config.Config.wb and wvc = config.Config.wvc in
   (* Per-basis evaluation columns and their pairwise dot products are
@@ -91,7 +90,7 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
   let eval_cache =
     match eval_cache with
     | Eval_cache.Off -> None
-    | mode -> Some (Eval_cache.create ~limit:eval_cache_limit ~mode ~wb ~wvc ~data ())
+    | mode -> Some (Eval_cache.create ~mode ~wb ~wvc ~data ())
   in
   let nsga_cache =
     Option.map
@@ -156,14 +155,6 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
           crossovers = vary_stats.Vary.crossovers;
           op_counts = Array.copy vary_stats.Vary.op_counts;
           depth_rejects = vary_stats.Vary.depth_rejects;
-          behavioral_diversity =
-            (match eval_cache with
-            | Some cache ->
-                Eval_cache.diversity cache
-                  (Array.map
-                     (fun (ind : Vary.individual Nsga2.individual) -> ind.Nsga2.genome)
-                     population)
-            | None -> -1);
           wall_s;
         }
       in
@@ -348,8 +339,8 @@ let island_start = function
    checkpoint progress back over their result pipe; Shard releases those
    to [deliver] in island order, so the emitted trace is the sequential
    trace (plus one Migration record per island). *)
-let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache
-    ~eval_cache_limit islands config ~data ~targets =
+let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache islands config
+    ~data ~targets =
   let generations = config.Config.generations in
   let observing = (not (Trace.is_null trace)) || Option.is_some on_generation in
   let run_island ~emit ~progress ~island:_ state =
@@ -368,8 +359,8 @@ let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache
             checkpoint
         in
         let outcome =
-          run_with_rng ~rng ~trace:worker_trace ?start ?on_checkpoint ~eval_cache
-            ~eval_cache_limit config ~data ~targets
+          run_with_rng ~rng ~trace:worker_trace ?start ?on_checkpoint ~eval_cache config ~data
+            ~targets
         in
         outcome.front
   in
@@ -394,8 +385,8 @@ let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache
 
 (* {3 The in-process backends (sequential and domain pool)} *)
 
-let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache
-    ~eval_cache_limit islands config ~data ~targets =
+let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache islands
+    config ~data ~targets =
   let generations = config.Config.generations in
   let run_island k =
     match islands.(k) with
@@ -419,7 +410,7 @@ let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cac
              below, those nested calls fall back to sequential evaluation
              inside the island. *)
           run_with_rng ~rng ~executor ~trace ?on_generation ?start ?on_checkpoint ~eval_cache
-            ~eval_cache_limit config ~data ~targets
+            config ~data ~targets
         in
         (match checkpoint with
         | Some ctx ->
@@ -440,15 +431,15 @@ let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cac
   then Executor.map executor run_island indices
   else Array.map run_island indices
 
-let run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-    islands config ~data ~targets =
+let run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache islands config ~data
+    ~targets =
   match Executor.backend executor with
   | Executor.Processes ->
       run_islands_processes ~shards:(Executor.shards executor) ~trace ?on_generation
-        ?checkpoint ~eval_cache ~eval_cache_limit islands config ~data ~targets
+        ?checkpoint ~eval_cache islands config ~data ~targets
   | Executor.Seq | Executor.Domains ->
-      run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache
-        ~eval_cache_limit islands config ~data ~targets
+      run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache islands
+        config ~data ~targets
 
 let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry config ~data
     ~targets =
@@ -472,8 +463,7 @@ let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry co
   (fingerprint, checkpoint)
 
 let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
-    ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) config ~data ~targets =
+    ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off) config ~data ~targets =
   ignore (validate_data ~data ~targets);
   let fingerprint, checkpoint =
     checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry:"Search.run"
@@ -489,8 +479,8 @@ let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_
     with_search_executor ?executor config @@ fun executor ->
     let on_generation = Option.map (fun f ~island:_ record -> f record) on_generation in
     let fronts =
-      run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-        islands config ~data ~targets
+      run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache islands config ~data
+        ~targets
     in
     {
       front = fronts.(0);
@@ -502,8 +492,8 @@ let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_
   outcome
 
 let run_multi ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
-    ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) ~restarts config ~data ~targets =
+    ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off) ~restarts config ~data
+    ~targets =
   if restarts < 1 then invalid_arg "Search.run_multi: need at least 1 restart";
   ignore (validate_data ~data ~targets);
   let fingerprint, checkpoint =
@@ -526,8 +516,8 @@ let run_multi ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?check
   in
   with_search_executor ?executor config @@ fun executor ->
   let fronts =
-    run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-      islands config ~data ~targets
+    run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache islands config ~data
+      ~targets
   in
   let outcome =
     {

@@ -60,7 +60,6 @@ val run :
   ?checkpoint_every:int ->
   ?resume:Checkpoint.t ->
   ?eval_cache:Eval_cache.mode ->
-  ?eval_cache_limit:int ->
   Config.t ->
   data:Dataset.t ->
   targets:float array ->
@@ -81,17 +80,13 @@ val run :
     sequence is identical at every jobs setting.  With the default null
     sink and no callback, record construction is skipped entirely.
 
-    [eval_cache] (default {!Eval_cache.Off}) puts a two-level memo in
-    front of objective evaluation ({!Eval_cache}): the exact level keys on
-    the individual's structural hash and is bit-identical to recomputation
-    by construction, so the evolved front is the same with the cache on or
-    off at every backend; the behavioral level additionally reuses results
-    across structurally different candidates whose compiled probe outputs
-    match exactly, and reports the population's distinct-fingerprint count
-    in each generation record's [behavioral_diversity] field.  Each island
-    — and, under the process backend, each forked worker — owns a private
-    cache instance bounded by [eval_cache_limit] entries
-    (default {!Eval_cache.default_limit}).  Caches are rebuildable derived
+    [eval_cache] (default {!Eval_cache.Off}) puts a memo in front of
+    objective evaluation ({!Eval_cache}): it keys on the individual's
+    structural hash and is bit-identical to recomputation by
+    construction, so the evolved front is the same with the cache on or
+    off at every backend.  Each island — and, under the process backend,
+    each forked worker — owns a private cache instance bounded by
+    {!Eval_cache.default_limit} entries.  Caches are rebuildable derived
     state: they never enter checkpoint snapshots, and resumed runs start
     cold.
 
@@ -130,7 +125,6 @@ val run_multi :
   ?checkpoint_every:int ->
   ?resume:Checkpoint.t ->
   ?eval_cache:Eval_cache.mode ->
-  ?eval_cache_limit:int ->
   restarts:int ->
   Config.t ->
   data:Dataset.t ->

@@ -282,14 +282,10 @@ let ensure scratch ~slots ~width =
     scratch.bufs <- fresh
   end
 
-(* One tile of every kernel.  [indices = None] reads samples [lo, lo+len);
-   [Some idx] gathers samples [idx.(lo+j)] (the probe path, whose indices
-   [eval_probe] has checked).  Output rows are indexed by tile position
-   either way.  Monomials and operators run the shared array kernels
-   ([Expr.mul_int_pow_into], [Op.unary_into], [Op.binary_into]); the
-   gathered probe path applies the scalar [Expr.int_pow] per sample
-   instead. *)
-let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
+(* One tile of every kernel over samples [lo, lo+len); output rows are
+   indexed by sample.  Monomials and operators run the shared array kernels
+   ([Expr.mul_int_pow_into], [Op.unary_into], [Op.binary_into]). *)
+let exec_tile code bufs ~columns ~outputs ~lo ~len =
   Array.iter
     (fun k ->
       match k with
@@ -298,25 +294,8 @@ let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
           let buf = bufs.(dst) in
           Array.fill buf 0 len 1.;
           for k = 0 to Array.length vars - 1 do
-            let column = columns.(Array.unsafe_get vars k) in
-            let e = Array.unsafe_get exps k in
-            match indices with
-            | None -> Expr.mul_int_pow_into ~dst:buf ~src:column ~off:lo ~e ~len
-            | Some idx ->
-                if e = 1 then
-                  for j = 0 to len - 1 do
-                    Array.unsafe_set buf j
-                      (Array.unsafe_get buf j
-                      *. Array.unsafe_get column (Array.unsafe_get idx (lo + j)))
-                  done
-                else
-                  for j = 0 to len - 1 do
-                    Array.unsafe_set buf j
-                      (Array.unsafe_get buf j
-                      *. Expr.int_pow
-                           (Array.unsafe_get column (Array.unsafe_get idx (lo + j)))
-                           e)
-                  done
+            Expr.mul_int_pow_into ~dst:buf ~src:columns.(Array.unsafe_get vars k) ~off:lo
+              ~e:(Array.unsafe_get exps k) ~len
           done
       | Kunary { dst; src; op } -> Op.unary_into op ~src:bufs.(src) ~dst:bufs.(dst) ~len
       | Kbinary { dst; a; b; op } ->
@@ -348,22 +327,6 @@ let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
       | Kout { root; src } -> Array.blit bufs.(src) 0 outputs.(root) lo len)
     code
 
-let eval_over t ~scratch:s ~columns ~indices ~n =
-  let outputs = Array.map (fun _ -> Array.make n 0.) t.root_ids in
-  if Array.length t.code > 0 then begin
-    ensure s ~slots:(Stdlib.max 1 t.slot_count) ~width:t.tile_width;
-    let bufs = s.bufs in
-    let lo = ref 0 in
-    while !lo < n do
-      let len = Stdlib.min t.tile_width (n - !lo) in
-      exec_tile t.code bufs ~columns ~outputs ~indices ~lo:!lo ~len;
-      lo := !lo + len
-    done
-  end;
-  outputs
-
-let eval_columns t ~scratch ~columns ~n = eval_over t ~scratch ~columns ~indices:None ~n
-
 let eval_columns_into t ~scratch:s ~columns ~n ~out =
   if Array.length out <> Array.length t.root_ids then
     invalid_arg "Fused.eval_columns_into: one output buffer per root required";
@@ -379,29 +342,12 @@ let eval_columns_into t ~scratch:s ~columns ~n ~out =
     let lo = ref 0 in
     while !lo < n do
       let len = Stdlib.min t.tile_width (n - !lo) in
-      exec_tile t.code bufs ~columns ~outputs:out ~indices:None ~lo:!lo ~len;
+      exec_tile t.code bufs ~columns ~outputs:out ~lo:!lo ~len;
       lo := !lo + len
     done
   end
 
-(* The gather loop reads [column.(idx.(j))] unchecked, so every index is
-   checked first against the shortest column the tape reads. *)
-let eval_probe t ~columns ~indices =
-  let rows =
-    Array.fold_left
-      (fun rows k ->
-        match k with
-        | Kvc { vars; _ } ->
-            Array.fold_left (fun rows v -> Stdlib.min rows (Array.length columns.(v))) rows vars
-        | Kconst _ | Kunary _ | Kbinary _ | Klte _ | Kmul _ | Kfma _ | Kout _ -> rows)
-      max_int t.code
-  in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= rows then
-        invalid_arg
-          (Printf.sprintf "Fused.eval_probe: index %d outside the %d samples the tape reads" i
-             rows))
-    indices;
-  eval_over t ~scratch:(scratch ()) ~columns ~indices:(Some indices)
-    ~n:(Array.length indices)
+let eval_columns t ~scratch ~columns ~n =
+  let out = Array.map (fun _ -> Array.make n 0.) t.root_ids in
+  eval_columns_into t ~scratch ~columns ~n ~out;
+  out

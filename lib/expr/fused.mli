@@ -104,12 +104,3 @@ val eval_columns_into :
     chunk with buffers allocated once per pass, so a million-row fit does
     not churn a fresh result matrix per chunk.  Raises [Invalid_argument]
     unless [out] has one buffer of length >= [n] per root. *)
-
-val eval_probe : t -> columns:float array array -> indices:int array -> float array array
-(** Evaluate every root at the selected sample indices only — the
-    behavioral-fingerprint probe.  Entry [(r, j)] is root [r] at sample
-    [indices.(j)], under the semantics above; as with {!eval_columns},
-    the entries of a root do not depend on the other roots.  [indices]
-    may be empty, a single index, or contain repeats.  Raises
-    [Invalid_argument], naming the index, before evaluating anything
-    when an index falls outside a column the tape reads. *)

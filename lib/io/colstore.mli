@@ -51,7 +51,7 @@ val iter_chunks :
 val gather : t -> indices:int array -> float array array
 (** [gather t ~indices] returns [dims] fresh arrays with the variables'
     values at the given rows, in index order — the random-access path for
-    probe evaluation.  Raises [Invalid_argument] on an out-of-range row. *)
+    point reads.  Raises [Invalid_argument] on an out-of-range row. *)
 
 val column : t -> int -> float array
 (** Materialize one variable as a fresh [n_rows] array. *)

@@ -80,7 +80,7 @@ type dot_shard = {
 (* Out-of-core storage: samples arrive as row chunks from a pull-based
    source instead of resident columns.  [src_iter] visits the chunks in
    row order with reused buffers (only [len] leading cells are valid);
-   [src_gather] is the random-access path for probes.  The concrete source
+   [src_gather] is the random-access path of [point].  The concrete source
    is either a {!Colstore} file or a sliced in-memory matrix (tests). *)
 type chunk_source = {
   src_chunk_rows : int;
@@ -366,31 +366,6 @@ let column_of_key data k =
           col)
 
 let basis_column data basis = column_of_key data (key basis)
-
-(* Probe evaluation for behavioral fingerprints: evaluate the tape at the
-   probe indices only, never reading or filling the column cache (probes
-   touch a handful of samples, so a full column is not worth
-   materializing for them), so probe words cannot depend on cache state.
-   Indices are checked against the dataset first, whatever the storage.
-   On chunked storage, probes gather the input variables at the probe
-   rows and evaluate with identity indices over the gathered slices:
-   probe evaluation is elementwise, so the values match what dense
-   storage gives at those rows — fingerprints agree across storage
-   kinds. *)
-let probe_many data bases ~indices =
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= data.n then
-        invalid_arg (Printf.sprintf "Dataset.probe: index %d outside %d samples" i data.n))
-    indices;
-  let fused = Fused.compile bases in
-  match data.storage with
-  | Dense columns -> Fused.eval_probe fused ~columns ~indices
-  | Chunked src ->
-      Fused.eval_probe fused ~columns:(src.src_gather indices)
-        ~indices:(Array.init (Array.length indices) Fun.id)
-
-let probe data basis ~indices = (probe_many data [| basis |] ~indices).(0)
 
 (* --- fused batch evaluation ---------------------------------------------- *)
 

@@ -116,15 +116,6 @@ val basis_column : t -> Expr.basis -> float array
     Chunked storage evaluates a fresh column on every call and never
     caches it. *)
 
-val probe : t -> Expr.basis -> indices:int array -> float array
-(** [probe data basis ~indices] is the basis value at the selected sample
-    indices — the raw material of behavioral fingerprints.  The tape runs
-    at the probe points only, never reading or filling the column cache,
-    so probe outputs do not depend on cache state ({!clear_cache} mid-run
-    included) and agree with {!basis_column} wherever the value is not
-    NaN.  Raises [Invalid_argument] naming the index when one is outside
-    [0 .. n_samples - 1]. *)
-
 type fuse_stats = {
   fused_bases : int;  (** distinct bases that had no memoized column *)
   nodes_in : int;  (** DAG nodes before cross-tree sharing *)
@@ -144,14 +135,6 @@ val warm_columns : t -> Expr.basis array -> fuse_stats
     nothing.
     Bumps the [fused.nodes_in] / [fused.nodes_out] counters and the
     [fused.cse_ratio] gauge; the returned stats cover this call only. *)
-
-val probe_many : t -> Expr.basis array -> indices:int array -> float array array
-(** [probe_many data bases ~indices] is [probe] for every basis at once,
-    through one fused DAG — row [k] equals [probe data bases.(k) ~indices]
-    bit for bit, in every cache state.  Used by behavioral fingerprinting
-    so probing an individual evaluates subtrees shared between its bases
-    once.  Never reads or fills the column cache.  Raises
-    [Invalid_argument] like {!probe}. *)
 
 type gram = {
   dots : float array array;  (** [k x k] symmetric: [⟨colᵢ, colⱼ⟩] *)

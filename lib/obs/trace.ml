@@ -19,7 +19,6 @@ type generation = {
   crossovers : int;
   op_counts : int array;
   depth_rejects : int;
-  behavioral_diversity : int;
   wall_s : float;
 }
 
@@ -180,7 +179,6 @@ let to_line record =
           ("crossovers", int_field g.crossovers);
           ("op_counts", int_array_field g.op_counts);
           ("depth_rejects", int_field g.depth_rejects);
-          ("behavioral_diversity", int_field g.behavioral_diversity);
           ("wall_s", float_field g.wall_s);
         ]
   | Op_stats s ->
@@ -304,7 +302,6 @@ let of_line line =
                 crossovers = Json.int_of fields "crossovers";
                 op_counts = Json.int_array_of fields "op_counts";
                 depth_rejects = Json.int_of fields "depth_rejects";
-                behavioral_diversity = Json.int_of fields "behavioral_diversity";
                 wall_s = Json.float_of fields "wall_s";
               }
         | Json.Str "op_stats" ->
@@ -397,9 +394,6 @@ let of_line line =
 
 let deterministic = function
   | Run_start _ as record -> Some record
-  (* behavioral_diversity is a pure function of the population, which is
-     jobs-invariant, so it stays (it does differ across --eval-cache
-     modes — consumers diffing across modes must exclude it). *)
   | Generation g -> Some (Generation { g with wall_s = 0. })
   | Op_stats _ as record -> Some record
   | Sag_round _ as record -> Some record

@@ -37,12 +37,6 @@ type generation = {
   crossovers : int;  (** children built with basis-set crossover *)
   op_counts : int array;  (** applied variation operators, by operator id *)
   depth_rejects : int;  (** mutations discarded by the depth bound *)
-  behavioral_diversity : int;
-      (** distinct behavioral fingerprints in the population, [-1] when the
-          evaluation cache is not in behavioral mode.  A pure function of
-          the (jobs-invariant) population, so the {!deterministic}
-          projection keeps it — but it differs across [--eval-cache]
-          modes, so cross-mode trace diffs must exclude it. *)
   wall_s : float;  (** nondeterministic *)
 }
 
@@ -166,6 +160,9 @@ val to_line : record -> string
 (** One-line JSON object (no trailing newline), fields in a fixed order. *)
 
 val of_line : string -> (record, string) result
+(** Fields are looked up by name and unknown ones are ignored, so lines
+    written by earlier versions, whose generation records carried a
+    population-diversity count, still decode. *)
 
 val deterministic : record -> record option
 (** The jobs-invariant projection: [None] for {!Cache_stats},

@@ -1,10 +1,8 @@
 (* Tests for the fused multi-expression engine: hash-consing a set of bases
    into one DAG and evaluating it with tiled kernels must give every root
    the bits of that basis on its own one-root tape, and the interpreter's
-   bits wherever the value is not NaN — on random expression sets, on the
-   probe edge cases (empty index set, single sample, repeated indices,
-   out-of-range indices) and through the dataset's warm-columns /
-   probe-many entry points. *)
+   bits wherever the value is not NaN — on random expression sets, on a
+   single sample, and through the dataset's warm-columns entry point. *)
 
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
@@ -44,9 +42,6 @@ let random_bases rng ~count ~dims =
 let reference_columns bases ~columns ~n =
   let scratch = Fused.scratch () in
   Array.map (fun b -> (Fused.eval_columns (Fused.compile [| b |]) ~scratch ~columns ~n).(0)) bases
-
-let reference_probe bases ~columns ~indices =
-  Array.map (fun b -> (Fused.eval_probe (Fused.compile [| b |]) ~columns ~indices).(0)) bases
 
 (* The interpreter's value at sample [i], against a tape's: the same bits,
    or both NaN (payloads are unspecified). *)
@@ -88,112 +83,15 @@ let test_random_sets_match_interpreter () =
     let bases = random_bases rng ~count ~dims in
     let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
     let rows = Fused.eval_columns (Fused.compile bases) ~scratch:(Fused.scratch ()) ~columns ~n in
-    let probes = Fused.eval_probe (Fused.compile bases) ~columns ~indices:(Array.init n Fun.id) in
     Array.iteri
       (fun k row ->
         Array.iteri
           (fun i v ->
             let msg = Printf.sprintf "trial %d root %d" trial k in
-            check_interpreter_bits msg bases.(k) ~columns i v;
-            check_interpreter_bits (msg ^ " probe") bases.(k) ~columns i probes.(k).(i))
+            check_interpreter_bits msg bases.(k) ~columns i v)
           row)
       rows
   done
-
-(* --- probe edge cases ----------------------------------------------------- *)
-
-let test_probe_edge_cases () =
-  let rng = Rng.create ~seed:31 () in
-  let dims = 4 in
-  let n = 12 in
-  let bases = random_bases rng ~count:6 ~dims in
-  let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
-  let fused = Fused.compile bases in
-  let cases =
-    [
-      ("empty index set", [||]);
-      ("single sample", [| 7 |]);
-      ("repeated indices", [| 3; 3; 0; 3; 11; 0 |]);
-      ("all samples", Array.init n Fun.id);
-    ]
-  in
-  List.iter
-    (fun (name, indices) ->
-      let fused_rows = Fused.eval_probe fused ~columns ~indices in
-      let expected = reference_probe bases ~columns ~indices in
-      Array.iteri
-        (fun k row -> check_row_bits (Printf.sprintf "%s root %d" name k) expected.(k) row)
-        fused_rows;
-      (* The probe gathers the corresponding full-column entries. *)
-      let full = Fused.eval_columns fused ~scratch:(Fused.scratch ()) ~columns ~n in
-      Array.iteri
-        (fun k row ->
-          Array.iteri
-            (fun j idx ->
-              if not (Int64.equal (bits row.(j)) (bits full.(k).(idx))) then
-                Alcotest.failf "%s: root %d index %d disagrees with the full column" name k idx)
-            indices)
-        fused_rows)
-    cases
-
-let test_compiled_probe_edge_cases () =
-  (* A one-root tape's probe honors the same contracts on its own. *)
-  let rng = Rng.create ~seed:32 () in
-  let dims = 3 in
-  let n = 9 in
-  let basis = Gen.random_basis rng Opset.default ~dims ~depth:4 ~max_vc_vars:dims in
-  let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
-  let compiled = Fused.compile [| basis |] in
-  let full = (Fused.eval_columns compiled ~scratch:(Fused.scratch ()) ~columns ~n).(0) in
-  Alcotest.(check int) "empty probe" 0
-    (Array.length (Fused.eval_probe compiled ~columns ~indices:[||]).(0));
-  let single = (Fused.eval_probe compiled ~columns ~indices:[| n - 1 |]).(0) in
-  check_row_bits "single" [| full.(n - 1) |] single;
-  let repeated = (Fused.eval_probe compiled ~columns ~indices:[| 2; 2; 2 |]).(0) in
-  check_row_bits "repeated" [| full.(2); full.(2); full.(2) |] repeated
-
-(* Out-of-range probe indices are a typed error naming the index on every
-   probe entry point, never an unchecked read.  Only -1 and n are probed:
-   one word outside the column. *)
-let test_probe_rejects_out_of_range () =
-  let rng = Rng.create ~seed:38 () in
-  let dims = 3 in
-  let n = 10 in
-  let rows = random_matrix rng ~n ~dims in
-  let columns = columns_of_rows dims rows in
-  (* Every basis reads x0, so the tape reads at least one column. *)
-  let bases =
-    Array.map
-      (fun (b : Expr.basis) -> { b with Expr.vc = Some [| 1; 0; 0 |] })
-      (random_bases rng ~count:3 ~dims)
-  in
-  let names_index msg i =
-    let needle = string_of_int i in
-    let k = String.length needle in
-    let rec scan p = p + k <= String.length msg && (String.sub msg p k = needle || scan (p + 1)) in
-    scan 0
-  in
-  let check_rejects what i f =
-    match f () with
-    | (_ : float array) -> Alcotest.failf "%s accepted index %d" what i
-    | exception Invalid_argument msg ->
-        if not (names_index msg i) then
-          Alcotest.failf "%s: message %S does not name index %d" what msg i
-  in
-  let dense = Dataset.of_rows rows in
-  let chunked = Dataset.chunked_of_columns ~chunk_rows:4 columns in
-  let fused = Fused.compile bases in
-  List.iter
-    (fun i ->
-      let indices = [| 0; i |] in
-      List.iter
-        (fun (name, data) ->
-          check_rejects (name ^ " probe") i (fun () -> Dataset.probe data bases.(0) ~indices);
-          check_rejects (name ^ " probe_many") i (fun () ->
-              (Dataset.probe_many data bases ~indices).(0)))
-        [ ("dense", dense); ("chunked", chunked) ];
-      check_rejects "Fused.eval_probe" i (fun () -> (Fused.eval_probe fused ~columns ~indices).(0)))
-    [ -1; n ]
 
 (* --- single-sample evaluation -------------------------------------------- *)
 
@@ -304,22 +202,6 @@ let test_warm_equals_lazy_nan_payloads () =
       bases
   done
 
-let test_probe_many_bit_identical () =
-  let rng = Rng.create ~seed:37 () in
-  let dims = 4 in
-  let n = 16 in
-  let rows = random_matrix rng ~n ~dims in
-  let data = Dataset.of_rows rows in
-  let bases = random_bases rng ~count:7 ~dims in
-  List.iter
-    (fun indices ->
-      let fused_rows = Dataset.probe_many data bases ~indices in
-      Array.iteri
-        (fun k b -> check_row_bits (Printf.sprintf "basis %d" k) (Dataset.probe data b ~indices)
-            fused_rows.(k))
-        bases)
-    [ [||]; [| 0 |]; [| 5; 5; 1 |]; Array.init n Fun.id ]
-
 (* --- allocation ceiling ------------------------------------------------------ *)
 
 (* One root per operator, each a product with the monomial x0^3 / x1^2, so
@@ -422,10 +304,6 @@ let suite =
     Alcotest.test_case "random sets are bit-identical" `Quick test_random_sets_bit_identical;
     Alcotest.test_case "random sets match the interpreter's bits" `Quick
       test_random_sets_match_interpreter;
-    Alcotest.test_case "probe edge cases (fused)" `Quick test_probe_edge_cases;
-    Alcotest.test_case "probe edge cases (compiled)" `Quick test_compiled_probe_edge_cases;
-    Alcotest.test_case "probe rejects out-of-range indices" `Quick
-      test_probe_rejects_out_of_range;
     Alcotest.test_case "single-sample columns" `Quick test_single_sample_columns;
     Alcotest.test_case "empty expression set" `Quick test_empty_set;
     Alcotest.test_case "duplicate bases collapse to one node" `Quick test_duplicates_collapse;
@@ -433,7 +311,6 @@ let suite =
     Alcotest.test_case "warm_columns is bit-identical" `Quick test_warm_columns_bit_identical;
     Alcotest.test_case "warmed columns equal lazy ones, NaN payloads included" `Quick
       test_warm_equals_lazy_nan_payloads;
-    Alcotest.test_case "probe_many is bit-identical" `Quick test_probe_many_bit_identical;
     Alcotest.test_case "tape evaluation allocation ceiling" `Quick test_tape_allocation_ceiling;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests

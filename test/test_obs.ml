@@ -201,7 +201,6 @@ let record_gen : Trace.record QCheck.Gen.t =
           crossovers = nat st;
           op_counts = Array.init ops (fun _ -> nat st);
           depth_rejects = nat st;
-          behavioral_diversity = nat st - 1;
           wall_s = float_gen st;
         }
   | 2 ->
@@ -308,21 +307,43 @@ let test_deterministic_zeroes_wall () =
         crossovers = 17;
         op_counts = [| 1; 2; 3 |];
         depth_rejects = 2;
-        behavioral_diversity = 42;
         wall_s = 0.123;
       }
   in
   (match Trace.deterministic g with
   | Some (Trace.Generation p) ->
       Alcotest.(check (float 0.)) "wall_s zeroed" 0. p.Trace.wall_s;
-      Alcotest.(check int) "count fields kept" 17 p.Trace.crossovers;
-      Alcotest.(check int) "behavioral diversity kept" 42 p.Trace.behavioral_diversity
+      Alcotest.(check int) "count fields kept" 17 p.Trace.crossovers
   | _ -> Alcotest.fail "generation should project to a generation");
   match Trace.deterministic (Trace.Run_end { Trace.front = [ (3., 0.1) ]; total_wall_s = 9. }) with
   | Some (Trace.Run_end p) ->
       Alcotest.(check (float 0.)) "total_wall_s zeroed" 0. p.Trace.total_wall_s;
       Alcotest.(check int) "front kept" 1 (List.length p.Trace.front)
   | _ -> Alcotest.fail "run_end should project to a run_end"
+
+(* Generation lines written before the behavioral cache level was removed
+   carry a "behavioral_diversity" field (-1 outside that mode).  They must
+   still decode, and project to the line the current writer gives. *)
+let test_older_generation_line_decodes () =
+  let current =
+    {|{"type":"generation","gen":1,"evals":8,"front_size":3,"best_nmse":0.28151096680412818,|}
+    ^ {|"median_nmse":"NaN","complexity_min":34,"complexity_median":75.5,"complexity_max":96.5,|}
+    ^ {|"crossovers":2,"op_counts":[4,0,0,1,0,0,1,0,2],"depth_rejects":0,|}
+  in
+  let older = current ^ {|"behavioral_diversity":-1,"wall_s":0.0030387320000000002}|} in
+  let current = current ^ {|"wall_s":0.0030387320000000002}|} in
+  let projected line =
+    match Trace.of_line line with
+    | Ok record -> (
+        match Trace.deterministic record with
+        | Some p -> Trace.to_line p
+        | None -> Alcotest.fail "generation should survive the projection")
+    | Error message -> Alcotest.failf "line rejected: %s" message
+  in
+  (match Trace.of_line current with
+  | Ok record -> Alcotest.(check string) "current line round-trips" current (Trace.to_line record)
+  | Error message -> Alcotest.failf "line rejected: %s" message);
+  Alcotest.(check string) "same projection" (projected current) (projected older)
 
 let test_deterministic_keeps_checkpoint_records () =
   (* Checkpointed runs serialize their islands, so these records arrive in
@@ -511,6 +532,8 @@ let suite =
     Alcotest.test_case "metrics: concurrent counts exact" `Quick test_concurrent_counters_exact;
     Alcotest.test_case "trace: deterministic zeroes wall" `Quick test_deterministic_zeroes_wall;
     Alcotest.test_case "trace: of_line rejects garbage" `Quick test_of_line_rejects_garbage;
+    Alcotest.test_case "trace: older generation lines still decode" `Quick
+      test_older_generation_line_decodes;
     Alcotest.test_case "trace: projection keeps checkpoint records" `Quick
       test_deterministic_keeps_checkpoint_records;
     Alcotest.test_case "trace: sinks" `Quick test_sinks;

@@ -4,7 +4,7 @@
    dense storage on the same samples: every Gram product carries one
    scalar accumulator across chunk boundaries in row order, every fused
    chunk evaluation matches per-expression compilation, and the solve is
-   the shared Cholesky core — so fits, probes, forward selection, and
+   the shared Cholesky core — so fits, point reads, forward selection, and
    whole evolved fronts are pinned here to be BIT-identical, not merely
    close.  [Dataset.chunked_of_columns] is the in-memory stand-in for a
    Colstore file, so the properties run without touching disk. *)
@@ -124,11 +124,11 @@ let property_tests =
         let chunked = Dataset.chunked_of_columns ~chunk_rows columns in
         let rng = Rng.create ~seed:(seed + 1) () in
         let indices = Array.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng n) in
-        Array.for_all
-          (fun basis ->
-            farr_eq (Dataset.probe dense basis ~indices) (Dataset.probe chunked basis ~indices)
-            && farr_eq (Dataset.basis_column dense basis) (Dataset.basis_column chunked basis))
-          bases);
+        Array.for_all (fun i -> farr_eq (Dataset.point dense i) (Dataset.point chunked i)) indices
+        && Array.for_all
+             (fun basis ->
+               farr_eq (Dataset.basis_column dense basis) (Dataset.basis_column chunked basis))
+             bases);
     QCheck.Test.make ~name:"forward_select picks identical columns on both storages" ~count:75
       QCheck.(pair small_int (int_range 8 40))
       (fun (seed, n) ->
