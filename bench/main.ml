@@ -1898,6 +1898,18 @@ let experiment_micro () =
   let objectives =
     Array.init 200 (fun i -> [| Float.of_int (i mod 17); Float.of_int (i * 7 mod 23) |])
   in
+  (* Parents and children merged, as the search sorts them each
+     generation: a continuous training error, +inf for one candidate in
+     eight (an invalid fit), against an integer complexity. *)
+  let merged =
+    Array.init 400 (fun _ ->
+        let complexity = float_of_int (5 + Caffeine_util.Rng.int rng 76) in
+        let error =
+          if Caffeine_util.Rng.int rng 8 = 0 then Float.infinity
+          else (1. +. Caffeine_util.Rng.uniform rng) /. complexity
+        in
+        [| error; complexity |])
+  in
   let tests =
     [
       Test.make ~name:"expr eval (1 basis, 1 point)"
@@ -1908,6 +1920,8 @@ let experiment_micro () =
         (Staged.stage (fun () -> ignore (Caffeine_linalg.Decomp.press design rhs)));
       Test.make ~name:"nondominated sort (200)"
         (Staged.stage (fun () -> ignore (Caffeine_evo.Nsga2.fast_nondominated_sort objectives)));
+      Test.make ~name:"nondominated sort (400)"
+        (Staged.stage (fun () -> ignore (Caffeine_evo.Nsga2.fast_nondominated_sort merged)));
       Test.make ~name:"ota evaluate (AC sweep)"
         (Staged.stage (fun () -> ignore (Ota.evaluate Ota.nominal)));
     ]

@@ -15,7 +15,10 @@
 #
 # Two of the fits run again with `--data-stream --chunk-rows 50`, so the
 # search and SAG run on chunked (streamed) storage; their fronts and trace
-# projections must match REF's byte for byte as well.
+# projections must match REF's byte for byte as well.  One more runs PM for
+# 200 generations (about 4 s per side): late in a search the whole
+# population is rank 0 and nondominated sorting meets few, wide fronts, a
+# shape the 15-generation fits barely reach.
 #
 # Every other float writer is byte-diffed too: the two `gen-data` CSVs,
 # one `predict --dump` per target on the test DOE (the serve protocol's
@@ -124,6 +127,20 @@ for target in PM SRp; do
   fits=$((fits + 1))
 done
 
-echo "fronts-vs-ref: $fits fronts and traces (2 streamed), 2 data CSVs, $insights insight reports," \
+# The late-search shape: PM at 200 generations.
+for side in ref new; do
+  cli=$(cli_of $side)
+  run=$scratch/PM-long-$side
+  "$cli" fit --train "$train" --test "$test" --target PM \
+    --pop 200 --gens 200 --seed 7 --eval-cache exact \
+    --out "$run.models" --trace "$run.jsonl" > /dev/null
+  "$cli" trace --counts "$run.jsonl" > "$run.counts"
+done
+diff -u "$scratch/PM-long-ref.models" "$scratch/PM-long-new.models"
+diff -u "$scratch/PM-long-ref.counts" "$scratch/PM-long-new.counts"
+fits=$((fits + 1))
+
+echo "fronts-vs-ref: $fits fronts and traces (2 streamed, 1 at 200 generations), 2 data CSVs," \
+  "$insights insight reports," \
   "and per target a prediction dump, snapshot and C export byte-identical to $ref" \
   "($(echo "$rev" | cut -c1-12)); its snapshots resume to its fronts"

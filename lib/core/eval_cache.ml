@@ -28,22 +28,35 @@ let m_hits = Metrics.counter Metrics.default "eval.cache_hits"
 let m_misses = Metrics.counter Metrics.default "eval.cache_misses"
 let m_evictions = Metrics.counter Metrics.default "eval.cache_evictions"
 
+(* Order-sensitive FNV-style fold of the per-basis structural hashes:
+   basis order affects the regression's pivoting, so permuted individuals
+   are distinct keys. *)
+let hash_individual individual =
+  Array.fold_left (fun h b -> (h * 0x01000193) + Expr.hash_basis b) 0x811c9dc5 individual
+  land max_int
+
+(* The hash walks every tree of the individual, so each entry point
+   computes it once into a key, and shard selection, lookup and insertion
+   all reuse it. *)
+type key = { individual : Expr.basis array; hash : int }
+
+let key individual = { individual; hash = hash_individual individual }
+
 module Individual_key = struct
-  type t = Expr.basis array
+  type t = key
 
   let equal a b =
-    let n = Array.length a in
-    n = Array.length b
+    a.hash = b.hash
     &&
-    let rec go i = i = n || (Expr.equal_basis a.(i) b.(i) && go (i + 1)) in
+    let n = Array.length a.individual in
+    n = Array.length b.individual
+    &&
+    let rec go i =
+      i = n || (Expr.equal_basis a.individual.(i) b.individual.(i) && go (i + 1))
+    in
     go 0
 
-  (* Order-sensitive FNV-style fold of the per-basis structural hashes:
-     basis order affects the regression's pivoting, so permuted
-     individuals are distinct keys. *)
-  let hash individual =
-    Array.fold_left (fun h b -> (h * 0x01000193) + Expr.hash_basis b) 0x811c9dc5 individual
-    land max_int
+  let hash k = k.hash
 end
 
 module Tbl = Hashtbl.Make (Individual_key)
@@ -73,15 +86,16 @@ let create ?(limit = default_limit) ~mode ~wb:_ ~wvc:_ ~data:_ () =
   }
 
 let mode t = t.mode
-let shard_of t individual = t.shards.(Individual_key.hash individual land (shard_count - 1))
+let shard_of t k = t.shards.(k.hash land (shard_count - 1))
 
 let lookup t individual =
   match t.mode with
   | Off -> None
   | Exact -> (
-      let shard = shard_of t individual in
+      let k = key individual in
+      let shard = shard_of t k in
       Mutex.lock shard.lock;
-      let found = Tbl.find_opt shard.table individual in
+      let found = Tbl.find_opt shard.table k in
       (match found with
       | Some _ -> shard.hits <- shard.hits + 1
       | None -> shard.misses <- shard.misses + 1);
@@ -99,7 +113,8 @@ let store t individual objectives =
   | Off -> ()
   | Exact ->
       let objectives = Array.copy objectives in
-      let shard = shard_of t individual in
+      let k = key individual in
+      let shard = shard_of t k in
       let per_shard_limit = Stdlib.max 1 (t.limit / shard_count) in
       Mutex.lock shard.lock;
       if Tbl.length shard.table >= per_shard_limit then begin
@@ -109,7 +124,7 @@ let store t individual objectives =
         Metrics.add m_evictions (Tbl.length shard.table);
         Tbl.reset shard.table
       end;
-      if not (Tbl.mem shard.table individual) then Tbl.add shard.table individual objectives;
+      if not (Tbl.mem shard.table k) then Tbl.add shard.table k objectives;
       Mutex.unlock shard.lock
 
 (* --- introspection -------------------------------------------------------- *)

@@ -46,10 +46,13 @@ let accept ~wb ~wvc bases fitted =
    hashes each basis once and serves every product from the dataset's dot
    cache, so individuals whose bases recur across the population (the
    common case under set crossover) reuse cached products instead of
-   recomputing them.  The prediction pass then reads the columns through
-   [Dataset.iter_basis_chunks]: memoized columns as one chunk on resident
-   data, a re-streamed pass out of core.  The chunk size changes no word,
-   so the two storages produce byte-identical fronts. *)
+   recomputing them.  An individual with a basis the finite table already
+   knows to be non-finite (recorded when its column was installed, as
+   warming does for every search candidate) is rejected before [gram], so
+   its products are never computed.  The prediction pass then reads the
+   columns through [Dataset.iter_basis_chunks]: memoized columns as one
+   chunk on resident data, a re-streamed pass out of core.  The chunk size
+   changes no word, so the two storages produce byte-identical fronts. *)
 let gram_products g =
   ( (fun i j -> g.Dataset.dots.(i).(j)),
     (fun i -> g.Dataset.dot_ys.(i)),
@@ -57,6 +60,7 @@ let gram_products g =
 
 let fit ~wb ~wvc bases ~data ~targets =
   if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)
+  else if Dataset.known_nonfinite data bases then None
   else
     let g = Dataset.gram data bases ~targets in
     if not (Array.for_all Fun.id g.Dataset.finite_bases) then None

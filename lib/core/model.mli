@@ -33,7 +33,11 @@ val fit :
   t option
 (** Least-squares weighting of the basis functions; [None] for invalid
     models.  An empty basis array yields the constant model.  One path on
-    both storages: the products and per-basis finiteness from
+    both storages: a screen that returns [None] when the dataset's finite
+    table already records a basis as non-finite
+    ({!Dataset.known_nonfinite}: installed columns record their
+    finiteness, so a warmed individual is screened without touching the
+    dot cache), then the products and per-basis finiteness from
     {!Dataset.gram}, then {!Caffeine_regress.Linfit.fit_stream} over
     {!Dataset.iter_basis_chunks}. *)
 

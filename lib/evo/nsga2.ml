@@ -23,7 +23,9 @@ let dominates (a : float array) (b : float array) =
   done;
   !no_worse && !strictly_better
 
-let fast_nondominated_sort objectives =
+(* Deb's pairwise sort, O(m N²): the reference semantics, and the path for
+   any input other than two NaN-free objectives. *)
+let pairwise_sort objectives =
   let n = Array.length objectives in
   let dominated_by = Array.make n [] in
   let domination_count = Array.make n 0 in
@@ -58,6 +60,134 @@ let fast_nondominated_sort objectives =
     current := List.rev !next
   done;
   Array.of_list (List.rev !fronts)
+
+(* Two NaN-free objectives: the same fronts, members in the same order, in
+   O(N log N) (Jensen, IEEE TEC 7(5), 2003).
+
+   Ranks.  Sweep the points in lexicographic (f0, f1) order: every
+   dominator of a point is swept before it.  Within a front, lexicographic
+   order has f0 non-decreasing and f1 non-increasing, so a front dominates
+   the point iff its last-swept member does, and the fronts that dominate
+   it form a prefix; a binary search over the fronts' last members finds
+   the point's rank.
+
+   Member order.  In [pairwise_sort], front 0 is emitted in ascending
+   index order and processed in the reverse order; each [dominated_by]
+   list runs in descending index order; a member of front k+1 joins the
+   processing order when the last of its front-k dominators (in front k's
+   processing order) is processed, and the front is emitted reversed.  So
+   front k+1's processing order sorts its members by the position of that
+   dominator (ascending), then by index (descending).  A point's front-k
+   dominators are a contiguous run of front k's lexicographic order
+   (f0 <= q.f0 is a prefix, f1 <= q.f1 a suffix), and both ends of the run
+   only move forward as q walks front k+1 in lexicographic order, so a
+   sliding-window maximum finds every position in linear time. *)
+let two_objective_sort objectives =
+  let n = Array.length objectives in
+  let f0 = Array.init n (fun i -> objectives.(i).(0))
+  and f1 = Array.init n (fun i -> objectives.(i).(1)) in
+  let dominates_point a p =
+    f0.(a) <= f0.(p) && f1.(a) <= f1.(p) && (f0.(a) < f0.(p) || f1.(a) < f1.(p))
+  in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare f0.(a) f0.(b) in
+      if c <> 0 then c
+      else
+        let c = Float.compare f1.(a) f1.(b) in
+        if c <> 0 then c else Int.compare a b)
+    order;
+  let rank = Array.make n 0 in
+  let last = Array.make n 0 in
+  let count = ref 0 in
+  Array.iter
+    (fun p ->
+      let lo = ref 0 and hi = ref !count in
+      while !lo < !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        if dominates_point last.(mid) p then lo := mid + 1 else hi := mid
+      done;
+      rank.(p) <- !lo;
+      last.(!lo) <- p;
+      if !lo = !count then incr count)
+    order;
+  let count = !count in
+  (* Front k occupies [start.(k), start.(k+1)) of [lex] (its members in
+     lexicographic order) and of [processing] (its processing order);
+     [pos.(i)] is i's offset in its front's processing order. *)
+  let start = Array.make (count + 1) 0 in
+  Array.iter (fun r -> start.(r + 1) <- start.(r + 1) + 1) rank;
+  for k = 1 to count do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let lex = Array.make n 0 in
+  let fill = Array.sub start 0 count in
+  Array.iter
+    (fun p ->
+      let r = rank.(p) in
+      lex.(fill.(r)) <- p;
+      fill.(r) <- fill.(r) + 1)
+    order;
+  let processing = Array.make n 0 and pos = Array.make n 0 in
+  let place k members =
+    Array.blit members 0 processing start.(k) (Array.length members);
+    Array.iteri (fun j i -> pos.(i) <- j) members
+  in
+  if count > 0 then begin
+    let front0 = Array.sub lex 0 start.(1) in
+    Array.sort (fun a b -> Int.compare b a) front0;
+    place 0 front0
+  end;
+  (* [window.(head .. tail-1)] holds [lex] offsets of front k-1's run
+     [lo, hi), increasing, with decreasing [pos]: its head is the run's
+     last dominator in processing order. *)
+  let window = Array.make n 0 in
+  for k = 1 to count - 1 do
+    let prev_end = start.(k) and size = start.(k + 1) - start.(k) in
+    (* One int per member: dominator position major, descending index
+       minor. *)
+    let keys = Array.make size 0 in
+    let lo = ref start.(k - 1) and hi = ref start.(k - 1) in
+    let head = ref 0 and tail = ref 0 in
+    for j = 0 to size - 1 do
+      let q = lex.(start.(k) + j) in
+      (* q has a dominator in front k-1, so the run is never empty and
+         [lo] stops before [hi]. *)
+      while !hi < prev_end && f0.(lex.(!hi)) <= f0.(q) do
+        let d = lex.(!hi) in
+        while !tail > !head && pos.(lex.(window.(!tail - 1))) < pos.(d) do
+          decr tail
+        done;
+        window.(!tail) <- !hi;
+        incr tail;
+        incr hi
+      done;
+      while f1.(lex.(!lo)) > f1.(q) do
+        incr lo
+      done;
+      while window.(!head) < !lo do
+        incr head
+      done;
+      keys.(j) <- (pos.(lex.(window.(!head))) * n) + (n - 1 - q)
+    done;
+    Array.sort Int.compare keys;
+    place k (Array.map (fun key -> n - 1 - (key mod n)) keys)
+  done;
+  Array.init count (fun k ->
+      let members = ref [] in
+      for j = start.(k) to start.(k + 1) - 1 do
+        members := processing.(j) :: !members
+      done;
+      !members)
+
+let fast_nondominated_sort objectives =
+  if
+    Array.for_all
+      (fun o -> Array.length o = 2 && not (Float.is_nan o.(0) || Float.is_nan o.(1)))
+      objectives
+  then two_objective_sort objectives
+  else pairwise_sort objectives
 
 let crowding_distances objectives front =
   match front with

@@ -17,7 +17,19 @@ val dominates : float array -> float array -> bool
     in at least one. *)
 
 val fast_nondominated_sort : float array array -> int list array
-(** Partition indices into fronts; element 0 is the non-dominated front. *)
+(** Partition indices into fronts; element 0 is the non-dominated front.
+    The fronts, and the order of the members inside each, are those of
+    Deb's pairwise sort (O(m N²)): front 0 in ascending index order, each
+    later front in the order Deb's algorithm emits it.  That order decides
+    crowding ties and which members survive truncation, so it is part of
+    the contract.
+
+    When every vector has exactly two entries and none is NaN — always
+    the case inside {!run}, which sanitizes NaN to [infinity] — the sort
+    is a lexicographic sweep with a binary search over the fronts (Jensen,
+    2003) that rebuilds Deb's member order, in O(N log N) time and O(N)
+    space, with output identical to the pairwise sort.  Every other input
+    takes the pairwise sort. *)
 
 val crowding_distances : float array array -> int list -> (int * float) list
 (** Crowding distance of each member of one front (boundary points get

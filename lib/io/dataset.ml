@@ -110,8 +110,9 @@ type t = {
   mutable dot_cache_limit : int;  (* max cached products across all shards *)
   finite_lock : Mutex.t;
   finite_table : bool Key_tbl.t;
-      (* per-basis finiteness screened during the Gram pass, cached so
-         repeat fits skip the data pass *)
+      (* per-basis finiteness, recorded when a column is installed and when
+         the Gram pass screens a basis, so repeat fits skip the data pass
+         and [known_nonfinite] can reject an individual before its Gram *)
   targets_lock : Mutex.t;
   mutable registered_targets : (float array * int) list;  (* keyed by (==) *)
   mutable next_target_id : int;
@@ -320,10 +321,31 @@ let chunked_columns data src bases =
       Array.iteri (fun j column -> Array.blit chunk.(j) 0 column row0 len) columns);
   columns
 
+let find_finite data k =
+  Mutex.lock data.finite_lock;
+  let found = Key_tbl.find_opt data.finite_table k in
+  Mutex.unlock data.finite_lock;
+  found
+
+let store_finite data k value =
+  Mutex.lock data.finite_lock;
+  if Key_tbl.length data.finite_table >= data.cache_limit then Key_tbl.reset data.finite_table;
+  let held =
+    match Key_tbl.find_opt data.finite_table k with
+    | Some held -> held
+    | None ->
+        Key_tbl.add data.finite_table k value;
+        value
+  in
+  Mutex.unlock data.finite_lock;
+  held
+
 (* Add a column to the cache under the bounded-shard policy: drop the
    shard wholesale once full (misses just re-evaluate; values are
    unaffected), and keep whichever copy of a racing duplicate landed
-   first — both are the same words. *)
+   first — both are the same words.  The column's finiteness goes into the
+   finite table as well, so a fit can reject a non-finite individual by
+   lookup before its Gram pass. *)
 let install data k col =
   let shard = shard_of data k in
   let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
@@ -333,7 +355,8 @@ let install data k col =
     Key_tbl.reset shard.table
   end;
   if not (Key_tbl.mem shard.table k) then Key_tbl.add shard.table k col;
-  Mutex.unlock shard.lock
+  Mutex.unlock shard.lock;
+  ignore (store_finite data k (Caffeine_util.Stats.is_finite_array col) : bool)
 
 let column_of_key data k =
   match data.storage with
@@ -514,24 +537,10 @@ let target_id data targets =
   Mutex.unlock data.targets_lock;
   id
 
-let find_finite data k =
-  Mutex.lock data.finite_lock;
-  let found = Key_tbl.find_opt data.finite_table k in
-  Mutex.unlock data.finite_lock;
-  found
-
-let store_finite data k value =
-  Mutex.lock data.finite_lock;
-  if Key_tbl.length data.finite_table >= data.cache_limit then Key_tbl.reset data.finite_table;
-  let held =
-    match Key_tbl.find_opt data.finite_table k with
-    | Some held -> held
-    | None ->
-        Key_tbl.add data.finite_table k value;
-        value
-  in
-  Mutex.unlock data.finite_lock;
-  held
+let known_nonfinite data bases =
+  Array.exists
+    (fun basis -> match find_finite data (key basis) with Some false -> true | _ -> false)
+    bases
 
 (* --- the one Gram pass --------------------------------------------------- *)
 

@@ -114,7 +114,9 @@ val basis_column : t -> Expr.basis -> float array
     {!Expr.eval_basis} on every sample (NaN payloads aside), and is the
     same words, NaN payloads included, that {!warm_columns} installs.
     Chunked storage evaluates a fresh column on every call and never
-    caches it. *)
+    caches it.  Every installed column also records its finiteness in the
+    per-basis finite table that {!gram} reads, and {!known_nonfinite}
+    consults. *)
 
 type fuse_stats = {
   fused_bases : int;  (** distinct bases that had no memoized column *)
@@ -131,8 +133,9 @@ val warm_columns : t -> Expr.basis array -> fuse_stats
     included, so warming is purely a throughput optimization: subsequent
     {!basis_column} / {!gram} calls return the same IEEE words whether or
     not a batch was warmed (and under the same bounded-shard eviction
-    policy).  Chunked storage caches no columns, so there it does
-    nothing.
+    policy).  Like a {!basis_column} miss, each install records the
+    column's finiteness.  Chunked storage caches no columns, so there it
+    does nothing.
     Bumps the [fused.nodes_in] / [fused.nodes_out] counters and the
     [fused.cse_ratio] gauge; the returned stats cover this call only. *)
 
@@ -142,6 +145,16 @@ type gram = {
   col_sums : float array;  (** [⟨colᵢ, 1⟩] *)
   finite_bases : bool array;  (** whether column [i] is finite everywhere *)
 }
+
+val known_nonfinite : t -> Expr.basis array -> bool
+(** Whether the finite table already records one of [bases] as non-finite
+    somewhere on the data: a table lookup per basis, no data pass and no
+    dot-cache lookup.  [false] means "not known", not "finite": the
+    table is filled when a resident column is installed and when {!gram}
+    screens a basis, and it is bounded like the column cache.  This is
+    the screen [Model.fit] runs before {!gram}, so an
+    individual whose columns were warmed is rejected without computing
+    its products. *)
 
 val gram : t -> Expr.basis array -> targets:float array -> gram
 (** Every product {!Caffeine_regress.Linfit.fit_stream} needs for one

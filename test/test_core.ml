@@ -269,6 +269,22 @@ let test_model_fit_invalid_basis_returns_none () =
        ~targets:(Array.map (fun _ -> 1.) simple_inputs)
     = None)
 
+let test_model_fit_screens_warmed_nonfinite () =
+  (* A warmed column records its finiteness, so the fit rejects the
+     individual before its Gram pass: no dot-cache lookup at all. *)
+  let good = Expr.{ vc = Some [| 1; 0; 0; 0; 0 |]; factors = [] } in
+  let bad =
+    Expr.{ vc = None; factors = [ Unary (Op.Log_e, { bias = -5.; terms = [] }) ] }
+  in
+  let data = data_of simple_inputs in
+  ignore (Dataset.warm_columns data [| good; bad |] : Dataset.fuse_stats);
+  let before = (Dataset.stats data).Dataset.dot_misses in
+  Alcotest.(check bool) "invalid model rejected" true
+    (Model.fit ~wb:10. ~wvc:0.25 [| good; bad |] ~data
+       ~targets:(Array.map (fun _ -> 1.) simple_inputs)
+    = None);
+  Alcotest.(check int) "no product computed" before (Dataset.stats data).Dataset.dot_misses
+
 let test_model_to_string_paper_style () =
   let b = Expr.{ vc = Some [| 1; -1; 0; 0; 0 |]; factors = [] } in
   let m =
@@ -576,6 +592,8 @@ let suite =
     Alcotest.test_case "model: nested vc cost" `Quick test_model_complexity_counts_all_vcs;
     Alcotest.test_case "model: fit and predict" `Quick test_model_fit_and_predict;
     Alcotest.test_case "model: invalid rejected" `Quick test_model_fit_invalid_basis_returns_none;
+    Alcotest.test_case "model: warmed non-finite basis skips the Gram" `Quick
+      test_model_fit_screens_warmed_nonfinite;
     Alcotest.test_case "model: paper-style printing" `Quick test_model_to_string_paper_style;
     Alcotest.test_case "model: simplify folds constants" `Quick test_model_simplify_folds_constants;
     Alcotest.test_case "search: ground-truth recovery" `Slow test_search_recovers_ground_truth;

@@ -231,6 +231,25 @@ let tie_heavy_objectives rng ~n ~m =
   let pool = [| 0.; 1.; 1.; 2.; 3.; 0.5; Float.infinity; Float.infinity; Float.neg_infinity; Float.nan |] in
   Array.init n (fun _ -> Array.init m (fun _ -> pool.(Rng.int rng (Array.length pool))))
 
+(* NaN-free two-objective sets, the shape [Nsga2.run] always sorts, in
+   three kinds: shape 0 draws from a small pool with both infinities and
+   both zeros (ties everywhere); shape 1 pairs a continuous error, +inf one
+   time in eight, with an integer complexity, as the search does; shape 2
+   scatters points near the anti-diagonal, so fronts are few and wide. *)
+let two_objective_set rng ~n ~shape =
+  let pool =
+    [| 0.; -0.; 1.; 1.; 2.; 3.; 0.5; Float.infinity; Float.infinity; Float.neg_infinity |]
+  in
+  Array.init n (fun _ ->
+      match shape with
+      | 0 -> Array.init 2 (fun _ -> pool.(Rng.int rng (Array.length pool)))
+      | 1 ->
+          let error = if Rng.int rng 8 = 0 then Float.infinity else Rng.uniform rng in
+          [| error; float_of_int (1 + Rng.int rng 40) |]
+      | _ ->
+          let x = Rng.uniform rng in
+          [| x; 1. -. x +. (0.05 *. Rng.uniform rng) |])
+
 let property_tests =
   [
     QCheck.Test.make ~name:"sort partitions all indices" ~count:50
@@ -264,6 +283,13 @@ let property_tests =
                  (fun b -> Nsga2.dominates a b = Reference.dominates a b)
                  objectives)
              objectives);
+    QCheck.Test.make ~name:"two-objective sweep: fronts and member order identical to Deb's"
+      ~count:300
+      QCheck.(triple small_int (int_range 0 400) (int_range 0 2))
+      (fun (seed, n, shape) ->
+        let rng = Rng.create ~seed () in
+        let objectives = two_objective_set rng ~n ~shape in
+        Nsga2.fast_nondominated_sort objectives = Reference.fast_nondominated_sort objectives);
   ]
 
 let suite =
