@@ -1185,9 +1185,9 @@ let experiment_dedup options =
     Executor.with_executor ?jobs ?shards backend @@ fun executor ->
     signature (Search.run ~seed ~executor ~eval_cache:mode config ~data ~targets)
   in
-  (* Processes before domains, in this order: on OCaml 5.1, once this
-     process has run a domain pool, forking the processes backend's
-     workers can fail. *)
+  (* Process workers are started with create_process, not fork, so they
+     start whether or not this process has run a domain pool; the order
+     only fixes the table's rows. *)
   let backends =
     [
       ("seq", fun mode -> front_of Executor.Seq mode);
@@ -1423,9 +1423,9 @@ let experiment_fuse options =
             if backend = "seq" && mode = Eval_cache.Off then None
             else Some (backend ^ "_" ^ mode_name, run mode))
           modes)
-      (* Processes before domains, in this order: on OCaml 5.1, once
-         this process has run a domain pool, forking the processes
-         backend's workers can fail. *)
+      (* Process workers are started with create_process, not fork, so
+         they start whether or not this process has run a domain pool;
+         the order only fixes the table's rows. *)
       [
         ("seq", fun mode -> front_of Executor.Seq mode);
         ("processes_3", fun mode -> front_of Executor.Processes ~shards:3 mode);

@@ -402,7 +402,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
       s.Dataset.dots_cached s.Dataset.dot_hits s.Dataset.dot_misses s.Dataset.dot_evictions;
     if eval_cache <> Eval_cache.Off then begin
       (* Coordinator-side counters only: under --backend processes the
-         worker caches live and die in the forked workers. *)
+         worker caches live and die in the worker processes. *)
       let g = Eval_cache.global_stats () in
       let lookups = g.Eval_cache.total_hits + g.Eval_cache.total_misses in
       let hit_rate =
@@ -466,7 +466,7 @@ let backend_arg =
   let doc =
     "Execution backend: $(b,seq) runs everything on the calling domain; $(b,domains) fans \
      objective evaluation across worker domains sharing the heap (see $(b,--jobs)); \
-     $(b,processes) forks worker processes and runs whole islands in them (see \
+     $(b,processes) starts worker processes and runs whole islands in them (see \
      $(b,--shard)), immune to the cross-domain GC coupling that makes domains lose on \
      small populations.  The final front is bit-identical under every backend."
   in

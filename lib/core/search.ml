@@ -7,6 +7,9 @@ module Nsga2 = Caffeine_evo.Nsga2
 module Executor = Caffeine_par.Executor
 module Metrics = Caffeine_obs.Metrics
 module Trace = Caffeine_obs.Trace
+module Json = Caffeine_obs.Json
+module Colstore = Caffeine_io.Colstore
+module Op = Caffeine_expr.Op
 
 type outcome = {
   front : Model.t list;
@@ -84,7 +87,7 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
     | None -> [| Float.infinity; Model.complexity_of ~wb ~wvc individual |]
   in
   (* One cache per run_with_rng call, so every island — and, under the
-     process backend, every forked worker — owns a private instance.  The
+     process backend, every worker process — owns a private instance.  The
      cache is rebuildable derived state: it never enters checkpoint
      snapshots, and resumed runs simply start cold. *)
   let eval_cache =
@@ -332,38 +335,203 @@ let island_start = function
 
 (* {3 The multi-process island backend}
 
-   Islands fan out across forked worker processes (Shard); the
-   coordinator owns the snapshot file and the trace sink.  Workers
-   compute exactly what the in-process path computes — same generator
-   state, sequential inner execution — and stream generation records and
-   checkpoint progress back over their result pipe; Shard releases those
-   to [deliver] in island order, so the emitted trace is the sequential
-   trace (plus one Migration record per island). *)
-let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache islands config
-    ~data ~targets =
-  let generations = config.Config.generations in
-  let observing = (not (Trace.is_null trace)) || Option.is_some on_generation in
-  let run_island ~emit ~progress ~island:_ state =
-    (* Worker-process side.  [emit]/[progress] write to the result pipe;
-       everything else is the plain sequential search. *)
+   Islands fan out across worker processes (Shard).  A worker is this
+   executable started afresh, so in place of a closure it receives a job:
+   one JSON line with the config, the eval-cache mode, whether the run is
+   observed and the checkpoint interval, naming a scratch column store
+   that holds the data and the targets.  The worker loads the store
+   resident or streamed, as the coordinator holds the data, and runs what
+   the in-process path runs — same generator state, sequential inner
+   execution — streaming generation records and checkpoint progress back;
+   Shard releases those to [deliver] in island order, so the emitted
+   trace is the sequential trace (plus one Migration record per
+   island). *)
+
+(* The data and then the targets, as one column store.  The names are
+   synthetic: a worker needs only the words, and a caller's names could
+   be empty or collide with the targets column. *)
+let store_names dims =
+  Array.init (dims + 1) (fun v -> if v < dims then "x" ^ string_of_int v else "y")
+
+let pack_store ~path data ~targets =
+  let dims = Dataset.dims data in
+  (* One chunk per chunk of the source, and resident data as one chunk:
+     a reader allocates its buffers at the store's chunk length. *)
+  let writer =
+    Colstore.Writer.create ~path ~var_names:(store_names dims)
+      ~chunk_rows:(Dataset.chunk_rows data) ()
+  in
+  let row = Array.make (dims + 1) 0. in
+  Dataset.iter_variable_chunks data ~f:(fun ~row0 ~len columns ->
+      for i = 0 to len - 1 do
+        for v = 0 to dims - 1 do
+          row.(v) <- columns.(v).(i)
+        done;
+        row.(dims) <- targets.(row0 + i);
+        Colstore.Writer.append_row writer row
+      done);
+  Colstore.Writer.close writer
+
+let load_store ~path ~streamed =
+  let store = Colstore.openfile path in
+  let dims = Array.length (Colstore.var_names store) - 1 in
+  if streamed then
+    ( Dataset.of_colstore ~exclude:[ (store_names dims).(dims) ] store,
+      Colstore.column store dims )
+  else begin
+    let n = Colstore.n_rows store in
+    let columns = Array.init (dims + 1) (fun _ -> Array.make n 0.) in
+    Colstore.iter_chunks store ~f:(fun ~row0 ~len chunk ->
+        Array.iteri (fun v column -> Array.blit chunk.(v) 0 column row0 len) columns);
+    Colstore.close store;
+    (Dataset.of_columns (Array.sub columns 0 dims), columns.(dims))
+  end
+
+let job_line ~store ~streamed ~observing ~checkpoint_every ~eval_cache (config : Config.t) =
+  let b = Buffer.create 512 in
+  let obj members () =
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (name, add) ->
+        if i > 0 then Buffer.add_char b ',';
+        Json.add_string b name;
+        Buffer.add_char b ':';
+        add ())
+      members;
+    Buffer.add_char b '}'
+  in
+  let raw text () = Buffer.add_string b text in
+  let int n = raw (string_of_int n) and bool x = raw (string_of_bool x) in
+  let float x () = Json.add_float b x and str text () = Json.add_string b text in
+  let names name_of ops () =
+    Buffer.add_char b '[';
+    Array.iteri
+      (fun i op ->
+        if i > 0 then Buffer.add_char b ',';
+        Json.add_string b (name_of op))
+      ops;
+    Buffer.add_char b ']'
+  in
+  let every = match checkpoint_every with Some every -> int every | None -> raw "null" in
+  let opset = config.opset in
+  obj
+    [
+      ("store", str store);
+      ("streamed", bool streamed);
+      ("observed", bool observing);
+      ("checkpoint_every", every);
+      ("eval_cache", str (Eval_cache.mode_to_string eval_cache));
+      ( "config",
+        obj
+          [
+            ("pop_size", int config.pop_size);
+            ("generations", int config.generations);
+            ("max_bases", int config.max_bases);
+            ("max_depth", int config.max_depth);
+            ("wb", float config.wb);
+            ("wvc", float config.wvc);
+            ( "opset",
+              obj
+                [
+                  ("unops", names Op.unary_name opset.Opset.unops);
+                  ("binops", names Op.binary_name opset.Opset.binops);
+                  ("allow_lte", bool opset.Opset.allow_lte);
+                  ("allow_vc", bool opset.Opset.allow_vc);
+                  ("allow_nonlinear", bool opset.Opset.allow_nonlinear);
+                  ("max_exponent", int opset.Opset.max_exponent);
+                  ("min_exponent", int opset.Opset.min_exponent);
+                ] );
+            ("param_mutation_weight", float config.param_mutation_weight);
+            ("crossover_probability", float config.crossover_probability);
+            ("max_vc_vars", int config.max_vc_vars);
+            ("jobs", int config.jobs);
+          ] );
+    ]
+    ();
+  Buffer.contents b
+
+let bool_of fields name =
+  match Json.member fields name with
+  | Json.Bool b -> b
+  | _ -> raise (Json.Parse_error (Printf.sprintf "field %S: expected a boolean" name))
+
+let ops_of fields name of_name =
+  Array.of_list
+    (List.map
+       (fun json ->
+         let op = Json.to_str name json in
+         match of_name op with
+         | Some op -> op
+         | None ->
+             raise (Json.Parse_error (Printf.sprintf "field %S: unknown operator %S" name op)))
+       (Json.arr_of fields name))
+
+let config_of fields : Config.t =
+  let opset = Json.obj (Json.member fields "opset") in
+  {
+    pop_size = Json.int_of fields "pop_size";
+    generations = Json.int_of fields "generations";
+    max_bases = Json.int_of fields "max_bases";
+    max_depth = Json.int_of fields "max_depth";
+    wb = Json.float_of fields "wb";
+    wvc = Json.float_of fields "wvc";
+    opset =
+      {
+        Opset.unops = ops_of opset "unops" Op.unary_of_name;
+        binops = ops_of opset "binops" Op.binary_of_name;
+        allow_lte = bool_of opset "allow_lte";
+        allow_vc = bool_of opset "allow_vc";
+        allow_nonlinear = bool_of opset "allow_nonlinear";
+        max_exponent = Json.int_of opset "max_exponent";
+        min_exponent = Json.int_of opset "min_exponent";
+      };
+    param_mutation_weight = Json.float_of fields "param_mutation_weight";
+    crossover_probability = Json.float_of fields "crossover_probability";
+    max_vc_vars = Json.int_of fields "max_vc_vars";
+    jobs = Json.int_of fields "jobs";
+  }
+
+(* Worker-process side: [emit]/[progress] write to the worker's socket;
+   everything else is the plain sequential search. *)
+let load_job line : Shard.run_island =
+  let fields = Json.obj (Json.parse_exn line) in
+  let config = config_of (Json.obj (Json.member fields "config")) in
+  let eval_cache =
+    match Eval_cache.mode_of_string (Json.str_of fields "eval_cache") with
+    | Ok mode -> mode
+    | Error message -> raise (Json.Parse_error message)
+  in
+  let observing = bool_of fields "observed" in
+  let checkpoint_every =
+    match Json.member fields "checkpoint_every" with
+    | Json.Null -> None
+    | every -> Some (Json.to_int "checkpoint_every" every)
+  in
+  let data, targets =
+    load_store ~path:(Json.str_of fields "store") ~streamed:(bool_of fields "streamed")
+  in
+  let generations = config.generations in
+  fun ~emit ~progress ~island:_ state ->
     match state with
     | Checkpoint.Done front -> front
     | Checkpoint.Pending _ | Checkpoint.In_progress _ ->
         let rng, start = island_start state in
-        let worker_trace = if observing then Trace.of_fn emit else Trace.null in
+        let trace = if observing then Trace.of_fn emit else Trace.null in
         let on_checkpoint =
           Option.map
-            (fun ctx gen population ->
-              if gen > 0 && gen mod ctx.ckpt_every = 0 && gen < generations then
+            (fun every gen population ->
+              if gen > 0 && gen mod every = 0 && gen < generations then
                 progress ~gen ~rng:(Rng.to_state rng) ~population)
-            checkpoint
+            checkpoint_every
         in
-        let outcome =
-          run_with_rng ~rng ~trace:worker_trace ?start ?on_checkpoint ~eval_cache config ~data
-            ~targets
-        in
-        outcome.front
-  in
+        (run_with_rng ~rng ~trace ?start ?on_checkpoint ~eval_cache config ~data ~targets).front
+
+let island_worker = Shard.worker "search.island" load_job
+
+let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache islands config
+    ~data ~targets =
+  let generations = config.Config.generations in
+  let observing = (not (Trace.is_null trace)) || Option.is_some on_generation in
   let snapshot = Option.map (fun ctx () -> write_snapshot ctx islands) checkpoint in
   let on_progress = Option.map (fun write ~island:_ ~gen:_ -> write ()) snapshot in
   let on_done = Option.map (fun write ~island:_ -> write ()) snapshot in
@@ -381,7 +549,14 @@ let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache 
     | Shard.Progress_saved gen -> mark ~island ~gen
     | Shard.Done_saved -> mark ~island ~gen:generations
   in
-  Shard.run_islands ~shards ?on_progress ?on_done ~deliver ~run_island islands
+  Shard.with_scratch_file ~suffix:".cafs" @@ fun store ->
+  pack_store ~path:store data ~targets;
+  let job =
+    job_line ~store ~streamed:(Dataset.is_chunked data) ~observing
+      ~checkpoint_every:(Option.map (fun ctx -> ctx.ckpt_every) checkpoint)
+      ~eval_cache config
+  in
+  Shard.run_islands ~shards ?on_progress ?on_done ~deliver ~worker:island_worker ~job islands
 
 (* {3 The in-process backends (sequential and domain pool)} *)
 

@@ -22,11 +22,19 @@
     (which degenerates to sequential when [jobs <= 1]).
 
     With a {!Caffeine_par.Executor.Processes} executor, {!run_multi}
-    fans whole islands out across forked worker processes ({!Shard}):
-    each island runs sequentially inside its worker — immune to OCaml
-    5's cross-domain GC coupling — and streams generation records,
-    checkpoint progress and its final front back to the coordinator over
-    a pipe using the {!Checkpoint} island-line codec.  The coordinator
+    fans whole islands out across worker processes ({!Shard}), each a
+    fresh start of the running executable: each island runs sequentially
+    inside its worker — immune to OCaml 5's cross-domain GC coupling —
+    and streams generation records, checkpoint progress and its final
+    front back to the coordinator over a socket using the {!Checkpoint}
+    island-line codec.  A worker receives a job in place of a closure:
+    the config, the eval-cache mode, whether the run is observed and the
+    checkpoint interval, plus the data and targets, which the
+    coordinator packs once per run into a scratch {!Caffeine_io.Colstore}
+    file that each worker loads resident or streamed, as the coordinator
+    holds the data (with default cache limits and cold caches).  The
+    scratch file is removed when the run returns, raises, or exits
+    through [Stdlib.exit] from a callback.  The coordinator
     re-serializes worker output into island order, so traces, generation
     callbacks and snapshots behave exactly as in a sequential run (plus
     one {!Caffeine_obs.Trace.Migration} record per arrived front).
@@ -85,7 +93,7 @@ val run :
     structural hash and is bit-identical to recomputation by
     construction, so the evolved front is the same with the cache on or
     off at every backend.  Each island — and, under the process backend,
-    each forked worker — owns a private cache instance bounded by
+    each worker process — owns a private cache instance bounded by
     {!Eval_cache.default_limit} entries.  Caches are rebuildable derived
     state: they never enter checkpoint snapshots, and resumed runs start
     cold.

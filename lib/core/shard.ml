@@ -9,21 +9,48 @@ type event =
   | Progress_saved of int
   | Done_saved
 
+type run_island =
+  emit:(Trace.record -> unit) ->
+  progress:(gen:int -> rng:Caffeine_util.Rng.state -> population:Checkpoint.population -> unit) ->
+  island:int ->
+  Checkpoint.island ->
+  Model.t list
+
+type worker = string
+
 let m_workers = Metrics.counter Metrics.default "shard.workers_spawned"
 let m_migrations = Metrics.counter Metrics.default "shard.migrations"
 let m_bytes = Metrics.counter Metrics.default "shard.bytes_exchanged"
 
-(* Workers to kill when the coordinator leaves through [Stdlib.exit] from
-   inside a user callback (the CLI's --kill-after does exactly that):
-   [Fun.protect] does not run across [exit], this hook does.  Workers
-   themselves leave through [Unix._exit], which skips it. *)
+(* A worker is this executable started again with [worker_env] naming its
+   entry and [worker_flag] as its only argument. *)
+let worker_env = "CAFFEINE_SHARD_WORKER"
+let worker_flag = "--caffeine-shard-worker"
+
+(* Workers to kill and scratch files to remove when the coordinator leaves
+   through [Stdlib.exit] from inside a user callback (the CLI's
+   --kill-after does exactly that): [Fun.protect] does not run across
+   [exit], this hook does. *)
 let live_children : int list ref = ref []
+let scratch_files : string list ref = ref []
+
+let remove_quietly path = try Sys.remove path with Sys_error _ -> ()
 
 let () =
   at_exit (fun () ->
       List.iter
         (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-        !live_children)
+        !live_children;
+      List.iter remove_quietly !scratch_files)
+
+let with_scratch_file ~suffix f =
+  let path = Filename.temp_file "caffeine_shard" suffix in
+  scratch_files := path :: !scratch_files;
+  Fun.protect
+    ~finally:(fun () ->
+      remove_quietly path;
+      scratch_files := List.filter (fun other -> other <> path) !scratch_files)
+    (fun () -> f path)
 
 (* --- EINTR-safe syscall wrappers ---------------------------------------- *)
 
@@ -55,9 +82,13 @@ let write_all fd line =
 
 (* --- wire helpers -------------------------------------------------------- *)
 
-let hello_line islands =
-  Printf.sprintf "{\"type\":\"shard_hello\",\"version\":%d,\"islands\":%d}" Checkpoint.version
-    islands
+let hello_line ~job islands =
+  let buffer = Buffer.create (96 + String.length job) in
+  Printf.bprintf buffer "{\"type\":\"shard_hello\",\"version\":%d,\"islands\":%d,\"job\":"
+    Checkpoint.version islands;
+  Json.add_string buffer job;
+  Buffer.add_char buffer '}';
+  Buffer.contents buffer
 
 let error_line message =
   let buffer = Buffer.create 96 in
@@ -68,68 +99,101 @@ let error_line message =
 
 (* --- worker side --------------------------------------------------------- *)
 
-let worker_main ~run_island ic oc =
-  let send line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  (* Drain the assignment pipe to EOF before doing any work: the
-     coordinator writes everything up front and closes its end, so this
-     cannot deadlock, and it frees the coordinator to enter its read
-     loop. *)
+exception Cannot_load of string
+
+(* The job from the hello line, then every assignment.  The socket is
+   drained to EOF before any work starts: the coordinator writes
+   everything up front and then shuts down its sending side, so this
+   cannot deadlock, and it frees the coordinator to enter its read
+   loop. *)
+let read_assignments ic =
+  let hello = Json.obj (Json.parse_exn (input_line ic)) in
+  if Json.str_of hello "type" <> "shard_hello" then
+    raise (Json.Parse_error "expected a shard_hello line first");
+  let version = Json.int_of hello "version" in
+  if version <> Checkpoint.version then
+    raise
+      (Json.Parse_error
+         (Printf.sprintf "coordinator speaks version %d, this worker %d" version
+            Checkpoint.version));
+  let job = Json.str_of hello "job" in
   let assignments = ref [] in
   (try
      while true do
        let line = input_line ic in
        if String.trim line <> "" then
-         match Checkpoint.island_of_json (Json.parse_exn line) with
-         | assignment -> assignments := assignment :: !assignments
-         | exception Json.Parse_error _ -> () (* the hello line *)
+         assignments := Checkpoint.island_of_json (Json.parse_exn line) :: !assignments
      done
    with End_of_file -> ());
-  let emit record = send (Trace.to_line record) in
-  List.iter
-    (fun (index, state) ->
-      let progress ~gen ~rng ~population =
-        send (Checkpoint.island_to_line ~index (Checkpoint.In_progress { gen; rng; population }))
-      in
-      let front = run_island ~emit ~progress ~island:index state in
-      send (Checkpoint.island_to_line ~index (Checkpoint.Done front)))
-    (List.rev !assignments)
+  let expected = Json.int_of hello "islands" in
+  if List.length !assignments <> expected then
+    raise
+      (Json.Parse_error
+         (Printf.sprintf "received %d of %d island lines" (List.length !assignments) expected));
+  (job, List.rev !assignments)
 
-let run_worker ~run_island ~close_in_child assignment_fd result_fd =
-  (* In the forked child.  Everything of the parent — stack, at_exit
-     handlers, buffered channels, even worker domains' descriptors — is a
-     live copy here, so: close every inherited pipe end that is not ours
-     (a stray duplicate of another worker's write end would mask that
-     worker's EOF from the coordinator), never print, and leave through
-     [Unix._exit] so nothing inherited gets flushed or re-run. *)
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    close_in_child;
-  let ic = Unix.in_channel_of_descr assignment_fd in
-  let oc = Unix.out_channel_of_descr result_fd in
+(* The whole life of a worker process: assignments in and results out on
+   the socket that is its stdin, then exit.  Its stdout is left to
+   whatever module initialisation prints. *)
+let serve load =
+  let ic = Unix.in_channel_of_descr Unix.stdin in
+  let oc = Unix.out_channel_of_descr Unix.stdin in
+  let send line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc
+  in
+  let work () =
+    let job, assignments =
+      try read_assignments ic with
+      | End_of_file -> raise (Cannot_load "received no assignments")
+      | Json.Parse_error message | Sys_error message ->
+          raise (Cannot_load ("cannot read its assignments: " ^ message))
+    in
+    let run_island =
+      try load job
+      with exn -> raise (Cannot_load ("cannot load its job: " ^ Printexc.to_string exn))
+    in
+    let emit record = send (Trace.to_line record) in
+    List.iter
+      (fun (index, state) ->
+        let progress ~gen ~rng ~population =
+          send (Checkpoint.island_to_line ~index (Checkpoint.In_progress { gen; rng; population }))
+        in
+        let front = run_island ~emit ~progress ~island:index state in
+        send (Checkpoint.island_to_line ~index (Checkpoint.Done front)))
+      assignments
+  in
   let code =
-    match worker_main ~run_island ic oc with
+    match work () with
     | () -> 0
     | exception exn ->
-        (try
-           output_string oc (error_line (Printexc.to_string exn));
-           output_char oc '\n';
-           flush oc
-         with _ -> ());
+        let message =
+          match exn with Cannot_load message -> message | exn -> Printexc.to_string exn
+        in
+        (try send (error_line message) with _ -> ());
         10
   in
   (try flush oc with _ -> ());
-  Unix._exit code
+  exit code
+
+let registered : (string, unit) Hashtbl.t = Hashtbl.create 4
+
+let worker name load =
+  if Hashtbl.mem registered name then invalid_arg ("Shard.worker: entry registered twice: " ^ name);
+  Hashtbl.replace registered name ();
+  if
+    Array.length Sys.argv = 2 && Sys.argv.(1) = worker_flag
+    && Sys.getenv_opt worker_env = Some name
+  then serve load;
+  name
 
 (* --- coordinator side ---------------------------------------------------- *)
 
-type worker = {
+type worker_process = {
   pid : int;
   shard : int;
-  fd : Unix.file_descr;  (* result pipe, read end *)
+  fd : Unix.file_descr;  (* our end of the worker's socket *)
   buf : Buffer.t;
   mutable scanned : int;  (* buffer prefix known to hold no newline *)
   mutable pending : int list;  (* assigned islands not yet done, in order *)
@@ -143,7 +207,37 @@ let fate = function
   | Unix.WSIGNALED signal -> Some (Printf.sprintf "killed by signal %d" signal)
   | Unix.WSTOPPED signal -> Some (Printf.sprintf "stopped by signal %d" signal)
 
-let run_islands ~shards ?on_progress ?on_done ?(deliver = fun ~island:_ _ -> ()) ~run_island
+(* Start this executable as worker [name]: its stdin is the far end of a
+   fresh socket pair, its stdout and stderr are our stderr.  Both ends
+   are close-on-exec, so no later worker inherits a copy that would mask
+   this one's EOF. *)
+let spawn ~shard name =
+  let ours, theirs = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let prefix = worker_env ^ "=" in
+  let env =
+    Array.append
+      (Array.of_list
+         (List.filter
+            (fun entry -> not (String.starts_with ~prefix entry))
+            (Array.to_list (Unix.environment ()))))
+      [| prefix ^ name |]
+  in
+  match
+    Unix.create_process_env Sys.executable_name [| Sys.executable_name; worker_flag |] env theirs
+      Unix.stderr Unix.stderr
+  with
+  | pid ->
+      Unix.close theirs;
+      (pid, ours)
+  | exception Unix.Unix_error (err, _, _) ->
+      Unix.close theirs;
+      Unix.close ours;
+      raise
+        (Worker_failed
+           (Printf.sprintf "shard: cannot start worker %d (%s): %s" shard Sys.executable_name
+              (Unix.error_message err)))
+
+let run_islands ~shards ?on_progress ?on_done ?(deliver = fun ~island:_ _ -> ()) ~worker ~job
     islands =
   let n = Array.length islands in
   let results =
@@ -187,10 +281,10 @@ let run_islands ~shards ?on_progress ?on_done ?(deliver = fun ~island:_ _ -> ())
       finished.(k) <- true;
       if k = !cursor then advance ()
     in
-    (* A worker that crashes before writing any pipe output must still
-       kill the run, not hang it: writes to its closed assignment pipe
-       would raise SIGPIPE and take the coordinator down before the
-       EPIPE/EOF handling gets a chance. *)
+    (* A worker that dies before reading its assignments must still kill
+       the run, not hang it: writes to its closed socket would raise
+       SIGPIPE and take the coordinator down before the EPIPE/EOF handling
+       gets a chance. *)
     let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
     let workers = ref [] in
     let statuses = ref [] in
@@ -215,46 +309,40 @@ let run_islands ~shards ?on_progress ?on_done ?(deliver = fun ~island:_ _ -> ())
         reap ~kill:true;
         Sys.set_signal Sys.sigpipe previous_sigpipe)
     @@ fun () ->
-    (* Spawn, then feed each worker its assignments immediately: the
-       child reads to EOF before computing, so these writes drain without
-       deadlock however large a resumed population is. *)
+    (* Start every worker first, so they initialise side by side, then
+       feed each its assignments: a worker reads to EOF before computing,
+       so these writes drain without deadlock however large a resumed
+       population is. *)
     for shard = 0 to shards - 1 do
-      let assignment_read, assignment_write = Unix.pipe () in
-      let result_read, result_write = Unix.pipe () in
-      let inherited = List.map (fun w -> w.fd) !workers in
-      match Unix.fork () with
-      | 0 ->
-          run_worker ~run_island
-            ~close_in_child:(assignment_write :: result_read :: inherited)
-            assignment_read result_write
-      | pid ->
-          Unix.close assignment_read;
-          Unix.close result_write;
-          live_children := pid :: !live_children;
-          Metrics.incr m_workers;
-          let worker =
-            {
-              pid;
-              shard;
-              fd = result_read;
-              buf = Buffer.create 4096;
-              scanned = 0;
-              pending = assigned.(shard);
-              eof = false;
-              error = None;
-            }
-          in
-          workers := worker :: !workers;
-          (try
-             write_all assignment_write (hello_line (List.length assigned.(shard)));
-             List.iter
-               (fun k -> write_all assignment_write (Checkpoint.island_to_line ~index:k islands.(k)))
-               assigned.(shard)
-           with Unix.Unix_error (Unix.EPIPE, _, _) ->
-             worker.error <- Some "died before receiving its assignments");
-          Unix.close assignment_write
+      let pid, fd = spawn ~shard worker in
+      live_children := pid :: !live_children;
+      Metrics.incr m_workers;
+      let worker =
+        {
+          pid;
+          shard;
+          fd;
+          buf = Buffer.create 4096;
+          scanned = 0;
+          pending = assigned.(shard);
+          eof = false;
+          error = None;
+        }
+      in
+      workers := worker :: !workers
     done;
     let workers = List.rev !workers in
+    List.iter
+      (fun w ->
+        (try
+           write_all w.fd (hello_line ~job (List.length w.pending));
+           List.iter
+             (fun k -> write_all w.fd (Checkpoint.island_to_line ~index:k islands.(k)))
+             w.pending
+         with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+           w.error <- Some "died before receiving its assignments");
+        try Unix.shutdown w.fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
+      workers;
     let handle_island w line json =
       let index, state = Checkpoint.island_of_json json in
       match state with
@@ -332,7 +420,10 @@ let run_islands ~shards ?on_progress ?on_done ?(deliver = fun ~island:_ _ -> ())
         List.iter
           (fun fd ->
             let w = List.find (fun w -> w.fd = fd) workers in
-            let count = retry_read fd chunk 0 (Bytes.length chunk) in
+            let count =
+              try retry_read fd chunk 0 (Bytes.length chunk)
+              with Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
+            in
             if count = 0 then begin
               w.eof <- true;
               Unix.close fd
@@ -357,7 +448,7 @@ let run_islands ~shards ?on_progress ?on_done ?(deliver = fun ~island:_ _ -> ())
             @ (match fate_message with Some message -> [ message ] | None -> [])
             @
             if leftover <> [] && w.error = None && fate_message = None then
-              [ "closed its pipe" ]
+              [ "closed its socket" ]
             else []
           in
           if problems = [] && leftover = [] then []

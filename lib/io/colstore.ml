@@ -122,17 +122,15 @@ type t = {
   chunk_rows : int;
   data_offset : int;
   mapped : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t option;
-  (* Buffered reads go through a per-(pid, domain) channel: domains must
-     not share an [in_channel] (its buffer is not thread-safe), and the
-     processes backend forks workers, which would otherwise share the
-     parent's file offset through the inherited descriptor.  The channels
+  (* Buffered reads go through a per-domain channel: domains must not
+     share an [in_channel] (its buffer is not thread-safe).  The channels
      live in one table per store, not in domain-local state, so [close]
      reaches every domain's channel. *)
   channels_lock : Mutex.t;
-  channels : (int * int, in_channel) Hashtbl.t;
+  channels : (int, in_channel) Hashtbl.t;
 }
 
-let channel_owner () = (Unix.getpid (), (Domain.self () :> int))
+let channel_owner () = (Domain.self () :> int)
 
 let read_int64 channel =
   let b = Bytes.create 8 in
@@ -211,22 +209,11 @@ let chunk_rows t = t.chunk_rows
 let close_quietly chan = try close_in chan with Sys_error _ -> ()
 
 let channel t =
-  let ((pid, _) as owner) = channel_owner () in
+  let owner = channel_owner () in
   Mutex.protect t.channels_lock (fun () ->
       match Hashtbl.find_opt t.channels owner with
       | Some chan -> chan
       | None ->
-          (* A forked worker inherits its parent's entries; their
-             descriptors share the parent's file offsets, so the worker
-             closes its copies before opening its own. *)
-          Hashtbl.filter_map_inplace
-            (fun (other, _) chan ->
-              if other = pid then Some chan
-              else begin
-                close_quietly chan;
-                None
-              end)
-            t.channels;
           let chan = open_in_bin t.path in
           Hashtbl.replace t.channels owner chan;
           chan)
@@ -305,8 +292,6 @@ let column t d =
       Array.blit columns.(d) 0 out row0 len);
   out
 
-(* Every entry is a descriptor of this process: its own channels, plus, in
-   a forked worker, the copies it inherited. *)
 let close t =
   Mutex.protect t.channels_lock (fun () ->
       Hashtbl.iter (fun _ chan -> close_quietly chan) t.channels;

@@ -33,9 +33,9 @@ val openfile : ?mmap:bool -> string -> t
 (** Open a store for reading.  With [mmap:true] the data region is
     memory-mapped read-only (shared, page-cache backed); the default is
     buffered channel reads, which keep resident memory bounded by one
-    chunk.  Buffered readers keep one channel per (process, domain) so
-    domains and forked workers never share a file offset.  Raises
-    [Invalid_argument] on a malformed file. *)
+    chunk.  Buffered readers keep one channel per domain, so domains
+    never share a file offset.  Raises [Invalid_argument] on a malformed
+    file. *)
 
 val var_names : t -> string array
 val n_rows : t -> int

@@ -277,6 +277,11 @@ let column data v =
       src.src_iter (fun ~row0 ~len columns -> Array.blit columns.(v) 0 out row0 len);
       out
 
+let iter_variable_chunks data ~f =
+  match data.storage with
+  | Dense columns -> f ~row0:0 ~len:data.n columns
+  | Chunked src -> src.src_iter f
+
 let point data i =
   match data.storage with
   | Dense columns -> Array.map (fun col -> col.(i)) columns

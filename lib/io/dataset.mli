@@ -93,6 +93,14 @@ val column : t -> int -> float array
     chunked storage the column is materialized fresh on every call
     (checkpoint fingerprints are the intended consumer). *)
 
+val iter_variable_chunks : t -> f:(row0:int -> len:int -> float array array -> unit) -> unit
+(** Visit the stored variables as row chunks in order: [columns.(v)]
+    holds variable [v]'s values for rows [row0 .. row0+len-1] in its
+    first [len] cells, valid only during the callback.  Dense storage is
+    one whole-dataset call on the stored columns (shared, do not mutate);
+    chunked storage streams its source one chunk at a time, so a copy of
+    a streamed dataset never needs its columns in memory. *)
+
 val point : t -> int -> float array
 (** A fresh row: all variables at one sample. *)
 

@@ -11,8 +11,11 @@
       it.  Bound by OCaml 5's cross-domain GC coupling: all domains join
       every minor collection, so it only pays off when the work between
       synchronizations is large.
-    - {!Processes} — island-level fan-out across forked OS processes
-      (see {!Caffeine.Shard}), immune to that GC coupling.  Inside each
+    - {!Processes} — island-level fan-out across OS worker processes,
+      each a fresh start of the running executable (see
+      {!Caffeine.Shard}), immune to that GC coupling.  Workers are never
+      forked, so this backend also runs in a process that has run a
+      domain pool (OCaml 5.1 refuses [Unix.fork] there).  Inside each
       worker process, and for any data-parallel {!map} issued on the
       coordinator, execution is sequential: the parallelism lives at the
       island level.
@@ -45,7 +48,7 @@ val create : ?jobs:int -> ?shards:int -> backend -> t
     For {!Domains}, [jobs] (default auto, clamped by
     {!Pool.effective_jobs}) sets the pool size; an effective size of 1
     spawns no domains.  For {!Processes}, [shards] sets how many worker
-    processes an island run forks (default/0 = one per core; never more
+    processes an island run starts (default/0 = one per core; never more
     than there are islands); [jobs] is ignored — in-process maps stay
     sequential.  For {!Seq} both are ignored.  Executors that spawned a
     pool must be released with {!shutdown} (or use {!with_executor}). *)

@@ -12,6 +12,7 @@ module Model = Caffeine.Model
 module Search = Caffeine.Search
 module Shard = Caffeine.Shard
 module Checkpoint = Caffeine.Checkpoint
+module Opset = Caffeine.Opset
 module Executor = Caffeine_par.Executor
 
 let toy_problem seed =
@@ -40,15 +41,40 @@ let string_contains ~affix s =
 
 let pending seed = Checkpoint.Pending (Rng.to_state (Rng.create ~seed ()))
 
+(* Island bodies run in worker processes, which start this test binary
+   afresh and cannot receive a closure: each body is an entry registered
+   here at module toplevel, which is where Shard's workers look for it. *)
+
+let events_worker =
+  Shard.worker "test_shard.events" (fun _job ~emit ~progress:_ ~island _state ->
+      (* Two records per island; wall-clock interleaving across the three
+         workers is arbitrary, delivery order must not be. *)
+      emit (Trace.Warning { Trace.context = "test"; message = Printf.sprintf "%d/a" island });
+      emit (Trace.Warning { Trace.context = "test"; message = Printf.sprintf "%d/b" island });
+      [])
+
+let report_island_worker =
+  Shard.worker "test_shard.report_island" (fun _job ~emit ~progress:_ ~island _state ->
+      (* The body executes in the worker process, so report which island
+         it saw over the wire, not through shared state. *)
+      emit (Trace.Warning { Trace.context = "test"; message = string_of_int island });
+      [])
+
+let death_worker =
+  Shard.worker "test_shard.death" (fun _job ~emit:_ ~progress:_ ~island _state ->
+      if island = 1 then Unix._exit 9 else [])
+
+let exception_worker =
+  Shard.worker "test_shard.exception" (fun _job ~emit:_ ~progress:_ ~island:_ _state ->
+      failwith "island blew up")
+
+let job_worker =
+  Shard.worker "test_shard.job" (fun job ->
+      if job <> "known" then failwith ("no such job: " ^ job);
+      fun ~emit:_ ~progress:_ ~island:_ _state -> [])
+
 let test_events_delivered_in_island_order () =
   let islands = Array.init 3 (fun k -> pending (k + 1)) in
-  let run_island ~emit ~progress:_ ~island _state =
-    (* Two records per island; wall-clock interleaving across the three
-       workers is arbitrary, delivery order must not be. *)
-    emit (Trace.Warning { Trace.context = "test"; message = Printf.sprintf "%d/a" island });
-    emit (Trace.Warning { Trace.context = "test"; message = Printf.sprintf "%d/b" island });
-    []
-  in
   let seen = ref [] in
   let deliver ~island event =
     let tag =
@@ -62,7 +88,7 @@ let test_events_delivered_in_island_order () =
     seen := tag :: !seen
   in
   let before = Metrics.counter_value (Metrics.counter Metrics.default "shard.migrations") in
-  let fronts = Shard.run_islands ~shards:3 ~deliver ~run_island islands in
+  let fronts = Shard.run_islands ~shards:3 ~deliver ~worker:events_worker ~job:"" islands in
   Alcotest.(check int) "three fronts" 3 (Array.length fronts);
   Array.iter (fun front -> Alcotest.(check bool) "empty fronts" true (front = [])) fronts;
   Alcotest.(check (list string)) "events released in island order"
@@ -73,12 +99,6 @@ let test_events_delivered_in_island_order () =
 
 let test_done_islands_pass_through () =
   let islands = [| Checkpoint.Done []; pending 5 |] in
-  let run_island ~emit ~progress:_ ~island _state =
-    (* [run_island] executes in the forked worker, so report which island
-       it saw over the wire, not through shared state. *)
-    emit (Trace.Warning { Trace.context = "test"; message = string_of_int island });
-    []
-  in
   let visited = ref [] in
   let deliver ~island:_ = function
     | Shard.Record (Trace.Warning w) -> visited := w.Trace.message :: !visited
@@ -86,19 +106,18 @@ let test_done_islands_pass_through () =
   in
   let workers = Metrics.counter Metrics.default "shard.workers_spawned" in
   let before = Metrics.counter_value workers in
-  let fronts = Shard.run_islands ~shards:4 ~deliver ~run_island islands in
+  let fronts =
+    Shard.run_islands ~shards:4 ~deliver ~worker:report_island_worker ~job:"" islands
+  in
   Alcotest.(check int) "both fronts returned" 2 (Array.length fronts);
   (* Only the pending island reached a worker — and since shards are
-     clamped to the unfinished count, only one process was forked. *)
+     clamped to the unfinished count, only one process was started. *)
   Alcotest.(check (list string)) "only the pending island ran" [ "1" ] (List.rev !visited);
   Alcotest.(check int) "one worker forked" (before + 1) (Metrics.counter_value workers)
 
 let test_worker_death_raises_cleanly () =
   let islands = [| pending 3; pending 4 |] in
-  let run_island ~emit:_ ~progress:_ ~island _state =
-    if island = 1 then Unix._exit 9 else []
-  in
-  match Shard.run_islands ~shards:2 ~run_island islands with
+  match Shard.run_islands ~shards:2 ~worker:death_worker ~job:"" islands with
   | _ -> Alcotest.fail "expected Worker_failed"
   | exception Shard.Worker_failed message ->
       Alcotest.(check bool) "message names the exit code" true
@@ -108,12 +127,39 @@ let test_worker_death_raises_cleanly () =
 
 let test_worker_exception_surfaces () =
   let islands = [| pending 6 |] in
-  let run_island ~emit:_ ~progress:_ ~island:_ _state = failwith "island blew up" in
-  match Shard.run_islands ~shards:1 ~run_island islands with
+  match Shard.run_islands ~shards:1 ~worker:exception_worker ~job:"" islands with
   | _ -> Alcotest.fail "expected Worker_failed"
   | exception Shard.Worker_failed message ->
       Alcotest.(check bool) "worker exception text travels back" true
         (string_contains ~affix:"island blew up" message)
+
+let test_job_load_failure_surfaces () =
+  let islands = [| pending 2 |] in
+  Alcotest.(check int) "a loadable job runs" 1
+    (Array.length (Shard.run_islands ~shards:1 ~worker:job_worker ~job:"known" islands));
+  match Shard.run_islands ~shards:1 ~worker:job_worker ~job:"lost" [| pending 2 |] with
+  | _ -> Alcotest.fail "expected Worker_failed"
+  | exception Shard.Worker_failed message ->
+      Alcotest.(check bool) "message says the job did not load" true
+        (string_contains ~affix:"cannot load its job" message);
+      Alcotest.(check bool) "message carries the loader's error" true
+        (string_contains ~affix:"no such job: lost" message);
+      Alcotest.(check bool) "message names the worker" true
+        (string_contains ~affix:"worker 0 (pid" message)
+
+let test_unreached_entry_fails_cleanly () =
+  (* Registered at run time, not at module toplevel, so the worker process
+     never reaches this registration: the test runner's own [main] gets
+     the worker flag, rejects it and exits, and the run must fail rather
+     than hang. *)
+  let worker =
+    Shard.worker "test_shard.unreached" (fun _job ~emit:_ ~progress:_ ~island:_ _state -> [])
+  in
+  match Shard.run_islands ~shards:1 ~worker ~job:"" [| pending 1 |] with
+  | _ -> Alcotest.fail "expected Worker_failed"
+  | exception Shard.Worker_failed message ->
+      Alcotest.(check bool) "message names the unfinished island" true
+        (string_contains ~affix:"island(s) 0 unfinished" message)
 
 (* --- Search under the process backend ----------------------------------- *)
 
@@ -210,6 +256,44 @@ let test_on_generation_replayed_in_island_order () =
   Alcotest.(check bool) "generation callbacks replay in sequential order" true
     (sequential = sharded)
 
+let test_job_carries_config_and_streamed_data () =
+  (* Every config field away from its default, and streamed data: a
+     worker rebuilds both from its job, so a field lost on the way, or a
+     word changed by the scratch store, moves the front. *)
+  let inputs, targets = toy_problem 10 in
+  let base = Config.scaled ~pop_size:12 ~generations:5 ~jobs:1 Config.default in
+  let config =
+    {
+      base with
+      Config.max_bases = 6;
+      max_depth = 5;
+      wb = 7.5;
+      wvc = 0.4;
+      opset =
+        {
+          Opset.no_trig with
+          Opset.binops = Array.sub Opset.default.Opset.binops 0 2;
+          allow_lte = false;
+          max_exponent = 3;
+          min_exponent = 1;
+        };
+      param_mutation_weight = 2.;
+      crossover_probability = 0.7;
+      max_vc_vars = 2;
+    }
+  in
+  let sequential =
+    Search.run_multi ~seed:21 ~restarts:2 config ~data:(Dataset.of_rows inputs) ~targets
+  in
+  let columns = Array.init 3 (fun v -> Array.map (fun row -> row.(v)) inputs) in
+  let data = Dataset.chunked_of_columns ~chunk_rows:7 columns in
+  let sharded =
+    Executor.with_executor ~shards:2 Executor.Processes @@ fun executor ->
+    Search.run_multi ~seed:21 ~executor ~restarts:2 config ~data ~targets
+  in
+  Alcotest.(check bool) "streamed process-backend front identical to sequential" true
+    (equal_fronts sequential.Search.front sharded.Search.front)
+
 exception Killed
 
 let with_temp_file f =
@@ -270,4 +354,9 @@ let suite =
     Alcotest.test_case "search: on_generation island order" `Quick
       test_on_generation_replayed_in_island_order;
     Alcotest.test_case "search: kill/resume identical" `Quick test_kill_resume_identical;
+    Alcotest.test_case "shard: job load failure surfaces" `Quick test_job_load_failure_surfaces;
+    Alcotest.test_case "shard: unreached entry fails cleanly" `Quick
+      test_unreached_entry_fails_cleanly;
+    Alcotest.test_case "search: job carries config and streamed data" `Quick
+      test_job_carries_config_and_streamed_data;
   ]
