@@ -838,8 +838,8 @@ let scratch_design columns targets =
   Caffeine_linalg.Matrix.init n (k + 1) (fun i j -> if j = 0 then 1. else columns.(j - 1).(i))
 
 (* The Gram fast path as Model.fit runs it — every product from one
-   [Dataset.gram] call — on unit-normalized columns: the cached raw
-   products are divided by the same column scales. *)
+   [Dataset.gram] call — on unit-normalized columns: the raw products are
+   divided by the same column scales. *)
 let scaled_gram_fit data ~bases ~scales ~chosen ~targets columns =
   let g = Dataset.gram data (Array.map (fun c -> bases.(c)) chosen) ~targets in
   let scale i = scales.(chosen.(i)) in
@@ -987,9 +987,9 @@ let experiment_regress options =
     time_per_run (fun () -> ignore (Linfit.fit ~basis_values:fit_cols ~targets))
   in
   let t_gram_fit =
-    (* Warm: every ⟨col_i,col_j⟩ and ⟨col_i,y⟩ is already in the dot cache
-       after the agreement sweep, so this measures the population steady
-       state where Model.fit assembles the Gram matrix from cache hits. *)
+    (* Warm: every column is memoized after the agreement sweep, so this
+       measures the population steady state where Model.fit forms the
+       Gram matrix in one pass over resident columns. *)
     time_per_run (fun () ->
         ignore (scaled_gram_fit data ~bases ~scales ~chosen:selection ~targets fit_cols))
   in

@@ -5,7 +5,8 @@
 # 3 shards, and across all three.  The last case also runs with the
 # evaluation cache on: caches never enter snapshots, so a resumed cached
 # run starts cold and must still reproduce the uninterrupted (cache-off)
-# front exactly.
+# front exactly.  Last, a coordinator killed by SIGTERM must leave no
+# scratch store and no worker behind.
 . "$(dirname "$0")/lib.sh"
 
 build_cli
@@ -45,5 +46,38 @@ rc=0
 test "$rc" -eq 2
 grep -q "truncated.ckpt:" "$scratch/resume-err.txt"
 test "$(wc -l < "$scratch/resume-err.txt")" -eq 1
+
+# A coordinator killed by SIGTERM mid-run must take its scratch job store
+# and its workers with it, and still die of the signal (exit status 143).
+mkdir "$scratch/tmp"
+TMPDIR="$scratch/tmp" "$CLI" fit --train "$scratch/ckpt-data.csv" --target PM --pop 30 \
+  --gens 100000 --seed 17 --backend processes --shard 1 --out "$scratch/never.txt" &
+pid=$!
+workers=
+tries=0
+while [ -z "$workers" ] || [ -z "$(ls "$scratch/tmp")" ]; do
+  tries=$((tries + 1))
+  test "$tries" -le 300
+  sleep 0.1
+  workers=$(pgrep -P "$pid" || true)
+done
+kill -TERM "$pid"
+rc=0
+wait "$pid" || rc=$?
+test "$rc" -eq 143
+test -z "$(ls "$scratch/tmp")"
+# A killed worker may linger briefly as a zombie until it is reaped.
+alive() {
+  state=$(ps -o stat= -p "$1" 2> /dev/null || true)
+  [ -n "$state" ] && [ "${state#Z}" = "$state" ]
+}
+for worker in $workers; do
+  tries=0
+  while alive "$worker"; do
+    tries=$((tries + 1))
+    test "$tries" -le 50
+    sleep 0.1
+  done
+done
 
 echo "kill-resume: OK"

@@ -43,13 +43,13 @@ let accept ~wb ~wvc bases fitted =
   else None
 
 (* Both storage kinds take the bordered Gram from [Dataset.gram], which
-   hashes each basis once and serves every product from the dataset's dot
-   cache, so individuals whose bases recur across the population (the
-   common case under set crossover) reuse cached products instead of
-   recomputing them.  An individual with a basis the finite table already
-   knows to be non-finite (recorded when its column was installed, as
-   warming does for every search candidate) is rejected before [gram], so
-   its products are never computed.  The prediction pass then reads the
+   hashes each basis once.  On resident data it forms every product in one
+   pass over the memoized columns of the distinct bases, with no locked
+   lookup per entry; out of core it serves products from the dataset's
+   dot cache and streams only the missing ones.  An individual with a
+   basis the chunked finite table already knows to be non-finite is
+   rejected before [gram], so its products are never streamed.  The
+   prediction pass (or the fallback's materialization) then reads the
    columns through [Dataset.iter_basis_chunks]: memoized columns as one
    chunk on resident data, a re-streamed pass out of core.  The chunk size
    changes no word, so the two storages produce byte-identical fronts. *)

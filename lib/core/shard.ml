@@ -36,18 +36,39 @@ let scratch_files : string list ref = ref []
 
 let remove_quietly path = try Sys.remove path with Sys_error _ -> ()
 
-let () =
-  at_exit (fun () ->
-      List.iter
-        (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-        !live_children;
-      List.iter remove_quietly !scratch_files)
+let cleanup () =
+  List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) !live_children;
+  List.iter remove_quietly !scratch_files
+
+let () = at_exit cleanup
+
+(* Death by SIGTERM or SIGINT runs no [at_exit] hook either.  While a
+   store is held, a signal left at its default disposition runs the
+   cleanup, then restores the default and raises itself again, so the
+   process still dies of it and its exit status says so. *)
+let cleanup_signals = [ Sys.sigterm; Sys.sigint ]
+
+let die_cleanly signal =
+  cleanup ();
+  Sys.set_signal signal Sys.Signal_default;
+  Unix.kill (Unix.getpid ()) signal
 
 let with_scratch_file ~suffix f =
   let path = Filename.temp_file "caffeine_shard" suffix in
   scratch_files := path :: !scratch_files;
+  let handled =
+    List.filter
+      (fun signal ->
+        match Sys.signal signal (Sys.Signal_handle die_cleanly) with
+        | Sys.Signal_default -> true
+        | previous ->
+            Sys.set_signal signal previous;
+            false)
+      cleanup_signals
+  in
   Fun.protect
     ~finally:(fun () ->
+      List.iter (fun signal -> Sys.set_signal signal Sys.Signal_default) handled;
       remove_quietly path;
       scratch_files := List.filter (fun other -> other <> path) !scratch_files)
     (fun () -> f path)

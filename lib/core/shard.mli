@@ -158,4 +158,9 @@ val with_scratch_file : suffix:string -> (string -> 'a) -> 'a
     empty temporary file (for a job to name) and removes the file when
     [f] returns or raises.  The [at_exit] hook that kills live workers
     removes it as well, so it does not outlive a coordinator that leaves
-    through [Stdlib.exit] from inside [f]. *)
+    through [Stdlib.exit] from inside [f].  While [f] runs, SIGTERM and
+    SIGINT, if their disposition was the default, kill the live workers
+    and remove the file before the process dies of the signal (the
+    default disposition is restored and the signal raised again, so the
+    exit status still reports it); a disposition set by the caller is
+    left alone. *)

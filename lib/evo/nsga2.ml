@@ -189,6 +189,10 @@ let fast_nondominated_sort objectives =
   then two_objective_sort objectives
   else pairwise_sort objectives
 
+(* Monomorphic comparisons and distances indexed by front position: on
+   sanitized objectives [Float.compare] orders exactly as the polymorphic
+   [compare] did (NaN-free, [-0.] equal to [0.]), so [Array.sort] makes the
+   same swaps without a [caml_compare] call per comparison. *)
 let crowding_distances objectives front =
   match front with
   | [] -> []
@@ -196,27 +200,24 @@ let crowding_distances objectives front =
   | _ :: _ :: _ ->
       let members = Array.of_list front in
       let count = Array.length members in
-      let distance = Hashtbl.create count in
-      Array.iter (fun i -> Hashtbl.replace distance i 0.) members;
+      let distance = Array.make count 0. in
       let num_objectives = Array.length objectives.(members.(0)) in
       for m = 0 to num_objectives - 1 do
-        let sorted = Array.copy members in
-        Array.sort (fun a b -> compare objectives.(a).(m) objectives.(b).(m)) sorted;
-        let lo = objectives.(sorted.(0)).(m) in
-        let hi = objectives.(sorted.(count - 1)).(m) in
-        Hashtbl.replace distance sorted.(0) Float.infinity;
-        Hashtbl.replace distance sorted.(count - 1) Float.infinity;
+        let value position = objectives.(members.(position)).(m) in
+        let sorted = Array.init count Fun.id in
+        Array.sort (fun a b -> Float.compare (value a) (value b)) sorted;
+        let lo = value sorted.(0) in
+        let hi = value sorted.(count - 1) in
+        distance.(sorted.(0)) <- Float.infinity;
+        distance.(sorted.(count - 1)) <- Float.infinity;
         let span = hi -. lo in
         if span > 0. && Float.is_finite span then
           for k = 1 to count - 2 do
-            let gap =
-              (objectives.(sorted.(k + 1)).(m) -. objectives.(sorted.(k - 1)).(m)) /. span
-            in
-            let previous = Hashtbl.find distance sorted.(k) in
-            Hashtbl.replace distance sorted.(k) (previous +. gap)
+            let gap = (value sorted.(k + 1) -. value sorted.(k - 1)) /. span in
+            distance.(sorted.(k)) <- distance.(sorted.(k)) +. gap
           done
       done;
-      List.map (fun i -> (i, Hashtbl.find distance i)) front
+      List.mapi (fun position i -> (i, distance.(position))) front
 
 let pareto_front population = Array.of_list (List.filter (fun ind -> ind.rank = 0) (Array.to_list population))
 
@@ -242,7 +243,7 @@ let environmental_selection genomes objectives target =
           if List.length scored <= !remaining then scored
           else begin
             let sorted =
-              List.sort (fun (_, c1) (_, c2) -> compare c2 c1) scored
+              List.sort (fun (_, c1) (_, c2) -> Float.compare c2 c1) scored
             in
             List.filteri (fun k _ -> k < !remaining) sorted
           end
@@ -257,7 +258,8 @@ let environmental_selection genomes objectives target =
     fronts;
   let population = Array.of_list (List.rev !selected) in
   Array.sort
-    (fun a b -> if a.rank <> b.rank then compare a.rank b.rank else compare b.crowding a.crowding)
+    (fun a b ->
+      if a.rank <> b.rank then Int.compare a.rank b.rank else Float.compare b.crowding a.crowding)
     population;
   population
 

@@ -185,7 +185,42 @@ and equal_wsum u v =
 
 and equal_term (w1, b1) (w2, b2) = same_bits w1 w2 && equal_basis b1 b2
 
-let compare_basis a b = compare a b
+(* The same walk as [equal_basis], ordering where it tests: weights by
+   their IEEE bits, so it is a total order that ranks two bases equal
+   exactly when [equal_basis] holds. *)
+let compare_bits x y = Int64.compare (Int64.bits_of_float x) (Int64.bits_of_float y)
+let ( <?> ) c next = if c <> 0 then c else next ()
+
+let rec compare_basis a b =
+  if a == b then 0
+  else compare a.vc b.vc <?> fun () -> List.compare compare_factor a.factors b.factors
+
+and compare_factor f g =
+  match (f, g) with
+  | Unary (o1, w1), Unary (o2, w2) -> compare o1 o2 <?> fun () -> compare_wsum w1 w2
+  | Binary (o1, x1, y1), Binary (o2, x2, y2) ->
+      compare o1 o2 <?> fun () -> compare_arg x1 x2 <?> fun () -> compare_arg y1 y2
+  | Lte l1, Lte l2 ->
+      compare_wsum l1.test l2.test <?> fun () ->
+      compare_arg l1.threshold l2.threshold <?> fun () ->
+      compare_arg l1.less l2.less <?> fun () -> compare_arg l1.otherwise l2.otherwise
+  | Unary _, (Binary _ | Lte _) | Binary _, Lte _ -> -1
+  | Binary _, Unary _ | Lte _, (Unary _ | Binary _) -> 1
+
+and compare_arg x y =
+  match (x, y) with
+  | Const u, Const v -> compare_bits u v
+  | Sum u, Sum v -> compare_wsum u v
+  | Const _, Sum _ -> -1
+  | Sum _, Const _ -> 1
+
+and compare_wsum u v =
+  if u == v then 0
+  else
+    compare_bits u.bias v.bias <?> fun () ->
+    List.compare
+      (fun (w1, b1) (w2, b2) -> compare_bits w1 w2 <?> fun () -> compare_basis b1 b2)
+      u.terms v.terms
 
 (* --- structural hashing --- *)
 

@@ -79,8 +79,10 @@ val equal_basis : basis -> basis -> bool
     {!hash_basis} hashes, so equal bases always hash equal. *)
 
 val compare_basis : basis -> basis -> int
-(** Total order for canonical sorting (polymorphic [compare]).  It agrees
-    with {!equal_basis} except on signed zeros, which it ranks equal. *)
+(** Total structural order, weights compared by their IEEE bits: it ranks
+    two bases equal exactly when {!equal_basis} holds, signed zeros and
+    NaN payloads included.  {!Caffeine_io.Dataset} breaks structural-hash
+    ties with it when it orients a Gram product. *)
 
 val hash_basis : basis -> int
 (** Structural hash over the {e entire} tree: every constructor, operator,

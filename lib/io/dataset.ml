@@ -8,16 +8,25 @@ module Fused = Caffeine_expr.Fused
    evaluation is only wasted work, never a wrong or nondeterministic
    result.
 
-   The dot-product caches follow the same design one level up: the Gram
-   matrix the regression engine assembles for each individual is made of
-   ⟨col_i, col_j⟩, ⟨col_i, y⟩ and ⟨col_i, 1⟩ entries, and bases recur
-   heavily across a population and across generations (set crossover
-   copies them wholesale), so each product is worth computing once per
-   dataset.  Pair keys are unordered — hash = sum of the two structural
-   hashes, equality checks both orders — and target products are keyed by
-   (basis, target id) where ids come from a small physical-equality
-   registry (the search passes the same target array on every call); id 0
-   stands for the notional ones vector, so it keys column sums.
+   Which level is memoized follows the storage (DESIGN §7j).  Resident
+   storage memoizes columns and keeps no scalar tables: [gram] forms
+   every product from the memoized columns.  At a few hundred rows a
+   product is a short loop over two resident arrays, while a table costs
+   a shard mutex and shared counters per lookup, the product anyway on a
+   miss, and heap for every entry; end to end the search runs faster
+   without them (DESIGN §7c).  Chunked
+   storage caches no column (each is [n] floats) but caches the scalars,
+   because there every product costs a stream over the data: ⟨col_i,
+   col_j⟩, ⟨col_i, y⟩ and ⟨col_i, 1⟩ entries, and each basis's
+   finiteness.  Target products are keyed by (basis, target id) where ids
+   come from a small physical-equality registry (the search passes the
+   same target array on every call); id 0 stands for the notional ones
+   vector, so it keys column sums.
+
+   Both storages form ⟨col_i, col_j⟩ in one canonical orientation, the
+   lower key on the left ([compare_keys]), so a pair has one word however
+   its bases are ordered or repeated, NaN payloads included, with no cache
+   to hold it.
 
    The structural hash walks the whole tree, so every entry point hashes
    each basis once into a [key] and every shard selection, table lookup and
@@ -39,6 +48,15 @@ end
 
 module Key_tbl = Hashtbl.Make (Key)
 
+(* The canonical orientation of a product: structural hash first, then
+   [Expr.compare_basis] on ties, a total order that is 0 exactly when
+   [Key.equal] holds.  IEEE multiplication commutes except in the payload
+   of a NaN product, so orienting every pair this way gives it one word
+   whichever order its bases come in. *)
+let compare_keys a b =
+  let c = Int.compare a.hash b.hash in
+  if c <> 0 then c else Expr.compare_basis a.basis b.basis
+
 type shard = {
   lock : Mutex.t;
   table : float array Key_tbl.t;
@@ -47,13 +65,11 @@ type shard = {
   mutable evictions : int;
 }
 
+(* A pair is always keyed in canonical orientation, (lower, higher). *)
 module Pair_key = struct
   type t = key * key
 
-  let equal (a1, b1) (a2, b2) =
-    (Key.equal a1 a2 && Key.equal b1 b2) || (Key.equal a1 b2 && Key.equal b1 a2)
-
-  (* Commutative combination: an unordered pair hashes the same both ways. *)
+  let equal (a1, b1) (a2, b2) = Key.equal a1 a2 && Key.equal b1 b2
   let hash ((a : key), (b : key)) = (a.hash + b.hash) land max_int
 end
 
@@ -70,7 +86,7 @@ module Target_tbl = Hashtbl.Make (Target_key)
 
 type dot_shard = {
   dot_lock : Mutex.t;
-  pairs : float Pair_tbl.t;  (* ⟨col_i, col_j⟩, unordered key *)
+  pairs : float Pair_tbl.t;  (* ⟨col_i, col_j⟩, canonical key *)
   target_dots : float Target_tbl.t;  (* ⟨col_i, y⟩ per registered target *)
   mutable dot_hits : int;
   mutable dot_misses : int;
@@ -104,15 +120,15 @@ type t = {
   var_names : string array;
   storage : storage;
   n : int;
-  shards : shard array;  (* basis -> value column on this data *)
+  shards : shard array;  (* basis -> value column on this data (resident) *)
   mutable cache_limit : int;  (* max cached columns across all shards *)
-  dot_shards : dot_shard array;
+  dot_shards : dot_shard array;  (* Gram scalars (chunked) *)
   mutable dot_cache_limit : int;  (* max cached products across all shards *)
   finite_lock : Mutex.t;
   finite_table : bool Key_tbl.t;
-      (* per-basis finiteness, recorded when a column is installed and when
-         the Gram pass screens a basis, so repeat fits skip the data pass
-         and [known_nonfinite] can reject an individual before its Gram *)
+      (* per-basis finiteness (chunked), recorded when the Gram pass
+         screens a basis, so repeat fits skip the data pass and
+         [known_nonfinite] can reject an individual before its Gram *)
   targets_lock : Mutex.t;
   mutable registered_targets : (float array * int) list;  (* keyed by (==) *)
   mutable next_target_id : int;
@@ -332,25 +348,19 @@ let find_finite data k =
   Mutex.unlock data.finite_lock;
   found
 
+(* The store functions install a value unless the key is already held: a
+   racing duplicate computed the same word, since every entry comes from
+   the same row-order pass and every pair in canonical orientation. *)
 let store_finite data k value =
   Mutex.lock data.finite_lock;
   if Key_tbl.length data.finite_table >= data.cache_limit then Key_tbl.reset data.finite_table;
-  let held =
-    match Key_tbl.find_opt data.finite_table k with
-    | Some held -> held
-    | None ->
-        Key_tbl.add data.finite_table k value;
-        value
-  in
-  Mutex.unlock data.finite_lock;
-  held
+  if not (Key_tbl.mem data.finite_table k) then Key_tbl.add data.finite_table k value;
+  Mutex.unlock data.finite_lock
 
 (* Add a column to the cache under the bounded-shard policy: drop the
    shard wholesale once full (misses just re-evaluate; values are
    unaffected), and keep whichever copy of a racing duplicate landed
-   first — both are the same words.  The column's finiteness goes into the
-   finite table as well, so a fit can reject a non-finite individual by
-   lookup before its Gram pass. *)
+   first — both are the same words. *)
 let install data k col =
   let shard = shard_of data k in
   let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
@@ -360,8 +370,7 @@ let install data k col =
     Key_tbl.reset shard.table
   end;
   if not (Key_tbl.mem shard.table k) then Key_tbl.add shard.table k col;
-  Mutex.unlock shard.lock;
-  ignore (store_finite data k (Caffeine_util.Stats.is_finite_array col) : bool)
+  Mutex.unlock shard.lock
 
 let column_of_key data k =
   match data.storage with
@@ -484,22 +493,12 @@ let find_pair data key =
   Mutex.unlock shard.dot_lock;
   found
 
-(* The store functions install a value unless the key is already held,
-   and return the held word either way: a key has one word however many
-   times, in whichever order, it was computed. *)
 let store_pair data key value =
   let shard = pair_shard data key in
   Mutex.lock shard.dot_lock;
   trim_dot_shard data shard;
-  let held =
-    match Pair_tbl.find_opt shard.pairs key with
-    | Some held -> held
-    | None ->
-        Pair_tbl.add shard.pairs key value;
-        value
-  in
-  Mutex.unlock shard.dot_lock;
-  held
+  if not (Pair_tbl.mem shard.pairs key) then Pair_tbl.add shard.pairs key value;
+  Mutex.unlock shard.dot_lock
 
 let find_target data key =
   let shard = target_shard data key in
@@ -515,15 +514,8 @@ let store_target data key value =
   let shard = target_shard data key in
   Mutex.lock shard.dot_lock;
   trim_dot_shard data shard;
-  let held =
-    match Target_tbl.find_opt shard.target_dots key with
-    | Some held -> held
-    | None ->
-        Target_tbl.add shard.target_dots key value;
-        value
-  in
-  Mutex.unlock shard.dot_lock;
-  held
+  if not (Target_tbl.mem shard.target_dots key) then Target_tbl.add shard.target_dots key value;
+  Mutex.unlock shard.dot_lock
 
 (* Target arrays are identified physically: the search and SAG pass the
    same array on every fit of a run, so the registry stays tiny (one entry
@@ -543,9 +535,12 @@ let target_id data targets =
   id
 
 let known_nonfinite data bases =
-  Array.exists
-    (fun basis -> match find_finite data (key basis) with Some false -> true | _ -> false)
-    bases
+  match data.storage with
+  | Dense _ -> false
+  | Chunked _ ->
+      Array.exists
+        (fun basis -> match find_finite data (key basis) with Some false -> true | _ -> false)
+        bases
 
 (* --- the one Gram pass --------------------------------------------------- *)
 
@@ -570,82 +565,135 @@ type gram = {
   finite_bases : bool array;
 }
 
+(* The distinct keys in first-occurrence order, and the slot of each
+   input key among them. *)
+let distinct_keys keys =
+  let k = Array.length keys in
+  let slot = Array.make k 0 and distinct = ref [] and d = ref 0 in
+  for i = 0 to k - 1 do
+    let rec earlier j =
+      if j = i then begin
+        distinct := keys.(i) :: !distinct;
+        slot.(i) <- !d;
+        incr d
+      end
+      else if Key.equal keys.(j) keys.(i) then slot.(i) <- slot.(j)
+      else earlier (j + 1)
+    in
+    earlier 0
+  done;
+  (Array.of_list (List.rev !distinct), slot)
+
+(* Accumulate the named entries of [g] (indices into [keys]) in one
+   [Gram_stream] pass over the columns they involve.  [pairs] come
+   oriented, so [(i, j)] is formed as [col_i *. col_j]. *)
+let accumulate data keys g ~targets ~pairs ~dot_ys ~col_sums ~finite =
+  let needed = Array.make (Array.length keys) false in
+  Array.iter
+    (fun (i, j) ->
+      needed.(i) <- true;
+      needed.(j) <- true)
+    pairs;
+  List.iter (Array.iter (fun i -> needed.(i) <- true)) [ dot_ys; col_sums; finite ];
+  let pos = Array.make (Array.length keys) (-1) and rev_read = ref [] and m = ref 0 in
+  Array.iteri
+    (fun i wanted ->
+      if wanted then begin
+        pos.(i) <- !m;
+        incr m;
+        rev_read := keys.(i) :: !rev_read
+      end)
+    needed;
+  if !m > 0 then begin
+    let at = Array.map (fun i -> pos.(i)) in
+    let acc =
+      Gram_stream.create !m
+        ~pairs:(Array.map (fun (i, j) -> (pos.(i), pos.(j))) pairs)
+        ~dot_ys:(at dot_ys) ~col_sums:(at col_sums) ~finite:(at finite)
+    in
+    iter_key_chunks data (Array.of_list (List.rev !rev_read)) ~f:(fun ~row0 ~len columns ->
+        Gram_stream.update acc ~columns ~targets ~row0 ~len);
+    Array.iteri
+      (fun p (i, j) ->
+        g.dots.(i).(j) <- Gram_stream.dot acc p;
+        g.dots.(j).(i) <- Gram_stream.dot acc p)
+      pairs;
+    Array.iteri (fun p i -> g.dot_ys.(i) <- Gram_stream.dot_y acc p) dot_ys;
+    Array.iteri (fun p i -> g.col_sums.(i) <- Gram_stream.col_sum acc p) col_sums;
+    Array.iteri (fun p i -> g.finite_bases.(i) <- Gram_stream.finite acc p) finite
+  end
+
+(* The Gram of distinct keys.  Resident storage forms every entry from
+   the memoized columns; chunked storage looks each up and accumulates
+   exactly the missing ones, which it then caches. *)
+let distinct_gram data keys ~targets =
+  let d = Array.length keys in
+  let g =
+    {
+      dots = Array.make_matrix d d Float.nan;
+      dot_ys = Array.make d Float.nan;
+      col_sums = Array.make d Float.nan;
+      finite_bases = Array.make d true;
+    }
+  in
+  let oriented i j = if compare_keys keys.(i) keys.(j) <= 0 then (i, j) else (j, i) in
+  (match data.storage with
+  | Dense _ ->
+      let all = Array.init d Fun.id in
+      let pairs = ref [] in
+      for i = d - 1 downto 0 do
+        for j = d - 1 downto i do
+          pairs := oriented i j :: !pairs
+        done
+      done;
+      accumulate data keys g ~targets ~pairs:(Array.of_list !pairs) ~dot_ys:all ~col_sums:all
+        ~finite:all
+  | Chunked _ ->
+      let tid = target_id data targets in
+      let pairs = ref [] and dot_ys = ref [] and col_sums = ref [] and finite = ref [] in
+      let lookup found entries missing i =
+        match found with Some v -> entries.(i) <- v | None -> missing := i :: !missing
+      in
+      for i = 0 to d - 1 do
+        lookup (find_target data (keys.(i), tid)) g.dot_ys dot_ys i;
+        lookup (find_target data (keys.(i), 0)) g.col_sums col_sums i;
+        lookup (find_finite data keys.(i)) g.finite_bases finite i;
+        for j = i to d - 1 do
+          let lo, hi = oriented i j in
+          match find_pair data (keys.(lo), keys.(hi)) with
+          | Some v ->
+              g.dots.(i).(j) <- v;
+              g.dots.(j).(i) <- v
+          | None -> pairs := (lo, hi) :: !pairs
+        done
+      done;
+      let in_order missing = Array.of_list (List.rev !missing) in
+      let pairs = in_order pairs and dot_ys = in_order dot_ys in
+      let col_sums = in_order col_sums and finite = in_order finite in
+      accumulate data keys g ~targets ~pairs ~dot_ys ~col_sums ~finite;
+      Array.iter (fun i -> store_target data (keys.(i), tid) g.dot_ys.(i)) dot_ys;
+      Array.iter (fun i -> store_target data (keys.(i), 0) g.col_sums.(i)) col_sums;
+      Array.iter (fun i -> store_finite data keys.(i) g.finite_bases.(i)) finite;
+      Array.iter (fun (i, j) -> store_pair data (keys.(i), keys.(j)) g.dots.(i).(j)) pairs);
+  g
+
 let gram data bases ~targets =
   if Array.length targets <> data.n then invalid_arg "Dataset.gram: target length mismatch";
-  let k = Array.length bases in
-  if k = 0 then { dots = [||]; dot_ys = [||]; col_sums = [||]; finite_bases = [||] }
+  if Array.length bases = 0 then
+    { dots = [||]; dot_ys = [||]; col_sums = [||]; finite_bases = [||] }
   else begin
-    let keys = Array.map key bases in
-    let tid = target_id data targets in
-    let dots = Array.make_matrix k k Float.nan in
-    let dot_ys = Array.make k Float.nan in
-    let col_sums = Array.make k Float.nan in
-    let finite_bases = Array.make k true in
-    (* Look every entry up, the upper triangle of [dots] in row-major
-       order, collecting the misses in lookup order and marking every
-       basis a miss involves for the pass. *)
-    let needed = Array.make k false in
-    let pairs = ref [] and missing_dot_ys = ref [] and missing_sums = ref [] in
-    let missing_finite = ref [] in
-    let lookup found entries missing i =
-      match found with
-      | Some v -> entries.(i) <- v
-      | None ->
-          missing := i :: !missing;
-          needed.(i) <- true
-    in
-    for i = 0 to k - 1 do
-      lookup (find_target data (keys.(i), tid)) dot_ys missing_dot_ys i;
-      lookup (find_target data (keys.(i), 0)) col_sums missing_sums i;
-      lookup (find_finite data keys.(i)) finite_bases missing_finite i;
-      for j = i to k - 1 do
-        match find_pair data (keys.(i), keys.(j)) with
-        | Some v ->
-            dots.(i).(j) <- v;
-            dots.(j).(i) <- v
-        | None ->
-            pairs := (i, j) :: !pairs;
-            needed.(i) <- true;
-            needed.(j) <- true
-      done
-    done;
-    let needed = List.filter (fun i -> needed.(i)) (List.init k Fun.id) |> Array.of_list in
-    if Array.length needed > 0 then begin
-      (* One pass over the needed bases' columns accumulates exactly the
-         missing entries.  Each is then installed and the cached word read
-         back, so an unordered pair that recurs in one individual (a
-         repeated basis), or that another fit installed meanwhile, gets
-         one word — whichever order its two columns were multiplied in. *)
-      let pos = Array.make k (-1) in
-      Array.iteri (fun p i -> pos.(i) <- p) needed;
-      let in_order missing = Array.of_list (List.rev missing) in
-      let pairs = in_order !pairs and missing_dot_ys = in_order !missing_dot_ys in
-      let missing_sums = in_order !missing_sums and missing_finite = in_order !missing_finite in
-      let at = Array.map (fun i -> pos.(i)) in
-      let acc =
-        Gram_stream.create (Array.length needed)
-          ~pairs:(Array.map (fun (i, j) -> (pos.(i), pos.(j))) pairs)
-          ~dot_ys:(at missing_dot_ys) ~col_sums:(at missing_sums) ~finite:(at missing_finite)
-      in
-      iter_key_chunks data (Array.map (fun i -> keys.(i)) needed) ~f:(fun ~row0 ~len columns ->
-          Gram_stream.update acc ~columns ~targets ~row0 ~len);
-      Array.iteri
-        (fun p i -> dot_ys.(i) <- store_target data (keys.(i), tid) (Gram_stream.dot_y acc p))
-        missing_dot_ys;
-      Array.iteri
-        (fun p i -> col_sums.(i) <- store_target data (keys.(i), 0) (Gram_stream.col_sum acc p))
-        missing_sums;
-      Array.iteri
-        (fun p i -> finite_bases.(i) <- store_finite data keys.(i) (Gram_stream.finite acc p))
-        missing_finite;
-      Array.iteri
-        (fun p (i, j) ->
-          let v = store_pair data (keys.(i), keys.(j)) (Gram_stream.dot acc p) in
-          dots.(i).(j) <- v;
-          dots.(j).(i) <- v)
-        pairs
-    end;
-    { dots; dot_ys; col_sums; finite_bases }
+    let distinct, slot = distinct_keys (Array.map key bases) in
+    let g = distinct_gram data distinct ~targets in
+    if Array.length distinct = Array.length bases then g
+    else
+      (* A repeated basis reads its one distinct entry. *)
+      let pick entries = Array.map (fun s -> entries.(s)) slot in
+      {
+        dots = Array.map (fun s -> pick g.dots.(s)) slot;
+        dot_ys = pick g.dot_ys;
+        col_sums = pick g.col_sums;
+        finite_bases = pick g.finite_bases;
+      }
   end
 
 let basis_columns data bases =

@@ -23,18 +23,22 @@
     wasted work.  The cache is bounded ({!set_cache_limit}); overflowing
     shards are dropped wholesale and simply re-evaluate on the next miss.
 
-    On top of the column cache sits a bounded, sharded dot-product cache
-    feeding the incremental regression engine: {!gram} memoizes
-    [⟨col_i, col_j⟩] under an unordered structural-hash pair key, and
-    [⟨col_i, y⟩] and [⟨col_i, 1⟩] per (basis, target array), so the Gram
-    matrix of an individual whose bases recur across the population is
-    assembled from cached entries.  Both caches expose hit/miss/eviction
-    counters through {!stats}.
+    Which level is cached follows the storage kind.  Resident storage
+    memoizes columns and keeps no scalar table: {!gram} forms every
+    product in one pass over the memoized columns, which at a few hundred
+    rows ran the search faster than locked, counted lookups in a table.
+    Chunked storage never caches a column (each is [n] floats) but
+    keeps a bounded, sharded cache of Gram scalars — [⟨col_i, col_j⟩]
+    under a pair of structural-hash keys, [⟨col_i, y⟩] and [⟨col_i, 1⟩]
+    per (basis, target array), and per-basis finiteness — because there
+    each product costs a stream over the data.  Both storages form every
+    product in one canonical orientation, so a pair has one word without
+    a cache.  Both caches expose hit/miss/eviction counters through
+    {!stats}.
 
-    Resident and streamed data share one Gram algorithm: resident data is
-    the one-chunk case of the streamed pass, read from the column cache.
-    What stays tied to the storage kind is the column-cache policy
-    (resident columns are memoized, streamed ones never are),
+    Resident and streamed data share one Gram pass: resident data is the
+    one-chunk case of the streamed pass, read from the column cache.
+    What stays tied to the storage kind is that cache policy,
     {!warm_columns}, the access functions, and {!rows} and {!split},
     which work on resident data only. *)
 
@@ -65,8 +69,8 @@ val chunked_of_columns : ?var_names:string array -> chunk_rows:int -> float arra
     stand-in for a {!Colstore} file, used to pin streaming ≡ dense
     equivalence in tests without touching disk.  All evaluation goes
     through the chunk source: columns are never cached, dots accumulate
-    chunk by chunk (bit-identical to the resident one-chunk products — see
-    {!gram}). *)
+    chunk by chunk and are cached (bit-identical to the resident one-chunk
+    products — see {!gram}). *)
 
 val of_colstore : ?exclude:string list -> Colstore.t -> t
 (** A streaming dataset over an open column store: every store variable
@@ -122,9 +126,7 @@ val basis_column : t -> Expr.basis -> float array
     {!Expr.eval_basis} on every sample (NaN payloads aside), and is the
     same words, NaN payloads included, that {!warm_columns} installs.
     Chunked storage evaluates a fresh column on every call and never
-    caches it.  Every installed column also records its finiteness in the
-    per-basis finite table that {!gram} reads, and {!known_nonfinite}
-    consults. *)
+    caches it. *)
 
 type fuse_stats = {
   fused_bases : int;  (** distinct bases that had no memoized column *)
@@ -141,9 +143,8 @@ val warm_columns : t -> Expr.basis array -> fuse_stats
     included, so warming is purely a throughput optimization: subsequent
     {!basis_column} / {!gram} calls return the same IEEE words whether or
     not a batch was warmed (and under the same bounded-shard eviction
-    policy).  Like a {!basis_column} miss, each install records the
-    column's finiteness.  Chunked storage caches no columns, so there it
-    does nothing.
+    policy).  Chunked storage caches no columns, so there it does
+    nothing.
     Bumps the [fused.nodes_in] / [fused.nodes_out] counters and the
     [fused.cse_ratio] gauge; the returned stats cover this call only. *)
 
@@ -155,34 +156,39 @@ type gram = {
 }
 
 val known_nonfinite : t -> Expr.basis array -> bool
-(** Whether the finite table already records one of [bases] as non-finite
-    somewhere on the data: a table lookup per basis, no data pass and no
-    dot-cache lookup.  [false] means "not known", not "finite": the
-    table is filled when a resident column is installed and when {!gram}
-    screens a basis, and it is bounded like the column cache.  This is
-    the screen [Model.fit] runs before {!gram}, so an
-    individual whose columns were warmed is rejected without computing
-    its products. *)
+(** Chunked storage only: whether the finite table already records one of
+    [bases] as non-finite somewhere on the data — a table lookup per
+    basis, no data pass and no dot-cache lookup.  [false] means "not
+    known", not "finite": the table is filled when {!gram} screens a
+    basis, and it is bounded like the column cache.  Resident storage
+    keeps no finite table, so there it is [false] without a lookup, and
+    {!gram} reports finiteness along with the products.  This is the
+    screen [Model.fit] runs before {!gram}, so a streamed individual with
+    a basis already screened as non-finite is rejected without a data
+    pass. *)
 
 val gram : t -> Expr.basis array -> targets:float array -> gram
 (** Every product {!Caffeine_regress.Linfit.fit_stream} needs for one
-    individual, in one batch, by one algorithm on both storages.  Each
-    entry is looked up in the dataset's caches (products in the dot
-    cache, finiteness in a per-basis table); exactly the missing entries
-    are accumulated by {!Caffeine_regress.Gram_stream} in a single
-    {!iter_basis_chunks} pass over the bases they involve, each scalar
-    carried across chunk boundaries in row order, so the chunk size does
-    not change a word.  Each computed entry is then installed and the
-    cached word returned — every entry of the result is the word the
-    cache holds, so an unordered pair has one word per call even when a
-    basis repeats, NaN payloads included.  A fully-warm cache means no
-    data pass at all.  Each basis is hashed once per call, and only the
-    upper triangle of [dots] is looked up and then mirrored, so [dots] is
-    symmetric bit for bit.  [⟨col_i, y⟩] is keyed by the target array
-    ([==]) in a small registry — pass the same array across calls, as
-    the search loop does; a fresh array per call would grow the registry
-    without reuse.  Raises [Invalid_argument] when [targets] does not
-    have one entry per sample. *)
+    individual, in one batch.  Entries are formed over the individual's
+    distinct bases, by {!Caffeine_regress.Gram_stream} in a single
+    {!iter_basis_chunks} pass, each scalar carried across chunk
+    boundaries in row order, so the chunk size does not change a word; a
+    repeated basis reads its distinct entries.  Resident storage forms
+    every entry in that pass, from the memoized columns, and caches no
+    scalar.  Chunked storage first looks each entry up in its caches
+    (products in the dot cache, finiteness in a per-basis table),
+    accumulates exactly the missing ones and installs them, so a
+    fully-warm cache means no data pass at all.  Every
+    [⟨col_i, col_j⟩] is formed in one canonical orientation, the lower
+    basis (structural hash, then {!Expr.compare_basis}) on the left, so a
+    pair has the same word in every call on either storage, however the
+    bases are ordered or repeated, NaN payloads included, and [dots] is
+    symmetric bit for bit.  Each basis is hashed once per call.  On
+    chunked storage [⟨col_i, y⟩] is keyed by the target array ([==]) in
+    a small registry — pass the same array across calls, as the search
+    loop does; a fresh array per call would grow the registry without
+    reuse.  Raises [Invalid_argument] when [targets] does not have one
+    entry per sample. *)
 
 val iter_basis_chunks :
   t ->
@@ -214,7 +220,7 @@ type cache_stats = {
   column_hits : int;
   column_misses : int;
   column_evictions : int;  (** entries dropped by shard overflow *)
-  dots_cached : int;  (** pair + target products currently memoized *)
+  dots_cached : int;  (** pair + target products currently memoized (chunked) *)
   dot_hits : int;
   dot_misses : int;
   dot_evictions : int;
@@ -223,7 +229,9 @@ type cache_stats = {
 val stats : t -> cache_stats
 (** Lifetime counters of both caches (since creation or the last process
     start — {!clear_cache} drops entries but keeps counters), for cache
-    effectiveness reporting ([fit --verbose], perf PRs). *)
+    effectiveness reporting ([fit --verbose], perf PRs).  The column
+    counters move on resident storage only and the dot counters on
+    chunked storage only, the level each storage caches. *)
 
 val publish_metrics : t -> unit
 (** Snapshot {!stats} into the {!Caffeine_obs.Metrics.default} registry as
@@ -251,8 +259,10 @@ val set_cache_limit : t -> int -> unit
 
 val dot_cache_limit : t -> int
 (** Current bound on the number of memoized dot products (default
-    131072 — products are single floats, far cheaper than columns). *)
+    131072 — products are single floats, far cheaper than columns).  Only
+    chunked storage fills the dot cache. *)
 
 val set_dot_cache_limit : t -> int -> unit
 (** Cap the dot-product cache at [limit] entries (must be positive), with
-    the same wholesale per-shard eviction policy as the column cache. *)
+    the same wholesale per-shard eviction policy as the column cache.
+    Only chunked storage fills the dot cache. *)

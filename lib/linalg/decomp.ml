@@ -236,11 +236,10 @@ let solve_spd a b =
 
 (* --- least squares -------------------------------------------------------- *)
 
-(* Cholesky factor of aᵀa + λI.  aᵀa is accumulated exactly as
-   [Matrix.gram] (that is [Matrix.mul (transpose a) a]) does it — same
-   order, same skip of zero multipliers — and λ defaults to 1e-10 of the
-   mean diagonal (trace floored at 1). *)
-let ridge_factor ?ridge (a : Matrix.t) =
+(* aᵀa, accumulated exactly as [Matrix.gram] (that is [Matrix.mul
+   (transpose a) a]) does it — same order, same skip of zero
+   multipliers. *)
+let normal_matrix (a : Matrix.t) =
   let m = a.rows and n = a.cols and d = a.data in
   let g = Array.make (n * n) 0. in
   for i = 0 to n - 1 do
@@ -252,6 +251,12 @@ let ridge_factor ?ridge (a : Matrix.t) =
         done
     done
   done;
+  g
+
+(* Cholesky factor of aᵀa + λI from the row-major [n x n] aᵀa [g], which
+   it overwrites; λ defaults to 1e-10 of the mean diagonal (trace floored
+   at 1). *)
+let ridge_factor ?ridge ~n g =
   let trace = ref 0. in
   for i = 0 to n - 1 do
     trace := !trace +. g.((i * n) + i)
@@ -263,17 +268,19 @@ let ridge_factor ?ridge (a : Matrix.t) =
   done;
   cholesky_data ~n g
 
-(* (aᵀa + λI)⁻¹ aᵀ b through the ridge factor [l]. *)
-let ridge_coefficients (l : Matrix.t) (a : Matrix.t) b =
+(* aᵀb, each entry accumulated over rows in order. *)
+let normal_rhs (a : Matrix.t) b =
   let m = a.rows and n = a.cols and d = a.data in
-  let atb = Array.make n 0. in
-  for j = 0 to n - 1 do
-    let acc = ref 0. in
-    for i = 0 to m - 1 do
-      acc := !acc +. (d.((i * n) + j) *. b.(i))
-    done;
-    atb.(j) <- !acc
-  done;
+  Array.init n (fun j ->
+      let acc = ref 0. in
+      for i = 0 to m - 1 do
+        acc := !acc +. (d.((i * n) + j) *. b.(i))
+      done;
+      !acc)
+
+(* (aᵀa + λI)⁻¹ aᵀb through the ridge factor [l]. *)
+let ridge_coefficients (l : Matrix.t) atb =
+  let n = l.rows in
   upper_solve_transposed ~n l.data (lower_solve ~n l.data atb)
 
 (* h_ii = aᵢᵀ (aᵀa + λI)⁻¹ aᵢ, one pair of triangular solves per row. *)
@@ -320,19 +327,23 @@ let q_leverages (q : Matrix.t) =
 
 (* The factorization both [lstsq] and [hat_diag] start from: [`Full] when
    the Householder R has full numerical rank, [`Ridge] otherwise (or when
-   the design is wide). *)
-let factorize ?ridge (a : Matrix.t) =
-  if a.rows < a.cols then `Ridge (ridge_factor ?ridge a)
+   the design is wide).  [ata] is aᵀa when the caller already holds it. *)
+let factorize ?ridge ?ata (a : Matrix.t) =
+  let ridge () =
+    let g = match ata with Some g -> Array.copy g | None -> normal_matrix a in
+    `Ridge (ridge_factor ?ridge ~n:a.cols g)
+  in
+  if a.rows < a.cols then ridge ()
   else
     let h = householder a in
-    if full_rank h then `Full (q_of h, r_of h) else `Ridge (ridge_factor ?ridge a)
+    if full_rank h then `Full (q_of h, r_of h) else ridge ()
 
 let check_rhs a b =
   if a.Matrix.rows <> Array.length b then invalid_arg "Decomp.lstsq: dimension mismatch"
 
-let solve_factored a b = function
+let solve_factored ?atb a b = function
   | `Full (q, r) -> solve_upper_triangular r (qt_times q b)
-  | `Ridge l -> ridge_coefficients l a b
+  | `Ridge l -> ridge_coefficients l (match atb with Some v -> v | None -> normal_rhs a b)
 
 let leverages_factored a = function
   | `Full (q, _) -> q_leverages q
@@ -341,6 +352,13 @@ let leverages_factored a = function
 let lstsq ?ridge a b =
   check_rhs a b;
   solve_factored a b (factorize ?ridge a)
+
+let lstsq_normal ~ata ~atb a b =
+  check_rhs a b;
+  let n = a.Matrix.cols in
+  if Array.length ata <> n * n || Array.length atb <> n then
+    invalid_arg "Decomp.lstsq_normal: normal equations do not match the design";
+  solve_factored ~atb a b (factorize ~ata a)
 
 let hat_diag ?ridge a = leverages_factored a (factorize ?ridge a)
 

@@ -38,6 +38,16 @@ val lstsq : ?ridge:float -> Matrix.t -> float array -> float array
     [(aᵀa + λI) x = aᵀ b] with [λ = ridge] (default [1e-10] scaled by the
     Gram trace), which always succeeds. *)
 
+val lstsq_normal : ata:float array -> atb:float array -> Matrix.t -> float array -> float array
+(** [lstsq_normal ~ata ~atb a b] is {!lstsq} [a b] for a caller that
+    already holds the row-major normal matrix [ata] = [aᵀa] and [atb] =
+    [aᵀb]: the rank decision still factors [a], but the ridge branch
+    solves with [ata] and [atb] instead of forming them from [a].  The
+    result is {!lstsq}'s word for word when [ata] and [atb] are the words
+    {!lstsq} would form: for a finite [a], every entry summed over the
+    rows in order from [+0.], whichever operand of each product comes
+    first.  Raises [Invalid_argument] on mismatched dimensions. *)
+
 val hat_diag : ?ridge:float -> Matrix.t -> float array
 (** [hat_diag a] is the diagonal of the projection ("hat") matrix
     [a (aᵀa)⁻¹ aᵀ], regularized like {!lstsq} when needed.  Entry [i] is the

@@ -33,10 +33,23 @@ let check_columns name columns =
     columns;
   n
 
+(* Filled column by column straight into the row-major data, with no
+   closure call per element. *)
 let design_matrix columns =
   let n = check_columns "Linfit.design_matrix" columns in
-  let k = Array.length columns in
-  Matrix.init n (k + 1) (fun i j -> if j = 0 then 1. else columns.(j - 1).(i))
+  let dim = Array.length columns + 1 in
+  let design = Matrix.create n dim in
+  let d = design.data in
+  for i = 0 to n - 1 do
+    d.(i * dim) <- 1.
+  done;
+  Array.iteri
+    (fun j col ->
+      for i = 0 to n - 1 do
+        d.((i * dim) + j + 1) <- col.(i)
+      done)
+    columns;
+  design
 
 let fit_constant ~targets =
   if Array.length targets = 0 then invalid_arg "Linfit.fit_constant: no targets";
@@ -73,19 +86,28 @@ let finish ~targets coeffs predictions =
     train_error = Stats.normalized_error targets predictions;
   }
 
+(* The QR fit of checked columns.  [normal] is the design's aᵀa and aᵀy
+   when the caller already holds them, for the ridge solve. *)
+let qr_fit ?normal ~basis_values ~targets () =
+  Metrics.incr m_fits;
+  match incremental_design basis_values targets with
+  | Some qr -> finish ~targets (Qr_update.coefficients qr) (Qr_update.predictions qr)
+  | None ->
+      Metrics.incr m_qr_fallbacks;
+      let design = design_matrix basis_values in
+      let coeffs =
+        match normal with
+        | None -> Decomp.lstsq design targets
+        | Some (ata, atb) -> Decomp.lstsq_normal ~ata ~atb design targets
+      in
+      finish ~targets coeffs (Matrix.mul_vec design coeffs)
+
 let fit ~basis_values ~targets =
   if Array.length basis_values = 0 then fit_constant ~targets
   else begin
     let n = check_columns "Linfit.fit" basis_values in
     if n <> Array.length targets then invalid_arg "Linfit.fit: sample count mismatch";
-    Metrics.incr m_fits;
-    match incremental_design basis_values targets with
-    | Some qr -> finish ~targets (Qr_update.coefficients qr) (Qr_update.predictions qr)
-    | None ->
-        Metrics.incr m_qr_fallbacks;
-        let design = design_matrix basis_values in
-        let coeffs = Decomp.lstsq design targets in
-        finish ~targets coeffs (Matrix.mul_vec design coeffs)
+    qr_fit ~basis_values ~targets ()
   end
 
 let predict model ~basis_values =
@@ -124,18 +146,13 @@ let press ~basis_values ~targets =
         Decomp.press (design_matrix basis_values) targets
   end
 
-(* Core of the normal-equations fast path: assemble the bordered Gram
-   matrix from the supplied products and solve it with the guards —
-   unit-diagonal equilibration, a minimum Cholesky-pivot threshold, one
-   iterative-refinement step.  [None] means a guard tripped and the caller
-   must take its QR fallback. *)
-let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
+(* The bordered Gram [ones | columns]ᵀ[ones | columns] (row-major) and the
+   right-hand side [ones | columns]ᵀy, from the supplied products.  The
+   Gram is symmetric, so only its upper triangle is fetched and mirrored:
+   [dot i j] is ⟨colᵢ, colⱼ⟩, one word per unordered pair. *)
+let normal_equations ~dot ~dot_y ~col_sum ~n ~k ~targets =
   let dim = k + 1 in
-  (* The bordered Gram is symmetric, so only its upper triangle is fetched
-     and mirrored: [dot i j] is ⟨colᵢ, colⱼ⟩, one word per unordered
-     pair. *)
-  let g = Matrix.create dim dim in
-  let gd = g.data in
+  let gd = Array.make (dim * dim) 0. in
   gd.(0) <- float_of_int n;
   for j = 1 to k do
     let s = col_sum (j - 1) in
@@ -149,6 +166,18 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
       gd.((j * dim) + i) <- v
     done
   done;
+  let target_sum = ref 0. in
+  for i = 0 to Array.length targets - 1 do
+    target_sum := !target_sum +. targets.(i)
+  done;
+  let rhs = Array.init dim (fun i -> if i = 0 then !target_sum else dot_y (i - 1)) in
+  (gd, rhs)
+
+(* Core of the normal-equations fast path: solve the bordered system with
+   the guards — unit-diagonal equilibration, a minimum Cholesky-pivot
+   threshold, one iterative-refinement step.  [None] means a guard
+   tripped and the caller must take its QR fallback. *)
+let gram_coefficients ~dim gd raw_rhs =
   let degenerate = ref false in
   let d = Array.make dim 1. in
   for i = 0 to dim - 1 do
@@ -164,15 +193,7 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
         gsd.((i * dim) + j) <- d.(i) *. gd.((i * dim) + j) *. d.(j)
       done
     done;
-    let target_sum = ref 0. in
-    for i = 0 to Array.length targets - 1 do
-      target_sum := !target_sum +. targets.(i)
-    done;
-    let rs = Array.make dim 0. in
-    for i = 0 to dim - 1 do
-      let raw = if i = 0 then !target_sum else dot_y (i - 1) in
-      rs.(i) <- d.(i) *. raw
-    done;
+    let rs = Array.init dim (fun i -> d.(i) *. raw_rhs.(i)) in
     match Decomp.cholesky gs with
     | exception Decomp.Singular -> None
     | l ->
@@ -206,16 +227,21 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
    Gram matrix whose entries the caller supplies (typically memoized dot
    products shared across the population), with basis values arriving as
    row chunks through [iter].  Each sample's prediction is an independent
-   left fold, so the chunking does not change a word.  The QR fallback
-   has no streaming form — it materializes the columns through one [iter]
-   pass and delegates to {!fit}. *)
+   left fold, so the chunking does not change a word.  The fallback has
+   no streaming form — it materializes the columns through one [iter]
+   pass and runs [fit]'s QR path, except that a ridge solve takes aᵀa and
+   aᵀy from the Gram it was handed: for finite columns those are the
+   words [fit] would form from the design (every entry a row-order sum
+   from +0, which never holds -0, so its skipped zero terms and swapped
+   product operands change no bit). *)
 let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
   if k = 0 then fit_constant ~targets
   else begin
     if n < 1 then invalid_arg "Linfit.fit_stream: empty dataset";
     if n <> Array.length targets then invalid_arg "Linfit.fit_stream: sample count mismatch";
     Metrics.incr m_gram_fits;
-    match gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets with
+    let ata, atb = normal_equations ~dot ~dot_y ~col_sum ~n ~k ~targets in
+    match gram_coefficients ~dim:(k + 1) ata atb with
     | None ->
         Metrics.incr m_gram_fallbacks;
         let basis_values = Array.init k (fun _ -> Array.make n 0.) in
@@ -223,7 +249,8 @@ let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
             for j = 0 to k - 1 do
               Array.blit columns.(j) 0 basis_values.(j) row0 len
             done);
-        fit ~basis_values ~targets
+        ignore (check_columns "Linfit.fit" basis_values : int);
+        qr_fit ~normal:(ata, atb) ~basis_values ~targets ()
     | Some coeffs ->
         let predictions = Array.make n 0. in
         iter (fun ~row0 ~len (columns : float array array) ->

@@ -71,8 +71,13 @@ val fit_stream :
     factorization, or a minimum Cholesky pivot below 1e-3 of the maximum)
     the columns are materialized through one extra [iter] pass and the
     call falls back to {!fit}, so the result always matches the QR answer
-    within the engine's 1e-8 contract.  [iter] is invoked once (the
-    prediction pass, or the materialization on fallback). *)
+    within the engine's 1e-8 contract.  On that fallback a rank-deficient
+    design's ridge solve takes [aᵀa] and [aᵀy] from the supplied products
+    instead of forming them from the columns again; when every product
+    is the row-order sum from [+0.] of finite columns (as
+    {!Caffeine_io.Dataset.gram} and {!Gram_stream} form them), the result
+    is {!fit}'s word for word.  [iter] is invoked once (the prediction
+    pass, or the materialization on fallback). *)
 
 val fit_gram :
   dot:(int -> int -> float) ->

@@ -270,14 +270,16 @@ let test_model_fit_invalid_basis_returns_none () =
     = None)
 
 let test_model_fit_screens_warmed_nonfinite () =
-  (* A warmed column records its finiteness, so the fit rejects the
-     individual before its Gram pass: no dot-cache lookup at all. *)
+  (* On chunked storage, where the finite table lives, a Gram pass that
+     has screened a basis records its finiteness, so a later fit rejects
+     the individual before its Gram pass: no dot-cache lookup at all. *)
   let good = Expr.{ vc = Some [| 1; 0; 0; 0; 0 |]; factors = [] } in
   let bad =
     Expr.{ vc = None; factors = [ Unary (Op.Log_e, { bias = -5.; terms = [] }) ] }
   in
-  let data = data_of simple_inputs in
-  ignore (Dataset.warm_columns data [| good; bad |] : Dataset.fuse_stats);
+  let columns = Array.init dims (Dataset.column (data_of simple_inputs)) in
+  let data = Dataset.chunked_of_columns ~chunk_rows:16 columns in
+  ignore (Dataset.gram data [| bad |] ~targets:(Array.map (fun _ -> 1.) simple_inputs));
   let before = (Dataset.stats data).Dataset.dot_misses in
   Alcotest.(check bool) "invalid model rejected" true
     (Model.fit ~wb:10. ~wvc:0.25 [| good; bad |] ~data

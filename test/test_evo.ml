@@ -223,6 +223,36 @@ module Reference = struct
       current := List.rev !next
     done;
     Array.of_list (List.rev !fronts)
+
+  (* Crowding as it read with polymorphic [compare] and a [Hashtbl]. *)
+  let crowding_distances objectives front =
+    match front with
+    | [] -> []
+    | [ only ] -> [ (only, Float.infinity) ]
+    | _ :: _ :: _ ->
+        let members = Array.of_list front in
+        let count = Array.length members in
+        let distance = Hashtbl.create count in
+        Array.iter (fun i -> Hashtbl.replace distance i 0.) members;
+        let num_objectives = Array.length objectives.(members.(0)) in
+        for m = 0 to num_objectives - 1 do
+          let sorted = Array.copy members in
+          Array.sort (fun a b -> compare objectives.(a).(m) objectives.(b).(m)) sorted;
+          let lo = objectives.(sorted.(0)).(m) in
+          let hi = objectives.(sorted.(count - 1)).(m) in
+          Hashtbl.replace distance sorted.(0) Float.infinity;
+          Hashtbl.replace distance sorted.(count - 1) Float.infinity;
+          let span = hi -. lo in
+          if span > 0. && Float.is_finite span then
+            for k = 1 to count - 2 do
+              let gap =
+                (objectives.(sorted.(k + 1)).(m) -. objectives.(sorted.(k - 1)).(m)) /. span
+              in
+              let previous = Hashtbl.find distance sorted.(k) in
+              Hashtbl.replace distance sorted.(k) (previous +. gap)
+            done
+        done;
+        List.map (fun i -> (i, Hashtbl.find distance i)) front
 end
 
 (* Objective sets heavy in ties: values from a small pool (duplicates are
@@ -290,6 +320,28 @@ let property_tests =
         let rng = Rng.create ~seed () in
         let objectives = two_objective_set rng ~n ~shape in
         Nsga2.fast_nondominated_sort objectives = Reference.fast_nondominated_sort objectives);
+    QCheck.Test.make ~name:"crowding: values and order identical to the polymorphic reference"
+      ~count:300
+      QCheck.(triple small_int (int_range 0 120) (int_range 0 3))
+      (fun (seed, n, shape) ->
+        let rng = Rng.create ~seed () in
+        (* Sanitized as [Nsga2.run] sanitizes: NaN becomes +inf. *)
+        let objectives =
+          if shape = 3 then
+            Array.map
+              (Array.map (fun v -> if Float.is_nan v then Float.infinity else v))
+              (tie_heavy_objectives rng ~n ~m:(1 + Rng.int rng 3))
+          else two_objective_set rng ~n ~shape
+        in
+        let same (i, a) (j, b) = i = j && Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        let shuffled = Array.init n Fun.id in
+        Rng.shuffle_in_place rng shuffled;
+        List.for_all
+          (fun front ->
+            List.equal same
+              (Nsga2.crowding_distances objectives front)
+              (Reference.crowding_distances objectives front))
+          (Array.to_list shuffled :: Array.to_list (Nsga2.fast_nondominated_sort objectives)));
   ]
 
 let suite =

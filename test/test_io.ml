@@ -283,9 +283,10 @@ let test_dataset_eval_column_matches_interpreter () =
       Alcotest.(check (float 1e-12)) "agrees" (Expr.eval_basis basis row) column.(i))
     rows
 
+(* The scalar tables live on chunked storage, where each product costs a
+   stream over the data. *)
 let test_dataset_dot_cache () =
-  let rows = [| [| 2. |]; [| 3. |]; [| 4. |] |] in
-  let data = Dataset.of_rows rows in
+  let data = Dataset.chunked_of_columns ~chunk_rows:2 [| [| 2.; 3.; 4. |] |] in
   let squares = Expr.{ vc = Some [| 2 |]; factors = [] } in
   let cubes = Expr.{ vc = Some [| 3 |]; factors = [] } in
   let targets = [| 1.; 1.; 1. |] in
@@ -299,7 +300,7 @@ let test_dataset_dot_cache () =
   let stats = Dataset.stats data in
   Alcotest.(check int) "seven products cached" 7 stats.Dataset.dots_cached;
   Alcotest.(check int) "every first lookup is a miss" 7 stats.Dataset.dot_misses;
-  (* The pair key is unordered: (a, b) and (b, a) share one entry. *)
+  (* One canonical pair key: (a, b) and (b, a) share one entry. *)
   let swapped = Dataset.gram data [| cubes; squares |] ~targets in
   Alcotest.(check (float 1e-9)) "symmetric hit" (manual sq_col cu_col)
     swapped.Dataset.dots.(0).(1);
@@ -310,8 +311,7 @@ let test_dataset_dot_cache () =
     g.Dataset.col_sums.(0)
 
 let test_dataset_dot_target_keying () =
-  let rows = [| [| 2. |]; [| 3. |]; [| 4. |] |] in
-  let data = Dataset.of_rows rows in
+  let data = Dataset.chunked_of_columns ~chunk_rows:2 [| [| 2.; 3.; 4. |] |] in
   let basis = Expr.{ vc = Some [| 2 |]; factors = [] } in
   let col = Dataset.basis_column data basis in
   let manual b = Array.fold_left ( +. ) 0. (Array.mapi (fun i x -> x *. b.(i)) col) in
@@ -336,6 +336,47 @@ let test_dataset_dot_target_keying () =
   let stats = Dataset.stats data in
   Alcotest.(check int) "dots cleared" 0 stats.Dataset.dots_cached;
   Alcotest.(check int) "columns cleared" 0 stats.Dataset.columns_cached
+
+(* Resident storage keeps no scalar table: every Gram is one pass over
+   the memoized columns of its distinct bases, and a pair has one word in
+   whichever order, and however often, its bases come.  At row 1, [a] is
+   a NaN of one sign and [b] one of the other, so their product's word
+   depends on which operand is on the left. *)
+let test_dataset_resident_gram_uncached () =
+  let data = Dataset.of_columns [| [| 2.; -.Float.nan; 4. |]; [| 0.5; -1.; 0.25 |] |] in
+  let a = Expr.{ vc = Some [| 2; 0 |]; factors = [] } in
+  let b =
+    Expr.
+      {
+        vc = None;
+        factors = [ Unary (Op.Log_e, { bias = 0.; terms = [ (1., { vc = Some [| 0; 1 |]; factors = [] }) ] }) ];
+      }
+  in
+  let targets = [| 1.; 0.; -1. |] in
+  let column_reads () =
+    let s = Dataset.stats data in
+    s.Dataset.column_hits + s.Dataset.column_misses
+  in
+  let gram bases =
+    let before = column_reads () in
+    let g = Dataset.gram data bases ~targets in
+    Alcotest.(check int) "each distinct column read once" 2 (column_reads () - before);
+    g
+  in
+  let aba = gram [| a; b; a |] in
+  let ba = gram [| b; a |] in
+  let feq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  Alcotest.(check bool) "one word per pair" true
+    (feq aba.Dataset.dots.(0).(1) ba.Dataset.dots.(1).(0)
+    && feq aba.Dataset.dots.(1).(2) ba.Dataset.dots.(0).(1)
+    && feq aba.Dataset.dots.(0).(2) aba.Dataset.dots.(0).(0));
+  Alcotest.(check bool) "repeated basis reads its entries" true
+    (feq aba.Dataset.dot_ys.(0) aba.Dataset.dot_ys.(2)
+    && feq aba.Dataset.dot_ys.(2) ba.Dataset.dot_ys.(1)
+    && feq aba.Dataset.col_sums.(1) ba.Dataset.col_sums.(0));
+  let stats = Dataset.stats data in
+  Alcotest.(check int) "no product cached" 0 stats.Dataset.dots_cached;
+  Alcotest.(check int) "no product looked up" 0 (stats.Dataset.dot_hits + stats.Dataset.dot_misses)
 
 let test_dataset_stats_counters () =
   let rows = [| [| 2. |]; [| 3. |]; [| 4. |] |] in
@@ -531,6 +572,7 @@ let suite =
     Alcotest.test_case "dataset basis-column memoization" `Quick test_dataset_basis_column_memoizes;
     Alcotest.test_case "dataset dot cache" `Quick test_dataset_dot_cache;
     Alcotest.test_case "dataset dot-target keying" `Quick test_dataset_dot_target_keying;
+    Alcotest.test_case "resident gram caches no product" `Quick test_dataset_resident_gram_uncached;
     Alcotest.test_case "dataset stats counters" `Quick test_dataset_stats_counters;
     Alcotest.test_case "dataset eval matches interpreter" `Quick
       test_dataset_eval_column_matches_interpreter;

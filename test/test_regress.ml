@@ -179,6 +179,48 @@ let rel_vec_close tol a b =
   let d = Array.mapi (fun i x -> x -. b.(i)) a in
   norm d <= tol *. Float.max 1. (Float.max (norm a) (norm b))
 
+(* A finite design made rank-deficient on purpose: one column is a copy,
+   a multiple or a constant (a multiple of the ones column) of another
+   column, or all zeros; entries elsewhere include exact zeros of both
+   signs. *)
+let rank_deficient_case ~seed =
+  let rng = Rng.create ~seed () in
+  let n = 2 + Rng.int rng 30 and k = 2 + Rng.int rng 4 in
+  let entry () =
+    match Rng.int rng 4 with 0 -> 0. | 1 -> -0. | _ -> Rng.range rng (-2.) 2.
+  in
+  let columns = Array.init k (fun _ -> Array.init n (fun _ -> entry ())) in
+  let src = Rng.int rng k in
+  let dst = (src + 1 + Rng.int rng (k - 1)) mod k in
+  columns.(dst) <-
+    (match Rng.int rng 4 with
+    | 0 -> Array.copy columns.(src)
+    | 1 ->
+        let c = Rng.choose rng [| 2.; -0.5; 3. |] in
+        Array.map (fun x -> c *. x) columns.(src)
+    | 2 -> Array.make n (Rng.range rng (-2.) 2.)
+    | _ -> Array.init n (fun _ -> if Rng.bool rng then 0. else -0.));
+  (columns, Array.init n (fun _ -> Rng.range rng (-3.) 3.))
+
+(* Row-order sums from +0, the products [Dataset.gram] hands over. *)
+let row_dot a b =
+  let acc = ref 0. in
+  for r = 0 to Array.length a - 1 do
+    acc := !acc +. (a.(r) *. b.(r))
+  done;
+  !acc
+
+let same_fit (a : Linfit.t) (b : Linfit.t) =
+  let feq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let arr_eq x y = Array.length x = Array.length y && Array.for_all2 feq x y in
+  feq a.Linfit.intercept b.Linfit.intercept
+  && arr_eq a.Linfit.weights b.Linfit.weights
+  && arr_eq a.Linfit.predictions b.Linfit.predictions
+  && feq a.Linfit.train_error b.Linfit.train_error
+
+let gram_fallbacks =
+  Caffeine_obs.Metrics.(counter default "linfit.gram_fallbacks")
+
 let property_tests =
   [
     QCheck.Test.make ~name:"fit residual error is within [0, constant-model error]" ~count:100
@@ -237,6 +279,22 @@ let property_tests =
         in
         Linfit.forward_select ~max_bases:5 ~basis_values:columns ~targets ()
         = reference_forward_select ~max_bases:5 ~basis_values:columns ~targets ());
+    QCheck.Test.make ~name:"fit_stream fallback equals fit word for word on rank-deficient designs"
+      ~count:300 QCheck.small_int (fun seed ->
+        let columns, targets = rank_deficient_case ~seed in
+        let k = Array.length columns and n = Array.length targets in
+        let before = Caffeine_obs.Metrics.counter_value gram_fallbacks in
+        let streamed =
+          Linfit.fit_stream
+            ~dot:(fun i j -> row_dot columns.(i) columns.(j))
+            ~dot_y:(fun i -> row_dot columns.(i) targets)
+            ~col_sum:(fun i -> Array.fold_left ( +. ) 0. columns.(i))
+            ~k ~n
+            ~iter:(fun f -> f ~row0:0 ~len:n columns)
+            ~targets
+        in
+        Caffeine_obs.Metrics.counter_value gram_fallbacks = before + 1
+        && same_fit streamed (Linfit.fit ~basis_values:columns ~targets));
   ]
 
 let suite =
