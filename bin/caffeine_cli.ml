@@ -174,9 +174,15 @@ let load_streaming ~path ~target ~chunk_rows =
       (tmp, true)
     end
   in
-  let store = Colstore.openfile store_path in
   if temporary then
     at_exit (fun () -> try Sys.remove store_path with Sys_error _ -> ());
+  let store =
+    match Colstore.openfile store_path with
+    | store -> store
+    | exception Invalid_argument msg ->
+        Printf.eprintf "cannot read %s: %s\n" path msg;
+        exit 2
+  in
   let names = Colstore.var_names store in
   let target_index =
     let found = ref (-1) in

@@ -3,7 +3,8 @@
 #
 #   1. Ingestion bugfixes at the CLI level: CRLF files parse (and error
 #      messages quote cells without the carriage return), duplicate CSV
-#      headers are rejected naming the column and both positions.
+#      headers are rejected naming the column and both positions, and
+#      empty, truncated or foreign .cafs stores exit 2 naming the file.
 #   2. Front bit-identity: the same seeded fit must print byte-identical
 #      fronts dense vs --data-stream, from CSV input and from a packed
 #      .cafs store, across execution backends.
@@ -51,6 +52,25 @@ if "$CLI" fit --train "$scratch/dup.csv" --target y --out "$scratch/never.txt" \
 fi
 grep -q 'duplicate column name "x"' "$scratch/dup.err"
 grep -q 'columns 1 and 3' "$scratch/dup.err"
+
+# A corrupt column store must be refused naming the file (exit 2, as for
+# a bad CSV), never with an uncaught exception.
+"$CLI" pack --csv "$scratch/data.csv" --out "$scratch/whole.cafs" > /dev/null
+: > "$scratch/empty.cafs"
+head -c 5000 "$scratch/whole.cafs" > "$scratch/truncated.cafs"
+{ printf 'CAFSTOR0'; tail -c +9 "$scratch/whole.cafs"; } > "$scratch/bad-magic.cafs"
+for store in empty truncated bad-magic; do
+  status=0
+  "$CLI" fit --train "$scratch/$store.cafs" --target PM --out "$scratch/never.txt" \
+    2> "$scratch/$store.err" || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "stream-gate: $store store exited with status $status, expected 2" >&2; exit 1
+  fi
+  grep -qF "cannot read $scratch/$store.cafs" "$scratch/$store.err"
+  if grep -q 'internal error' "$scratch/$store.err"; then
+    echo "stream-gate: $store store raised an uncaught exception" >&2; exit 1
+  fi
+done
 
 # --- 2. dense vs streamed front bit-identity ------------------------------
 

@@ -8,11 +8,12 @@ module Metrics = Caffeine_obs.Metrics
    fitted — bit-identical to recomputation by construction, since
    objectives are a pure function of (structure, data, targets).
 
-   It follows the dataset caches' concurrency design: sharded by key hash,
-   each shard behind its own mutex, bounded by a wholesale per-shard
-   reset.  The search gives every island a private instance and touches it
-   only from the island's coordinating domain, but the sharding keeps the
-   structure safe should a future caller share one. *)
+   The table is a {!Caffeine_par.Memo} of 65,536 entries, the policy
+   behind the dataset caches too: sharded by key hash, each shard behind
+   its own mutex, bounded by a wholesale per-shard reset.  The search
+   gives every island a private instance and touches it only from the
+   island's coordinating domain, but the sharding keeps the structure safe
+   should a future caller share one. *)
 
 type mode = Off | Exact
 
@@ -59,48 +60,18 @@ module Individual_key = struct
   let hash k = k.hash
 end
 
-module Tbl = Hashtbl.Make (Individual_key)
+module Memo = Caffeine_par.Memo.Make (Individual_key)
 
-let shard_count = 16 (* power of two: shard selection is a mask *)
+type t = { mode : mode; memo : float array Memo.t }
 
-type shard = {
-  lock : Mutex.t;
-  table : float array Tbl.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-type t = { mode : mode; limit : int; shards : shard array }
-
-let default_limit = 65_536
-
-let create ?(limit = default_limit) ~mode ~wb:_ ~wvc:_ ~data:_ () =
-  if limit < 1 then invalid_arg "Eval_cache.create: limit must be positive";
-  {
-    mode;
-    limit;
-    shards =
-      Array.init shard_count (fun _ ->
-          { lock = Mutex.create (); table = Tbl.create 64; hits = 0; misses = 0; evictions = 0 });
-  }
-
+let create ~mode ~wb:_ ~wvc:_ ~data:_ () = { mode; memo = Memo.create ~limit:65_536 }
 let mode t = t.mode
-let shard_of t k = t.shards.(k.hash land (shard_count - 1))
 
 let lookup t individual =
   match t.mode with
   | Off -> None
   | Exact -> (
-      let k = key individual in
-      let shard = shard_of t k in
-      Mutex.lock shard.lock;
-      let found = Tbl.find_opt shard.table k in
-      (match found with
-      | Some _ -> shard.hits <- shard.hits + 1
-      | None -> shard.misses <- shard.misses + 1);
-      Mutex.unlock shard.lock;
-      match found with
+      match Memo.find t.memo (key individual) with
       | Some objectives ->
           Metrics.incr m_hits;
           Some (Array.copy objectives)
@@ -112,41 +83,19 @@ let store t individual objectives =
   match t.mode with
   | Off -> ()
   | Exact ->
-      let objectives = Array.copy objectives in
-      let k = key individual in
-      let shard = shard_of t k in
-      let per_shard_limit = Stdlib.max 1 (t.limit / shard_count) in
-      Mutex.lock shard.lock;
-      if Tbl.length shard.table >= per_shard_limit then begin
-        (* Wholesale per-shard reset, like the dataset caches: misses simply
-           recompute, values are unaffected. *)
-        shard.evictions <- shard.evictions + Tbl.length shard.table;
-        Metrics.add m_evictions (Tbl.length shard.table);
-        Tbl.reset shard.table
-      end;
-      if not (Tbl.mem shard.table k) then Tbl.add shard.table k objectives;
-      Mutex.unlock shard.lock
+      let evicted = Memo.add t.memo (key individual) (Array.copy objectives) in
+      if evicted > 0 then Metrics.add m_evictions evicted
 
 (* --- introspection -------------------------------------------------------- *)
 
-type stats = { hits : int; misses : int; evictions : int; entries : int }
+type stats = Caffeine_par.Memo.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
+}
 
-let stats t =
-  Array.fold_left
-    (fun acc (shard : shard) ->
-      Mutex.lock shard.lock;
-      let acc =
-        {
-          hits = acc.hits + shard.hits;
-          misses = acc.misses + shard.misses;
-          evictions = acc.evictions + shard.evictions;
-          entries = acc.entries + Tbl.length shard.table;
-        }
-      in
-      Mutex.unlock shard.lock;
-      acc)
-    { hits = 0; misses = 0; evictions = 0; entries = 0 }
-    t.shards
+let stats t = Memo.stats t.memo
 
 type global_stats = { total_hits : int; total_misses : int; total_evictions : int }
 

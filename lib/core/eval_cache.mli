@@ -14,8 +14,10 @@
 
     Instances are rebuildable state: the search creates one per island per
     run, never serializes one into a checkpoint, and a resumed run simply
-    starts cold.  Lookups and stores are sharded behind per-shard mutexes
-    (the dataset caches' design), bounded by wholesale per-shard resets.
+    starts cold.  Each holds a {!Caffeine_par.Memo} of at most 65536
+    entries, the policy behind the dataset caches too: lookups and stores
+    are sharded behind per-shard mutexes, bounded by wholesale per-shard
+    resets.
 
     Every instance also bumps the process-wide
     {!Caffeine_obs.Metrics.default} counters [eval.cache_hits],
@@ -33,15 +35,10 @@ val mode_of_string : string -> (mode, string) result
 
 type t
 
-val default_limit : int
-(** Default bound on cached entries (65536). *)
-
-val create : ?limit:int -> mode:mode -> wb:float -> wvc:float -> data:Dataset.t -> unit -> t
+val create : mode:mode -> wb:float -> wvc:float -> data:Dataset.t -> unit -> t
 (** [create ~mode ~wb ~wvc ~data ()] builds a cache for the objectives the
     search computes on [data] with the complexity weights [wb] and [wvc]:
-    the entries are valid for those inputs only.  [limit] bounds the
-    number of entries (default {!default_limit}).  Raises
-    [Invalid_argument] on a non-positive [limit]. *)
+    the entries are valid for those inputs only. *)
 
 val mode : t -> mode
 
@@ -54,7 +51,7 @@ val store : t -> Expr.basis array -> float array -> unit
 (** Record freshly computed objectives (a defensive copy is taken).
     No-op in {!Off} mode. *)
 
-type stats = {
+type stats = Caffeine_par.Memo.stats = {
   hits : int;  (** lookups served from the cache *)
   misses : int;  (** lookups that fell through to a real evaluation *)
   evictions : int;  (** entries dropped by per-shard overflow resets *)

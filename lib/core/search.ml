@@ -74,13 +74,14 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
     ?start ?on_checkpoint ?(eval_cache = Eval_cache.Off) config ~data ~targets =
   let dims = validate_data ~data ~targets in
   let wb = config.Config.wb and wvc = config.Config.wvc in
-  (* Per-basis evaluation columns and their pairwise dot products are
-     memoized inside the dataset, keyed by the full structural hash
-     (Expr.Key) — weights included: a mutated weight is a different
-     column.  Bases shared between individuals (the common case under set
-     crossover) are compiled, evaluated and Gram-assembled once.  The
-     dataset caches and scratch buffers are domain-safe, so the same
-     closure serves the parallel evaluation paths unchanged. *)
+  (* The dataset memoizes what its storage makes costly, keyed by the full
+     structural hash — weights included: a mutated weight is a different
+     column.  Resident data memoizes per-basis columns, so a basis shared
+     between individuals (the common case under set crossover) is compiled
+     and evaluated once and each Gram is formed from held columns; chunked
+     data memoizes Gram products and finiteness instead.  The dataset
+     caches and scratch buffers are domain-safe, so the same closure
+     serves the parallel evaluation paths unchanged. *)
   let objectives individual =
     match Model.fit ~wb ~wvc individual ~data ~targets with
     | Some model -> [| model.Model.train_error; model.Model.complexity |]

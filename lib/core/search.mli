@@ -93,10 +93,10 @@ val run :
     structural hash and is bit-identical to recomputation by
     construction, so the evolved front is the same with the cache on or
     off at every backend.  Each island — and, under the process backend,
-    each worker process — owns a private cache instance bounded by
-    {!Eval_cache.default_limit} entries.  Caches are rebuildable derived
-    state: they never enter checkpoint snapshots, and resumed runs start
-    cold.
+    each worker process — owns a private cache instance, a
+    {!Caffeine_par.Memo} bounded at 65536 entries.  Caches are
+    rebuildable derived state: they never enter checkpoint snapshots, and
+    resumed runs start cold.
 
     Each generation's miss-batch is evaluated through fused
     multi-expression tapes ({!Caffeine_expr.Fused}): the batch is split

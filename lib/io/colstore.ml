@@ -5,8 +5,8 @@
      offset 8   n_rows      int64 LE (patched on Writer.close)
      offset 16  dims        int64 LE
      offset 24  chunk_rows  int64 LE
-     offset 32  data_offset int64 LE (multiple of 4096, so mmap offsets
-                                      are page-aligned)
+     offset 32  data_offset int64 LE (multiple of 4096: the data region
+                                      starts on a page)
      offset 40  per variable: [name length int64 LE][name bytes]
      ...        zero padding up to data_offset
      data       chunks in row order; chunk [c] holds rows
@@ -15,7 +15,8 @@
                 contiguous little-endian float64.  Every chunk except the
                 last has exactly [chunk_rows] rows, so chunk [c] starts at
                 [data_offset + c * chunk_rows * dims * 8]; the last chunk
-                is written compactly. *)
+                is written compactly, so the file is exactly
+                [data_offset + n_rows * dims * 8] bytes. *)
 
 let magic = "CAFSTOR1"
 let header_fixed = 40
@@ -121,8 +122,7 @@ type t = {
   dims : int;
   chunk_rows : int;
   data_offset : int;
-  mapped : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t option;
-  (* Buffered reads go through a per-domain channel: domains must not
+  (* Reads go through a per-domain channel: domains must not
      share an [in_channel] (its buffer is not thread-safe).  The channels
      live in one table per store, not in domain-local state, so [close]
      reaches every domain's channel. *)
@@ -141,49 +141,54 @@ let chunk_count t = (t.n + t.chunk_rows - 1) / t.chunk_rows
 let chunk_len t c = min t.chunk_rows (t.n - (c * t.chunk_rows))
 let chunk_offset t c = t.data_offset + (c * t.chunk_rows * t.dims * 8)
 
-let openfile ?(mmap = false) path =
-  let channel = open_in_bin path in
-  let header =
-    Fun.protect
-      ~finally:(fun () -> if mmap then close_in channel)
-      (fun () ->
-        let m = really_input_string channel (String.length magic) in
-        if m <> magic then fail "%s: bad magic (not a CAFSTOR1 file)" path;
-        let n = read_int64 channel in
-        let dims = read_int64 channel in
-        let chunk_rows = read_int64 channel in
-        let data_offset = read_int64 channel in
-        if dims < 1 || chunk_rows < 1 || n < 0 || data_offset < header_fixed then
-          fail "%s: corrupt header" path;
-        let var_names =
-          Array.init dims (fun _ ->
-              let len = read_int64 channel in
-              if len < 1 || len > data_offset then fail "%s: corrupt header" path;
-              really_input_string channel len)
-        in
-        (n, dims, chunk_rows, data_offset, var_names))
+(* Check the header against the file before allocating anything it
+   sizes, so a damaged or foreign file is an [Invalid_argument] naming it,
+   never an exhausted read or an allocation the header asked for.  The
+   checks avoid products of header fields, which could overflow. *)
+let read_header path channel =
+  let file_len = in_channel_length channel in
+  if file_len < header_fixed then
+    fail "%s: %d bytes, too short for a CAFSTOR1 header" path file_len;
+  if really_input_string channel (String.length magic) <> magic then
+    fail "%s: bad magic (not a CAFSTOR1 file)" path;
+  let n = read_int64 channel in
+  let dims = read_int64 channel in
+  let chunk_rows = read_int64 channel in
+  let data_offset = read_int64 channel in
+  if dims < 1 || chunk_rows < 1 || n < 0 || data_offset < header_fixed then
+    fail "%s: corrupt header" path;
+  if data_offset > file_len then
+    fail "%s: data offset %d lies past the end of the %d-byte file" path data_offset file_len;
+  (* Each name takes at least 9 header bytes: its length and one byte. *)
+  if dims > (data_offset - header_fixed) / 9 then
+    fail "%s: %d variable names cannot fit in a %d-byte header" path dims data_offset;
+  let data_len = file_len - data_offset in
+  if data_len mod 8 <> 0 || data_len / 8 mod dims <> 0 || data_len / 8 / dims <> n then
+    fail "%s: %d data bytes do not hold %d rows of %d variables" path data_len n dims;
+  let header_left () = data_offset - pos_in channel in
+  let name_past_header () = fail "%s: a variable name runs past the header" path in
+  let var_names =
+    Array.init dims (fun _ ->
+        if header_left () < 9 then name_past_header ();
+        let len = read_int64 channel in
+        if len < 1 || len > header_left () then name_past_header ();
+        really_input_string channel len)
   in
-  let n, dims, chunk_rows, data_offset, var_names = header in
-  let mapped =
-    if not mmap then None
-    else begin
-      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-      let total_floats =
-        if n = 0 then 0
-        else begin
-          let chunks = (n + chunk_rows - 1) / chunk_rows in
-          (((chunks - 1) * chunk_rows) + (n - ((chunks - 1) * chunk_rows))) * dims
-        end
-      in
-      let map =
-        Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            Unix.map_file fd ~pos:(Int64.of_int data_offset) Bigarray.float64
-              Bigarray.c_layout false [| total_floats |])
-      in
-      Some (Bigarray.array1_of_genarray map)
-    end
+  (* No chunk holds more rows than the store. *)
+  (n, dims, min chunk_rows (max 1 n), data_offset, var_names)
+
+let openfile path =
+  (* [Sys_error] messages already name the path. *)
+  let channel = try open_in_bin path with Sys_error msg -> fail "%s" msg in
+  let n, dims, chunk_rows, data_offset, var_names =
+    match read_header path channel with
+    | header -> header
+    | exception e -> (
+        close_in_noerr channel;
+        match e with
+        | Sys_error msg -> fail "%s: %s" path msg
+        | End_of_file -> fail "%s: ends inside its header" path
+        | e -> raise e)
   in
   let t =
     {
@@ -193,13 +198,12 @@ let openfile ?(mmap = false) path =
       dims;
       chunk_rows;
       data_offset;
-      mapped;
       channels_lock = Mutex.create ();
       channels = Hashtbl.create 4;
     }
   in
   (* The opening domain keeps the channel used for the header. *)
-  if not mmap then Hashtbl.replace t.channels (channel_owner ()) channel;
+  Hashtbl.replace t.channels (channel_owner ()) channel;
   t
 
 let var_names t = t.var_names
@@ -218,71 +222,42 @@ let channel t =
           Hashtbl.replace t.channels owner chan;
           chan)
 
-(* Absolute float index of (chunk, variable, row-in-chunk) in the mapped
-   data region; mirrors the on-disk layout arithmetic. *)
-let mapped_index t c d r = (c * t.chunk_rows * t.dims) + (d * chunk_len t c) + r
-
 let iter_chunks t ~f =
   let chunks = chunk_count t in
   if chunks > 0 then begin
     let columns = Array.init t.dims (fun _ -> Array.make t.chunk_rows 0.) in
-    match t.mapped with
-    | Some map ->
-        for c = 0 to chunks - 1 do
-          let len = chunk_len t c in
-          for d = 0 to t.dims - 1 do
-            let base = mapped_index t c d 0 in
-            let column = columns.(d) in
-            for i = 0 to len - 1 do
-              column.(i) <- Bigarray.Array1.unsafe_get map (base + i)
-            done
-          done;
-          f ~row0:(c * t.chunk_rows) ~len columns
+    let chan = channel t in
+    let scratch = Bytes.create (t.chunk_rows * 8) in
+    for c = 0 to chunks - 1 do
+      let len = chunk_len t c in
+      seek_in chan (chunk_offset t c);
+      for d = 0 to t.dims - 1 do
+        really_input chan scratch 0 (len * 8);
+        let column = columns.(d) in
+        for i = 0 to len - 1 do
+          column.(i) <- Int64.float_of_bits (Bytes.get_int64_le scratch (i * 8))
         done
-    | None ->
-        let chan = channel t in
-        let scratch = Bytes.create (t.chunk_rows * 8) in
-        for c = 0 to chunks - 1 do
-          let len = chunk_len t c in
-          seek_in chan (chunk_offset t c);
-          for d = 0 to t.dims - 1 do
-            really_input chan scratch 0 (len * 8);
-            let column = columns.(d) in
-            for i = 0 to len - 1 do
-              column.(i) <- Int64.float_of_bits (Bytes.get_int64_le scratch (i * 8))
-            done
-          done;
-          f ~row0:(c * t.chunk_rows) ~len columns
-        done
+      done;
+      f ~row0:(c * t.chunk_rows) ~len columns
+    done
   end
 
 let gather t ~indices =
   let k = Array.length indices in
   let out = Array.init t.dims (fun _ -> Array.make k 0.) in
-  (match t.mapped with
-  | Some map ->
-      Array.iteri
-        (fun j i ->
-          if i < 0 || i >= t.n then fail "%s: row %d out of bounds" t.path i;
-          let c = i / t.chunk_rows and r = i mod t.chunk_rows in
-          for d = 0 to t.dims - 1 do
-            out.(d).(j) <- Bigarray.Array1.get map (mapped_index t c d r)
-          done)
-        indices
-  | None ->
-      let chan = channel t in
-      let cell = Bytes.create 8 in
-      Array.iteri
-        (fun j i ->
-          if i < 0 || i >= t.n then fail "%s: row %d out of bounds" t.path i;
-          let c = i / t.chunk_rows and r = i mod t.chunk_rows in
-          let len = chunk_len t c in
-          for d = 0 to t.dims - 1 do
-            seek_in chan (chunk_offset t c + (((d * len) + r) * 8));
-            really_input chan cell 0 8;
-            out.(d).(j) <- Int64.float_of_bits (Bytes.get_int64_le cell 0)
-          done)
-        indices);
+  let chan = channel t in
+  let cell = Bytes.create 8 in
+  Array.iteri
+    (fun j i ->
+      if i < 0 || i >= t.n then fail "%s: row %d out of bounds" t.path i;
+      let c = i / t.chunk_rows and r = i mod t.chunk_rows in
+      let len = chunk_len t c in
+      for d = 0 to t.dims - 1 do
+        seek_in chan (chunk_offset t c + (((d * len) + r) * 8));
+        really_input chan cell 0 8;
+        out.(d).(j) <- Int64.float_of_bits (Bytes.get_int64_le cell 0)
+      done)
+    indices;
   out
 
 let column t d =

@@ -5,7 +5,7 @@
     little-endian float64, so a chunk loads with one sequential read per
     variable and evaluates like a short in-memory dataset.  The format is
     self-describing (magic ["CAFSTOR1"], header with names and geometry)
-    and the data region is page-aligned so it can optionally be mmap'd.
+    and the data region starts on a 4096-byte page.
 
     See DESIGN.md §7j for how [Dataset] drives this during streaming
     Gram accumulation. *)
@@ -29,13 +29,16 @@ end
 
 type t
 
-val openfile : ?mmap:bool -> string -> t
-(** Open a store for reading.  With [mmap:true] the data region is
-    memory-mapped read-only (shared, page-cache backed); the default is
-    buffered channel reads, which keep resident memory bounded by one
-    chunk.  Buffered readers keep one channel per domain, so domains
-    never share a file offset.  Raises [Invalid_argument] on a malformed
-    file. *)
+val openfile : string -> t
+(** Open a store for reading through buffered channel reads, which keep
+    resident memory bounded by one chunk; readers keep one channel per
+    domain, so domains never share a file offset.  The header is checked
+    against the file before anything it sizes is allocated: every name
+    lies inside the header, the header inside the file, and the file is
+    exactly the header plus [n_rows * dims] float64 cells.  A [chunk_rows]
+    above [max 1 n_rows] is read as [max 1 n_rows], since no chunk holds
+    more rows.  Raises [Invalid_argument] naming [path] on a missing,
+    unreadable, truncated or malformed file. *)
 
 val var_names : t -> string array
 val n_rows : t -> int
@@ -57,6 +60,5 @@ val column : t -> int -> float array
 (** Materialize one variable as a fresh [n_rows] array. *)
 
 val close : t -> unit
-(** Close every buffered channel this process holds on the store,
-    whichever domain opened it.  Mapped regions are unmapped by the GC.
-    A later read reopens a channel. *)
+(** Close every channel this process holds on the store, whichever
+    domain opened it.  A later read reopens a channel. *)

@@ -1,12 +1,13 @@
 module Expr = Caffeine_expr.Expr
 module Fused = Caffeine_expr.Fused
 
-(* The basis-column memo table is sharded by the full structural hash, each
-   shard behind its own mutex, so concurrent evaluators (parallel NSGA-II
-   objective evaluation, parallel islands) rarely contend on the same lock.
-   Column values are pure functions of (basis, data), so a racing duplicate
-   evaluation is only wasted work, never a wrong or nondeterministic
-   result.
+(* Every table here is a {!Caffeine_par.Memo}: sharded by the full
+   structural hash, each shard behind its own mutex, so concurrent
+   evaluators (parallel NSGA-II objective evaluation, parallel islands)
+   rarely contend on the same lock, and bounded by wholesale per-shard
+   resets.  Entries are pure functions of (basis, data), so a racing
+   duplicate evaluation is only wasted work, never a wrong or
+   nondeterministic result.
 
    Which level is memoized follows the storage (DESIGN §7j).  Resident
    storage memoizes columns and keeps no scalar tables: [gram] forms
@@ -17,11 +18,11 @@ module Fused = Caffeine_expr.Fused
    without them (DESIGN §7c).  Chunked
    storage caches no column (each is [n] floats) but caches the scalars,
    because there every product costs a stream over the data: ⟨col_i,
-   col_j⟩, ⟨col_i, y⟩ and ⟨col_i, 1⟩ entries, and each basis's
-   finiteness.  Target products are keyed by (basis, target id) where ids
-   come from a small physical-equality registry (the search passes the
-   same target array on every call); id 0 stands for the notional ones
-   vector, so it keys column sums.
+   col_j⟩, ⟨col_i, y⟩ and ⟨col_i, 1⟩ entries in one memo, and each
+   basis's finiteness in another.  Target products are keyed by (basis,
+   target id) where ids come from a small physical-equality registry (the
+   search passes the same target array on every call); id 0 stands for
+   the notional ones vector, so it keys column sums.
 
    Both storages form ⟨col_i, col_j⟩ in one canonical orientation, the
    lower key on the left ([compare_keys]), so a pair has one word however
@@ -32,8 +33,6 @@ module Fused = Caffeine_expr.Fused
    each basis once into a [key] and every shard selection, table lookup and
    pair key reuses it: a k-basis Gram costs k tree walks, not four per
    entry. *)
-
-let shard_count = 16 (* power of two: shard selection is a mask *)
 
 type key = { basis : Expr.basis; hash : int }
 
@@ -57,41 +56,27 @@ let compare_keys a b =
   let c = Int.compare a.hash b.hash in
   if c <> 0 then c else Expr.compare_basis a.basis b.basis
 
-type shard = {
-  lock : Mutex.t;
-  table : float array Key_tbl.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
+module Memo = Caffeine_par.Memo
+module Key_memo = Memo.Make (Key)
 
-(* A pair is always keyed in canonical orientation, (lower, higher). *)
-module Pair_key = struct
-  type t = key * key
+(* The chunked Gram scalars share one memo, and so one budget: a pair is
+   keyed in canonical orientation, (lower, higher); a target product by
+   (basis, target id). *)
+module Product_key = struct
+  type t = Pair of key * key | Target of key * int
 
-  let equal (a1, b1) (a2, b2) = Key.equal a1 a2 && Key.equal b1 b2
-  let hash ((a : key), (b : key)) = (a.hash + b.hash) land max_int
+  let equal a b =
+    match (a, b) with
+    | Pair (a1, b1), Pair (a2, b2) -> Key.equal a1 a2 && Key.equal b1 b2
+    | Target (b1, t1), Target (b2, t2) -> t1 = t2 && Key.equal b1 b2
+    | Pair _, Target _ | Target _, Pair _ -> false
+
+  let hash = function
+    | Pair (a, b) -> (a.hash + b.hash) land max_int
+    | Target (b, t) -> (b.hash + (t * 0x9e3779b1)) land max_int
 end
 
-module Pair_tbl = Hashtbl.Make (Pair_key)
-
-module Target_key = struct
-  type t = key * int
-
-  let equal (b1, t1) (b2, t2) = t1 = t2 && Key.equal b1 b2
-  let hash ((b : key), t) = (b.hash + (t * 0x9e3779b1)) land max_int
-end
-
-module Target_tbl = Hashtbl.Make (Target_key)
-
-type dot_shard = {
-  dot_lock : Mutex.t;
-  pairs : float Pair_tbl.t;  (* ⟨col_i, col_j⟩, canonical key *)
-  target_dots : float Target_tbl.t;  (* ⟨col_i, y⟩ per registered target *)
-  mutable dot_hits : int;
-  mutable dot_misses : int;
-  mutable dot_evictions : int;
-}
+module Product_memo = Memo.Make (Product_key)
 
 (* Out-of-core storage: samples arrive as row chunks from a pull-based
    source instead of resident columns.  [src_iter] visits the chunks in
@@ -120,12 +105,9 @@ type t = {
   var_names : string array;
   storage : storage;
   n : int;
-  shards : shard array;  (* basis -> value column on this data (resident) *)
-  mutable cache_limit : int;  (* max cached columns across all shards *)
-  dot_shards : dot_shard array;  (* Gram scalars (chunked) *)
-  mutable dot_cache_limit : int;  (* max cached products across all shards *)
-  finite_lock : Mutex.t;
-  finite_table : bool Key_tbl.t;
+  columns : float array Key_memo.t;  (* basis -> value column (resident) *)
+  products : float Product_memo.t;  (* Gram scalars (chunked) *)
+  finite : bool Key_memo.t;
       (* per-basis finiteness (chunked), recorded when the Gram pass
          screens a basis, so repeat fits skip the data pass and
          [known_nonfinite] can reject an individual before its Gram *)
@@ -145,9 +127,6 @@ type cache_stats = {
   dot_evictions : int;
 }
 
-let default_cache_limit = 32_768
-let default_dot_cache_limit = 131_072
-
 let default_names dims = Array.init dims (fun v -> Printf.sprintf "x%d" v)
 
 let resolve_names ~dims var_names =
@@ -162,19 +141,9 @@ let make_with ~var_names ~storage ~n =
     var_names;
     storage;
     n;
-    shards =
-      Array.init shard_count (fun _ ->
-          { lock = Mutex.create (); table = Key_tbl.create 64;
-            hits = 0; misses = 0; evictions = 0 });
-    cache_limit = default_cache_limit;
-    dot_shards =
-      Array.init shard_count (fun _ ->
-          { dot_lock = Mutex.create (); pairs = Pair_tbl.create 64;
-            target_dots = Target_tbl.create 64;
-            dot_hits = 0; dot_misses = 0; dot_evictions = 0 });
-    dot_cache_limit = default_dot_cache_limit;
-    finite_lock = Mutex.create ();
-    finite_table = Key_tbl.create 64;
+    columns = Key_memo.create ~limit:32_768;
+    products = Product_memo.create ~limit:131_072;
+    finite = Key_memo.create ~limit:32_768;
     targets_lock = Mutex.create ();
     registered_targets = [];
     next_target_id = 1 (* 0 keys column sums *);
@@ -322,8 +291,6 @@ let split data ~at =
       in
       (part 0 at, part at (data.n - at))
 
-let shard_of data k = data.shards.(k.hash land (shard_count - 1))
-
 (* Chunked storage: visit the bases' values chunk by chunk in row order,
    through one fused tape per pass.  The tape is elementwise, so every
    chunk holds the words a whole-column evaluation would hold at those
@@ -342,35 +309,11 @@ let chunked_columns data src bases =
       Array.iteri (fun j column -> Array.blit chunk.(j) 0 column row0 len) columns);
   columns
 
-let find_finite data k =
-  Mutex.lock data.finite_lock;
-  let found = Key_tbl.find_opt data.finite_table k in
-  Mutex.unlock data.finite_lock;
-  found
-
-(* The store functions install a value unless the key is already held: a
-   racing duplicate computed the same word, since every entry comes from
-   the same row-order pass and every pair in canonical orientation. *)
-let store_finite data k value =
-  Mutex.lock data.finite_lock;
-  if Key_tbl.length data.finite_table >= data.cache_limit then Key_tbl.reset data.finite_table;
-  if not (Key_tbl.mem data.finite_table k) then Key_tbl.add data.finite_table k value;
-  Mutex.unlock data.finite_lock
-
-(* Add a column to the cache under the bounded-shard policy: drop the
-   shard wholesale once full (misses just re-evaluate; values are
-   unaffected), and keep whichever copy of a racing duplicate landed
-   first — both are the same words. *)
-let install data k col =
-  let shard = shard_of data k in
-  let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
-  Mutex.lock shard.lock;
-  if Key_tbl.length shard.table >= per_shard_limit then begin
-    shard.evictions <- shard.evictions + Key_tbl.length shard.table;
-    Key_tbl.reset shard.table
-  end;
-  if not (Key_tbl.mem shard.table k) then Key_tbl.add shard.table k col;
-  Mutex.unlock shard.lock
+(* A memo keeps the first value stored under a key, and a racing
+   duplicate computed the same words: a column comes from the same kernels
+   on a one-root or a batch tape, a Gram entry from the same row-order
+   pass in canonical orientation. *)
+let install data k col = ignore (Key_memo.add data.columns k col : int)
 
 let column_of_key data k =
   match data.storage with
@@ -381,16 +324,9 @@ let column_of_key data k =
          the column cache.  Dot products, being scalars, stay cached. *)
       (chunked_columns data src [| k.basis |]).(0)
   | Dense columns -> (
-      let shard = shard_of data k in
-      Mutex.lock shard.lock;
-      match Key_tbl.find_opt shard.table k with
-      | Some col ->
-          shard.hits <- shard.hits + 1;
-          Mutex.unlock shard.lock;
-          col
+      match Key_memo.find data.columns k with
+      | Some col -> col
       | None ->
-          shard.misses <- shard.misses + 1;
-          Mutex.unlock shard.lock;
           (* Evaluate outside the lock: another domain may compute the same
              column concurrently, but both results are identical.  A
              one-root tape gives the row [warm_columns] would install. *)
@@ -447,12 +383,7 @@ let warm_columns data bases =
       let k = key basis in
       if not (Key_tbl.mem seen k) then begin
         Key_tbl.add seen k ();
-        let shard = shard_of data k in
-        Mutex.lock shard.lock;
-        let cached = Key_tbl.mem shard.table k in
-        if not cached then shard.misses <- shard.misses + 1;
-        Mutex.unlock shard.lock;
-        if not cached then rev_missing := k :: !rev_missing
+        if not (Key_memo.mem data.columns k) then rev_missing := k :: !rev_missing
       end)
     bases;
   match !rev_missing with
@@ -468,54 +399,7 @@ let warm_columns data bases =
 
 (* --- dot products -------------------------------------------------------- *)
 
-let dot_shard_entries shard = Pair_tbl.length shard.pairs + Target_tbl.length shard.target_dots
-
-(* Drop the whole shard once the pair + target tables together exceed the
-   per-shard budget — same wholesale policy as the column cache. *)
-let trim_dot_shard data shard =
-  let per_shard_limit = Stdlib.max 1 (data.dot_cache_limit / shard_count) in
-  if dot_shard_entries shard >= per_shard_limit then begin
-    shard.dot_evictions <- shard.dot_evictions + dot_shard_entries shard;
-    Pair_tbl.reset shard.pairs;
-    Target_tbl.reset shard.target_dots
-  end
-
-let pair_shard data key = data.dot_shards.(Pair_key.hash key land (shard_count - 1))
-let target_shard data key = data.dot_shards.(Target_key.hash key land (shard_count - 1))
-
-let find_pair data key =
-  let shard = pair_shard data key in
-  Mutex.lock shard.dot_lock;
-  let found = Pair_tbl.find_opt shard.pairs key in
-  (match found with
-  | Some _ -> shard.dot_hits <- shard.dot_hits + 1
-  | None -> shard.dot_misses <- shard.dot_misses + 1);
-  Mutex.unlock shard.dot_lock;
-  found
-
-let store_pair data key value =
-  let shard = pair_shard data key in
-  Mutex.lock shard.dot_lock;
-  trim_dot_shard data shard;
-  if not (Pair_tbl.mem shard.pairs key) then Pair_tbl.add shard.pairs key value;
-  Mutex.unlock shard.dot_lock
-
-let find_target data key =
-  let shard = target_shard data key in
-  Mutex.lock shard.dot_lock;
-  let found = Target_tbl.find_opt shard.target_dots key in
-  (match found with
-  | Some _ -> shard.dot_hits <- shard.dot_hits + 1
-  | None -> shard.dot_misses <- shard.dot_misses + 1);
-  Mutex.unlock shard.dot_lock;
-  found
-
-let store_target data key value =
-  let shard = target_shard data key in
-  Mutex.lock shard.dot_lock;
-  trim_dot_shard data shard;
-  if not (Target_tbl.mem shard.target_dots key) then Target_tbl.add shard.target_dots key value;
-  Mutex.unlock shard.dot_lock
+let store_product data key value = ignore (Product_memo.add data.products key value : int)
 
 (* Target arrays are identified physically: the search and SAG pass the
    same array on every fit of a run, so the registry stays tiny (one entry
@@ -539,7 +423,8 @@ let known_nonfinite data bases =
   | Dense _ -> false
   | Chunked _ ->
       Array.exists
-        (fun basis -> match find_finite data (key basis) with Some false -> true | _ -> false)
+        (fun basis ->
+          match Key_memo.find data.finite (key basis) with Some false -> true | _ -> false)
         bases
 
 (* --- the one Gram pass --------------------------------------------------- *)
@@ -655,12 +540,12 @@ let distinct_gram data keys ~targets =
         match found with Some v -> entries.(i) <- v | None -> missing := i :: !missing
       in
       for i = 0 to d - 1 do
-        lookup (find_target data (keys.(i), tid)) g.dot_ys dot_ys i;
-        lookup (find_target data (keys.(i), 0)) g.col_sums col_sums i;
-        lookup (find_finite data keys.(i)) g.finite_bases finite i;
+        lookup (Product_memo.find data.products (Target (keys.(i), tid))) g.dot_ys dot_ys i;
+        lookup (Product_memo.find data.products (Target (keys.(i), 0))) g.col_sums col_sums i;
+        lookup (Key_memo.find data.finite keys.(i)) g.finite_bases finite i;
         for j = i to d - 1 do
           let lo, hi = oriented i j in
-          match find_pair data (keys.(lo), keys.(hi)) with
+          match Product_memo.find data.products (Pair (keys.(lo), keys.(hi))) with
           | Some v ->
               g.dots.(i).(j) <- v;
               g.dots.(j).(i) <- v
@@ -671,10 +556,14 @@ let distinct_gram data keys ~targets =
       let pairs = in_order pairs and dot_ys = in_order dot_ys in
       let col_sums = in_order col_sums and finite = in_order finite in
       accumulate data keys g ~targets ~pairs ~dot_ys ~col_sums ~finite;
-      Array.iter (fun i -> store_target data (keys.(i), tid) g.dot_ys.(i)) dot_ys;
-      Array.iter (fun i -> store_target data (keys.(i), 0) g.col_sums.(i)) col_sums;
-      Array.iter (fun i -> store_finite data keys.(i) g.finite_bases.(i)) finite;
-      Array.iter (fun (i, j) -> store_pair data (keys.(i), keys.(j)) g.dots.(i).(j)) pairs);
+      Array.iter (fun i -> store_product data (Target (keys.(i), tid)) g.dot_ys.(i)) dot_ys;
+      Array.iter (fun i -> store_product data (Target (keys.(i), 0)) g.col_sums.(i)) col_sums;
+      Array.iter
+        (fun i -> ignore (Key_memo.add data.finite keys.(i) g.finite_bases.(i) : int))
+        finite;
+      Array.iter
+        (fun (i, j) -> store_product data (Pair (keys.(i), keys.(j))) g.dots.(i).(j))
+        pairs);
   g
 
 let gram data bases ~targets =
@@ -708,51 +597,19 @@ let basis_columns data bases =
 
 (* --- cache management ----------------------------------------------------- *)
 
-let cached_columns data =
-  Array.fold_left
-    (fun acc shard ->
-      Mutex.lock shard.lock;
-      let count = Key_tbl.length shard.table in
-      Mutex.unlock shard.lock;
-      acc + count)
-    0 data.shards
+let cached_columns data = (Key_memo.stats data.columns).entries
 
 let stats data =
-  let columns_cached = ref 0
-  and column_hits = ref 0
-  and column_misses = ref 0
-  and column_evictions = ref 0 in
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lock;
-      columns_cached := !columns_cached + Key_tbl.length shard.table;
-      column_hits := !column_hits + shard.hits;
-      column_misses := !column_misses + shard.misses;
-      column_evictions := !column_evictions + shard.evictions;
-      Mutex.unlock shard.lock)
-    data.shards;
-  let dots_cached = ref 0
-  and dot_hits = ref 0
-  and dot_misses = ref 0
-  and dot_evictions = ref 0 in
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.dot_lock;
-      dots_cached := !dots_cached + dot_shard_entries shard;
-      dot_hits := !dot_hits + shard.dot_hits;
-      dot_misses := !dot_misses + shard.dot_misses;
-      dot_evictions := !dot_evictions + shard.dot_evictions;
-      Mutex.unlock shard.dot_lock)
-    data.dot_shards;
+  let c = Key_memo.stats data.columns and p = Product_memo.stats data.products in
   {
-    columns_cached = !columns_cached;
-    column_hits = !column_hits;
-    column_misses = !column_misses;
-    column_evictions = !column_evictions;
-    dots_cached = !dots_cached;
-    dot_hits = !dot_hits;
-    dot_misses = !dot_misses;
-    dot_evictions = !dot_evictions;
+    columns_cached = c.entries;
+    column_hits = c.hits;
+    column_misses = c.misses;
+    column_evictions = c.evictions;
+    dots_cached = p.entries;
+    dot_hits = p.hits;
+    dot_misses = p.misses;
+    dot_evictions = p.evictions;
   }
 
 (* Gauges, not counters: {!stats} is a point-in-time aggregate over the
@@ -778,31 +635,6 @@ let publish_metrics data =
   Metrics.set_gauge g_dot_evictions (float_of_int s.dot_evictions)
 
 let clear_cache data =
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lock;
-      Key_tbl.reset shard.table;
-      Mutex.unlock shard.lock)
-    data.shards;
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.dot_lock;
-      Pair_tbl.reset shard.pairs;
-      Target_tbl.reset shard.target_dots;
-      Mutex.unlock shard.dot_lock)
-    data.dot_shards;
-  Mutex.lock data.finite_lock;
-  Key_tbl.reset data.finite_table;
-  Mutex.unlock data.finite_lock
-
-let cache_limit data = data.cache_limit
-
-let set_cache_limit data limit =
-  if limit < 1 then invalid_arg "Dataset.set_cache_limit: limit must be positive";
-  data.cache_limit <- limit
-
-let dot_cache_limit data = data.dot_cache_limit
-
-let set_dot_cache_limit data limit =
-  if limit < 1 then invalid_arg "Dataset.set_dot_cache_limit: limit must be positive";
-  data.dot_cache_limit <- limit
+  Key_memo.clear data.columns;
+  Product_memo.clear data.products;
+  Key_memo.clear data.finite

@@ -16,12 +16,14 @@
 
     Datasets are safe to evaluate from multiple domains concurrently (the
     parallel search evaluates NSGA-II candidates and whole islands against
-    one shared dataset): the column cache is sharded behind per-shard
-    mutexes and the evaluation scratch buffers are domain-local.  Column
-    values are pure functions of (basis, data), so concurrency never
-    changes a returned column — a racing duplicate evaluation is only
-    wasted work.  The cache is bounded ({!set_cache_limit}); overflowing
-    shards are dropped wholesale and simply re-evaluate on the next miss.
+    one shared dataset): every cache is a {!Caffeine_par.Memo}, sharded
+    behind per-shard mutexes, and the evaluation scratch buffers are
+    domain-local.  Cached values are pure functions of (basis, data), so
+    concurrency never changes a returned column — a racing duplicate
+    evaluation is only wasted work.  Each memo is bounded: 32768 columns,
+    131072 Gram products (pairs and target products share the budget) and
+    32768 finiteness flags; an overflowing shard is dropped wholesale and
+    its entries are simply recomputed on their next miss.
 
     Which level is cached follows the storage kind.  Resident storage
     memoizes columns and keeps no scalar table: {!gram} forms every
@@ -177,8 +179,9 @@ val gram : t -> Expr.basis array -> targets:float array -> gram
     every entry in that pass, from the memoized columns, and caches no
     scalar.  Chunked storage first looks each entry up in its caches
     (products in the dot cache, finiteness in a per-basis table),
-    accumulates exactly the missing ones and installs them, so a
-    fully-warm cache means no data pass at all.  Every
+    accumulates exactly the missing ones and installs them, so on a
+    fully-warm cache the Gram makes no data pass (a fit's prediction pass
+    still streams).  Every
     [⟨col_i, col_j⟩] is formed in one canonical orientation, the lower
     basis (structural hash, then {!Expr.compare_basis}) on the left, so a
     pair has the same word in every call on either storage, however the
@@ -247,22 +250,3 @@ val clear_cache : t -> unit
     between independent experiments on one dataset (e.g. benchmark
     repetitions) and after a long run whose cache is no longer worth its
     memory. *)
-
-val cache_limit : t -> int
-(** Current bound on the number of memoized columns (default 32768). *)
-
-val set_cache_limit : t -> int -> unit
-(** Cap the memo table at [limit] columns (must be positive).  The cache
-    grows per-basis across generations and restarts; with parallel islands
-    multiplying the churn this bound keeps memory flat.  Exceeding shards
-    are reset; subsequent lookups re-evaluate and re-fill. *)
-
-val dot_cache_limit : t -> int
-(** Current bound on the number of memoized dot products (default
-    131072 — products are single floats, far cheaper than columns).  Only
-    chunked storage fills the dot cache. *)
-
-val set_dot_cache_limit : t -> int -> unit
-(** Cap the dot-product cache at [limit] entries (must be positive), with
-    the same wholesale per-shard eviction policy as the column cache.
-    Only chunked storage fills the dot cache. *)

@@ -925,18 +925,6 @@ let test_eval_cache_off_is_inert () =
   Alcotest.(check bool) "off never hits" true (Eval_cache.lookup cache ind = None);
   Alcotest.(check int) "off stores nothing" 0 (Eval_cache.stats cache).Eval_cache.entries
 
-let test_eval_cache_eviction_bounded () =
-  let data = data_of (cache_inputs 62 20 2) in
-  let cache = Eval_cache.create ~limit:32 ~mode:Eval_cache.Exact ~wb:10. ~wvc:0.25 ~data () in
-  for k = 1 to 200 do
-    let ind = [| Expr.{ vc = Some [| k; 0 |]; factors = [] } |] in
-    Eval_cache.store cache ind [| float_of_int k; 1. |]
-  done;
-  let s = Eval_cache.stats cache in
-  Alcotest.(check bool) "entries bounded by the limit" true (s.Eval_cache.entries <= 32);
-  Alcotest.(check bool) "evictions counted" true (s.Eval_cache.evictions > 0);
-  Alcotest.(check int) "stores + survivors = 200" 200 (s.Eval_cache.evictions + s.Eval_cache.entries)
-
 (* The exactness contract, end to end: for any seed, turning the cache
    on — at any backend — leaves the evolved front bit-identical to the
    cache-off sequential run. *)
@@ -967,7 +955,6 @@ let eval_cache_suite =
     Alcotest.test_case "eval cache: mode strings" `Quick test_eval_cache_mode_strings;
     Alcotest.test_case "eval cache: exact lookup/store" `Quick test_eval_cache_exact_lookup_store;
     Alcotest.test_case "eval cache: off is inert" `Quick test_eval_cache_off_is_inert;
-    Alcotest.test_case "eval cache: bounded eviction" `Quick test_eval_cache_eviction_bounded;
     QCheck_alcotest.to_alcotest ~long:false eval_cache_front_invariance;
   ]
 

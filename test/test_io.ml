@@ -44,6 +44,13 @@ let test_columns_except () =
   Alcotest.(check bool) "names" true (names = [| "x"; "z" |]);
   Alcotest.(check (float 0.)) "kept cells" 3. rows.(0).(1)
 
+let contains_substring text fragment =
+  let len = String.length fragment in
+  let rec from i =
+    i + len <= String.length text && (String.sub text i len = fragment || from (i + 1))
+  in
+  from 0
+
 let test_read_errors () =
   let write_text text =
     let path = Filename.temp_file "caffeine_csv" ".csv" in
@@ -75,11 +82,8 @@ let expect_error_containing text fragment =
   (match Csv.read ~path with
   | Ok _ -> Alcotest.failf "expected an error for %S" text
   | Error msg ->
-      let len = String.length fragment in
-      let rec occurs i =
-        i + len <= String.length msg && (String.sub msg i len = fragment || occurs (i + 1))
-      in
-      if not (occurs 0) then Alcotest.failf "error %S does not mention %S" msg fragment);
+      if not (contains_substring msg fragment) then
+        Alcotest.failf "error %S does not mention %S" msg fragment);
   Sys.remove path
 
 let test_read_error_line_numbers () =
@@ -229,28 +233,15 @@ let test_dataset_ragged_names_offender () =
   (match Dataset.of_columns ~var_names:[| "vdd"; "ibias"; "w1" |] columns with
   | (_ : Dataset.t) -> Alcotest.fail "ragged columns accepted"
   | exception Invalid_argument msg ->
-      let contains fragment =
-        let len = String.length fragment in
-        let rec occurs i =
-          i + len <= String.length msg && (String.sub msg i len = fragment || occurs (i + 1))
-        in
-        occurs 0
-      in
-      if not (contains "\"ibias\"") then
+      if not (contains_substring msg "\"ibias\"") then
         Alcotest.failf "message %S does not name the offending variable" msg;
-      if not (contains "has 2 values, expected 3") then
+      if not (contains_substring msg "has 2 values, expected 3") then
         Alcotest.failf "message %S does not state the length mismatch" msg);
   (* Default names still identify the column. *)
   match Dataset.of_columns [| [| 1. |]; [| 2.; 3. |] |] with
   | (_ : Dataset.t) -> Alcotest.fail "ragged columns accepted"
   | exception Invalid_argument msg ->
-      Alcotest.(check bool) "default name in message" true
-        (let fragment = "\"x1\"" in
-         let len = String.length fragment in
-         let rec occurs i =
-           i + len <= String.length msg && (String.sub msg i len = fragment || occurs (i + 1))
-         in
-         occurs 0)
+      Alcotest.(check bool) "default name in message" true (contains_substring msg "\"x1\"")
 
 let test_dataset_basis_column_memoizes () =
   let rows = [| [| 2. |]; [| 3. |]; [| 4. |] |] in
@@ -388,12 +379,7 @@ let test_dataset_stats_counters () =
   Alcotest.(check int) "column miss then hit" 1 stats.Dataset.column_misses;
   Alcotest.(check int) "column hit" 1 stats.Dataset.column_hits;
   Alcotest.(check int) "one column cached" 1 stats.Dataset.columns_cached;
-  Alcotest.(check int) "no evictions yet" 0 stats.Dataset.column_evictions;
-  Alcotest.(check bool) "dot limit positive" true (Dataset.dot_cache_limit data > 0);
-  Alcotest.(check bool) "bad limit rejected" true
-    (match Dataset.set_dot_cache_limit data 0 with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  Alcotest.(check int) "no evictions yet" 0 stats.Dataset.column_evictions
 
 (* --- Colstore ------------------------------------------------------------ *)
 
@@ -479,8 +465,8 @@ let write_store ~chunk_rows ~rows ~dims =
   Colstore.Writer.close writer;
   (path, cell)
 
-let check_store_contents ~mmap ~rows ~dims ~chunk_rows path cell =
-  let store = Colstore.openfile ~mmap path in
+let check_store_contents ~rows ~dims ~chunk_rows path cell =
+  let store = Colstore.openfile path in
   Alcotest.(check int) "n_rows" rows (Colstore.n_rows store);
   Alcotest.(check int) "chunk_rows" chunk_rows (Colstore.chunk_rows store);
   Alcotest.(check int) "dims" dims (Array.length (Colstore.var_names store));
@@ -500,7 +486,7 @@ let check_store_contents ~mmap ~rows ~dims ~chunk_rows path cell =
   let col1 = Colstore.column store 1 in
   Alcotest.(check int) "column length" rows (Array.length col1);
   Alcotest.(check (float 0.)) "column cell" (cell (rows - 1) 1) col1.(rows - 1);
-  let indices = [| 0; rows - 1; chunk_rows; 3; 3 |] in
+  let indices = [| 0; rows - 1; min chunk_rows (rows - 1); 3; 3 |] in
   let gathered = Colstore.gather store ~indices in
   Array.iteri
     (fun j i ->
@@ -515,11 +501,66 @@ let check_store_contents ~mmap ~rows ~dims ~chunk_rows path cell =
   Colstore.close store
 
 let test_colstore_roundtrip () =
-  (* 2.5 chunks: exercises the compact last chunk on both read paths. *)
+  (* 2.5 chunks: exercises the compact last chunk. *)
   let rows = 25 and dims = 3 and chunk_rows = 10 in
   let path, cell = write_store ~chunk_rows ~rows ~dims in
-  check_store_contents ~mmap:false ~rows ~dims ~chunk_rows path cell;
-  check_store_contents ~mmap:true ~rows ~dims ~chunk_rows path cell;
+  check_store_contents ~rows ~dims ~chunk_rows path cell;
+  Sys.remove path
+
+(* Damaged copies of a packed store.  Each corrupt one must be refused
+   with an [Invalid_argument] that names its file, before the header can
+   size an allocation or a read can run off the end; a [chunk_rows] larger
+   than the store reads as one chunk of every row. *)
+let test_colstore_corrupt_stores () =
+  let rows = 25 and dims = 3 in
+  (* One chunk, so a store patched to larger chunks has the same layout. *)
+  let path, cell = write_store ~chunk_rows:rows ~rows ~dims in
+  let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  Sys.remove path;
+  let variant name edit =
+    let path = Filename.temp_file ("caffeine_colstore_" ^ name) ".cafs" in
+    let copy = edit (Bytes.copy bytes) in
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc copy);
+    path
+  in
+  let patch offset v b =
+    Bytes.set_int64_le b offset v;
+    b
+  in
+  let corrupt =
+    [
+      ("empty", fun _ -> Bytes.empty);
+      ("truncated", fun b -> Bytes.sub b 0 (Bytes.length b - 9));
+      ("row-short", fun b -> Bytes.sub b 0 (Bytes.length b - (dims * 8)));
+      ("header-cut", fun b -> Bytes.sub b 0 20);
+      ("magic", fun b -> Bytes.blit_string "CAFSTOR0" 0 b 0 8; b);
+      ("rows", patch 8 1_000_000_000L);
+      ("dims", patch 16 (Int64.shift_left 1L 40));
+      ("negative-dims", patch 16 (-1L));
+      ("data-offset", patch 32 (Int64.shift_left 1L 40));
+      ("name-length", patch 40 4096L);
+      ("extra-byte", fun b -> Bytes.cat b (Bytes.make 1 '\000'));
+    ]
+  in
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "caffeine_no_such_store.cafs" in
+  let expect_refused path =
+    match Colstore.openfile path with
+    | store ->
+        Colstore.close store;
+        Alcotest.failf "%s opened" path
+    | exception Invalid_argument msg ->
+        if not (contains_substring msg path) then
+          Alcotest.failf "message %S does not name %s" msg path
+  in
+  expect_refused missing;
+  List.iter
+    (fun (name, edit) ->
+      let path = variant name edit in
+      expect_refused path;
+      Sys.remove path)
+    corrupt;
+  let path = variant "chunk-rows" (patch 24 (Int64.shift_left 1L 40)) in
+  check_store_contents ~rows ~dims ~chunk_rows:rows path cell;
   Sys.remove path
 
 let test_colstore_close_releases_every_domain () =
@@ -591,7 +632,8 @@ let suite =
     Alcotest.test_case "ragged write rejected" `Quick test_write_rejects_ragged;
     Alcotest.test_case "ragged dataset names the offender" `Quick
       test_dataset_ragged_names_offender;
-    Alcotest.test_case "colstore round-trip (buffered and mmap)" `Quick test_colstore_roundtrip;
+    Alcotest.test_case "colstore round-trip" `Quick test_colstore_roundtrip;
+    Alcotest.test_case "colstore refuses corrupt stores" `Quick test_colstore_corrupt_stores;
     Alcotest.test_case "colstore validation" `Quick test_colstore_validation;
     Alcotest.test_case "colstore close releases every domain's channel" `Quick
       test_colstore_close_releases_every_domain;

@@ -5,6 +5,7 @@
 
 module Pool = Caffeine_par.Pool
 module Executor = Caffeine_par.Executor
+module Memo = Caffeine_par.Memo
 module Metrics = Caffeine_obs.Metrics
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
@@ -215,22 +216,6 @@ let test_dataset_clear_cache () =
   Alcotest.(check bool) "recomputes after clear" true
     (Dataset.basis_column data (square_basis 2) = [| 4.; 9. |])
 
-let test_dataset_cache_limit () =
-  let data = Dataset.of_rows [| [| 2. |]; [| 3. |] |] in
-  Alcotest.(check bool) "default limit positive" true (Dataset.cache_limit data > 0);
-  Dataset.set_cache_limit data 16;
-  Alcotest.(check int) "limit recorded" 16 (Dataset.cache_limit data);
-  for k = 1 to 200 do
-    ignore (Dataset.basis_column data (square_basis (k mod 7)))
-  done;
-  Alcotest.(check bool) "cache stays bounded" true (Dataset.cached_columns data <= 16);
-  (match Dataset.set_cache_limit data 0 with
-  | () -> Alcotest.fail "limit 0 should be rejected"
-  | exception Invalid_argument _ -> ());
-  (* Values survive eviction churn: always recomputed or cached, same answer. *)
-  Alcotest.(check bool) "value unchanged" true
-    (Dataset.basis_column data (square_basis 2) = [| 4.; 9. |])
-
 let test_dataset_concurrent_reads () =
   let rows = Array.init 64 (fun i -> [| 1.0 +. (float_of_int i /. 10.) |]) in
   let data = Dataset.of_rows rows in
@@ -244,6 +229,111 @@ let test_dataset_concurrent_reads () =
     (fun i col ->
       Alcotest.(check bool) (Printf.sprintf "column %d" i) true (col = expected.(i mod 6)))
     got
+
+(* --- the bounded memo behind every cache --- *)
+
+module Int_memo = Memo.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+let value_of k = (k * 3) + 1
+
+(* Look a key up and add it on a miss, the way every cache uses a memo. *)
+let memoized memo k =
+  match Int_memo.find memo k with
+  | Some v -> v
+  | None ->
+      ignore (Int_memo.add memo k (value_of k) : int);
+      value_of k
+
+let test_memo_entries_bounded () =
+  let memo = Int_memo.create ~limit:16 in
+  for k = 1 to 200 do
+    if memoized memo (k mod 7) <> value_of (k mod 7) then Alcotest.failf "key %d" (k mod 7);
+    if (Int_memo.stats memo).Memo.entries > 16 then Alcotest.failf "over the limit at add %d" k
+  done;
+  for k = 1 to 200 do
+    ignore (Int_memo.add memo k (value_of k) : int);
+    if (Int_memo.stats memo).Memo.entries > 16 then Alcotest.failf "over the limit at key %d" k
+  done;
+  (* Values survive eviction churn: always recomputed or cached, same answer. *)
+  Alcotest.(check int) "value unchanged" (value_of 2) (memoized memo 2)
+
+let test_memo_eviction_accounting () =
+  let memo = Int_memo.create ~limit:32 in
+  let dropped = ref 0 in
+  for k = 1 to 200 do
+    dropped := !dropped + Int_memo.add memo k (value_of k)
+  done;
+  let s = Int_memo.stats memo in
+  Alcotest.(check bool) "entries bounded by the limit" true (s.Memo.entries <= 32);
+  Alcotest.(check bool) "evictions counted" true (s.Memo.evictions > 0);
+  Alcotest.(check int) "adds report the evictions" s.Memo.evictions !dropped;
+  Alcotest.(check int) "stores + survivors = 200" 200 (s.Memo.evictions + s.Memo.entries)
+
+let test_memo_first_value_wins () =
+  let memo = Int_memo.create ~limit:64 in
+  ignore (Int_memo.add memo 5 10 : int);
+  ignore (Int_memo.add memo 5 20 : int);
+  Alcotest.(check (option int)) "first stored value" (Some 10) (Int_memo.find memo 5);
+  Alcotest.(check int) "one entry" 1 (Int_memo.stats memo).Memo.entries
+
+let test_memo_counters () =
+  let memo = Int_memo.create ~limit:64 in
+  ignore (Int_memo.find memo 1 : int option);
+  Alcotest.(check bool) "mem of an absent key" false (Int_memo.mem memo 2);
+  ignore (Int_memo.add memo 1 1 : int);
+  ignore (Int_memo.find memo 1 : int option);
+  Alcotest.(check bool) "mem of a held key" true (Int_memo.mem memo 1);
+  let s = Int_memo.stats memo in
+  (* [mem] counts a miss for an absent key and no hit for a held one. *)
+  Alcotest.(check int) "hits" 1 s.Memo.hits;
+  Alcotest.(check int) "misses" 2 s.Memo.misses;
+  Int_memo.clear memo;
+  let cleared = Int_memo.stats memo in
+  Alcotest.(check int) "clear drops the entries" 0 cleared.Memo.entries;
+  Alcotest.(check bool) "clear keeps the counters" true
+    (cleared = { s with Memo.entries = 0 });
+  Alcotest.(check (option int)) "cleared key misses" None (Int_memo.find memo 1)
+
+let test_memo_limit_validation () =
+  List.iter
+    (fun limit ->
+      match Int_memo.create ~limit with
+      | (_ : int Int_memo.t) -> Alcotest.failf "limit %d accepted" limit
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; Memo.shard_count - 1 ];
+  ignore (Int_memo.create ~limit:Memo.shard_count : int Int_memo.t)
+
+let memo_properties =
+  [
+    QCheck.Test.make ~name:"memo: 4 domains share one 64-entry memo" ~count:20
+      QCheck.(pair small_nat (int_range 1 300))
+      (fun (seed, keys) ->
+        let memo = Int_memo.create ~limit:64 in
+        let finds = Atomic.make 0 and wrong = Atomic.make 0 in
+        let hammer d () =
+          let rng = Rng.create ~seed:((seed * 4) + d) () in
+          for _ = 1 to 2000 do
+            let k = Rng.int rng keys in
+            if Rng.int rng 2 = 0 then ignore (Int_memo.add memo k (value_of k) : int)
+            else begin
+              Atomic.incr finds;
+              match Int_memo.find memo k with
+              | Some v when v <> value_of k -> Atomic.incr wrong
+              | Some _ | None -> ()
+            end
+          done
+        in
+        List.iter Domain.join (List.init 4 (fun d -> Domain.spawn (hammer d)));
+        let s = Int_memo.stats memo in
+        Atomic.get wrong = 0
+        && s.Memo.hits + s.Memo.misses = Atomic.get finds
+        && s.Memo.entries <= 64);
+  ]
 
 (* --- determinism: parallel == sequential, bit for bit --- *)
 
@@ -389,8 +479,12 @@ let suite =
     Alcotest.test_case "executor: nested maps fall back" `Quick test_executor_nested_falls_back;
     Alcotest.test_case "executor: of_pool borrows" `Quick test_executor_of_pool_borrows;
     Alcotest.test_case "dataset: clear cache" `Quick test_dataset_clear_cache;
-    Alcotest.test_case "dataset: cache limit" `Quick test_dataset_cache_limit;
     Alcotest.test_case "dataset: concurrent reads" `Quick test_dataset_concurrent_reads;
+    Alcotest.test_case "memo: entries never exceed the limit" `Quick test_memo_entries_bounded;
+    Alcotest.test_case "memo: evictions + entries = adds" `Quick test_memo_eviction_accounting;
+    Alcotest.test_case "memo: first stored value wins" `Quick test_memo_first_value_wins;
+    Alcotest.test_case "memo: counters; clear keeps them" `Quick test_memo_counters;
+    Alcotest.test_case "memo: limit below 16 rejected" `Quick test_memo_limit_validation;
     Alcotest.test_case "determinism: run" `Quick test_run_deterministic;
     Alcotest.test_case "determinism: run_multi" `Quick test_run_multi_deterministic;
     Alcotest.test_case "determinism: run_multi prefix" `Quick test_run_multi_prefix_property;
@@ -398,3 +492,4 @@ let suite =
     Alcotest.test_case "determinism: forward_select" `Quick test_forward_select_deterministic;
     Alcotest.test_case "determinism: config jobs path" `Quick test_config_jobs_path;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) memo_properties
