@@ -122,20 +122,46 @@ let load_table path =
       Printf.eprintf "cannot read %s: %s\n" path msg;
       exit 2
 
-let split_target table target =
+(* Design variables: every column that is neither the target nor one of
+   the known performance names; this lets gen-data output be used
+   directly.  A file with none left cannot be fitted or scored. *)
+let design_exclusions ~path ~target names =
+  let excluded = target :: List.map Ota.performance_name Ota.all_performances in
+  if Array.for_all (fun name -> List.mem name excluded) names then begin
+    Printf.eprintf
+      "cannot read %s: no design variable left after excluding the target %s and the \
+       performance columns\n"
+      path target;
+    exit 2
+  end;
+  excluded
+
+let split_target ~path table target =
   match Csv.column table target with
   | exception Not_found ->
       Printf.eprintf "no column named %s (available: %s)\n" target
         (String.concat ", " (Array.to_list table.Csv.header));
       exit 2
   | targets ->
-      (* Design variables: every column that is not one of the known
-         performance names; this lets gen-data output be used directly.
-         Loaded straight into a column-major dataset for the compiled
+      (* Loaded straight into a column-major dataset for the compiled
          batch-evaluation engine. *)
-      let performance_names = List.map Ota.performance_name Ota.all_performances in
-      let data = Dataset.of_table ~exclude:(target :: performance_names) table in
-      (data, targets)
+      let exclude = design_exclusions ~path ~target table.Csv.header in
+      (Dataset.of_table ~exclude table, targets)
+
+(* A fit's targets after the --log-target transform: every one must be a
+   finite number, and the first that is not is named by its data row
+   (counted from 1 after the header). *)
+let fit_targets ~path ~target ~log_target raw =
+  let targets = Array.map (fun v -> if log_target then log10 v else v) raw in
+  (match Array.find_index (fun y -> not (Float.is_finite y)) targets with
+  | None -> ()
+  | Some i ->
+      Printf.eprintf "cannot read %s: target %s%s at data row %d is %s, not a finite number\n" path
+        target
+        (if log_target then " (log10)" else "")
+        (i + 1) (Float.to_string targets.(i));
+      exit 2);
+  targets
 
 (* CSV -> column store, one row at a time: the whole point is never holding
    the table in memory, so the writer is created from the header callback
@@ -194,10 +220,9 @@ let load_streaming ~path ~target ~chunk_rows =
     end;
     !found
   in
+  let exclude = design_exclusions ~path ~target names in
   let targets = Colstore.column store target_index in
-  let performance_names = List.map Ota.performance_name Ota.all_performances in
-  let data = Dataset.of_colstore ~exclude:(target :: performance_names) store in
-  (data, targets)
+  (Dataset.of_colstore ~exclude store, targets)
 
 let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path max_bases no_sag verbose trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after eval_cache data_stream chunk_rows out =
   let data, raw_targets =
@@ -207,12 +232,11 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
       load_streaming ~path:train_path ~target ~chunk_rows
     else begin
       let train = load_table train_path in
-      split_target train target
+      split_target ~path:train_path train target
     end
   in
   let var_names = Dataset.var_names data in
-  let transform v = if log_target then log10 v else v in
-  let targets = Array.map transform raw_targets in
+  let targets = fit_targets ~path:train_path ~target ~log_target raw_targets in
   let opset =
     match grammar_path with
     | None -> Opset.default
@@ -378,8 +402,8 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
     | None -> None
     | Some path ->
         let test = load_table path in
-        let test_set, test_raw = split_target test target in
-        Some (test_set, Array.map transform test_raw)
+        let test_set, test_raw = split_target ~path test target in
+        Some (test_set, fit_targets ~path ~target ~log_target test_raw)
   in
   (* One fused pass over the whole front fills the testing dataset's column
      cache before the per-model error loop below reads it. *)
@@ -653,7 +677,7 @@ let predict models_path data_path target log_target dump =
       2
   | Ok (var_names, models) ->
       let table = load_table data_path in
-      let data, raw_targets = split_target table target in
+      let data, raw_targets = split_target ~path:data_path table target in
       (* The models index design variables positionally: the data columns
          must be the variables the models were fitted on, in order. *)
       if Dataset.var_names data <> var_names then begin

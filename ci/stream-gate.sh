@@ -3,8 +3,10 @@
 #
 #   1. Ingestion bugfixes at the CLI level: CRLF files parse (and error
 #      messages quote cells without the carriage return), duplicate CSV
-#      headers are rejected naming the column and both positions, and
-#      empty, truncated or foreign .cafs stores exit 2 naming the file.
+#      headers are rejected naming the column and both positions,
+#      empty, truncated or foreign .cafs stores exit 2 naming the file,
+#      and so does training data with no design variable or a non-finite
+#      target.
 #   2. Front bit-identity: the same seeded fit must print byte-identical
 #      fronts dense vs --data-stream, from CSV input and from a packed
 #      .cafs store, across execution backends.
@@ -69,6 +71,25 @@ for store in empty truncated bad-magic; do
   grep -qF "cannot read $scratch/$store.cafs" "$scratch/$store.err"
   if grep -q 'internal error' "$scratch/$store.err"; then
     echo "stream-gate: $store store raised an uncaught exception" >&2; exit 1
+  fi
+done
+
+# Training data a fit cannot use must be refused naming the file (exit 2),
+# never with an uncaught exception: a CSV whose only column is the target,
+# the same data packed into a store, and a target column of NaNs.
+printf 'PM\n1\n2\n3\n' > "$scratch/target-only.csv"
+"$CLI" pack --csv "$scratch/target-only.csv" --out "$scratch/target-only.cafs" > /dev/null
+printf 'x,PM\n1,nan\n2,nan\n3,nan\n' > "$scratch/nan-target.csv"
+for input in target-only.csv target-only.cafs nan-target.csv; do
+  status=0
+  "$CLI" fit --train "$scratch/$input" --target PM --out "$scratch/never.txt" \
+    2> "$scratch/$input.err" || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "stream-gate: $input exited with status $status, expected 2" >&2; exit 1
+  fi
+  grep -qF "cannot read $scratch/$input" "$scratch/$input.err"
+  if grep -q 'internal error' "$scratch/$input.err"; then
+    echo "stream-gate: $input raised an uncaught exception" >&2; exit 1
   fi
 done
 

@@ -42,17 +42,16 @@ let accept ~wb ~wvc bases fitted =
       }
   else None
 
-(* Both storage kinds take the bordered Gram from [Dataset.gram], which
-   hashes each basis once.  On resident data it forms every product in one
-   pass over the memoized columns of the distinct bases, with no locked
-   lookup per entry; out of core it serves products from the dataset's
-   dot cache and streams only the missing ones.  An individual with a
-   basis the chunked finite table already knows to be non-finite is
-   rejected before [gram], so its products are never streamed.  The
-   prediction pass (or the fallback's materialization) then reads the
-   columns through [Dataset.iter_basis_chunks]: memoized columns as one
-   chunk on resident data, a re-streamed pass out of core.  The chunk size
-   changes no word, so the two storages produce byte-identical fronts. *)
+(* Both storage kinds take the bordered Gram and the column pass from
+   [Dataset.finite_gram], which hashes each basis once and answers [None]
+   for an individual with a basis known not to be finite.  On resident
+   data it fetches each distinct memoized column once, reads its
+   all-finite flag, forms every product from the held columns, and its
+   pass hands the same columns to the prediction pass (or the fallback's
+   materialization) as one chunk; out of core it serves products from
+   the dataset's dot cache, streams only the missing ones, and its pass
+   streams the bases again.  The chunk size changes no word, so the two
+   storages produce byte-identical fronts. *)
 let gram_products g =
   ( (fun i j -> g.Dataset.dots.(i).(j)),
     (fun i -> g.Dataset.dot_ys.(i)),
@@ -60,20 +59,17 @@ let gram_products g =
 
 let fit ~wb ~wvc bases ~data ~targets =
   if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)
-  else if Dataset.known_nonfinite data bases then None
   else
-    let g = Dataset.gram data bases ~targets in
-    if not (Array.for_all Fun.id g.Dataset.finite_bases) then None
-    else
-      let dot, dot_y, col_sum = gram_products g in
-      match
-        Linfit.fit_stream ~dot ~dot_y ~col_sum ~k:(Array.length bases)
-          ~n:(Dataset.n_samples data)
-          ~iter:(fun f -> Dataset.iter_basis_chunks data bases ~f)
-          ~targets
-      with
-      | fitted -> accept ~wb ~wvc bases fitted
-      | exception Caffeine_linalg.Decomp.Singular -> None
+    match Dataset.finite_gram data bases ~targets with
+    | None -> None
+    | Some (g, pass) -> (
+        let dot, dot_y, col_sum = gram_products g in
+        match
+          Linfit.fit_stream ~dot ~dot_y ~col_sum ~k:(Array.length bases)
+            ~n:(Dataset.n_samples data) ~iter:pass ~targets
+        with
+        | fitted -> accept ~wb ~wvc bases fitted
+        | exception Caffeine_linalg.Decomp.Singular -> None)
 
 let fit_columns ~wb ~wvc bases ~columns ~data ~targets =
   if Array.length bases = 0 then accept ~wb ~wvc bases (Linfit.fit_constant ~targets)

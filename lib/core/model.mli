@@ -33,13 +33,12 @@ val fit :
   t option
 (** Least-squares weighting of the basis functions; [None] for invalid
     models.  An empty basis array yields the constant model.  One path on
-    both storages: a screen that returns [None] when chunked storage's
-    finite table already records a basis as non-finite
-    ({!Dataset.known_nonfinite}, which knows nothing on resident data),
-    then the products and per-basis finiteness from {!Dataset.gram} (on
-    resident data one pass over the memoized columns, with no table
-    lookup), then {!Caffeine_regress.Linfit.fit_stream} over
-    {!Dataset.iter_basis_chunks}. *)
+    both storages: {!Dataset.finite_gram} returns [None] for an
+    individual with a non-finite basis (on resident data from the flags
+    of the memoized columns, before any product) or the products and a
+    pass over the columns (on resident data the columns it fetched, one
+    lookup per distinct basis), then
+    {!Caffeine_regress.Linfit.fit_stream} solves with that pass. *)
 
 val fit_columns :
   wb:float ->

@@ -10,7 +10,8 @@ module Fused = Caffeine_expr.Fused
    nondeterministic result.
 
    Which level is memoized follows the storage (DESIGN §7j).  Resident
-   storage memoizes columns and keeps no scalar tables: [gram] forms
+   storage memoizes columns, each with an all-finite flag computed once
+   when the column is installed, and keeps no scalar tables: a Gram forms
    every product from the memoized columns.  At a few hundred rows a
    product is a short loop over two resident arrays, while a table costs
    a shard mutex and shared counters per lookup, the product anyway on a
@@ -101,11 +102,16 @@ type storage =
    call. *)
 let scratch_key = Domain.DLS.new_key (fun () -> Fused.scratch ())
 
+(* A memoized resident column and whether every value in it is finite,
+   found once when the column is installed, so a fit reads finiteness
+   instead of scanning for it. *)
+type column = { values : float array; all_finite : bool }
+
 type t = {
   var_names : string array;
   storage : storage;
   n : int;
-  columns : float array Key_memo.t;  (* basis -> value column (resident) *)
+  columns : column Key_memo.t;  (* basis -> value column (resident) *)
   products : float Product_memo.t;  (* Gram scalars (chunked) *)
   finite : bool Key_memo.t;
       (* per-basis finiteness (chunked), recorded when the Gram pass
@@ -313,7 +319,24 @@ let chunked_columns data src bases =
    duplicate computed the same words: a column comes from the same kernels
    on a one-root or a batch tape, a Gram entry from the same row-order
    pass in canonical orientation. *)
-let install data k col = ignore (Key_memo.add data.columns k col : int)
+let install data k values =
+  let entry = { values; all_finite = Caffeine_util.Stats.is_finite_array values } in
+  ignore (Key_memo.add data.columns k entry : int);
+  entry
+
+(* A resident key's memo entry: one lookup, and on a miss one evaluation
+   and install. *)
+let resident_entry data columns k =
+  match Key_memo.find data.columns k with
+  | Some entry -> entry
+  | None ->
+      (* Evaluate outside the lock: another domain may compute the same
+         column concurrently, but both results are identical.  A one-root
+         tape gives the row [warm_columns] would install. *)
+      install data k
+        (Fused.eval_columns
+           (Fused.compile [| k.basis |])
+           ~scratch:(Domain.DLS.get scratch_key) ~columns ~n:data.n).(0)
 
 let column_of_key data k =
   match data.storage with
@@ -323,20 +346,7 @@ let column_of_key data k =
          to hold, so chunked storage materializes fresh and never fills
          the column cache.  Dot products, being scalars, stay cached. *)
       (chunked_columns data src [| k.basis |]).(0)
-  | Dense columns -> (
-      match Key_memo.find data.columns k with
-      | Some col -> col
-      | None ->
-          (* Evaluate outside the lock: another domain may compute the same
-             column concurrently, but both results are identical.  A
-             one-root tape gives the row [warm_columns] would install. *)
-          let col =
-            (Fused.eval_columns
-               (Fused.compile [| k.basis |])
-               ~scratch:(Domain.DLS.get scratch_key) ~columns ~n:data.n).(0)
-          in
-          install data k col;
-          col)
+  | Dense columns -> (resident_entry data columns k).values
 
 let basis_column data basis = column_of_key data (key basis)
 
@@ -393,7 +403,7 @@ let warm_columns data bases =
       let fused = Fused.compile (Array.map (fun k -> k.basis) missing) in
       let scratch = Domain.DLS.get scratch_key in
       let columns = Fused.eval_columns fused ~scratch ~columns:dense_columns ~n:data.n in
-      Array.iteri (fun i k -> install data k columns.(i)) missing;
+      Array.iteri (fun i k -> ignore (install data k columns.(i) : column)) missing;
       let nodes_in, nodes_out = record_fusion fused in
       { fused_bases = Array.length missing; nodes_in; nodes_out }
 
@@ -418,30 +428,20 @@ let target_id data targets =
   Mutex.unlock data.targets_lock;
   id
 
-let known_nonfinite data bases =
-  match data.storage with
-  | Dense _ -> false
-  | Chunked _ ->
-      Array.exists
-        (fun basis ->
-          match Key_memo.find data.finite (key basis) with Some false -> true | _ -> false)
-        bases
-
 (* --- the one Gram pass --------------------------------------------------- *)
 
 module Gram_stream = Caffeine_regress.Gram_stream
 
+type pass = (row0:int -> len:int -> float array array -> unit) -> unit
+
 (* A pass over the bases' columns: resident columns come from the memo
    table as a single whole-dataset chunk, streamed ones through one fused
    tape per chunk, never cached. *)
-let iter_key_chunks data keys ~f =
-  match data.storage with
-  | Dense _ -> f ~row0:0 ~len:data.n (Array.map (column_of_key data) keys)
-  | Chunked src -> iter_chunks src (Array.map (fun k -> k.basis) keys) ~f
-
 let iter_basis_chunks data bases ~f =
   if Array.length bases = 0 then invalid_arg "Dataset.iter_basis_chunks: no bases";
-  iter_key_chunks data (Array.map key bases) ~f
+  match data.storage with
+  | Dense _ -> f ~row0:0 ~len:data.n (Array.map (basis_column data) bases)
+  | Chunked src -> iter_chunks src bases ~f
 
 type gram = {
   dots : float array array;  (* k x k, symmetric, fully populated *)
@@ -469,24 +469,25 @@ let distinct_keys keys =
   done;
   (Array.of_list (List.rev !distinct), slot)
 
-(* Accumulate the named entries of [g] (indices into [keys]) in one
-   [Gram_stream] pass over the columns they involve.  [pairs] come
-   oriented, so [(i, j)] is formed as [col_i *. col_j]. *)
-let accumulate data keys g ~targets ~pairs ~dot_ys ~col_sums ~finite =
-  let needed = Array.make (Array.length keys) false in
+(* Accumulate the named entries of [g] (indices into the [d] distinct
+   keys) in one [Gram_stream] pass over the columns they involve: [read
+   needed] visits the columns of the listed key indices as row chunks.
+   [pairs] come oriented, so [(i, j)] is formed as [col_i *. col_j]. *)
+let accumulate ~read d g ~targets ~pairs ~dot_ys ~col_sums ~finite =
+  let needed = Array.make d false in
   Array.iter
     (fun (i, j) ->
       needed.(i) <- true;
       needed.(j) <- true)
     pairs;
   List.iter (Array.iter (fun i -> needed.(i) <- true)) [ dot_ys; col_sums; finite ];
-  let pos = Array.make (Array.length keys) (-1) and rev_read = ref [] and m = ref 0 in
+  let pos = Array.make d (-1) and rev_read = ref [] and m = ref 0 in
   Array.iteri
     (fun i wanted ->
       if wanted then begin
         pos.(i) <- !m;
         incr m;
-        rev_read := keys.(i) :: !rev_read
+        rev_read := i :: !rev_read
       end)
     needed;
   if !m > 0 then begin
@@ -496,7 +497,7 @@ let accumulate data keys g ~targets ~pairs ~dot_ys ~col_sums ~finite =
         ~pairs:(Array.map (fun (i, j) -> (pos.(i), pos.(j))) pairs)
         ~dot_ys:(at dot_ys) ~col_sums:(at col_sums) ~finite:(at finite)
     in
-    iter_key_chunks data (Array.of_list (List.rev !rev_read)) ~f:(fun ~row0 ~len columns ->
+    read (Array.of_list (List.rev !rev_read)) (fun ~row0 ~len columns ->
         Gram_stream.update acc ~columns ~targets ~row0 ~len);
     Array.iteri
       (fun p (i, j) ->
@@ -508,82 +509,135 @@ let accumulate data keys g ~targets ~pairs ~dot_ys ~col_sums ~finite =
     Array.iteri (fun p i -> g.finite_bases.(i) <- Gram_stream.finite acc p) finite
   end
 
-(* The Gram of distinct keys.  Resident storage forms every entry from
-   the memoized columns; chunked storage looks each up and accumulates
-   exactly the missing ones, which it then caches. *)
-let distinct_gram data keys ~targets =
+let empty_gram d =
+  {
+    dots = Array.make_matrix d d Float.nan;
+    dot_ys = Array.make d Float.nan;
+    col_sums = Array.make d Float.nan;
+    finite_bases = Array.make d true;
+  }
+
+let oriented keys i j = if compare_keys keys.(i) keys.(j) <= 0 then (i, j) else (j, i)
+
+(* Every entry of the distinct keys' Gram from their held resident
+   columns, in one pass with no finiteness scan: the memo entries carry
+   it. *)
+let held_gram data keys (entries : column array) ~targets =
   let d = Array.length keys in
-  let g =
-    {
-      dots = Array.make_matrix d d Float.nan;
-      dot_ys = Array.make d Float.nan;
-      col_sums = Array.make d Float.nan;
-      finite_bases = Array.make d true;
-    }
-  in
-  let oriented i j = if compare_keys keys.(i) keys.(j) <= 0 then (i, j) else (j, i) in
-  (match data.storage with
-  | Dense _ ->
-      let all = Array.init d Fun.id in
-      let pairs = ref [] in
-      for i = d - 1 downto 0 do
-        for j = d - 1 downto i do
-          pairs := oriented i j :: !pairs
-        done
-      done;
-      accumulate data keys g ~targets ~pairs:(Array.of_list !pairs) ~dot_ys:all ~col_sums:all
-        ~finite:all
-  | Chunked _ ->
-      let tid = target_id data targets in
-      let pairs = ref [] and dot_ys = ref [] and col_sums = ref [] and finite = ref [] in
-      let lookup found entries missing i =
-        match found with Some v -> entries.(i) <- v | None -> missing := i :: !missing
-      in
-      for i = 0 to d - 1 do
-        lookup (Product_memo.find data.products (Target (keys.(i), tid))) g.dot_ys dot_ys i;
-        lookup (Product_memo.find data.products (Target (keys.(i), 0))) g.col_sums col_sums i;
-        lookup (Key_memo.find data.finite keys.(i)) g.finite_bases finite i;
-        for j = i to d - 1 do
-          let lo, hi = oriented i j in
-          match Product_memo.find data.products (Pair (keys.(lo), keys.(hi))) with
-          | Some v ->
-              g.dots.(i).(j) <- v;
-              g.dots.(j).(i) <- v
-          | None -> pairs := (lo, hi) :: !pairs
-        done
-      done;
-      let in_order missing = Array.of_list (List.rev !missing) in
-      let pairs = in_order pairs and dot_ys = in_order dot_ys in
-      let col_sums = in_order col_sums and finite = in_order finite in
-      accumulate data keys g ~targets ~pairs ~dot_ys ~col_sums ~finite;
-      Array.iter (fun i -> store_product data (Target (keys.(i), tid)) g.dot_ys.(i)) dot_ys;
-      Array.iter (fun i -> store_product data (Target (keys.(i), 0)) g.col_sums.(i)) col_sums;
-      Array.iter
-        (fun i -> ignore (Key_memo.add data.finite keys.(i) g.finite_bases.(i) : int))
-        finite;
-      Array.iter
-        (fun (i, j) -> store_product data (Pair (keys.(i), keys.(j))) g.dots.(i).(j))
-        pairs);
+  let g = empty_gram d in
+  let all = Array.init d Fun.id in
+  let pairs = ref [] in
+  for i = d - 1 downto 0 do
+    for j = d - 1 downto i do
+      pairs := oriented keys i j :: !pairs
+    done
+  done;
+  accumulate d g ~targets ~pairs:(Array.of_list !pairs) ~dot_ys:all ~col_sums:all ~finite:[||]
+    ~read:(fun read f -> f ~row0:0 ~len:data.n (Array.map (fun i -> entries.(i).values) read));
+  Array.iteri (fun i e -> g.finite_bases.(i) <- e.all_finite) entries;
   g
 
+(* The Gram of distinct keys on chunked storage: each entry is looked up,
+   and exactly the missing ones are accumulated in one streamed pass and
+   cached. *)
+let streamed_gram data src keys ~targets =
+  let d = Array.length keys in
+  let g = empty_gram d in
+  let tid = target_id data targets in
+  let pairs = ref [] and dot_ys = ref [] and col_sums = ref [] and finite = ref [] in
+  let lookup found entries missing i =
+    match found with Some v -> entries.(i) <- v | None -> missing := i :: !missing
+  in
+  for i = 0 to d - 1 do
+    lookup (Product_memo.find data.products (Target (keys.(i), tid))) g.dot_ys dot_ys i;
+    lookup (Product_memo.find data.products (Target (keys.(i), 0))) g.col_sums col_sums i;
+    lookup (Key_memo.find data.finite keys.(i)) g.finite_bases finite i;
+    for j = i to d - 1 do
+      let lo, hi = oriented keys i j in
+      match Product_memo.find data.products (Pair (keys.(lo), keys.(hi))) with
+      | Some v ->
+          g.dots.(i).(j) <- v;
+          g.dots.(j).(i) <- v
+      | None -> pairs := (lo, hi) :: !pairs
+    done
+  done;
+  let in_order missing = Array.of_list (List.rev !missing) in
+  let pairs = in_order pairs and dot_ys = in_order dot_ys in
+  let col_sums = in_order col_sums and finite = in_order finite in
+  accumulate d g ~targets ~pairs ~dot_ys ~col_sums ~finite ~read:(fun read f ->
+      iter_chunks src (Array.map (fun i -> keys.(i).basis) read) ~f);
+  Array.iter (fun i -> store_product data (Target (keys.(i), tid)) g.dot_ys.(i)) dot_ys;
+  Array.iter (fun i -> store_product data (Target (keys.(i), 0)) g.col_sums.(i)) col_sums;
+  Array.iter (fun i -> ignore (Key_memo.add data.finite keys.(i) g.finite_bases.(i) : int)) finite;
+  Array.iter (fun (i, j) -> store_product data (Pair (keys.(i), keys.(j))) g.dots.(i).(j)) pairs;
+  g
+
+(* The Gram of the given bases from that of their distinct keys: a
+   repeated basis reads its one distinct entry. *)
+let expand g slot =
+  if Array.length slot = Array.length g.dot_ys then g
+  else
+    let pick entries = Array.map (fun s -> entries.(s)) slot in
+    {
+      dots = Array.map (fun s -> pick g.dots.(s)) slot;
+      dot_ys = pick g.dot_ys;
+      col_sums = pick g.col_sums;
+      finite_bases = pick g.finite_bases;
+    }
+
+let check_targets name data targets =
+  if Array.length targets <> data.n then invalid_arg (name ^ ": target length mismatch")
+
 let gram data bases ~targets =
-  if Array.length targets <> data.n then invalid_arg "Dataset.gram: target length mismatch";
+  check_targets "Dataset.gram" data targets;
   if Array.length bases = 0 then
     { dots = [||]; dot_ys = [||]; col_sums = [||]; finite_bases = [||] }
   else begin
     let distinct, slot = distinct_keys (Array.map key bases) in
-    let g = distinct_gram data distinct ~targets in
-    if Array.length distinct = Array.length bases then g
-    else
-      (* A repeated basis reads its one distinct entry. *)
-      let pick entries = Array.map (fun s -> entries.(s)) slot in
-      {
-        dots = Array.map (fun s -> pick g.dots.(s)) slot;
-        dot_ys = pick g.dot_ys;
-        col_sums = pick g.col_sums;
-        finite_bases = pick g.finite_bases;
-      }
+    let g =
+      match data.storage with
+      | Dense columns ->
+          held_gram data distinct (Array.map (resident_entry data columns) distinct) ~targets
+      | Chunked src -> streamed_gram data src distinct ~targets
+    in
+    expand g slot
   end
+
+(* One hash per basis.  Resident storage fetches each distinct column
+   once, stops at the first whose flag says it is not finite, and hands
+   the held columns to both the Gram and the fit's pass; chunked storage
+   rejects a basis its finite memo already knows to be non-finite before
+   it looks up any product, then streams what the memos miss. *)
+let finite_gram data bases ~targets =
+  check_targets "Dataset.finite_gram" data targets;
+  if Array.length bases = 0 then invalid_arg "Dataset.finite_gram: no bases";
+  let distinct, slot = distinct_keys (Array.map key bases) in
+  match data.storage with
+  | Dense columns ->
+      let d = Array.length distinct in
+      let entries = Array.make d { values = [||]; all_finite = true } in
+      let rec fetch i =
+        i = d
+        ||
+        let entry = resident_entry data columns distinct.(i) in
+        entries.(i) <- entry;
+        entry.all_finite && fetch (i + 1)
+      in
+      if not (fetch 0) then None
+      else
+        let held = Array.map (fun s -> entries.(s).values) slot in
+        Some
+          ( expand (held_gram data distinct entries ~targets) slot,
+            fun f -> f ~row0:0 ~len:data.n held )
+  | Chunked src ->
+      let known_nonfinite k =
+        match Key_memo.find data.finite k with Some false -> true | Some true | None -> false
+      in
+      if Array.exists known_nonfinite distinct then None
+      else
+        let g = streamed_gram data src distinct ~targets in
+        if not (Array.for_all Fun.id g.finite_bases) then None
+        else Some (expand g slot, fun f -> iter_chunks src bases ~f)
 
 let basis_columns data bases =
   match data.storage with

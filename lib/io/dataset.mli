@@ -26,9 +26,13 @@
     its entries are simply recomputed on their next miss.
 
     Which level is cached follows the storage kind.  Resident storage
-    memoizes columns and keeps no scalar table: {!gram} forms every
+    memoizes columns, each with an all-finite flag found once when the
+    column is installed, and keeps no scalar table: {!gram} forms every
     product in one pass over the memoized columns, which at a few hundred
-    rows ran the search faster than locked, counted lookups in a table.
+    rows ran the search faster than locked, counted lookups in a table,
+    and {!finite_gram}, the per-candidate entry point, fetches each
+    distinct column once, rejects an individual from its flags before any
+    product, and hands the columns it holds to the fit.
     Chunked storage never caches a column (each is [n] floats) but
     keeps a bounded, sharded cache of Gram scalars — [⟨col_i, col_j⟩]
     under a pair of structural-hash keys, [⟨col_i, y⟩] and [⟨col_i, 1⟩]
@@ -145,8 +149,8 @@ val warm_columns : t -> Expr.basis array -> fuse_stats
     included, so warming is purely a throughput optimization: subsequent
     {!basis_column} / {!gram} calls return the same IEEE words whether or
     not a batch was warmed (and under the same bounded-shard eviction
-    policy).  Chunked storage caches no columns, so there it does
-    nothing.
+    policy), each with the all-finite flag a miss would have found.
+    Chunked storage caches no columns, so there it does nothing.
     Bumps the [fused.nodes_in] / [fused.nodes_out] counters and the
     [fused.cse_ratio] gauge; the returned stats cover this call only. *)
 
@@ -156,18 +160,6 @@ type gram = {
   col_sums : float array;  (** [⟨colᵢ, 1⟩] *)
   finite_bases : bool array;  (** whether column [i] is finite everywhere *)
 }
-
-val known_nonfinite : t -> Expr.basis array -> bool
-(** Chunked storage only: whether the finite table already records one of
-    [bases] as non-finite somewhere on the data — a table lookup per
-    basis, no data pass and no dot-cache lookup.  [false] means "not
-    known", not "finite": the table is filled when {!gram} screens a
-    basis, and it is bounded like the column cache.  Resident storage
-    keeps no finite table, so there it is [false] without a lookup, and
-    {!gram} reports finiteness along with the products.  This is the
-    screen [Model.fit] runs before {!gram}, so a streamed individual with
-    a basis already screened as non-finite is rejected without a data
-    pass. *)
 
 val gram : t -> Expr.basis array -> targets:float array -> gram
 (** Every product {!Caffeine_regress.Linfit.fit_stream} needs for one
@@ -190,17 +182,44 @@ val gram : t -> Expr.basis array -> targets:float array -> gram
     chunked storage [⟨col_i, y⟩] is keyed by the target array ([==]) in
     a small registry — pass the same array across calls, as the search
     loop does; a fresh array per call would grow the registry without
-    reuse.  Raises [Invalid_argument] when [targets] does not have one
-    entry per sample. *)
+    reuse.  Every product is formed, those of non-finite columns
+    included; a fit that only needs finite individuals calls
+    {!finite_gram}.  Raises [Invalid_argument] when [targets] does not
+    have one entry per sample. *)
+
+type pass = (row0:int -> len:int -> float array array -> unit) -> unit
+(** A pass over value columns as row chunks in order, the [iter] argument
+    of {!Caffeine_regress.Linfit.fit_stream}: [pass f] calls [f ~row0
+    ~len columns] with [columns.(j)] holding column [j]'s values for rows
+    [row0 .. row0+len-1] in its first [len] cells, valid only during the
+    call. *)
+
+val finite_gram : t -> Expr.basis array -> targets:float array -> (gram * pass) option
+(** The per-candidate entry point of [Model.fit]: {!gram}'s products for
+    [bases] and a {!pass} over their columns, or [None] as soon as one
+    basis is known not to be finite on the data.  Each basis is hashed
+    once.  Resident storage fetches each distinct basis's memoized column
+    once (one column-cache lookup, and one evaluation on a miss), reads
+    its all-finite flag, set when the column was installed by a miss or
+    by {!warm_columns}, and returns [None] at the first false flag,
+    before any product; otherwise it forms every product from the held
+    columns with no finiteness scan, and the pass hands over those same
+    columns as one chunk, so the fit looks nothing up again.  Chunked
+    storage returns [None] when its finite memo already records a basis
+    as non-finite, before any product lookup; otherwise it serves and
+    streams products as {!gram} does, returns [None] if the pass found a
+    non-finite basis, and its pass streams the bases again through one
+    fused tape per chunk.  Every product is {!gram}'s word.  Raises
+    [Invalid_argument] on an empty basis array or when [targets] does not
+    have one entry per sample. *)
 
 val iter_basis_chunks :
   t ->
   Expr.basis array ->
   f:(row0:int -> len:int -> float array array -> unit) ->
   unit
-(** Visit the bases' value columns as row chunks in order — the pass
-    {!gram} accumulates over, and the [iter] argument of
-    {!Caffeine_regress.Linfit.fit_stream}.  [columns.(j)] holds basis
+(** Visit the bases' value columns as row chunks in order, as
+    [Model.predict] reads them.  [columns.(j)] holds basis
     [j]'s values for rows [row0 .. row0+len-1] in its first [len] cells;
     buffers are only valid during the callback.  Chunked storage
     evaluates all bases through one fused tape per chunk (never
@@ -234,7 +253,9 @@ val stats : t -> cache_stats
     start — {!clear_cache} drops entries but keeps counters), for cache
     effectiveness reporting ([fit --verbose], perf PRs).  The column
     counters move on resident storage only and the dot counters on
-    chunked storage only, the level each storage caches. *)
+    chunked storage only, the level each storage caches.  A resident
+    {!finite_gram} counts one column lookup per distinct basis it
+    fetches. *)
 
 val publish_metrics : t -> unit
 (** Snapshot {!stats} into the {!Caffeine_obs.Metrics.default} registry as

@@ -325,18 +325,21 @@ let q_leverages (q : Matrix.t) =
   done;
   h
 
+(* The rank-deficient branch: the ridge factor of aᵀa, taken from [ata]
+   when the caller already holds it (copied, since the factor overwrites
+   it). *)
+let ridge_branch ?ridge ?ata (a : Matrix.t) =
+  let g = match ata with Some g -> Array.copy g | None -> normal_matrix a in
+  `Ridge (ridge_factor ?ridge ~n:a.cols g)
+
 (* The factorization both [lstsq] and [hat_diag] start from: [`Full] when
    the Householder R has full numerical rank, [`Ridge] otherwise (or when
-   the design is wide).  [ata] is aᵀa when the caller already holds it. *)
+   the design is wide). *)
 let factorize ?ridge ?ata (a : Matrix.t) =
-  let ridge () =
-    let g = match ata with Some g -> Array.copy g | None -> normal_matrix a in
-    `Ridge (ridge_factor ?ridge ~n:a.cols g)
-  in
-  if a.rows < a.cols then ridge ()
+  if a.rows < a.cols then ridge_branch ?ridge ?ata a
   else
     let h = householder a in
-    if full_rank h then `Full (q_of h, r_of h) else ridge ()
+    if full_rank h then `Full (q_of h, r_of h) else ridge_branch ?ridge ?ata a
 
 let check_rhs a b =
   if a.Matrix.rows <> Array.length b then invalid_arg "Decomp.lstsq: dimension mismatch"
@@ -353,12 +356,21 @@ let lstsq ?ridge a b =
   check_rhs a b;
   solve_factored a b (factorize ?ridge a)
 
+let check_normal name a ?ata ?atb () =
+  let n = a.Matrix.cols in
+  let wrong len = function Some v -> Array.length v <> len | None -> false in
+  if wrong (n * n) ata || wrong n atb then
+    invalid_arg (name ^ ": normal equations do not match the design")
+
 let lstsq_normal ~ata ~atb a b =
   check_rhs a b;
-  let n = a.Matrix.cols in
-  if Array.length ata <> n * n || Array.length atb <> n then
-    invalid_arg "Decomp.lstsq_normal: normal equations do not match the design";
+  check_normal "Decomp.lstsq_normal" a ~ata ~atb ();
   solve_factored ~atb a b (factorize ~ata a)
+
+let lstsq_ridge ?ata ?atb a b =
+  check_rhs a b;
+  check_normal "Decomp.lstsq_ridge" a ?ata ?atb ();
+  solve_factored ?atb a b (ridge_branch ?ata a)
 
 let hat_diag ?ridge a = leverages_factored a (factorize ?ridge a)
 

@@ -48,6 +48,15 @@ val lstsq_normal : ata:float array -> atb:float array -> Matrix.t -> float array
     rows in order from [+0.], whichever operand of each product comes
     first.  Raises [Invalid_argument] on mismatched dimensions. *)
 
+val lstsq_ridge : ?ata:float array -> ?atb:float array -> Matrix.t -> float array -> float array
+(** [lstsq_ridge a b] is {!lstsq}'s ridge branch taken without its rank
+    decision: [(aᵀa + λI) x = aᵀb] with {!lstsq}'s default [λ], solved by
+    the same Cholesky factor and triangular solves.  It is {!lstsq} [a b]
+    word for word whenever {!lstsq} finds [a] rank-deficient, and skips
+    the Householder factorization that decision costs; [ata] and [atb]
+    stand in for [aᵀa] and [aᵀb] as in {!lstsq_normal} (not modified).
+    Raises [Invalid_argument] on mismatched dimensions. *)
+
 val hat_diag : ?ridge:float -> Matrix.t -> float array
 (** [hat_diag a] is the diagonal of the projection ("hat") matrix
     [a (aᵀa)⁻¹ aᵀ], regularized like {!lstsq} when needed.  Entry [i] is the

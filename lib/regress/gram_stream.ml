@@ -38,11 +38,130 @@ let create k ~pairs ~dot_ys ~col_sums ~finite =
     rows_seen = 0;
   }
 
+(* The sweeps advance four accumulators at a time over a chunk's rows,
+   and a remainder loop takes the last one to three.  Each accumulator is
+   still loaded once, advanced over the rows in order and stored back, so
+   its word is the one a loop of its own would leave, NaN payloads
+   included; four independent additions per row only let the processor
+   overlap them instead of waiting on one chain.  [update] checks that
+   every column holds [len] rows before any sweep reads them unchecked;
+   the reads call [Array.unsafe_get] on arrays typed [float array], so
+   each compiles to a direct float load (an alias of the primitive would
+   be a generic array read that tests every array's tag). *)
+let sweep_pairs t (columns : float array array) len =
+  let pairs = t.pairs and dots = t.dots in
+  let m = Array.length pairs in
+  let p = ref 0 in
+  while !p + 4 <= m do
+    let q = !p in
+    let i0, j0 = pairs.(q) and i1, j1 = pairs.(q + 1) in
+    let i2, j2 = pairs.(q + 2) and i3, j3 = pairs.(q + 3) in
+    let a0 = columns.(i0) and b0 = columns.(j0) and a1 = columns.(i1) and b1 = columns.(j1) in
+    let a2 = columns.(i2) and b2 = columns.(j2) and a3 = columns.(i3) and b3 = columns.(j3) in
+    let s0 = ref dots.(q) and s1 = ref dots.(q + 1) in
+    let s2 = ref dots.(q + 2) and s3 = ref dots.(q + 3) in
+    for r = 0 to len - 1 do
+      s0 := !s0 +. (Array.unsafe_get a0 r *. Array.unsafe_get b0 r);
+      s1 := !s1 +. (Array.unsafe_get a1 r *. Array.unsafe_get b1 r);
+      s2 := !s2 +. (Array.unsafe_get a2 r *. Array.unsafe_get b2 r);
+      s3 := !s3 +. (Array.unsafe_get a3 r *. Array.unsafe_get b3 r)
+    done;
+    dots.(q) <- !s0;
+    dots.(q + 1) <- !s1;
+    dots.(q + 2) <- !s2;
+    dots.(q + 3) <- !s3;
+    p := q + 4
+  done;
+  for q = !p to m - 1 do
+    let i, j = pairs.(q) in
+    let a = columns.(i) and b = columns.(j) in
+    let s = ref dots.(q) in
+    for r = 0 to len - 1 do
+      s := !s +. (Array.unsafe_get a r *. Array.unsafe_get b r)
+    done;
+    dots.(q) <- !s
+  done
+
+(* [⟨col, y⟩] over the rows [row0 ..]: four columns share each target
+   read.  Each column value is bound before it is multiplied: the code
+   generator folds a bare load on the left of a commutative multiply into
+   its memory operand by swapping the operands, and a NaN times a NaN
+   keeps the left operand's payload, so [col *. y] must keep [col] on the
+   left as a lone loop does. *)
+let sweep_dot_ys t (columns : float array array) (targets : float array) row0 len =
+  let cols = t.dot_y_cols and sums = t.dot_ys in
+  let m = Array.length cols in
+  let p = ref 0 in
+  while !p + 4 <= m do
+    let q = !p in
+    let a0 = columns.(cols.(q)) and a1 = columns.(cols.(q + 1)) in
+    let a2 = columns.(cols.(q + 2)) and a3 = columns.(cols.(q + 3)) in
+    let s0 = ref sums.(q) and s1 = ref sums.(q + 1) in
+    let s2 = ref sums.(q + 2) and s3 = ref sums.(q + 3) in
+    for r = 0 to len - 1 do
+      let y = Array.unsafe_get targets (row0 + r) in
+      let x0 = Array.unsafe_get a0 r and x1 = Array.unsafe_get a1 r in
+      let x2 = Array.unsafe_get a2 r and x3 = Array.unsafe_get a3 r in
+      s0 := !s0 +. (x0 *. y);
+      s1 := !s1 +. (x1 *. y);
+      s2 := !s2 +. (x2 *. y);
+      s3 := !s3 +. (x3 *. y)
+    done;
+    sums.(q) <- !s0;
+    sums.(q + 1) <- !s1;
+    sums.(q + 2) <- !s2;
+    sums.(q + 3) <- !s3;
+    p := q + 4
+  done;
+  for q = !p to m - 1 do
+    let a = columns.(cols.(q)) in
+    let s = ref sums.(q) in
+    for r = 0 to len - 1 do
+      s := !s +. (Array.unsafe_get a r *. Array.unsafe_get targets (row0 + r))
+    done;
+    sums.(q) <- !s
+  done
+
+let sweep_col_sums t (columns : float array array) len =
+  let cols = t.col_sum_cols and sums = t.col_sums in
+  let m = Array.length cols in
+  let p = ref 0 in
+  while !p + 4 <= m do
+    let q = !p in
+    let a0 = columns.(cols.(q)) and a1 = columns.(cols.(q + 1)) in
+    let a2 = columns.(cols.(q + 2)) and a3 = columns.(cols.(q + 3)) in
+    let s0 = ref sums.(q) and s1 = ref sums.(q + 1) in
+    let s2 = ref sums.(q + 2) and s3 = ref sums.(q + 3) in
+    for r = 0 to len - 1 do
+      s0 := !s0 +. Array.unsafe_get a0 r;
+      s1 := !s1 +. Array.unsafe_get a1 r;
+      s2 := !s2 +. Array.unsafe_get a2 r;
+      s3 := !s3 +. Array.unsafe_get a3 r
+    done;
+    sums.(q) <- !s0;
+    sums.(q + 1) <- !s1;
+    sums.(q + 2) <- !s2;
+    sums.(q + 3) <- !s3;
+    p := q + 4
+  done;
+  for q = !p to m - 1 do
+    let a = columns.(cols.(q)) in
+    let s = ref sums.(q) in
+    for r = 0 to len - 1 do
+      s := !s +. Array.unsafe_get a r
+    done;
+    sums.(q) <- !s
+  done
+
 let update t ~columns ~targets ~row0 ~len =
   if Array.length columns <> t.k then invalid_arg "Gram_stream.update: column count mismatch";
   if row0 <> t.rows_seen then invalid_arg "Gram_stream.update: chunks out of order";
   if row0 + len > Array.length targets then
     invalid_arg "Gram_stream.update: chunk exceeds target length";
+  Array.iter
+    (fun (col : float array) ->
+      if Array.length col < len then invalid_arg "Gram_stream.update: column shorter than chunk")
+    columns;
   Array.iteri
     (fun p i ->
       if t.finite.(p) then begin
@@ -54,33 +173,9 @@ let update t ~columns ~targets ~row0 ~len =
         if not !ok then t.finite.(p) <- false
       end)
     t.finite_cols;
-  Array.iteri
-    (fun p i ->
-      let a = columns.(i) in
-      let acc = ref t.col_sums.(p) in
-      for r = 0 to len - 1 do
-        acc := !acc +. a.(r)
-      done;
-      t.col_sums.(p) <- !acc)
-    t.col_sum_cols;
-  Array.iteri
-    (fun p i ->
-      let a = columns.(i) in
-      let acc = ref t.dot_ys.(p) in
-      for r = 0 to len - 1 do
-        acc := !acc +. (a.(r) *. targets.(row0 + r))
-      done;
-      t.dot_ys.(p) <- !acc)
-    t.dot_y_cols;
-  Array.iteri
-    (fun p (i, j) ->
-      let a = columns.(i) and b = columns.(j) in
-      let acc = ref t.dots.(p) in
-      for r = 0 to len - 1 do
-        acc := !acc +. (a.(r) *. b.(r))
-      done;
-      t.dots.(p) <- !acc)
-    t.pairs;
+  sweep_col_sums t columns len;
+  sweep_dot_ys t columns targets row0 len;
+  sweep_pairs t columns len;
   t.rows_seen <- t.rows_seen + len
 
 let rows_seen t = t.rows_seen

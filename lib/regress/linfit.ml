@@ -86,19 +86,53 @@ let finish ~targets coeffs predictions =
     train_error = Stats.normalized_error targets predictions;
   }
 
+let rec all_zero (col : float array) i = i = Array.length col || (col.(i) = 0. && all_zero col (i + 1))
+
+let sum_squares (col : float array) =
+  let acc = ref 0. in
+  for i = 0 to Array.length col - 1 do
+    acc := !acc +. (col.(i) *. col.(i))
+  done;
+  !acc
+
+(* Whether both rank decisions are already known to fail: some column is
+   all zero (±0) and no column's sum of squares overflows.  Then the
+   incremental design returns [None]: if no earlier column was rejected,
+   the zero column is, because the ones column went first and set
+   [max_diag] to √n, every committed column has a finite [q] (a finite
+   column norm bounds every projection), so each of the zero column's
+   projections is +0, its remainder stays zero and [dependent] holds.
+   And Householder leaves the zero column zero (each reflection's dot with
+   it is +0, so the factor is 0; a reflector gone non-finite would make
+   it NaN instead), builds no reflector at its step, and so leaves an R
+   pivot of ±0 or NaN, which [full_rank] never counts.  Both therefore end
+   in {!Decomp.lstsq}'s ridge branch.  The norm check keeps the argument
+   in finite arithmetic: a column near the float limit can turn CGS2's
+   projections into NaNs, after which it commits every column, and
+   although the ridge then ends in NaNs as well, nothing here proves the
+   words agree. *)
+let ridge_is_forced columns =
+  Array.exists (fun col -> all_zero col 0) columns
+  && Array.for_all (fun col -> Float.is_finite (sum_squares col)) columns
+
 (* The QR fit of checked columns.  [normal] is the design's aᵀa and aᵀy
-   when the caller already holds them, for the ridge solve. *)
+   when the caller already holds them, for the ridge solve.  When the
+   ridge is forced, neither factorization runs; the counters move as
+   they would have. *)
 let qr_fit ?normal ~basis_values ~targets () =
   Metrics.incr m_fits;
-  match incremental_design basis_values targets with
+  let forced = ridge_is_forced basis_values in
+  match if forced then None else incremental_design basis_values targets with
   | Some qr -> finish ~targets (Qr_update.coefficients qr) (Qr_update.predictions qr)
   | None ->
       Metrics.incr m_qr_fallbacks;
       let design = design_matrix basis_values in
       let coeffs =
         match normal with
-        | None -> Decomp.lstsq design targets
+        | Some (ata, atb) when forced -> Decomp.lstsq_ridge ~ata ~atb design targets
+        | None when forced -> Decomp.lstsq_ridge design targets
         | Some (ata, atb) -> Decomp.lstsq_normal ~ata ~atb design targets
+        | None -> Decomp.lstsq design targets
       in
       finish ~targets coeffs (Matrix.mul_vec design coeffs)
 

@@ -41,7 +41,12 @@ val fit : basis_values:float array array -> targets:float array -> t
 (** Least-squares fit of [targets ≈ intercept + Σ wᵢ · basisᵢ].  With an empty
     [basis_values] the result is the constant (mean) model.  Raises
     [Invalid_argument] when a basis column contains non-finite values —
-    callers are expected to screen those out (such models are invalid). *)
+    callers are expected to screen those out (such models are invalid).
+    When a column is all zero (±0) and no column's sum of squares
+    overflows, both the incremental QR and Householder are known to find
+    the design rank-deficient, so neither runs and the fit goes straight
+    to {!Caffeine_linalg.Decomp.lstsq_ridge}: the words of the path it
+    skips. *)
 
 val fit_constant : targets:float array -> t
 (** The zero-complexity model: intercept = mean of targets. *)
@@ -76,8 +81,11 @@ val fit_stream :
     instead of forming them from the columns again; when every product
     is the row-order sum from [+0.] of finite columns (as
     {!Caffeine_io.Dataset.gram} and {!Gram_stream} form them), the result
-    is {!fit}'s word for word.  [iter] is invoked once (the prediction
-    pass, or the materialization on fallback). *)
+    is {!fit}'s word for word.  The fallback is {!fit}'s, so a design with
+    an all-zero column skips both rank decisions as {!fit} does.  [iter]
+    is invoked once (the prediction pass, or the materialization on
+    fallback); the pass {!Caffeine_io.Dataset.finite_gram} returns hands
+    over the resident columns it already holds, with no second lookup. *)
 
 val fit_gram :
   dot:(int -> int -> float) ->

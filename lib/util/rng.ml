@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words live in one 32-byte buffer, read and
+   written with [Bytes.get_int64_le]/[set_int64_le]: a record of mutable
+   [int64] fields would box every word it stores, so each draw would
+   allocate.  In [step]'s inlined body the words stay unboxed, and [int],
+   [uniform] and [bool] consume its result without boxing it either. *)
+type t = Bytes.t
 
 (* splitmix64: used only to expand a seed into the four xoshiro words, and to
    derive split streams.  Constants from Steele, Lea and Flood (2014). *)
@@ -10,21 +15,35 @@ let splitmix_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let of_words w0 w1 w2 w3 =
+  let s = Bytes.create 32 in
+  Bytes.set_int64_le s 0 w0;
+  Bytes.set_int64_le s 8 w1;
+  Bytes.set_int64_le s 16 w2;
+  Bytes.set_int64_le s 24 w3;
+  s
+
 let of_seed64 seed =
   let state = ref seed in
   let s0 = splitmix_next state in
   let s1 = splitmix_next state in
   let s2 = splitmix_next state in
   let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
 let create ?(seed = 0x5EED) () = of_seed64 (Int64.of_int seed)
 
-let copy rng = { s0 = rng.s0; s1 = rng.s1; s2 = rng.s2; s3 = rng.s3 }
+let copy = Bytes.copy
 
 type state = { w0 : int64; w1 : int64; w2 : int64; w3 : int64 }
 
-let to_state rng = { w0 = rng.s0; w1 = rng.s1; w2 = rng.s2; w3 = rng.s3 }
+let to_state s =
+  {
+    w0 = Bytes.get_int64_le s 0;
+    w1 = Bytes.get_int64_le s 8;
+    w2 = Bytes.get_int64_le s 16;
+    w3 = Bytes.get_int64_le s 24;
+  }
 
 let of_state { w0; w1; w2; w3 } =
   (* The all-zero state is the one fixed point of xoshiro256**: it would
@@ -32,38 +51,44 @@ let of_state { w0; w1; w2; w3 } =
      it, so reject it rather than resurrect a degenerate stream. *)
   if w0 = 0L && w1 = 0L && w2 = 0L && w3 = 0L then
     invalid_arg "Rng.of_state: all-zero state is not a valid xoshiro256** state";
-  { s0 = w0; s1 = w1; s2 = w2; s3 = w3 }
+  of_words w0 w1 w2 w3
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 rng =
+let[@inline] step s =
   let open Int64 in
-  let result = mul (rotl (mul rng.s1 5L) 7) 9L in
-  let t = shift_left rng.s1 17 in
-  rng.s2 <- logxor rng.s2 rng.s0;
-  rng.s3 <- logxor rng.s3 rng.s1;
-  rng.s1 <- logxor rng.s1 rng.s2;
-  rng.s0 <- logxor rng.s0 rng.s3;
-  rng.s2 <- logxor rng.s2 t;
-  rng.s3 <- rotl rng.s3 45;
+  let s0 = Bytes.get_int64_le s 0 and s1 = Bytes.get_int64_le s 8 in
+  let s2 = Bytes.get_int64_le s 16 and s3 = Bytes.get_int64_le s 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_le s 0 s0;
+  Bytes.set_int64_le s 8 s1;
+  Bytes.set_int64_le s 16 (logxor s2 t);
+  Bytes.set_int64_le s 24 (rotl s3 45);
   result
 
-let split rng = of_seed64 (bits64 rng)
+let bits64 rng = step rng
+
+let split rng = of_seed64 (step rng)
 
 let int rng bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on 63 non-negative bits to avoid modulo bias. *)
   let bound64 = Int64.of_int bound in
   let limit = Int64.mul (Int64.div Int64.max_int bound64) bound64 in
-  let rec draw () =
-    let raw = Int64.shift_right_logical (bits64 rng) 1 in
-    if Int64.compare raw limit >= 0 then draw () else Int64.to_int (Int64.rem raw bound64)
-  in
-  draw ()
+  let raw = ref (Int64.shift_right_logical (step rng) 1) in
+  while Int64.compare !raw limit >= 0 do
+    raw := Int64.shift_right_logical (step rng) 1
+  done;
+  Int64.to_int (Int64.rem !raw bound64)
 
 let uniform rng =
   (* 53 random bits mapped to [0,1). *)
-  let raw = Int64.shift_right_logical (bits64 rng) 11 in
+  let raw = Int64.shift_right_logical (step rng) 11 in
   Int64.to_float raw *. 0x1.0p-53
 
 let float rng bound = uniform rng *. bound
@@ -72,7 +97,7 @@ let range rng lo hi =
   if hi < lo then invalid_arg "Rng.range: hi < lo";
   lo +. (uniform rng *. (hi -. lo))
 
-let bool rng = Int64.compare (Int64.logand (bits64 rng) 1L) 0L <> 0
+let bool rng = Int64.compare (Int64.logand (step rng) 1L) 0L <> 0
 
 let bernoulli rng p = uniform rng < p
 

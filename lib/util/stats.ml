@@ -15,13 +15,6 @@ let sum xs =
   done;
   !acc
 
-let sum_abs xs =
-  let acc = ref 0. in
-  for i = 0 to Array.length xs - 1 do
-    acc := !acc +. Float.abs xs.(i)
-  done;
-  !acc
-
 let mean xs =
   require_nonempty "Stats.mean" xs;
   sum xs /. float_of_int (Array.length xs)
@@ -81,10 +74,22 @@ let mse reference predicted =
 
 let rmse reference predicted = sqrt (mse reference predicted)
 
+(* The sum of |reference| and [mse]'s sum of squared residuals in one
+   sweep: two accumulators, each the left fold from +0 its own loop would
+   run, so every word is the two-pass value. *)
 let normalized_error reference predicted =
   require_nonempty "Stats.mean" reference;
-  let scale = sum_abs reference /. float_of_int (Array.length reference) in
-  let rms = rmse reference predicted in
+  require_same_length "Stats.mse" reference predicted;
+  let n = Array.length reference in
+  let abs_sum = ref 0. and sq_sum = ref 0. in
+  for i = 0 to n - 1 do
+    let y = reference.(i) in
+    let e = y -. predicted.(i) in
+    abs_sum := !abs_sum +. Float.abs y;
+    sq_sum := !sq_sum +. (e *. e)
+  done;
+  let scale = !abs_sum /. float_of_int n in
+  let rms = sqrt (!sq_sum /. float_of_int n) in
   if scale > 0. then rms /. scale else rms
 
 let nmse reference predicted =

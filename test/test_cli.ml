@@ -73,10 +73,46 @@ let test_cli_unknown_flag_fails () =
   | Some (status, _) ->
       Alcotest.(check bool) "nonzero exit" true (status <> Unix.WEXITED 0)
 
+(* Training data a fit cannot use exits 2 with "cannot read FILE", never an
+   uncaught exception: a CSV whose only column is the target, the same
+   data packed into a column store, and a target column of NaNs. *)
+let expect_unreadable msg arguments path =
+  match run_cli arguments with
+  | None -> ()
+  | Some (status, output) ->
+      Alcotest.(check bool) (msg ^ ": exits 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool)
+        (msg ^ ": names the file")
+        true
+        (contains output ("cannot read " ^ path));
+      Alcotest.(check bool) (msg ^ ": no internal error") false (contains output "internal error")
+
+let write_file path text =
+  let channel = open_out path in
+  output_string channel text;
+  close_out channel
+
+let test_cli_unusable_training_data () =
+  let only = Filename.temp_file "caffeine_cli" ".csv" in
+  let packed = Filename.temp_file "caffeine_cli" ".cafs" in
+  let nans = Filename.temp_file "caffeine_cli" ".csv" in
+  write_file only "PM\n1\n2\n3\n";
+  write_file nans "x,PM\n1,nan\n2,nan\n3,nan\n";
+  let fit path = [ "fit"; "--train"; path; "--target"; "PM"; "--pop"; "10"; "--gens"; "2" ] in
+  expect_unreadable "target-only CSV" (fit only) only;
+  (match run_cli [ "pack"; "--csv"; only; "--out"; packed ] with
+  | Some (status, _) when status = Unix.WEXITED 0 ->
+      expect_unreadable "target-only column store" (fit packed) packed
+  | Some (_, output) -> Alcotest.failf "pack failed: %s" output
+  | None -> ());
+  expect_unreadable "all-NaN target" (fit nans) nans;
+  List.iter Sys.remove [ only; packed; nans ]
+
 let suite =
   [
     Alcotest.test_case "cli: grammar" `Quick test_cli_grammar;
     Alcotest.test_case "cli: simulate" `Quick test_cli_simulate;
     Alcotest.test_case "cli: gen-data / fit / predict / export" `Slow test_cli_gen_data_and_fit;
     Alcotest.test_case "cli: unknown flag" `Quick test_cli_unknown_flag_fails;
+    Alcotest.test_case "cli: unusable training data exits 2" `Quick test_cli_unusable_training_data;
   ]

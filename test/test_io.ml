@@ -381,6 +381,42 @@ let test_dataset_stats_counters () =
   Alcotest.(check int) "one column cached" 1 stats.Dataset.columns_cached;
   Alcotest.(check int) "no evictions yet" 0 stats.Dataset.column_evictions
 
+(* A resident fit fetches each distinct basis's column once and hands the
+   same columns to the Gram and the prediction pass: on warm columns,
+   [Model.fit] of k distinct bases adds exactly k column hits (a second
+   lookup for the prediction pass would add 2k), a repeated basis adds
+   none, and an individual with a non-finite basis is rejected from the
+   column's flag at the first such column, before any product. *)
+let test_resident_fit_reads_each_column_once () =
+  let rng = Rng.create ~seed:11 () in
+  let n = 30 in
+  let x0 = Array.init n (fun _ -> Rng.range rng 0.5 2.) in
+  let x1 = Array.init n (fun _ -> Rng.range rng 0.5 2.) in
+  let x2 = Array.init n (fun i -> if i = 17 then Float.nan else Rng.range rng 0.5 2.) in
+  let data = Dataset.of_columns [| x0; x1; x2 |] in
+  let targets = Array.init n (fun i -> 1. +. x0.(i) -. (2. *. x0.(i) *. x1.(i))) in
+  let monomial vc = Expr.{ vc = Some vc; factors = [] } in
+  let a = monomial [| 1; 0; 0 |] and b = monomial [| 1; 1; 0 |] and c = monomial [| 0; 2; 0 |] in
+  let bad = monomial [| 0; 0; 1 |] in
+  ignore (Dataset.warm_columns data [| a; b; c; bad |] : Dataset.fuse_stats);
+  let fit bases =
+    let before = Dataset.stats data in
+    let fitted = Caffeine.Model.fit ~wb:10. ~wvc:0.25 bases ~data ~targets in
+    let after = Dataset.stats data in
+    Alcotest.(check int) "no column miss" before.Dataset.column_misses after.Dataset.column_misses;
+    (fitted, after.Dataset.column_hits - before.Dataset.column_hits)
+  in
+  let fitted, hits = fit [| a; b; c |] in
+  Alcotest.(check int) "three distinct bases, three hits" 3 hits;
+  Alcotest.(check bool) "finite individual fits" true (Option.is_some fitted);
+  let _, hits = fit [| b; a; b |] in
+  Alcotest.(check int) "a repeated basis is fetched once" 2 hits;
+  let fitted, hits = fit [| a; bad; b |] in
+  Alcotest.(check bool) "non-finite basis rejects the individual" true (Option.is_none fitted);
+  Alcotest.(check int) "fetching stops at the non-finite column" 2 hits;
+  let stats = Dataset.stats data in
+  Alcotest.(check int) "no product looked up" 0 (stats.Dataset.dot_hits + stats.Dataset.dot_misses)
+
 (* --- Colstore ------------------------------------------------------------ *)
 
 module Colstore = Caffeine_io.Colstore
@@ -615,6 +651,8 @@ let suite =
     Alcotest.test_case "dataset dot-target keying" `Quick test_dataset_dot_target_keying;
     Alcotest.test_case "resident gram caches no product" `Quick test_dataset_resident_gram_uncached;
     Alcotest.test_case "dataset stats counters" `Quick test_dataset_stats_counters;
+    Alcotest.test_case "resident fit reads each column once" `Quick
+      test_resident_fit_reads_each_column_once;
     Alcotest.test_case "dataset eval matches interpreter" `Quick
       test_dataset_eval_column_matches_interpreter;
     Alcotest.test_case "dropped datasets release their scratch" `Quick

@@ -297,6 +297,137 @@ let property_tests =
         && same_fit streamed (Linfit.fit ~basis_values:columns ~targets));
   ]
 
+(* --- four-wide Gram sweeps ------------------------------------------------ *)
+
+module Gram_stream = Caffeine_regress.Gram_stream
+
+let bits = Int64.bits_of_float
+
+(* NaNs with distinct payloads and both signs, infinities and zeros of
+   both signs among ordinary values. *)
+let special_entry rng =
+  match Rng.int rng 10 with
+  | 0 -> Int64.float_of_bits (Int64.logor 0x7ff8000000000000L (Int64.of_int (1 + Rng.int rng 999)))
+  | 1 -> Int64.float_of_bits (Int64.logor 0xfff8000000000000L (Int64.of_int (1 + Rng.int rng 999)))
+  | 2 -> if Rng.bool rng then Float.infinity else Float.neg_infinity
+  | 3 -> -0.
+  | 4 -> 0.
+  | _ -> Rng.range rng (-3.) 3.
+
+(* A lone row-order loop from +0: the word each accumulator must hold. *)
+let lone_sum n f =
+  let acc = ref 0. in
+  for r = 0 to n - 1 do
+    acc := !acc +. f r
+  done;
+  !acc
+
+let gram_stream_case seed =
+  let rng = Rng.create ~seed () in
+  let n = 1 + Rng.int rng 40 and k = 1 + Rng.int rng 5 in
+  let special = Rng.bool rng in
+  let entry () = if special then special_entry rng else Rng.range rng (-3.) 3. in
+  let columns = Array.init k (fun _ -> Array.init n (fun _ -> entry ())) in
+  let targets = Array.init n (fun _ -> entry ()) in
+  let pick () = Rng.int rng k in
+  let pairs = Array.init (1 + Rng.int rng 9) (fun _ -> (pick (), pick ())) in
+  let dot_ys = Array.init (1 + Rng.int rng 9) (fun _ -> pick ()) in
+  let col_sums = Array.init (1 + Rng.int rng 9) (fun _ -> pick ()) in
+  let acc = Gram_stream.create k ~pairs ~dot_ys ~col_sums ~finite:[||] in
+  (* Random chunk lengths, one-row chunks among them, fed through
+     scratch buffers longer than the chunk. *)
+  let row0 = ref 0 in
+  while !row0 < n do
+    let len = Stdlib.min (n - !row0) (if Rng.bool rng then 1 else 1 + Rng.int rng 12) in
+    let chunk =
+      Array.map (fun col -> Array.init (len + Rng.int rng 3) (fun r -> if r < len then col.(!row0 + r) else Float.nan)) columns
+    in
+    Gram_stream.update acc ~columns:chunk ~targets ~row0:!row0 ~len;
+    row0 := !row0 + len
+  done;
+  let same p expected = Int64.equal (bits p) (bits expected) in
+  let ok = ref true in
+  Array.iteri
+    (fun p (i, j) ->
+      if not (same (Gram_stream.dot acc p) (lone_sum n (fun r -> columns.(i).(r) *. columns.(j).(r))))
+      then ok := false)
+    pairs;
+  Array.iteri
+    (fun p i ->
+      if not (same (Gram_stream.dot_y acc p) (lone_sum n (fun r -> columns.(i).(r) *. targets.(r))))
+      then ok := false)
+    dot_ys;
+  Array.iteri
+    (fun p i -> if not (same (Gram_stream.col_sum acc p) (lone_sum n (fun r -> columns.(i).(r)))) then ok := false)
+    col_sums;
+  !ok
+
+(* --- the all-zero column skip --------------------------------------------- *)
+
+module Decomp = Caffeine_linalg.Decomp
+module Qr_update = Caffeine_linalg.Qr_update
+module Matrix = Caffeine_linalg.Matrix
+
+(* A 243-row design of 1–6 columns, one of them all +0 or all −0 at a
+   random position, and the index of that column. *)
+let zero_column_case seed =
+  let rng = Rng.create ~seed () in
+  let n = 243 and k = 1 + Rng.int rng 6 in
+  let zero = Rng.int rng k and sign = if Rng.bool rng then 0. else -0. in
+  let columns =
+    Array.init k (fun j ->
+        if j = zero then Array.make n sign else Array.init n (fun _ -> Rng.range rng (-2.) 2.))
+  in
+  (columns, Array.init n (fun _ -> Rng.range rng (-3.) 3.), zero)
+
+let same_words a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) a b
+
+(* The reference still runs Householder: [Decomp.lstsq] on the design
+   decides the rank itself, and the predictions are [Matrix.mul_vec]'s. *)
+let matches_householder_reference columns targets (fitted : Linfit.t) =
+  let design = Linfit.design_matrix columns in
+  let coeffs = Decomp.lstsq design targets in
+  let predictions = Matrix.mul_vec design coeffs in
+  same_words [| fitted.Linfit.intercept |] [| coeffs.(0) |]
+  && same_words fitted.Linfit.weights (Array.sub coeffs 1 (Array.length columns))
+  && same_words fitted.Linfit.predictions predictions
+  && same_words [| fitted.Linfit.train_error |]
+       [| Caffeine_util.Stats.normalized_error targets predictions |]
+
+let zero_column_properties =
+  [
+    QCheck.Test.make ~name:"four-wide Gram sweeps equal lone row-order loops word for word"
+      ~count:400 QCheck.small_int gram_stream_case;
+    QCheck.Test.make ~name:"an all-zero column is dependent after the ones column" ~count:100
+      QCheck.small_int (fun seed ->
+        let columns, targets, zero = zero_column_case seed in
+        let n = Array.length targets in
+        let qr = Qr_update.create targets in
+        let ones = Qr_update.append qr (Array.make n 1.) in
+        let rejected = not (Qr_update.append qr columns.(zero)) in
+        (* And after the columns that precede it, when they commit. *)
+        let qr = Qr_update.create targets in
+        ignore (Qr_update.append qr (Array.make n 1.) : bool);
+        let rec before j = j = zero || (Qr_update.append qr columns.(j) && before (j + 1)) in
+        ones && rejected && ((not (before 0)) || not (Qr_update.append qr columns.(zero))));
+    QCheck.Test.make ~name:"zero-column fits equal the Householder ridge reference bit for bit"
+      ~count:200 QCheck.small_int (fun seed ->
+        let columns, targets, _ = zero_column_case seed in
+        let k = Array.length columns and n = Array.length targets in
+        let streamed =
+          Linfit.fit_stream
+            ~dot:(fun i j -> row_dot columns.(i) columns.(j))
+            ~dot_y:(fun i -> row_dot columns.(i) targets)
+            ~col_sum:(fun i -> lone_sum n (fun r -> columns.(i).(r)))
+            ~k ~n
+            ~iter:(fun f -> f ~row0:0 ~len:n columns)
+            ~targets
+        in
+        matches_householder_reference columns targets (Linfit.fit ~basis_values:columns ~targets)
+        && matches_householder_reference columns targets streamed);
+  ]
+
 let suite =
   [
     Alcotest.test_case "constant fit" `Quick test_fit_constant;
@@ -313,4 +444,4 @@ let suite =
     Alcotest.test_case "forward select: error names it" `Quick test_forward_select_names_itself;
     Alcotest.test_case "design matrix shape" `Quick test_design_matrix_shape;
   ]
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) (property_tests @ zero_column_properties)

@@ -45,6 +45,63 @@ let test_rng_split_differs () =
   done;
   Alcotest.(check bool) "split stream is distinct" true (!same < 3)
 
+(* The first draws of three seeds, recorded from an implementation that
+   kept the state in four mutable [int64] fields: the stream is part of
+   the checkpoint format's contract, so every word must survive any
+   change of representation. *)
+let pinned_draws =
+  [
+    ( 0,
+      [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L ],
+      [ 6; 5; 3 ],
+      [ 0x3fdb05837bb4bd52L; 0x3fe12415ac91f861L; 0x3feb60658174ea72L ] );
+    ( 7,
+      [ 0xb358faf74ef9765aL; 0x475c3d964f482cd2L; 0xd6f1d349952c7996L ],
+      [ 1; 3; 10 ],
+      [ 0x3faf1ae5852bd8b0L; 0x3fbabc4dcb546f60L; 0x3fd9d653e5b2b220L ] );
+    ( 0x5EED,
+      [ 0xef33f17055244b74L; 0xe1f591112fb5051bL; 0xd8ab05640214863aL ],
+      [ 2; 2; 11 ],
+      [ 0x3fd386b2c76f8a22L; 0x3fdb04ff4968c554L; 0x3fe8d072d7748261L ] );
+  ]
+
+let test_rng_pinned_stream () =
+  let int64_list = Alcotest.(list int64) in
+  List.iter
+    (fun (seed, bits, ints, uniforms) ->
+      let rng = Rng.create ~seed () in
+      let draw f = List.map (fun _ -> f rng) bits in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.check int64_list (name "bits64") bits (draw Rng.bits64);
+      Alcotest.(check (list int)) (name "int 13") ints (draw (fun r -> Rng.int r 13));
+      Alcotest.check int64_list (name "uniform bits") uniforms
+        (draw (fun r -> Int64.bits_of_float (Rng.uniform r))))
+    pinned_draws
+
+(* A snapshot names each word's place: the seed's state words and the
+   draws of a hand-made state are recorded, so a generator that stored or
+   read two words in each other's place fails here even where its own
+   round trip would still agree with itself. *)
+let test_rng_state_round_trip () =
+  let rng = Rng.create ~seed:7 () in
+  let s = Rng.to_state rng in
+  Alcotest.(check (list int64))
+    "seed 7 state words"
+    [ 0x63cbe1e459320dd7L; 0x44c3cd7f43c661cL; 0xe6984080bab12a02L; 0x953aeb70673e29cbL ]
+    [ s.Rng.w0; s.Rng.w1; s.Rng.w2; s.Rng.w3 ];
+  let made = Rng.of_state { Rng.w0 = 1L; w1 = 2L; w2 = 3L; w3 = 4L } in
+  Alcotest.(check (list int64))
+    "draws of state 1 2 3 4" [ 0x2d00L; 0x0L; 0x5a007080L ]
+    (List.init 3 (fun _ -> Rng.bits64 made));
+  for _ = 1 to 5 do
+    ignore (Rng.uniform rng : float)
+  done;
+  let resumed = Rng.of_state (Rng.to_state rng) in
+  for i = 1 to 50 do
+    Alcotest.(check int64) (Printf.sprintf "draw %d continues" i) (Rng.bits64 rng)
+      (Rng.bits64 resumed)
+  done
+
 let test_rng_int_bounds () =
   let rng = Rng.create ~seed:7 () in
   for _ = 1 to 10_000 do
@@ -257,6 +314,8 @@ let suite =
     Alcotest.test_case "rng: seed changes stream" `Quick test_rng_seed_changes_stream;
     Alcotest.test_case "rng: copy" `Quick test_rng_copy_independent;
     Alcotest.test_case "rng: split" `Quick test_rng_split_differs;
+    Alcotest.test_case "rng: pinned stream" `Quick test_rng_pinned_stream;
+    Alcotest.test_case "rng: state round trip" `Quick test_rng_state_round_trip;
     Alcotest.test_case "rng: int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng: int bad bound" `Quick test_rng_int_rejects_bad_bound;
     Alcotest.test_case "rng: uniform range" `Quick test_rng_uniform_range;
