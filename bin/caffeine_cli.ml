@@ -23,7 +23,6 @@ module Grammar = Caffeine_grammar.Grammar
 module Config = Caffeine.Config
 module Model = Caffeine.Model
 module Search = Caffeine.Search
-module Sag = Caffeine.Sag
 module Opset = Caffeine.Opset
 module Checkpoint = Caffeine.Checkpoint
 module Eval_cache = Caffeine.Eval_cache
@@ -148,9 +147,10 @@ let split_target ~path table target =
       let exclude = design_exclusions ~path ~target table.Csv.header in
       (Dataset.of_table ~exclude table, targets)
 
-(* A fit's targets after the --log-target transform: every one must be a
-   finite number, and the first that is not is named by its data row
-   (counted from 1 after the header). *)
+(* The targets a fit learns or a model is scored on, after the
+   --log-target transform: every one must be a finite number, and the
+   first that is not is named by its data row (counted from 1 after the
+   header). *)
 let fit_targets ~path ~target ~log_target raw =
   let targets = Array.map (fun v -> if log_target then log10 v else v) raw in
   (match Array.find_index (fun y -> not (Float.is_finite y)) targets with
@@ -184,26 +184,11 @@ let pack_csv ~csv_path ~out ~chunk_rows =
       (try Sys.remove out with Sys_error _ -> ());
       Error msg
 
-(* Streaming dataset source for fit --data-stream: a .cafs column store is
-   opened in place; a CSV is packed into a temporary store first (deleted
-   at exit).  The target column is the only one materialized. *)
-let load_streaming ~path ~target ~chunk_rows =
-  let store_path, temporary =
-    if Filename.check_suffix path ".cafs" then (path, false)
-    else begin
-      let tmp = Filename.temp_file "caffeine_stream" ".cafs" in
-      (match pack_csv ~csv_path:path ~out:tmp ~chunk_rows with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "cannot read %s: %s\n" path msg;
-          exit 2);
-      (tmp, true)
-    end
-  in
-  if temporary then
-    at_exit (fun () -> try Sys.remove store_path with Sys_error _ -> ());
+(* A .cafs column store is opened in place and read chunk by chunk; the
+   target column is the only one materialized. *)
+let load_store ~path ~target =
   let store =
-    match Colstore.openfile store_path with
+    match Colstore.openfile path with
     | store -> store
     | exception Invalid_argument msg ->
         Printf.eprintf "cannot read %s: %s\n" path msg;
@@ -211,29 +196,42 @@ let load_streaming ~path ~target ~chunk_rows =
   in
   let names = Colstore.var_names store in
   let target_index =
-    let found = ref (-1) in
-    Array.iteri (fun i name -> if !found < 0 && name = target then found := i) names;
-    if !found < 0 then begin
-      Printf.eprintf "no column named %s (available: %s)\n" target
-        (String.concat ", " (Array.to_list names));
-      exit 2
-    end;
-    !found
+    match Array.find_index (String.equal target) names with
+    | Some index -> index
+    | None ->
+        Printf.eprintf "no column named %s (available: %s)\n" target
+          (String.concat ", " (Array.to_list names));
+        exit 2
   in
   let exclude = design_exclusions ~path ~target names in
   let targets = Colstore.column store target_index in
   (Dataset.of_colstore ~exclude store, targets)
 
-let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path max_bases no_sag verbose trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after eval_cache data_stream chunk_rows out =
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> text
+  | exception Sys_error msg ->
+      Printf.eprintf "cannot read %s: %s\n" path msg;
+      exit 2
+
+(* An option value below its floor exits 2 naming the option, as an
+   unreadable input file does. *)
+let require_at_least ~option ~min value =
+  if value < min then begin
+    Printf.eprintf "invalid --%s %d: must be at least %d\n" option value min;
+    exit 2
+  end
+
+let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path
+    max_bases no_sag trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after
+    eval_cache out =
+  require_at_least ~option:"pop" ~min:2 pop;
+  require_at_least ~option:"max-bases" ~min:1 max_bases;
+  require_at_least ~option:"checkpoint-every" ~min:1 checkpoint_every;
   let data, raw_targets =
-    (* A .cafs store has no dense representation to load — packed input
-       always takes the streaming path, flag or no flag. *)
-    if data_stream || Filename.check_suffix train_path ".cafs" then
-      load_streaming ~path:train_path ~target ~chunk_rows
-    else begin
-      let train = load_table train_path in
-      split_target ~path:train_path train target
-    end
+    (* A .cafs store streams; a CSV loads resident ([pack] it to stream). *)
+    if Filename.check_suffix train_path ".cafs" then load_store ~path:train_path ~target
+    else split_target ~path:train_path (load_table train_path) target
   in
   let var_names = Dataset.var_names data in
   let targets = fit_targets ~path:train_path ~target ~log_target raw_targets in
@@ -241,10 +239,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
     match grammar_path with
     | None -> Opset.default
     | Some path -> (
-        let channel = open_in path in
-        let text = really_input_string channel (in_channel_length channel) in
-        close_in channel;
-        match Grammar.parse text with
+        match Grammar.parse (read_file path) with
         | Ok g -> Opset.of_grammar g
         | Error msg ->
             Printf.eprintf "cannot parse grammar %s: %s\n" path msg;
@@ -278,48 +273,20 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
       if not (Trace.is_null trace) then
         Trace.emit trace (Trace.Warning { context = "pool.effective_jobs"; message })
   | None -> ());
-  (* Checkpointing: --resume keeps writing to the same snapshot file unless
-     --checkpoint names a different one. *)
-  let resume_snapshot =
-    match resume_path with
-    | None -> None
-    | Some path -> (
+  (* --resume keeps writing to the same snapshot file unless --checkpoint
+     names a different one. *)
+  let resume =
+    Option.map
+      (fun path ->
         match Checkpoint.load ~path with
-        | Ok snapshot -> Some snapshot
+        | Ok snapshot -> snapshot
         | Error msg ->
             Printf.eprintf "cannot resume from %s: %s\n" path msg;
             exit 2)
+      resume_path
   in
   let checkpoint_path =
     match checkpoint_opt with Some _ as given -> given | None -> resume_path
-  in
-  let fingerprint =
-    if Option.is_some checkpoint_path || Option.is_some resume_snapshot then
-      Some (Checkpoint.fingerprint config ~data ~targets)
-    else None
-  in
-  (match (resume_snapshot, fingerprint) with
-  | Some snapshot, Some fp -> (
-      match Checkpoint.validate snapshot ~fingerprint:fp ~seed ~restarts:1 with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "cannot resume from %s: %s\n" (Option.get resume_path) msg;
-          exit 2)
-  | _ -> ());
-  let save_sag_snapshot ~front ~processed ~gen =
-    match (checkpoint_path, fingerprint) with
-    | Some path, Some fp ->
-        Checkpoint.save ~path
-          {
-            Checkpoint.fingerprint = fp;
-            seed;
-            restarts = 1;
-            phase = Checkpoint.Simplifying { front; processed };
-          };
-        if not (Trace.is_null trace) then
-          Trace.emit trace
-            (Trace.Checkpoint_written { path; phase = "simplifying"; island = -1; gen })
-    | _ -> ()
   in
   (* --kill-after: die right after generation N's record, before the next
      snapshot — the harness then resumes from the last multiple of
@@ -337,36 +304,15 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
      selection; under --backend domains with jobs = 1 no pool (and no
      extra domain) is created at all. *)
   let front =
-    Executor.with_executor ~jobs ~shards backend @@ fun executor ->
-    let run_sag ?(already = []) front =
-      if no_sag then front
-      else begin
-        if already = [] then save_sag_snapshot ~front ~processed:[] ~gen:(-1);
-        let processed = ref (List.rev already) in
-        let on_model index model =
-          processed := model :: !processed;
-          save_sag_snapshot ~front ~processed:(List.rev !processed) ~gen:index
-        in
-        Sag.process_front ~executor ~trace ~already ~on_model ~wb:config.Config.wb
-          ~wvc:config.Config.wvc front ~data ~targets
-      end
-    in
-    match resume_snapshot with
-    | Some { Checkpoint.phase = Checkpoint.Simplifying { front; processed }; _ } ->
-        (* Evolution already finished when this snapshot was written: go
-           straight back into SAG, skipping the simplified prefix. *)
-        Metrics.incr (Metrics.counter Metrics.default "checkpoint.resumed");
-        if not (Trace.is_null trace) then
-          Trace.emit trace
-            (Trace.Run_resumed
-               { phase = "simplifying"; island = -1; gen = List.length processed });
-        run_sag ~already:processed front
-    | Some _ | None ->
-        let outcome =
-          Search.run ~seed ~executor ~trace ?on_generation ?checkpoint_path ~checkpoint_every
-            ?resume:resume_snapshot ~eval_cache config ~data ~targets
-        in
-        run_sag outcome.Search.front
+    match
+      Executor.with_executor ~jobs ~shards backend @@ fun executor ->
+      Search.run_and_simplify ~seed ~executor ~trace ?on_generation ?checkpoint_path
+        ~checkpoint_every ?resume ~eval_cache ~sag:(not no_sag) config ~data ~targets
+    with
+    | Ok front -> front
+    | Error msg ->
+        Printf.eprintf "cannot resume from %s: %s\n" (Option.get resume_path) msg;
+        exit 2
   in
   (match trace_channel with
   | None -> ()
@@ -422,36 +368,6 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
         test_err m.Model.complexity
         (Model.to_string ~var_names m))
     front;
-  if verbose then begin
-    let s = Dataset.stats data in
-    Printf.printf "\ndataset cache statistics (training data):\n";
-    Printf.printf "  basis columns: %d cached, %d hits, %d misses, %d evictions\n"
-      s.Dataset.columns_cached s.Dataset.column_hits s.Dataset.column_misses
-      s.Dataset.column_evictions;
-    Printf.printf "  dot products:  %d cached, %d hits, %d misses, %d evictions\n"
-      s.Dataset.dots_cached s.Dataset.dot_hits s.Dataset.dot_misses s.Dataset.dot_evictions;
-    if eval_cache <> Eval_cache.Off then begin
-      (* Coordinator-side counters only: under --backend processes the
-         worker caches live and die in the worker processes. *)
-      let g = Eval_cache.global_stats () in
-      let lookups = g.Eval_cache.total_hits + g.Eval_cache.total_misses in
-      let hit_rate =
-        if lookups = 0 then 0. else 100. *. float_of_int g.Eval_cache.total_hits /. float_of_int lookups
-      in
-      Printf.printf "  eval cache (%s): %d hits, %d misses (%.1f%% hit rate), %d evictions\n"
-        (Eval_cache.mode_to_string eval_cache)
-        g.Eval_cache.total_hits g.Eval_cache.total_misses hit_rate g.Eval_cache.total_evictions
-    end;
-    (let nodes_in =
-       Metrics.counter_value (Metrics.counter Metrics.default "fused.nodes_in")
-     and nodes_out =
-       Metrics.counter_value (Metrics.counter Metrics.default "fused.nodes_out")
-     in
-     if nodes_out > 0 then
-       Printf.printf "  fused eval: %d DAG nodes before sharing, %d after (CSE ratio %.2fx)\n"
-         nodes_in nodes_out
-         (float_of_int nodes_in /. float_of_int nodes_out))
-  end;
   if metrics then begin
     Dataset.publish_metrics data;
     Printf.printf "\nmetrics (process-wide registry):\n";
@@ -465,8 +381,11 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
   0
 
 let train_arg =
-  let doc = "Training CSV (header row; inputs + target columns)." in
-  Arg.(required & opt (some string) None & info [ "train" ] ~docv:"CSV" ~doc)
+  let doc =
+    "Training data: a CSV (header row; inputs + target columns), loaded in memory, or a \
+     $(b,.cafs) column store written by $(b,pack), streamed from disk chunk by chunk."
+  in
+  Arg.(required & opt (some string) None & info [ "train" ] ~docv:"FILE" ~doc)
 
 let test_arg =
   let doc = "Optional testing CSV with the same columns." in
@@ -521,16 +440,6 @@ let max_bases_arg =
 
 let no_sag_arg =
   Arg.(value & flag & info [ "no-sag" ] ~doc:"Skip PRESS-guided simplification after generation.")
-
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "verbose" ]
-        ~doc:
-          "Print dataset cache statistics (basis-column and dot-product \
-           hits/misses/evictions), the fused-evaluation CSE ratio (DAG nodes before and \
-           after cross-tree sharing) and, with --eval-cache, the evaluation-cache counters \
-           and hit rate.")
 
 let fit_out_arg =
   Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Save the model front to a models file.")
@@ -607,40 +516,27 @@ let eval_cache_arg =
     & opt (conv (parse, print)) Eval_cache.Off
     & info [ "eval-cache" ] ~docv:"MODE" ~doc)
 
-let data_stream_arg =
-  Arg.(
-    value & flag
-    & info [ "data-stream" ]
-        ~doc:
-          "Stream the training data from disk instead of loading it in memory: a \
-           $(b,.cafs) column store (see the $(b,pack) subcommand) is read chunk by chunk; \
-           a CSV is packed into a temporary store first.  Fits accumulate their Gram \
-           products in one pass per individual (memoized across the population), so peak \
-           memory is bounded by one chunk plus the target column — million-sample datasets \
-           fit in tens of megabytes.  The final front is byte-identical to the in-memory \
-           path at every backend.")
-
 let chunk_rows_arg =
   Arg.(
     value & opt int 65536
     & info [ "chunk-rows" ] ~docv:"N"
         ~doc:
-          "Rows per chunk when packing a CSV for --data-stream (default 65536).  Purely a \
-           memory/throughput trade-off: results are bit-identical for every value.")
+          "Rows per chunk of the store (default 65536).  Purely a memory/throughput \
+           trade-off: a fit gives bit-identical results for every value.")
 
 let fit_cmd =
   let info = Cmd.info "fit" ~doc:"Evolve template-free symbolic models for a CSV column." in
   Cmd.v info
     Term.(
       const fit $ train_arg $ test_arg $ target_arg $ pop_arg $ gens_arg $ seed_arg $ jobs_arg
-      $ backend_arg $ shard_arg $ log_target_arg $ grammar_arg $ max_bases_arg $ no_sag_arg $ verbose_arg $ trace_out_arg
-      $ metrics_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ kill_after_arg
-      $ eval_cache_arg $ data_stream_arg $ chunk_rows_arg
-      $ fit_out_arg)
+      $ backend_arg $ shard_arg $ log_target_arg $ grammar_arg $ max_bases_arg $ no_sag_arg
+      $ trace_out_arg $ metrics_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
+      $ kill_after_arg $ eval_cache_arg $ fit_out_arg)
 
 (* --- pack --------------------------------------------------------------- *)
 
 let pack csv_path chunk_rows out =
+  require_at_least ~option:"chunk-rows" ~min:1 chunk_rows;
   match pack_csv ~csv_path ~out ~chunk_rows with
   | Error msg ->
       Printf.eprintf "cannot pack %s: %s\n" csv_path msg;
@@ -662,16 +558,23 @@ let pack_cmd =
   let info =
     Cmd.info "pack"
       ~doc:
-        "Convert a CSV dataset into a chunked binary column store (.cafs) for fit \
-         --data-stream.  The CSV is parsed one line at a time, so files far larger than \
-         memory pack fine."
+        "Convert a CSV dataset into a chunked binary column store (.cafs), which $(b,fit \
+         --train) streams from disk.  The CSV is parsed one line at a time, so files far \
+         larger than memory pack fine."
   in
   Cmd.v info Term.(const pack $ pack_csv_arg $ chunk_rows_arg $ out_arg "data.cafs")
 
 (* --- predict ------------------------------------------------------------ *)
 
+(* Every saved model is scored with the complexity weights every fit
+   uses. *)
+let load_models path =
+  Caffeine.Model_io.load ~path ~wb:Config.paper.Config.wb ~wvc:Config.paper.Config.wvc
+
+let nth_model models index = if index < 0 then None else List.nth_opt models index
+
 let predict models_path data_path target log_target dump =
-  match Caffeine.Model_io.load ~path:models_path ~wb:10. ~wvc:0.25 with
+  match load_models models_path with
   | Error msg ->
       Printf.eprintf "cannot load models: %s\n" msg;
       2
@@ -686,8 +589,7 @@ let predict models_path data_path target log_target dump =
           (String.concat ", " (Array.to_list var_names));
         exit 2
       end;
-      let transform v = if log_target then log10 v else v in
-      let targets = Array.map transform raw_targets in
+      let targets = fit_targets ~path:data_path ~target ~log_target raw_targets in
       (* Fill the fresh dataset's column cache with one fused pass over
          every model before the per-model scoring loop. *)
       Model.warm_front models data;
@@ -746,8 +648,11 @@ let predict_cmd =
 
 (* --- serve --------------------------------------------------------------- *)
 
-let serve front_path socket_path _stdio reload wb wvc =
-  match Caffeine_serve.Registry.create ~path:front_path ~wb ~wvc () with
+let serve front_path socket_path reload =
+  match
+    Caffeine_serve.Registry.create ~path:front_path ~wb:Config.paper.Config.wb
+      ~wvc:Config.paper.Config.wvc ()
+  with
   | Error msg ->
       Printf.eprintf "cannot serve: %s\n" msg;
       2
@@ -780,14 +685,9 @@ let socket_arg =
     value
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Listen on a Unix-domain socket at PATH instead of stdin/stdout.")
-
-let stdio_arg =
-  Arg.(
-    value & flag
-    & info [ "stdio" ]
-        ~doc:"Serve on stdin/stdout (the default; protocol responses go to stdout, the \
-              startup banner to stderr).")
+        ~doc:
+          "Listen on a Unix-domain socket at PATH.  Without it the server reads requests \
+           from stdin and writes responses to stdout (the startup banner goes to stderr).")
 
 let reload_flag_arg =
   Arg.(
@@ -798,14 +698,6 @@ let reload_flag_arg =
            front when its mtime or size changed; in-flight batches finish on the front they \
            started with, and a malformed rewrite keeps the previous front serving.")
 
-let wb_arg =
-  Arg.(value & opt float 10. & info [ "wb" ] ~docv:"W" ~doc:"Complexity weight per basis (eq. 1).")
-
-let wvc_arg =
-  Arg.(
-    value & opt float 0.25
-    & info [ "wvc" ] ~docv:"W" ~doc:"Complexity weight per variable-combo exponent (eq. 1).")
-
 let serve_cmd =
   let info =
     Cmd.info "serve"
@@ -815,13 +707,12 @@ let serve_cmd =
          predictions are bit-identical to direct model evaluation.  SIGTERM drains \
          gracefully: the in-flight request completes before exit."
   in
-  Cmd.v info
-    Term.(const serve $ front_arg $ socket_arg $ stdio_arg $ reload_flag_arg $ wb_arg $ wvc_arg)
+  Cmd.v info Term.(const serve $ front_arg $ socket_arg $ reload_flag_arg)
 
 (* --- export -------------------------------------------------------------- *)
 
 let export models_path language index out =
-  match Caffeine.Model_io.load ~path:models_path ~wb:10. ~wvc:0.25 with
+  match load_models models_path with
   | Error msg ->
       Printf.eprintf "cannot load models: %s\n" msg;
       2
@@ -839,7 +730,7 @@ let export models_path language index out =
                hash-consed into single locals; --index is ignored. *)
             Some (Caffeine.Export.to_c_front ~name:"caffeine_front" ~var_names models)
         | `C | `Verilog_a -> (
-            match List.nth_opt models index with
+            match nth_model models index with
             | None ->
                 Printf.eprintf "model index %d out of range (file has %d models)\n" index
                   (List.length models);
@@ -890,12 +781,12 @@ let export_cmd =
 (* --- insight ------------------------------------------------------------- *)
 
 let insight models_path index =
-  match Caffeine.Model_io.load ~path:models_path ~wb:10. ~wvc:0.25 with
+  match load_models models_path with
   | Error msg ->
       Printf.eprintf "cannot load models: %s\n" msg;
       2
   | Ok (var_names, models) -> (
-      match List.nth_opt models index with
+      match nth_model models index with
       | None ->
           Printf.eprintf "model index %d out of range (file has %d models)\n" index
             (List.length models);
@@ -1020,23 +911,16 @@ let analyze_cmd =
 (* --- trace -------------------------------------------------------------- *)
 
 let read_trace path =
-  let channel = open_in path in
-  let records = ref [] in
-  let line_number = ref 0 in
-  (try
-     while true do
-       let line = input_line channel in
-       incr line_number;
-       if String.trim line <> "" then
-         match Trace.of_line line with
-         | Ok record -> records := record :: !records
-         | Error msg ->
-             close_in channel;
-             Printf.eprintf "%s:%d: %s\n" path !line_number msg;
-             exit 1
-     done
-   with End_of_file -> close_in channel);
-  List.rev !records
+  String.split_on_char '\n' (read_file path)
+  |> List.mapi (fun i line -> (i + 1, line))
+  |> List.filter_map (fun (line_number, line) ->
+         if String.trim line = "" then None
+         else
+           match Trace.of_line line with
+           | Ok record -> Some record
+           | Error msg ->
+               Printf.eprintf "%s:%d: %s\n" path line_number msg;
+               exit 1)
 
 let trace_command path counts =
   let records = read_trace path in
@@ -1129,10 +1013,7 @@ let grammar_command check_path =
       print_string Grammar.caffeine_text;
       0
   | Some path -> (
-      let channel = open_in path in
-      let text = really_input_string channel (in_channel_length channel) in
-      close_in channel;
-      match Grammar.parse text with
+      match Grammar.parse (read_file path) with
       | Error msg ->
           Printf.printf "parse error: %s\n" msg;
           1

@@ -13,9 +13,11 @@
 # (`trace --counts`): per-generation error statistics, SAG's PRESS rounds
 # and the final front, all at full precision.
 #
-# Two of the fits run again with `--data-stream --chunk-rows 50`, so the
-# search and SAG run on chunked (streamed) storage; their fronts and trace
-# projections must match REF's byte for byte as well.  One more runs PM for
+# Two of the fits run again on the training data packed into a column
+# store of 50-row chunks (`pack --chunk-rows 50`, then `fit --train
+# X.cafs`), so the search and SAG run on chunked (streamed) storage; the
+# stores, fronts and trace projections must match REF's byte for byte as
+# well.  One more runs PM for
 # 200 generations (about 4 s per side): late in a search the whole
 # population is rank 0 and nondominated sorting meets few, wide fronts, a
 # shape the 15-generation fits barely reach.
@@ -111,14 +113,18 @@ for target in ALF fu PM voffset SRp SRn; do
   diff -u "$front" "$scratch/$target-resumed.models"
 done
 
-# Streamed training data: the CLI packs the CSV into a column store of
-# 50-row chunks.
+# Streamed training data: each CLI packs the CSV into a column store of
+# 50-row chunks and fits from the store.
+for side in ref new; do
+  "$(cli_of $side)" pack --csv "$train" --chunk-rows 50 --out "$scratch/train-$side.cafs" > /dev/null
+done
+cmp "$scratch/train-ref.cafs" "$scratch/train-new.cafs"
 for target in PM SRp; do
   for side in ref new; do
     cli=$(cli_of $side)
     run=$scratch/$target-stream-$side
-    "$cli" fit --train "$train" --test "$test" --target "$target" \
-      --pop 200 --gens 15 --seed 7 --eval-cache exact --data-stream --chunk-rows 50 \
+    "$cli" fit --train "$scratch/train-$side.cafs" --test "$test" --target "$target" \
+      --pop 200 --gens 15 --seed 7 --eval-cache exact \
       --out "$run.models" --trace "$run.jsonl" > /dev/null
     "$cli" trace --counts "$run.jsonl" > "$run.counts"
   done
@@ -141,6 +147,7 @@ diff -u "$scratch/PM-long-ref.counts" "$scratch/PM-long-new.counts"
 fits=$((fits + 1))
 
 echo "fronts-vs-ref: $fits fronts and traces (2 streamed, 1 at 200 generations), 2 data CSVs," \
+  "a packed store," \
   "$insights insight reports," \
   "and per target a prediction dump, snapshot and C export byte-identical to $ref" \
   "($(echo "$rev" | cut -c1-12)); its snapshots resume to its fronts"

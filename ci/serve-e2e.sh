@@ -1,10 +1,11 @@
 #!/bin/sh
 # Serving end to end: fit a small front, pipe a predict/front/explain/stats
-# session through `serve --stdio`, and require the served predictions to be
-# byte-identical to the predict CLI's direct Model evaluation of the same
-# front on the same rows.  Then the lifecycle contracts: SIGTERM mid-session
-# drains cleanly (response completes, exit 0), and a malformed front file is
-# refused with a one-line file:line error.
+# session through `serve` on stdin/stdout, and require the served
+# predictions to be byte-identical to the predict CLI's direct Model
+# evaluation of the same front on the same rows.  Then the lifecycle
+# contracts: SIGTERM mid-session drains cleanly (response completes, exit
+# 0), and a malformed front file is refused with a one-line file:line
+# error.
 . "$(dirname "$0")/lib.sh"
 
 build_cli
@@ -38,7 +39,7 @@ request=$(awk -F, '
   echo '{"op":"explain","index":0,"language":"c"}'
   echo "$request"
   echo '{"op":"stats"}'
-} | "$CLI" serve --front "$scratch/front.txt" --stdio \
+} | "$CLI" serve --front "$scratch/front.txt" \
     > "$scratch/session.txt" 2> "$scratch/banner.txt"
 
 test "$(wc -l < "$scratch/session.txt")" -eq 5
@@ -52,7 +53,7 @@ diff -u "$scratch/direct.json" "$scratch/served.json"
 # SIGTERM drain: keep the input open via a FIFO, get one response in flight,
 # then TERM the server — it must flush the response and exit 0.
 mkfifo "$scratch/in"
-"$CLI" serve --front "$scratch/front.txt" --stdio \
+"$CLI" serve --front "$scratch/front.txt" \
   < "$scratch/in" > "$scratch/drain-out.txt" 2> /dev/null &
 pid=$!
 exec 3> "$scratch/in"
@@ -72,7 +73,7 @@ test "$(grep -c '"ok":true' "$scratch/drain-out.txt")" -eq 1
 # A malformed front is refused with a one-line error naming file and line.
 printf 'vars: a b\n1 + +\n' > "$scratch/bad.txt"
 rc=0
-"$CLI" serve --front "$scratch/bad.txt" --stdio < /dev/null \
+"$CLI" serve --front "$scratch/bad.txt" < /dev/null \
   2> "$scratch/serve-err.txt" || rc=$?
 test "$rc" -eq 2
 grep -q "bad.txt:2:" "$scratch/serve-err.txt"

@@ -6,10 +6,11 @@
 #      headers are rejected naming the column and both positions,
 #      empty, truncated or foreign .cafs stores exit 2 naming the file,
 #      and so does training data with no design variable or a non-finite
-#      target.
+#      target; missing input files and out-of-range option values exit 2
+#      naming the file or the option.
 #   2. Front bit-identity: the same seeded fit must print byte-identical
-#      fronts dense vs --data-stream, from CSV input and from a packed
-#      .cafs store, across execution backends.
+#      fronts from a CSV (resident) and from the CSV packed into a .cafs
+#      store (streamed), across chunk sizes and execution backends.
 #   3. The memory gate: bench --experiment stream fits >= 2^20 waveform
 #      samples and asserts (via VmHWM, in process) that peak RSS stays
 #      under 50% of the dense feature-matrix footprint; when
@@ -93,28 +94,55 @@ for input in target-only.csv target-only.cafs nan-target.csv; do
   fi
 done
 
-# --- 2. dense vs streamed front bit-identity ------------------------------
+# Missing input files and option values a run cannot use are refused with
+# one line naming the file or the option (exit 2), never with an uncaught
+# exception.
+missing=$scratch/no-such-file
+refused() {
+  expected=$1
+  shift
+  status=0
+  "$CLI" "$@" > "$scratch/refused.out" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "stream-gate: '$*' exited with status $status, expected 2" >&2; exit 1
+  fi
+  grep -qF -- "$expected" "$scratch/refused.out"
+  if grep -q 'internal error' "$scratch/refused.out"; then
+    echo "stream-gate: '$*' raised an uncaught exception" >&2; exit 1
+  fi
+  test "$(wc -l < "$scratch/refused.out")" -eq 1
+}
+refused "cannot read $missing" trace "$missing"
+refused "cannot read $missing" grammar --check "$missing"
+refused "cannot read $missing" fit --train "$scratch/data.csv" --target PM --grammar "$missing"
+refused "cannot read $scratch" fit --train "$scratch" --target PM
+refused "--pop 1" fit --train "$scratch/data.csv" --target PM --pop 1
+refused "--max-bases 0" fit --train "$scratch/data.csv" --target PM --max-bases 0
+refused "--checkpoint-every 0" fit --train "$scratch/data.csv" --target PM --checkpoint-every 0
+refused "--chunk-rows 0" pack --csv "$scratch/data.csv" --chunk-rows 0 --out "$scratch/never.cafs"
+awk -F, 'NR == 2 { $NF = "nan" } { print }' OFS=, "$scratch/data.csv" > "$scratch/nan-first.csv"
+"$CLI" fit --train "$scratch/data.csv" --target SRn --pop 20 --gens 2 --seed 9 \
+  --out "$scratch/srn.txt" > /dev/null
+refused "cannot read $scratch/nan-first.csv: target SRn at data row 1" \
+  predict --models "$scratch/srn.txt" --data "$scratch/nan-first.csv" --target SRn
+
+# --- 2. resident vs streamed front bit-identity ---------------------------
 
 "$CLI" fit --train "$scratch/data.csv" --target PM --pop 30 --gens 8 --seed 17 \
   --out "$scratch/front-dense.txt"
-"$CLI" fit --train "$scratch/data.csv" --target PM --pop 30 --gens 8 --seed 17 \
-  --data-stream --chunk-rows 37 --out "$scratch/front-stream.txt"
+"$CLI" pack --csv "$scratch/data.csv" --chunk-rows 37 --out "$scratch/data-37.cafs"
+"$CLI" fit --train "$scratch/data-37.cafs" --target PM --pop 30 --gens 8 --seed 17 \
+  --out "$scratch/front-stream.txt"
 diff -u "$scratch/front-dense.txt" "$scratch/front-stream.txt"
 
 # Packed column-store input, across backends.
 "$CLI" pack --csv "$scratch/data.csv" --chunk-rows 64 --out "$scratch/data.cafs"
 "$CLI" fit --train "$scratch/data.cafs" --target PM --pop 30 --gens 8 --seed 17 \
-  --data-stream --backend domains --jobs 3 --out "$scratch/front-cafs-domains.txt"
+  --backend domains --jobs 3 --out "$scratch/front-cafs-domains.txt"
 diff -u "$scratch/front-dense.txt" "$scratch/front-cafs-domains.txt"
 "$CLI" fit --train "$scratch/data.cafs" --target PM --pop 30 --gens 8 --seed 17 \
-  --data-stream --backend processes --shard 2 --out "$scratch/front-cafs-proc.txt"
+  --backend processes --shard 2 --out "$scratch/front-cafs-proc.txt"
 diff -u "$scratch/front-dense.txt" "$scratch/front-cafs-proc.txt"
-
-# .cafs input implies --data-stream — a packed store must never fall
-# through to the CSV parser.
-"$CLI" fit --train "$scratch/data.cafs" --target PM --pop 30 --gens 8 --seed 17 \
-  --out "$scratch/front-cafs-noflag.txt"
-diff -u "$scratch/front-dense.txt" "$scratch/front-cafs-noflag.txt"
 
 # --- 3. million-sample RSS gate -------------------------------------------
 

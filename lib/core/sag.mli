@@ -60,8 +60,8 @@ val process_front :
     a resumed run's checkpointed SAG progress: the first
     [List.length already] members are taken from it verbatim instead of
     being re-simplified.  [on_model] observes each freshly simplified
-    member (index in [front], result) as it completes; the CLI checkpoints
-    from this callback.
+    member (index in [front], result) as it completes;
+    [Search.run_and_simplify] checkpoints from this callback.
 
     The dataset's column cache is pre-warmed with one fused evaluation of
     the whole front ({!Model.warm_front}) before the per-model selection

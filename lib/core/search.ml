@@ -254,78 +254,77 @@ let merge_fronts fronts = dedup_and_sort (List.concat fronts)
 
 (* {2 Checkpointing}
 
-   Both entry points drive the same island loop over a mutable
+   Every entry point drives the same island loop over a mutable
    [Checkpoint.island array]: each slot advances Pending -> In_progress ->
    Done, and every write serializes the whole array — so a snapshot always
-   carries the finished fronts of earlier islands alongside the live one. *)
+   carries the finished fronts of earlier islands alongside the live one.
+   [run_and_simplify] then writes the simplifying phase through the same
+   writer. *)
 
 type checkpoint_ctx = {
   ckpt_path : string;
   ckpt_every : int;
   ckpt_fingerprint : string;
   ckpt_seed : int;
+  ckpt_restarts : int;
 }
 
 let m_resumed = Metrics.counter Metrics.default "checkpoint.resumed"
 
-(* The file write and its trace mark are separate on purpose: the process
-   backend writes snapshots eagerly as worker progress arrives but emits
-   the marks through the island-ordered delivery queue, so the trace stays
-   deterministic while the file on disk is always current. *)
-let write_snapshot ctx islands =
+(* One writer for both phases.  The file write and its trace mark are
+   separate on purpose: the process backend writes snapshots eagerly as
+   worker progress arrives but emits the marks through the island-ordered
+   delivery queue, so the trace stays deterministic while the file on
+   disk is always current. *)
+let write_snapshot ctx phase =
   Checkpoint.save ~path:ctx.ckpt_path
     {
       Checkpoint.fingerprint = ctx.ckpt_fingerprint;
       seed = ctx.ckpt_seed;
-      restarts = Array.length islands;
-      phase = Checkpoint.Evolving islands;
+      restarts = ctx.ckpt_restarts;
+      phase;
     }
 
-let written_mark ctx ~island ~gen =
-  Trace.Checkpoint_written { path = ctx.ckpt_path; phase = "evolving"; island; gen }
+let written_mark ctx phase ~island ~gen =
+  Trace.Checkpoint_written
+    { path = ctx.ckpt_path; phase = Checkpoint.phase_name phase; island; gen }
 
-let save_snapshot ~trace ctx islands ~island ~gen =
-  write_snapshot ctx islands;
-  if not (Trace.is_null trace) then Trace.emit trace (written_mark ctx ~island ~gen)
+let save_snapshot ~trace ctx phase ~island ~gen =
+  write_snapshot ctx phase;
+  if not (Trace.is_null trace) then Trace.emit trace (written_mark ctx phase ~island ~gen)
 
-(* Initial island states: fresh generator snapshots, or (validated against
-   this run's fingerprint, seed and island count) the snapshot's islands. *)
-let resume_islands ?resume ~trace ~fingerprint ~seed ~restarts ~entry fresh_states =
+(* Initial island states: fresh generator snapshots, or the islands of a
+   snapshot already validated against this run. *)
+let start_islands ?resume ~trace ~entry fresh_states =
   match resume with
   | None -> Array.map (fun state -> Checkpoint.Pending state) fresh_states
-  | Some snapshot -> (
-      (match Checkpoint.validate snapshot ~fingerprint ~seed ~restarts with
-      | Ok () -> ()
-      | Error message -> invalid_arg (entry ^ ": cannot resume: " ^ message));
-      match snapshot.Checkpoint.phase with
-      | Checkpoint.Simplifying _ ->
-          invalid_arg
-            (entry ^ ": cannot resume: checkpoint is in the simplifying phase, not the search")
-      | Checkpoint.Evolving islands ->
-          Metrics.incr m_resumed;
-          if not (Trace.is_null trace) then begin
-            (* Report the first island with work left: its index and last
-               completed generation (-1 when it never started, and for both
-               fields when every island already finished). *)
-            let island = ref (-1) and gen = ref (-1) in
-            (try
-               Array.iteri
-                 (fun k (state : Checkpoint.island) ->
-                   match state with
-                   | Checkpoint.Done _ -> ()
-                   | Checkpoint.Pending _ ->
-                       island := k;
-                       raise Exit
-                   | Checkpoint.In_progress { gen = g; _ } ->
-                       island := k;
-                       gen := g;
-                       raise Exit)
-                 islands
-             with Exit -> ());
-            Trace.emit trace
-              (Trace.Run_resumed { phase = "evolving"; island = !island; gen = !gen })
-          end;
-          Array.copy islands)
+  | Some { Checkpoint.phase = Checkpoint.Simplifying _; _ } ->
+      invalid_arg
+        (entry ^ ": cannot resume: checkpoint is in the simplifying phase, not the search")
+  | Some { Checkpoint.phase = Checkpoint.Evolving islands; _ } ->
+      Metrics.incr m_resumed;
+      if not (Trace.is_null trace) then begin
+        (* Report the first island with work left: its index and last
+           completed generation (-1 when it never started, and for both
+           fields when every island already finished). *)
+        let island = ref (-1) and gen = ref (-1) in
+        (try
+           Array.iteri
+             (fun k (state : Checkpoint.island) ->
+               match state with
+               | Checkpoint.Done _ -> ()
+               | Checkpoint.Pending _ ->
+                   island := k;
+                   raise Exit
+               | Checkpoint.In_progress { gen = g; _ } ->
+                   island := k;
+                   gen := g;
+                   raise Exit)
+             islands
+         with Exit -> ());
+        Trace.emit trace (Trace.Run_resumed { phase = "evolving"; island = !island; gen = !gen })
+      end;
+      Array.copy islands
 
 (* {3 Island state decoding, shared by every backend} *)
 
@@ -533,12 +532,14 @@ let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache 
     ~data ~targets =
   let generations = config.Config.generations in
   let observing = (not (Trace.is_null trace)) || Option.is_some on_generation in
-  let snapshot = Option.map (fun ctx () -> write_snapshot ctx islands) checkpoint in
+  let phase = Checkpoint.Evolving islands in
+  let snapshot = Option.map (fun ctx () -> write_snapshot ctx phase) checkpoint in
   let on_progress = Option.map (fun write ~island:_ ~gen:_ -> write ()) snapshot in
   let on_done = Option.map (fun write ~island:_ -> write ()) snapshot in
   let mark ~island ~gen =
     match checkpoint with
-    | Some ctx -> if not (Trace.is_null trace) then Trace.emit trace (written_mark ctx ~island ~gen)
+    | Some ctx ->
+        if not (Trace.is_null trace) then Trace.emit trace (written_mark ctx phase ~island ~gen)
     | None -> ()
   in
   let deliver ~island event =
@@ -575,7 +576,7 @@ let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cac
               if gen > 0 && gen mod ctx.ckpt_every = 0 && gen < generations then begin
                 islands.(k) <-
                   Checkpoint.In_progress { gen; rng = Rng.to_state rng; population };
-                save_snapshot ~trace ctx islands ~island:k ~gen
+                save_snapshot ~trace ctx (Checkpoint.Evolving islands) ~island:k ~gen
               end)
             checkpoint
         in
@@ -591,7 +592,7 @@ let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cac
         (match checkpoint with
         | Some ctx ->
             islands.(k) <- Checkpoint.Done outcome.front;
-            save_snapshot ~trace ctx islands ~island:k ~gen:generations
+            save_snapshot ~trace ctx (Checkpoint.Evolving islands) ~island:k ~gen:generations
         | None -> ());
         outcome.front
   in
@@ -617,8 +618,11 @@ let run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache islands 
       run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache islands
         config ~data ~targets
 
-let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry config ~data
-    ~targets =
+(* A run's checkpoint writer, and whether [resume] is a snapshot of this
+   run: the fingerprint is computed once, and only when a snapshot is
+   written or read. *)
+let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~restarts ~entry config
+    ~data ~targets =
   if checkpoint_every < 1 then invalid_arg (entry ^ ": checkpoint_every must be at least 1");
   let fingerprint =
     if Option.is_some checkpoint_path || Option.is_some resume then
@@ -633,24 +637,28 @@ let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry co
           ckpt_every = checkpoint_every;
           ckpt_fingerprint = fingerprint;
           ckpt_seed = seed;
+          ckpt_restarts = restarts;
         })
       checkpoint_path
   in
-  (fingerprint, checkpoint)
+  match resume with
+  | None -> Ok checkpoint
+  | Some snapshot ->
+      Result.map
+        (fun () -> checkpoint)
+        (Checkpoint.validate snapshot ~fingerprint ~seed ~restarts)
 
-let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
-    ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off) config ~data ~targets =
-  ignore (validate_data ~data ~targets);
-  let fingerprint, checkpoint =
-    checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry:"Search.run"
-      config ~data ~targets
-  in
+let checkpoint_or_raise ~entry = function
+  | Ok checkpoint -> checkpoint
+  | Error message -> invalid_arg (entry ^ ": cannot resume: " ^ message)
+
+(* One island, its inputs already checked. *)
+let evolve ~seed ?executor ~trace ?on_generation ?checkpoint ?resume ~eval_cache config ~data
+    ~targets =
   emit_run_start trace ~seed config ~data;
   let start_ns = Metrics.now_ns () in
   let fresh = [| Rng.to_state (Rng.create ~seed ()) |] in
-  let islands =
-    resume_islands ?resume ~trace ~fingerprint ~seed ~restarts:1 ~entry:"Search.run" fresh
-  in
+  let islands = start_islands ?resume ~trace ~entry:"Search.run" fresh in
   let outcome =
     with_search_executor ?executor config @@ fun executor ->
     let on_generation = Option.map (fun f ~island:_ record -> f record) on_generation in
@@ -667,14 +675,75 @@ let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_
   emit_run_end trace ~start_ns outcome;
   outcome
 
+let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
+    ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off) config ~data ~targets =
+  ignore (validate_data ~data ~targets);
+  let checkpoint =
+    checkpoint_or_raise ~entry:"Search.run"
+      (checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~restarts:1
+         ~entry:"Search.run" config ~data ~targets)
+  in
+  evolve ~seed ?executor ~trace ?on_generation ?checkpoint ?resume ~eval_cache config ~data
+    ~targets
+
+let run_and_simplify ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
+    ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off) ?(sag = true) config ~data
+    ~targets =
+  ignore (validate_data ~data ~targets);
+  match
+    checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~restarts:1
+      ~entry:"Search.run_and_simplify" config ~data ~targets
+  with
+  | Error message -> Error message
+  | Ok checkpoint ->
+      with_search_executor ?executor config @@ fun executor ->
+      (* The simplifying phase snapshots the evolved front once before SAG
+         starts and again after each model, with the prefix done so far. *)
+      let save front processed ~gen =
+        Option.iter
+          (fun ctx ->
+            save_snapshot ~trace ctx (Checkpoint.Simplifying { front; processed }) ~island:(-1)
+              ~gen)
+          checkpoint
+      in
+      let simplify ~already front =
+        if not sag then front
+        else begin
+          if already = [] then save front [] ~gen:(-1);
+          let processed = ref (List.rev already) in
+          let on_model index model =
+            processed := model :: !processed;
+            save front (List.rev !processed) ~gen:index
+          in
+          Sag.process_front ~executor ~trace ~already ~on_model ~wb:config.Config.wb
+            ~wvc:config.Config.wvc front ~data ~targets
+        end
+      in
+      Ok
+        (match resume with
+        | Some { Checkpoint.phase = Checkpoint.Simplifying { front; processed }; _ } ->
+            Metrics.incr m_resumed;
+            if not (Trace.is_null trace) then
+              Trace.emit trace
+                (Trace.Run_resumed
+                   { phase = "simplifying"; island = -1; gen = List.length processed });
+            simplify ~already:processed front
+        | Some { Checkpoint.phase = Checkpoint.Evolving _; _ } | None ->
+            let outcome =
+              evolve ~seed ~executor ~trace ?on_generation ?checkpoint ?resume ~eval_cache config
+                ~data ~targets
+            in
+            simplify ~already:[] outcome.front)
+
 let run_multi ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
     ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off) ~restarts config ~data
     ~targets =
   if restarts < 1 then invalid_arg "Search.run_multi: need at least 1 restart";
   ignore (validate_data ~data ~targets);
-  let fingerprint, checkpoint =
-    checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed
-      ~entry:"Search.run_multi" config ~data ~targets
+  let checkpoint =
+    checkpoint_or_raise ~entry:"Search.run_multi"
+      (checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~restarts
+         ~entry:"Search.run_multi" config ~data ~targets)
   in
   emit_run_start trace ~seed config ~data;
   let start_ns = Metrics.now_ns () in
@@ -687,9 +756,7 @@ let run_multi ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?check
   for k = 0 to restarts - 1 do
     fresh.(k) <- Rng.to_state (Rng.split master)
   done;
-  let islands =
-    resume_islands ?resume ~trace ~fingerprint ~seed ~restarts ~entry:"Search.run_multi" fresh
-  in
+  let islands = start_islands ?resume ~trace ~entry:"Search.run_multi" fresh in
   with_search_executor ?executor config @@ fun executor ->
   let fronts =
     run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache islands config ~data

@@ -14,9 +14,10 @@
 
     {2 Execution backends}
 
-    Both entry points program against {!Caffeine_par.Executor}: objective
-    evaluation inside each generation, and (for {!run_multi}) whole
-    restarts as parallel islands.  Passing [?executor] reuses the
+    Every entry point programs against {!Caffeine_par.Executor}: objective
+    evaluation inside each generation, SAG's candidate scoring (for
+    {!run_and_simplify}) and (for {!run_multi}) whole restarts as
+    parallel islands.  Passing [?executor] reuses the
     caller's executor (and its pool, if any); otherwise a domain-pool
     executor of [config.Config.jobs] domains is created for the call
     (which degenerates to sequential when [jobs <= 1]).
@@ -121,8 +122,47 @@ val run :
     checkpointed generation and produces a front {b bit-identical} to the
     uninterrupted run's, at any jobs setting.  Raises [Invalid_argument]
     when the snapshot does not match this run's fingerprint, seed or
-    island count, or is in the simplifying phase ({!Sag} progress is
-    resumed by the CLI layer, not here). *)
+    island count, or is in the simplifying phase (which
+    {!run_and_simplify} resumes). *)
+
+val run_and_simplify :
+  ?seed:int ->
+  ?executor:Caffeine_par.Executor.t ->
+  ?trace:Caffeine_obs.Trace.sink ->
+  ?on_generation:(Caffeine_obs.Trace.generation -> unit) ->
+  ?checkpoint_path:string ->
+  ?checkpoint_every:int ->
+  ?resume:Checkpoint.t ->
+  ?eval_cache:Eval_cache.mode ->
+  ?sag:bool ->
+  Config.t ->
+  data:Dataset.t ->
+  targets:float array ->
+  (Model.t list, string) result
+(** One performance's whole fit: {!run}, then {!Sag.process_front} on its
+    front unless [sag] is [false] (default [true]), on one executor
+    ([executor], else one made as {!run} makes it).  The result is SAG's
+    front, or the evolved front when [sag] is off.
+
+    It owns both checkpoint phases.  The input fingerprint is computed
+    once, when [checkpoint_path] or [resume] is given.  With
+    [checkpoint_path], the search writes its evolving snapshots as in
+    {!run}; then, before SAG starts and after each simplified model,
+    the path gets a simplifying snapshot holding the evolved front and
+    the prefix of simplified models, each followed by a
+    {!Caffeine_obs.Trace.Checkpoint_written} record (island [-1],
+    generation [-1] before the first model, else the model's index).
+
+    [resume] continues from either phase: an evolving snapshot re-enters
+    the search as in {!run}; a simplifying one bumps the
+    [checkpoint.resumed] counter, emits a
+    {!Caffeine_obs.Trace.Run_resumed} record (island [-1], generation =
+    models already simplified) and simplifies only the models after that
+    prefix — or, with [sag] off, returns its evolved front as is.  Either
+    way the front, the snapshots and the trace records equal the
+    uninterrupted run's.  A snapshot whose fingerprint, seed or island
+    count does not match this run is [Error] with {!Checkpoint.validate}'s
+    message, returned before any work. *)
 
 val run_multi :
   ?seed:int ->

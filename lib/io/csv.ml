@@ -75,50 +75,54 @@ let parse_row ~width lineno line =
 let stream ~path ~header ~row =
   match open_in path with
   | exception Sys_error msg -> Error msg
-  | channel ->
-      Fun.protect
-        ~finally:(fun () -> close_in channel)
-        (fun () ->
-          let lineno = ref 0 in
-          let next_line () =
-            (* Next non-blank line, or None at end of file. *)
-            let rec go () =
-              match input_line channel with
-              | exception End_of_file -> None
-              | line ->
-                  incr lineno;
-                  let line = strip_cr line in
-                  if String.trim line = "" then go () else Some line
-            in
-            go ()
-          in
-          match next_line () with
-          | None -> Error "empty file"
-          | Some header_line -> (
-              let names =
-                Array.of_list (List.map String.trim (String.split_on_char ',' header_line))
+  | channel -> (
+      (* A read can fail after the open succeeds (a directory, an I/O
+         error): that is an [Error] too, never an exception. *)
+      try
+        Fun.protect
+          ~finally:(fun () -> close_in channel)
+          (fun () ->
+            let lineno = ref 0 in
+            let next_line () =
+              (* Next non-blank line, or None at end of file. *)
+              let rec go () =
+                match input_line channel with
+                | exception End_of_file -> None
+                | line ->
+                    incr lineno;
+                    let line = strip_cr line in
+                    if String.trim line = "" then go () else Some line
               in
-              match check_duplicate_header names with
-              | Some msg -> Error msg
-              | None -> (
-                  match header names with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      let width = Array.length names in
-                      let rec drain saw_row =
-                        match next_line () with
-                        | None ->
-                            if saw_row then Ok ()
-                            else Error "no data rows: the file contains only a header"
-                        | Some line -> (
-                            match parse_row ~width !lineno line with
-                            | Error _ as e -> e
-                            | Ok values -> (
-                                match row ~lineno:!lineno values with
-                                | Error _ as e -> e
-                                | Ok () -> drain true))
-                      in
-                      drain false)))
+              go ()
+            in
+            match next_line () with
+            | None -> Error "empty file"
+            | Some header_line -> (
+                let names =
+                  Array.of_list (List.map String.trim (String.split_on_char ',' header_line))
+                in
+                match check_duplicate_header names with
+                | Some msg -> Error msg
+                | None -> (
+                    match header names with
+                    | Error _ as e -> e
+                    | Ok () ->
+                        let width = Array.length names in
+                        let rec drain saw_row =
+                          match next_line () with
+                          | None ->
+                              if saw_row then Ok ()
+                              else Error "no data rows: the file contains only a header"
+                          | Some line -> (
+                              match parse_row ~width !lineno line with
+                              | Error _ as e -> e
+                              | Ok values -> (
+                                  match row ~lineno:!lineno values with
+                                  | Error _ as e -> e
+                                  | Ok () -> drain true))
+                        in
+                        drain false)))
+      with Sys_error msg -> Error msg)
 
 let read ~path =
   let header = ref [||] in

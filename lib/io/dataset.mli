@@ -251,11 +251,11 @@ type cache_stats = {
 val stats : t -> cache_stats
 (** Lifetime counters of both caches (since creation or the last process
     start — {!clear_cache} drops entries but keeps counters), for cache
-    effectiveness reporting ([fit --verbose], perf PRs).  The column
-    counters move on resident storage only and the dot counters on
-    chunked storage only, the level each storage caches.  A resident
-    {!finite_gram} counts one column lookup per distinct basis it
-    fetches. *)
+    effectiveness reporting ([fit --metrics] and [--trace], perf PRs).
+    The column counters move on resident storage only and the dot
+    counters on chunked storage only, the level each storage caches.  A
+    resident {!finite_gram} counts one column lookup per distinct basis
+    it fetches. *)
 
 val publish_metrics : t -> unit
 (** Snapshot {!stats} into the {!Caffeine_obs.Metrics.default} registry as

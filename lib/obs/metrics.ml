@@ -190,7 +190,11 @@ let render entries =
       let line =
         match value with
         | Counter n -> Printf.sprintf "%-36s %d" name n
-        | Gauge v -> Printf.sprintf "%-36s %g" name v
+        | Gauge v ->
+            (* A gauge holding a count (the dataset cache gauges) prints
+               every digit, as a counter does. *)
+            if Float.is_integer v && Float.abs v < 0x1p53 then Printf.sprintf "%-36s %.0f" name v
+            else Printf.sprintf "%-36s %g" name v
         | Timer { count; total_ns } ->
             let total_s = float_of_int total_ns /. 1e9 in
             let mean_us =

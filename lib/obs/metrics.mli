@@ -105,4 +105,6 @@ val reset : t -> unit
 (** Zero every metric, keeping the registrations (handles stay valid). *)
 
 val render : (string * value) list -> string
-(** Human-readable table of a snapshot, one metric per line. *)
+(** Human-readable table of a snapshot, one metric per line.  Counters and
+    integral gauges print every digit; other gauges print six significant
+    digits ([%g]). *)

@@ -1,12 +1,11 @@
 (* A reusable pool of worker domains.
 
-   Coordination is built for back-to-back batch submission (one batch per
-   NSGA-II generation): the submitter publishes a batch (a work-stealing
-   thunk every domain runs) with a single atomic epoch bump, and workers
-   spin briefly on the epoch before falling back to a mutex + condition
-   sleep.  In the steady state — batches arriving faster than the spin
-   budget runs out — a generation costs two atomic operations per worker
-   and no syscalls; the mutex path only engages when the pool goes idle.
+   The submitter publishes a batch (a work-stealing thunk every domain
+   runs) with a single atomic epoch bump; a worker that finds the epoch
+   unchanged sleeps on a mutex + condition until it moves, and the
+   submitter sleeps the same way until the last worker finishes.  (A
+   spin before each sleep measured as noise end to end on the search
+   workloads, so there is none.)
    The epoch is an [Atomic], so its bump publishes the submitter's plain
    writes (batch closure, input array) to any worker that observes it, per
    the OCaml 5 memory model; the completion countdown publishes the
@@ -93,27 +92,10 @@ let effective_jobs requested =
 
 let default_jobs () = effective_jobs 0
 
-(* How many [Domain.cpu_relax] iterations a domain burns waiting for the
-   next batch (worker side) or for batch completion (submitter side)
-   before falling back to the mutex.  Large enough to cover the
-   inter-generation gap of the search loop, small enough that an idle pool
-   parks within microseconds. *)
-let spin_budget = 4096
-
 let worker_loop pool =
   let seen = ref 0 in
   let running = ref true in
   while !running do
-    (* Fast path: spin briefly for the next batch before sleeping. *)
-    let spins = ref 0 in
-    while
-      Atomic.get pool.epoch = !seen
-      && (not (Atomic.get pool.stopping))
-      && !spins < spin_budget
-    do
-      Domain.cpu_relax ();
-      incr spins
-    done;
     if Atomic.get pool.epoch = !seen && not (Atomic.get pool.stopping) then begin
       Mutex.lock pool.mutex;
       Atomic.incr pool.sleepers;
@@ -129,10 +111,9 @@ let worker_loop pool =
       let batch = Option.get pool.batch in
       batch ();
       if Atomic.fetch_and_add pool.active (-1) = 1 then begin
-        (* Last worker out: the submitter may already be past its spin
-           budget and blocked, so take the mutex before signalling — a
-           broadcast outside it could slip between the submitter's check
-           and its wait. *)
+        (* Last worker out: the submitter may already be blocked, so take
+           the mutex before signalling — a broadcast outside it could slip
+           between the submitter's check and its wait. *)
         Mutex.lock pool.mutex;
         Condition.broadcast pool.batch_done;
         Mutex.unlock pool.mutex
@@ -188,21 +169,17 @@ let run_batch pool batch =
   pool.batch <- Some batch;
   Atomic.set pool.active (Array.length pool.workers);
   Atomic.incr pool.epoch;
-  (* Only wake domains that actually went to sleep; spinning workers have
-     already seen the epoch move.  A worker between its spin and its
-     sleep rechecks the epoch under the mutex after bumping [sleepers],
-     so reading [sleepers = 0] here never strands it. *)
+  (* Only wake domains that actually went to sleep; a worker still
+     finishing the previous batch sees the epoch move when it comes back.
+     A worker between its epoch check and its sleep rechecks the epoch
+     under the mutex after bumping [sleepers], so reading [sleepers = 0]
+     here never strands it. *)
   if Atomic.get pool.sleepers > 0 then begin
     Mutex.lock pool.mutex;
     Condition.broadcast pool.work_ready;
     Mutex.unlock pool.mutex
   end;
   batch ();
-  let spins = ref 0 in
-  while Atomic.get pool.active > 0 && !spins < spin_budget do
-    Domain.cpu_relax ();
-    incr spins
-  done;
   if Atomic.get pool.active > 0 then begin
     Mutex.lock pool.mutex;
     while Atomic.get pool.active > 0 do

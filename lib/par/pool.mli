@@ -9,11 +9,10 @@
     returns: callers that need reproducibility only have to keep the mapped
     function deterministic per element.
 
-    Batch hand-off is amortized for back-to-back submission (one batch per
-    search generation): workers spin briefly on an atomic epoch before
-    parking on a condition variable, and the submitter wakes only domains
-    that actually parked — in the steady state a generation boundary costs
-    a few atomic operations per domain and no syscalls.
+    Batch hand-off is one atomic epoch bump: idle workers sleep on a
+    condition variable until the epoch moves, the submitter wakes only
+    domains that actually went to sleep, and it sleeps the same way until
+    the batch completes.
 
     Nesting and concurrent use are safe by construction: a [parallel_map]
     issued while the pool is already running a batch (for example from

@@ -377,6 +377,165 @@ let test_process_front_already_prefix () =
   Alcotest.(check int) "only the suffix was simplified" (List.length front - 2) !fresh;
   Alcotest.(check bool) "resumed SAG output identical" true (equal full resumed)
 
+(* --- the whole fit: search, then SAG ---------------------------------------- *)
+
+let fit_ok = function
+  | Ok front -> front
+  | Error message -> Alcotest.failf "run_and_simplify refused: %s" message
+
+let load_ok path =
+  match Checkpoint.load ~path with
+  | Ok snapshot -> snapshot
+  | Error message -> Alcotest.failf "load failed: %s" message
+
+(* The snapshot marks of a trace, in order: what a resumed run must repeat. *)
+let marks sink =
+  List.filter
+    (function Trace.Checkpoint_written _ | Trace.Run_resumed _ -> true | _ -> false)
+    (Trace.contents sink)
+
+let is_sag_mark = function
+  | Trace.Checkpoint_written { phase = "simplifying"; _ } -> true
+  | _ -> false
+
+let sag_problem () = toy_problem 29
+
+let fit_sag ?trace ?resume ?(sag = true) path =
+  let data, targets = sag_problem () in
+  Search.run_and_simplify ~seed:31 ?trace ?resume ~sag ~checkpoint_path:path ~checkpoint_every:3
+    toy_config ~data ~targets
+
+let test_fit_resumes_sag_prefix () =
+  with_temp_file (fun path ->
+      let full_trace = Trace.memory () in
+      let full = fit_ok (fit_sag ~trace:full_trace path) in
+      let final_bytes = slurp path in
+      let snapshot = load_ok path in
+      let front, processed =
+        match snapshot.Checkpoint.phase with
+        | Checkpoint.Simplifying { front; processed } -> (front, processed)
+        | Checkpoint.Evolving _ -> Alcotest.fail "a finished fit leaves a simplifying snapshot"
+      in
+      let n = List.length front in
+      Alcotest.(check bool) "front has several models" true (n >= 2);
+      Alcotest.(check int) "every model simplified" n (List.length processed);
+      let sag_marks = List.filter is_sag_mark (marks full_trace) in
+      Alcotest.(check int) "one mark before SAG and one per model" (n + 1) (List.length sag_marks);
+      (* Resume from every strict prefix of the uninterrupted run's SAG. *)
+      for k = 0 to n - 1 do
+        Checkpoint.save ~path
+          {
+            snapshot with
+            phase =
+              Checkpoint.Simplifying
+                { front; processed = List.filteri (fun i _ -> i < k) processed };
+          };
+        let trace = Trace.memory () in
+        let resumed = fit_ok (fit_sag ~trace ~resume:(load_ok path) path) in
+        Alcotest.(check bool)
+          (Printf.sprintf "prefix %d: front identical to the uninterrupted run's" k)
+          true (equal full resumed);
+        Alcotest.(check string)
+          (Printf.sprintf "prefix %d: final snapshot byte-identical" k)
+          final_bytes (slurp path);
+        let expected =
+          Trace.Run_resumed { phase = "simplifying"; island = -1; gen = k }
+          :: List.filter
+               (function
+                 | Trace.Checkpoint_written { gen; _ } -> k = 0 || gen >= k
+                 | _ -> false)
+               sag_marks
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "prefix %d: the uninterrupted run's marks from model %d on" k k)
+          true
+          (equal expected (marks trace))
+      done)
+
+let test_fit_resumes_search () =
+  with_temp_file (fun path ->
+      let full_trace = Trace.memory () in
+      let full = fit_ok (fit_sag ~trace:full_trace path) in
+      let final_bytes = slurp path in
+      Sys.remove path;
+      let data, targets = sag_problem () in
+      (match
+         Search.run_and_simplify ~seed:31
+           ~on_generation:(fun record -> if record.Trace.gen >= 5 then raise Killed)
+           ~checkpoint_path:path ~checkpoint_every:3 toy_config ~data ~targets
+       with
+      | _ -> Alcotest.fail "expected the kill to escape run_and_simplify"
+      | exception Killed -> ());
+      let trace = Trace.memory () in
+      let resumed = fit_ok (fit_sag ~trace ~resume:(load_ok path) path) in
+      Alcotest.(check bool) "front identical to the uninterrupted run's" true (equal full resumed);
+      Alcotest.(check string) "final snapshot byte-identical" final_bytes (slurp path);
+      let expected =
+        Trace.Run_resumed { phase = "evolving"; island = 0; gen = 3 }
+        :: List.filter
+             (function
+               | Trace.Checkpoint_written { phase = "evolving"; gen; _ } -> gen > 3
+               | _ -> true)
+             (marks full_trace)
+      in
+      Alcotest.(check bool) "the uninterrupted run's marks after generation 3" true
+        (equal expected (marks trace)))
+
+let test_fit_refuses_foreign_snapshots () =
+  with_temp_file (fun path ->
+      ignore (fit_ok (fit_sag path));
+      let simplifying = load_ok path in
+      let evolving =
+        {
+          simplifying with
+          phase =
+            Checkpoint.Evolving [| Checkpoint.Pending (Rng.to_state (Rng.create ~seed:31 ())) |];
+        }
+      in
+      let written = slurp path in
+      List.iter
+        (fun (snapshot : Checkpoint.t) ->
+          let phase = Checkpoint.phase_name snapshot.Checkpoint.phase in
+          List.iter
+            (fun (what, foreign, message) ->
+              let trace = Trace.memory () in
+              match fit_sag ~trace ~resume:foreign path with
+              | Ok _ -> Alcotest.failf "%s snapshot with another %s accepted" phase what
+              | Error got ->
+                  Alcotest.(check string) (phase ^ ", " ^ what ^ ": the message") message got;
+                  Alcotest.(check int) (phase ^ ", " ^ what ^ ": no record") 0
+                    (List.length (Trace.contents trace));
+                  Alcotest.(check string) (phase ^ ", " ^ what ^ ": no write") written (slurp path))
+            [
+              ( "fingerprint",
+                { snapshot with fingerprint = "0123" },
+                "checkpoint fingerprint does not match this run's config, data or targets" );
+              ("seed", { snapshot with seed = 32 }, "checkpoint was written with seed 32, not 31");
+              ( "island count",
+                { snapshot with restarts = 2 },
+                "checkpoint was written with 2 island(s), not 1" );
+            ])
+        [ evolving; simplifying ])
+
+let test_fit_without_sag_keeps_snapshot_front () =
+  with_temp_file (fun path ->
+      ignore (fit_ok (fit_sag path));
+      let snapshot = load_ok path in
+      let front, processed =
+        match snapshot.Checkpoint.phase with
+        | Checkpoint.Simplifying { front; processed } -> (front, processed)
+        | Checkpoint.Evolving _ -> Alcotest.fail "expected a simplifying snapshot"
+      in
+      Checkpoint.save ~path
+        {
+          snapshot with
+          phase = Checkpoint.Simplifying { front; processed = [ List.hd processed ] };
+        };
+      let written = slurp path in
+      let resumed = fit_ok (fit_sag ~sag:false ~resume:(load_ok path) path) in
+      Alcotest.(check bool) "the snapshot's evolved front, unchanged" true (equal front resumed);
+      Alcotest.(check string) "no snapshot written" written (slurp path))
+
 let suite =
   [
     Alcotest.test_case "rng state round-trip" `Quick test_rng_state_roundtrip;
@@ -392,4 +551,10 @@ let suite =
       test_run_multi_kill_resume_bit_identical;
     Alcotest.test_case "sag: process_front resumes from prefix" `Quick
       test_process_front_already_prefix;
+    Alcotest.test_case "fit: resumes SAG from every prefix" `Quick test_fit_resumes_sag_prefix;
+    Alcotest.test_case "fit: resumes the search, then SAG" `Quick test_fit_resumes_search;
+    Alcotest.test_case "fit: foreign snapshots are errors" `Quick
+      test_fit_refuses_foreign_snapshots;
+    Alcotest.test_case "fit: SAG off keeps a snapshot's front" `Quick
+      test_fit_without_sag_keeps_snapshot_front;
   ]

@@ -108,6 +108,69 @@ let test_cli_unusable_training_data () =
   expect_unreadable "all-NaN target" (fit nans) nans;
   List.iter Sys.remove [ only; packed; nans ]
 
+(* Missing input files and option values out of range exit 2 with one
+   line naming the file or the option, never an uncaught exception; so
+   does scoring models on a target that is not finite, and resuming from
+   another run's snapshot. *)
+let expect_refused msg arguments fragment =
+  match run_cli arguments with
+  | None -> ()
+  | Some (status, output) ->
+      Alcotest.(check bool) (msg ^ ": exits 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: output mentions %S" msg fragment)
+        true (contains output fragment);
+      Alcotest.(check bool) (msg ^ ": no internal error") false (contains output "internal error");
+      Alcotest.(check int) (msg ^ ": one line") 1
+        (List.length (List.filter (( <> ) "") (String.split_on_char '\n' output)))
+
+let test_cli_bad_inputs_and_options () =
+  let train = Filename.temp_file "caffeine_cli" ".csv" in
+  let scored = Filename.temp_file "caffeine_cli" ".csv" in
+  let models = Filename.temp_file "caffeine_cli" ".txt" in
+  let snapshot = Filename.temp_file "caffeine_cli" ".ckpt" in
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "caffeine_cli_missing_input" in
+  write_file train "x,PM\n1,2\n2,3.5\n3,5\n4,4.5\n5,6\n";
+  write_file scored "x,PM\n1,nan\n2,3.5\n";
+  let fit extra = [ "fit"; "--train"; train; "--target"; "PM"; "--gens"; "2" ] @ extra in
+  expect_refused "fit --grammar MISSING" (fit [ "--grammar"; missing ]) ("cannot read " ^ missing);
+  expect_refused "trace MISSING" [ "trace"; missing ] ("cannot read " ^ missing);
+  expect_refused "grammar --check MISSING" [ "grammar"; "--check"; missing ]
+    ("cannot read " ^ missing);
+  let directory = Filename.get_temp_dir_name () in
+  expect_refused "fit --train DIRECTORY"
+    [ "fit"; "--train"; directory; "--target"; "PM" ]
+    ("cannot read " ^ directory);
+  expect_refused "fit --pop 1" (fit [ "--pop=1" ]) "--pop 1";
+  expect_refused "fit --max-bases 0" (fit [ "--max-bases=0" ]) "--max-bases 0";
+  expect_refused "fit --checkpoint-every 0" (fit [ "--checkpoint-every=0" ]) "--checkpoint-every 0";
+  expect_refused "pack --chunk-rows 0"
+    [ "pack"; "--csv"; train; "--chunk-rows"; "0"; "--out"; missing ]
+    "--chunk-rows 0";
+  (match
+     run_cli (fit [ "--pop"; "10"; "--seed"; "1"; "--checkpoint"; snapshot; "--out"; models ])
+   with
+  | Some (status, _) when status = Unix.WEXITED 0 ->
+      expect_refused "predict on a NaN target"
+        [ "predict"; "--models"; models; "--data"; scored; "--target"; "PM" ]
+        ("cannot read " ^ scored ^ ": target PM at data row 1 is nan");
+      expect_refused "export --index -1" [ "export"; "--models"; models; "--index=-1" ]
+        "model index -1 out of range";
+      expect_refused "insight --index -1" [ "insight"; "--models"; models; "--index=-1" ]
+        "model index -1 out of range";
+      (match run_cli (fit [ "--pop"; "10"; "--seed"; "2"; "--resume"; snapshot ]) with
+      | None -> ()
+      | Some (status, output) ->
+          Alcotest.(check bool) "another seed's snapshot: exits 2" true (status = Unix.WEXITED 2);
+          Alcotest.(check bool) "another seed's snapshot: says why" true
+            (contains output
+               ("cannot resume from " ^ snapshot ^ ": checkpoint was written with seed 1, not 2")))
+  | Some (_, output) -> Alcotest.failf "fit failed: %s" output
+  | None -> ());
+  List.iter
+    (fun path -> if Sys.file_exists path then Sys.remove path)
+    [ train; scored; models; snapshot; missing ]
+
 let suite =
   [
     Alcotest.test_case "cli: grammar" `Quick test_cli_grammar;
@@ -115,4 +178,6 @@ let suite =
     Alcotest.test_case "cli: gen-data / fit / predict / export" `Slow test_cli_gen_data_and_fit;
     Alcotest.test_case "cli: unknown flag" `Quick test_cli_unknown_flag_fails;
     Alcotest.test_case "cli: unusable training data exits 2" `Quick test_cli_unusable_training_data;
+    Alcotest.test_case "cli: bad input files and option values exit 2" `Quick
+      test_cli_bad_inputs_and_options;
   ]

@@ -115,6 +115,13 @@ let test_snapshot_and_reset () =
          in
          occurs 0)
        snap);
+  (* A gauge holding a count keeps every digit; a ratio keeps %g. *)
+  Metrics.set_gauge g 1329381.;
+  let line = List.nth (String.split_on_char '\n' (Metrics.render (Metrics.snapshot reg))) 0 in
+  Alcotest.(check string) "integral gauge in full" (Printf.sprintf "%-36s 1329381" "a.gauge") line;
+  Metrics.set_gauge g 1.38763123;
+  let line = List.nth (String.split_on_char '\n' (Metrics.render (Metrics.snapshot reg))) 0 in
+  Alcotest.(check string) "fractional gauge as %g" (Printf.sprintf "%-36s 1.38763" "a.gauge") line;
   Metrics.reset reg;
   Alcotest.(check int) "reset zeroes counters" 0 (Metrics.counter_value c);
   Alcotest.(check (float 0.)) "reset zeroes gauges" 0. (Metrics.gauge_value g);
