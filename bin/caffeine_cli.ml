@@ -31,9 +31,45 @@ module Executor = Caffeine_par.Executor
 module Metrics = Caffeine_obs.Metrics
 module Trace = Caffeine_obs.Trace
 
+(* --- output files --------------------------------------------------------- *)
+
+(* An output file the command could not write exits 2 naming it, before
+   any work, rather than failing with the work done: its directory must
+   exist and be writable, and a file already there must be a writable
+   regular file.  Nothing is opened, so an existing file keeps its bytes
+   until the command writes it. *)
+let require_writable path =
+  let dir = Filename.dirname path in
+  let writable p =
+    match Unix.access p [ Unix.W_OK ] with () -> true | exception Unix.Unix_error _ -> false
+  in
+  let problem =
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Some (Printf.sprintf "no directory %s" dir)
+    else if not (writable dir) then Some (Printf.sprintf "directory %s is not writable" dir)
+    else if Sys.file_exists path && Sys.is_directory path then Some "it is a directory"
+    else if Sys.file_exists path && not (writable path) then Some "permission denied"
+    else None
+  in
+  Option.iter
+    (fun why ->
+      Printf.eprintf "cannot write %s: %s\n" path why;
+      exit 2)
+    problem
+
+(* A write that fails all the same (the disk filled, the directory went
+   away) exits 2 naming the file too. *)
+let write_or_exit path write =
+  match write () with
+  | () -> ()
+  | exception Sys_error msg ->
+      Printf.eprintf "cannot write %s: %s\n" path msg;
+      exit 2
+
 (* --- gen-data ---------------------------------------------------------- *)
 
 let gen_data dx out =
+  require_writable out;
   let dataset = Ota.doe_dataset ~dx in
   let performance_names =
     Array.of_list (List.map Ota.performance_name Ota.all_performances)
@@ -43,7 +79,7 @@ let gen_data dx out =
     Array.map2 (fun inputs outputs -> Array.append inputs outputs) dataset.Ota.inputs
       dataset.Ota.outputs
   in
-  Csv.write ~path:out { Csv.header; rows };
+  write_or_exit out (fun () -> Csv.write ~path:out { Csv.header; rows });
   Printf.printf "wrote %d samples (dx=%.3g) to %s\n" (Array.length rows) dx out;
   0
 
@@ -228,6 +264,12 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
   require_at_least ~option:"pop" ~min:2 pop;
   require_at_least ~option:"max-bases" ~min:1 max_bases;
   require_at_least ~option:"checkpoint-every" ~min:1 checkpoint_every;
+  (* --resume keeps writing to the same snapshot file unless --checkpoint
+     names a different one. *)
+  let checkpoint_path =
+    match checkpoint_opt with Some _ as given -> given | None -> resume_path
+  in
+  List.iter (Option.iter require_writable) [ out; trace_path; checkpoint_path ];
   let data, raw_targets =
     (* A .cafs store streams; a CSV loads resident ([pack] it to stream). *)
     if Filename.check_suffix train_path ".cafs" then load_store ~path:train_path ~target
@@ -273,8 +315,6 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
       if not (Trace.is_null trace) then
         Trace.emit trace (Trace.Warning { context = "pool.effective_jobs"; message })
   | None -> ());
-  (* --resume keeps writing to the same snapshot file unless --checkpoint
-     names a different one. *)
   let resume =
     Option.map
       (fun path ->
@@ -284,9 +324,6 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
             Printf.eprintf "cannot resume from %s: %s\n" path msg;
             exit 2)
       resume_path
-  in
-  let checkpoint_path =
-    match checkpoint_opt with Some _ as given -> given | None -> resume_path
   in
   (* --kill-after: die right after generation N's record, before the next
      snapshot — the harness then resumes from the last multiple of
@@ -376,7 +413,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
   (match out with
   | None -> ()
   | Some path ->
-      Caffeine.Model_io.save ~path ~var_names front;
+      write_or_exit path (fun () -> Caffeine.Model_io.save ~path ~var_names front);
       Printf.printf "\nsaved %d models to %s\n" (List.length front) path);
   0
 
@@ -574,6 +611,7 @@ let load_models path =
 let nth_model models index = if index < 0 then None else List.nth_opt models index
 
 let predict models_path data_path target log_target dump =
+  Option.iter require_writable dump;
   match load_models models_path with
   | Error msg ->
       Printf.eprintf "cannot load models: %s\n" msg;
@@ -621,9 +659,8 @@ let predict models_path data_path target log_target dump =
               Buffer.add_char b ']')
             models;
           Buffer.add_string b "]\n";
-          let channel = open_out path in
-          Buffer.output_buffer channel b;
-          close_out channel;
+          write_or_exit path (fun () ->
+              Out_channel.with_open_text path (fun channel -> Buffer.output_buffer channel b));
           Printf.printf "dumped predictions for %d models to %s\n" (List.length models) path);
       0
 
@@ -712,6 +749,7 @@ let serve_cmd =
 (* --- export -------------------------------------------------------------- *)
 
 let export models_path language index out =
+  Option.iter require_writable out;
   match load_models models_path with
   | Error msg ->
       Printf.eprintf "cannot load models: %s\n" msg;
@@ -743,9 +781,8 @@ let export models_path language index out =
           (match out with
           | None -> print_string source
           | Some path ->
-              let channel = open_out path in
-              output_string channel source;
-              close_out channel;
+              write_or_exit path (fun () ->
+                  Out_channel.with_open_text path (fun channel -> output_string channel source));
               Printf.printf "wrote %s\n" path);
           0)
 

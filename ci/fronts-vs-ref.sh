@@ -17,7 +17,8 @@
 # store of 50-row chunks (`pack --chunk-rows 50`, then `fit --train
 # X.cafs`), so the search and SAG run on chunked (streamed) storage; the
 # stores, fronts and trace projections must match REF's byte for byte as
-# well.  One more runs PM for
+# well.  One fits PM on the first 12 training rows with up to 15 bases,
+# where some designs are wider than tall.  One more runs PM for
 # 200 generations (about 4 s per side): late in a search the whole
 # population is rank 0 and nondominated sorting meets few, wide fronts, a
 # shape the 15-generation fits barely reach.
@@ -133,6 +134,23 @@ for target in PM SRp; do
   fits=$((fits + 1))
 done
 
+# A wide design: the first 12 training rows with up to 15 bases, so some
+# fits (51 of them at this seed) have more design columns than rows.  Their
+# fallback takes the ridge branch without Householder, and every sweep over
+# the rows is short.
+head -n 13 "$train" > "$scratch/train-wide.csv"
+for side in ref new; do
+  cli=$(cli_of $side)
+  run=$scratch/PM-wide-$side
+  "$cli" fit --train "$scratch/train-wide.csv" --test "$test" --target PM \
+    --pop 200 --gens 60 --seed 7 --max-bases 15 --eval-cache exact \
+    --out "$run.models" --trace "$run.jsonl" > /dev/null
+  "$cli" trace --counts "$run.jsonl" > "$run.counts"
+done
+diff -u "$scratch/PM-wide-ref.models" "$scratch/PM-wide-new.models"
+diff -u "$scratch/PM-wide-ref.counts" "$scratch/PM-wide-new.counts"
+fits=$((fits + 1))
+
 # The late-search shape: PM at 200 generations.
 for side in ref new; do
   cli=$(cli_of $side)
@@ -146,7 +164,8 @@ diff -u "$scratch/PM-long-ref.models" "$scratch/PM-long-new.models"
 diff -u "$scratch/PM-long-ref.counts" "$scratch/PM-long-new.counts"
 fits=$((fits + 1))
 
-echo "fronts-vs-ref: $fits fronts and traces (2 streamed, 1 at 200 generations), 2 data CSVs," \
+echo "fronts-vs-ref: $fits fronts and traces (2 streamed, 1 on 12 rows, 1 at 200 generations)," \
+  "2 data CSVs," \
   "a packed store," \
   "$insights insight reports," \
   "and per target a prediction dump, snapshot and C export byte-identical to $ref" \

@@ -6,8 +6,8 @@
 #      headers are rejected naming the column and both positions,
 #      empty, truncated or foreign .cafs stores exit 2 naming the file,
 #      and so does training data with no design variable or a non-finite
-#      target; missing input files and out-of-range option values exit 2
-#      naming the file or the option.
+#      target; missing input files, out-of-range option values and output
+#      files that cannot be written exit 2 naming the file or the option.
 #   2. Front bit-identity: the same seeded fit must print byte-identical
 #      fronts from a CSV (resident) and from the CSV packed into a .cafs
 #      store (streamed), across chunk sizes and execution backends.
@@ -125,6 +125,21 @@ awk -F, 'NR == 2 { $NF = "nan" } { print }' OFS=, "$scratch/data.csv" > "$scratc
   --out "$scratch/srn.txt" > /dev/null
 refused "cannot read $scratch/nan-first.csv: target SRn at data row 1" \
   predict --models "$scratch/srn.txt" --data "$scratch/nan-first.csv" --target SRn
+
+# Output files a command cannot write are refused the same way, before any
+# work: a missing directory, or a directory where the file should be.
+nowhere=$scratch/no-such-dir
+refused "cannot write $nowhere/x.csv" gen-data --out "$nowhere/x.csv"
+refused "cannot write $nowhere/x.models" \
+  fit --train "$scratch/data.csv" --target PM --out "$nowhere/x.models"
+refused "cannot write $scratch" fit --train "$scratch/data.csv" --target PM --out "$scratch"
+refused "cannot write $nowhere/x.jsonl" \
+  fit --train "$scratch/data.csv" --target PM --trace "$nowhere/x.jsonl"
+refused "cannot write $nowhere/x.ckpt" \
+  fit --train "$scratch/data.csv" --target PM --checkpoint "$nowhere/x.ckpt"
+refused "cannot write $nowhere/x.dump" \
+  predict --models "$scratch/srn.txt" --data "$scratch/data.csv" --target SRn --dump "$nowhere/x.dump"
+refused "cannot write $nowhere/x.c" export --models "$scratch/srn.txt" -o "$nowhere/x.c"
 
 # --- 2. resident vs streamed front bit-identity ---------------------------
 

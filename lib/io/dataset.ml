@@ -469,11 +469,12 @@ let distinct_keys keys =
   done;
   (Array.of_list (List.rev !distinct), slot)
 
-(* Accumulate the named entries of [g] (indices into the [d] distinct
-   keys) in one [Gram_stream] pass over the columns they involve: [read
-   needed] visits the columns of the listed key indices as row chunks.
-   [pairs] come oriented, so [(i, j)] is formed as [col_i *. col_j]. *)
-let accumulate ~read d g ~targets ~pairs ~dot_ys ~col_sums ~finite =
+(* Accumulate the named entries of [g] (indices into the distinct
+   [keys]) in one [Gram_stream] pass over [src] that evaluates only the
+   bases they involve.  [pairs] come oriented, so [(i, j)] is formed as
+   [col_i *. col_j]. *)
+let accumulate src keys g ~targets ~pairs ~dot_ys ~col_sums ~finite =
+  let d = Array.length keys in
   let needed = Array.make d false in
   Array.iter
     (fun (i, j) ->
@@ -497,7 +498,8 @@ let accumulate ~read d g ~targets ~pairs ~dot_ys ~col_sums ~finite =
         ~pairs:(Array.map (fun (i, j) -> (pos.(i), pos.(j))) pairs)
         ~dot_ys:(at dot_ys) ~col_sums:(at col_sums) ~finite:(at finite)
     in
-    read (Array.of_list (List.rev !rev_read)) (fun ~row0 ~len columns ->
+    let read = Array.of_list (List.rev !rev_read) in
+    iter_chunks src (Array.map (fun i -> keys.(i).basis) read) ~f:(fun ~row0 ~len columns ->
         Gram_stream.update acc ~columns ~targets ~row0 ~len);
     Array.iteri
       (fun p (i, j) ->
@@ -520,22 +522,41 @@ let empty_gram d =
 let oriented keys i j = if compare_keys keys.(i) keys.(j) <= 0 then (i, j) else (j, i)
 
 (* Every entry of the distinct keys' Gram from their held resident
-   columns, in one pass with no finiteness scan: the memo entries carry
-   it. *)
+   columns: one [Gram_stream] pass over all of them, every pair of the
+   upper triangle in canonical orientation, with no finiteness scan (the
+   memo entries carry it) and none of [accumulate]'s bookkeeping for
+   entries a cache holds: resident storage caches none. *)
 let held_gram data keys (entries : column array) ~targets =
   let d = Array.length keys in
-  let g = empty_gram d in
   let all = Array.init d Fun.id in
-  let pairs = ref [] in
-  for i = d - 1 downto 0 do
-    for j = d - 1 downto i do
-      pairs := oriented keys i j :: !pairs
+  let pairs = Array.make (d * (d + 1) / 2) (0, 0) in
+  let p = ref 0 in
+  for i = 0 to d - 1 do
+    for j = i to d - 1 do
+      pairs.(!p) <- oriented keys i j;
+      incr p
     done
   done;
-  accumulate d g ~targets ~pairs:(Array.of_list !pairs) ~dot_ys:all ~col_sums:all ~finite:[||]
-    ~read:(fun read f -> f ~row0:0 ~len:data.n (Array.map (fun i -> entries.(i).values) read));
-  Array.iteri (fun i e -> g.finite_bases.(i) <- e.all_finite) entries;
-  g
+  let acc = Gram_stream.create d ~pairs ~dot_ys:all ~col_sums:all ~finite:[||] in
+  Gram_stream.update acc
+    ~columns:(Array.map (fun e -> e.values) entries)
+    ~targets ~row0:0 ~len:data.n;
+  let dots = Array.make_matrix d d 0. in
+  p := 0;
+  for i = 0 to d - 1 do
+    for j = i to d - 1 do
+      let v = Gram_stream.dot acc !p in
+      dots.(i).(j) <- v;
+      dots.(j).(i) <- v;
+      incr p
+    done
+  done;
+  let dot_ys = Array.make d 0. and col_sums = Array.make d 0. in
+  for i = 0 to d - 1 do
+    dot_ys.(i) <- Gram_stream.dot_y acc i;
+    col_sums.(i) <- Gram_stream.col_sum acc i
+  done;
+  { dots; dot_ys; col_sums; finite_bases = Array.map (fun e -> e.all_finite) entries }
 
 (* The Gram of distinct keys on chunked storage: each entry is looked up,
    and exactly the missing ones are accumulated in one streamed pass and
@@ -564,8 +585,7 @@ let streamed_gram data src keys ~targets =
   let in_order missing = Array.of_list (List.rev !missing) in
   let pairs = in_order pairs and dot_ys = in_order dot_ys in
   let col_sums = in_order col_sums and finite = in_order finite in
-  accumulate d g ~targets ~pairs ~dot_ys ~col_sums ~finite ~read:(fun read f ->
-      iter_chunks src (Array.map (fun i -> keys.(i).basis) read) ~f);
+  accumulate src keys g ~targets ~pairs ~dot_ys ~col_sums ~finite;
   Array.iter (fun i -> store_product data (Target (keys.(i), tid)) g.dot_ys.(i)) dot_ys;
   Array.iter (fun i -> store_product data (Target (keys.(i), 0)) g.col_sums.(i)) col_sums;
   Array.iter (fun i -> ignore (Key_memo.add data.finite keys.(i) g.finite_bases.(i) : int)) finite;

@@ -23,20 +23,44 @@ type householder = {
 }
 
 (* Apply H = I - 2vvᵀ/‖v‖² (v zero above row [k]) to columns [first ..
-   width-1] of a row-major [m x width] array. *)
+   width-1] of a row-major [m x width] array.  Column j's update and
+   column j+1's dot share one sweep over rows k .. m-1: the dot reads
+   cells the update does not write, so every cell takes the same
+   subtraction and every dot the same additions in row order as one loop
+   per dot and one per update would.  Reads are [Array.unsafe_get] within
+   the [m x width] bounds, each product with a bound value or [v]'s load
+   on its left (a bare load left of a non-load would be swapped into the
+   memory operand, and a NaN times a NaN keeps the left payload). *)
 let reflect data ~m ~width ~first k v vnorm2 =
-  for j = first to width - 1 do
+  if first < width then begin
     let dot = ref 0. in
     for i = k to m - 1 do
-      dot := !dot +. (v.(i) *. data.((i * width) + j))
+      dot := !dot +. (Array.unsafe_get v i *. Array.unsafe_get data ((i * width) + first))
     done;
-    let factor = 2. *. !dot /. vnorm2 in
-    if factor <> 0. then
-      for i = k to m - 1 do
-        let p = (i * width) + j in
-        data.(p) <- data.(p) -. (factor *. v.(i))
-      done
-  done
+    for j = first to width - 1 do
+      let factor = 2. *. !dot /. vnorm2 in
+      let next = ref 0. in
+      if j + 1 < width then begin
+        if factor <> 0. then
+          for i = k to m - 1 do
+            let p = (i * width) + j in
+            let vi = Array.unsafe_get v i in
+            Array.unsafe_set data p (Array.unsafe_get data p -. (factor *. vi));
+            next := !next +. (vi *. Array.unsafe_get data (p + 1))
+          done
+        else
+          for i = k to m - 1 do
+            next := !next +. (Array.unsafe_get v i *. Array.unsafe_get data ((i * width) + j + 1))
+          done
+      end
+      else if factor <> 0. then
+        for i = k to m - 1 do
+          let p = (i * width) + j in
+          Array.unsafe_set data p (Array.unsafe_get data p -. (factor *. Array.unsafe_get v i))
+        done;
+      dot := !next
+    done
+  end
 
 let householder (a : Matrix.t) =
   let m = a.rows and n = a.cols in
@@ -171,6 +195,10 @@ let solve_upper_triangular (r : Matrix.t) b =
 let solve_lower_triangular (l : Matrix.t) b =
   check_square_system "Decomp.solve_lower_triangular" l b;
   lower_solve ~n:l.rows l.data b
+
+let solve_lower_transposed (l : Matrix.t) b =
+  check_square_system "Decomp.solve_lower_transposed" l b;
+  upper_solve_transposed ~n:l.rows l.data b
 
 let lu_solve (a : Matrix.t) b =
   check_square_system "Decomp.lu_solve" a b;

@@ -18,6 +18,12 @@ val solve_upper_triangular : Matrix.t -> float array -> float array
 val solve_lower_triangular : Matrix.t -> float array -> float array
 (** Forward substitution; raises {!Singular} on a zero pivot. *)
 
+val solve_lower_transposed : Matrix.t -> float array -> float array
+(** [solve_lower_transposed l b] solves [lᵀ x = b] for a lower-triangular
+    [l] by back substitution, reading [l] in place: the words of
+    {!solve_upper_triangular} [(Matrix.transpose l) b] without forming the
+    transpose.  Raises {!Singular} on a zero pivot. *)
+
 val lu_solve : Matrix.t -> float array -> float array
 (** [lu_solve a b] solves the square system [a x = b] with partial pivoting.
     Raises {!Singular} when a pivot vanishes. *)

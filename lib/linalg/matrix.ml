@@ -94,14 +94,18 @@ let mul a b =
   done;
   m
 
+(* A plain loop: [Array.init]'s closure would box every row's float. *)
 let mul_vec a v =
   if a.cols <> Array.length v then invalid_arg "Matrix.mul_vec: dimension mismatch";
-  Array.init a.rows (fun i ->
-      let acc = ref 0. in
-      for j = 0 to a.cols - 1 do
-        acc := !acc +. (a.data.((i * a.cols) + j) *. v.(j))
-      done;
-      !acc)
+  let out = Array.create_float a.rows in
+  for i = 0 to a.rows - 1 do
+    let acc = ref 0. in
+    for j = 0 to a.cols - 1 do
+      acc := !acc +. (a.data.((i * a.cols) + j) *. v.(j))
+    done;
+    out.(i) <- !acc
+  done;
+  out
 
 let gram a = mul (transpose a) a
 

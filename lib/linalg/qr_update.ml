@@ -35,15 +35,6 @@ let create b =
 let rows t = t.m
 let cols t = t.k
 
-let dot m a b =
-  let acc = ref 0. in
-  for i = 0 to m - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
-  done;
-  !acc
-
-let norm2 m a = sqrt (dot m a a)
-
 (* Columns whose orthogonalized remainder falls at or below this fraction
    of the column scale are treated as dependent on the current span —
    the same 1e-10 threshold Decomp.rank_from_r applies to R diagonals. *)
@@ -61,45 +52,131 @@ let ensure_capacity t =
     t.qtb <- qtb'
   end
 
-(* Orthogonalize [v] (destructively) against the committed columns,
-   accumulating projection coefficients into [rj].  Two MGS passes keep
-   ‖Qᵀq_new‖ at machine-epsilon level, which the 1e-8 contract needs. *)
-let orthogonalize t v rj =
-  for _pass = 0 to 1 do
-    for j = 0 to t.k - 1 do
-      let qj = t.q.(j) in
-      let c = dot t.m v qj in
+(* The sweeps below read every array of [t.m] cells — the target, the
+   residual, the leverages, each committed q, and the column, checked at
+   [append] and [press_probe] — with [Array.unsafe_get].  An operation on
+   two NaNs keeps its left operand's payload, so operand order is part of
+   every word.  A bare load on the left of a commutative operation whose
+   right operand is not a load is folded into the memory operand with the
+   operands swapped, so such a load is bound first.  The projection
+   coefficient and [append]'s ⟨q, b⟩ once came back boxed from a dot
+   function, and unboxing them was such a swapped load, so their products
+   keep the row's value on the left ([q.(i) *. c], [u *. c]): the order
+   these words were defined in.  [press_probe]'s [c] was always computed
+   in place and stays on the left. *)
+
+(* CGS2 of [col] into [v]: 2k projections, the committed columns in order
+   and then again, each subtracting c·q from v with c = ⟨v, q⟩ taken on v
+   as the projections before it left it, c added into [rj].  One sweep over
+   the rows finishes a projection's axpy and, from the values it has just
+   written, accumulates the next projection's dot; the first sweep reads
+   [col] itself (a copy would be one more pass) and also accumulates
+   ‖col‖², and the last accumulates the remainder's ‖v‖², and ⟨v, b⟩ when
+   [with_b].  So each v.(i) takes the same subtractions and each
+   accumulator the same additions, row by row in order and with the same
+   operand on each side, as one loop per dot and per axpy would.  Two
+   passes keep ‖Qᵀq_new‖ at machine-epsilon level, which the 1e-8 contract
+   needs.  [sums] receives ‖col‖², ‖v‖² and ⟨v, b⟩. *)
+let orthogonalize t col v rj ~with_b sums =
+  let m = t.m and k = t.k and q = t.q and b = t.b in
+  let col_norm2 = ref 0. and d = ref 0. in
+  if k = 0 then begin
+    for i = 0 to m - 1 do
+      let x = Array.unsafe_get col i in
+      Array.unsafe_set v i x;
+      col_norm2 := !col_norm2 +. (x *. x)
+    done;
+    if with_b then
+      for i = 0 to m - 1 do
+        let x = Array.unsafe_get v i in
+        d := !d +. (x *. Array.unsafe_get b i)
+      done;
+    sums.(0) <- !col_norm2;
+    sums.(1) <- !col_norm2;
+    sums.(2) <- !d
+  end
+  else begin
+    let q0 = q.(0) in
+    for i = 0 to m - 1 do
+      let x = Array.unsafe_get col i in
+      col_norm2 := !col_norm2 +. (x *. x);
+      d := !d +. (x *. Array.unsafe_get q0 i)
+    done;
+    sums.(0) <- !col_norm2;
+    (* Projections 0 .. 2k-2: projection p's axpy, then p+1's dot. *)
+    for p = 0 to (2 * k) - 2 do
+      let j = p mod k in
+      let c = !d in
       rj.(j) <- rj.(j) +. c;
-      for i = 0 to t.m - 1 do
-        v.(i) <- v.(i) -. (c *. qj.(i))
-      done
-    done
-  done
+      let src = if p = 0 then col else v in
+      let qj = q.(j) and next = q.((p + 1) mod k) in
+      let acc = ref 0. in
+      for i = 0 to m - 1 do
+        let qi = Array.unsafe_get qj i in
+        let x = Array.unsafe_get src i -. (qi *. c) in
+        Array.unsafe_set v i x;
+        acc := !acc +. (x *. Array.unsafe_get next i)
+      done;
+      d := !acc
+    done;
+    (* The last projection's axpy, with the remainder's products. *)
+    let c = !d in
+    rj.(k - 1) <- rj.(k - 1) +. c;
+    let qj = q.(k - 1) in
+    let norm2 = ref 0. in
+    if with_b then begin
+      let vb = ref 0. in
+      for i = 0 to m - 1 do
+        let qi = Array.unsafe_get qj i in
+        let x = Array.unsafe_get v i -. (qi *. c) in
+        Array.unsafe_set v i x;
+        norm2 := !norm2 +. (x *. x);
+        vb := !vb +. (x *. Array.unsafe_get b i)
+      done;
+      sums.(2) <- !vb
+    end
+    else
+      for i = 0 to m - 1 do
+        let qi = Array.unsafe_get qj i in
+        let x = Array.unsafe_get v i -. (qi *. c) in
+        Array.unsafe_set v i x;
+        norm2 := !norm2 +. (x *. x)
+      done;
+    sums.(1) <- !norm2
+  end
 
 let dependent t ~col_norm ~resid_norm =
   resid_norm <= dependence_tol *. Float.max col_norm t.max_diag
 
 let append t col =
   if Array.length col <> t.m then invalid_arg "Qr_update.append: length mismatch";
-  let v = Array.copy col in
-  let col_norm = norm2 t.m col in
+  let m = t.m in
+  let v = Array.create_float m in
   let rj = Array.make (t.k + 1) 0. in
-  orthogonalize t v rj;
-  let nrm = norm2 t.m v in
+  let sums = Array.create_float 3 in
+  orthogonalize t col v rj ~with_b:false sums;
+  let col_norm = sqrt sums.(0) and nrm = sqrt sums.(1) in
   if dependent t ~col_norm ~resid_norm:nrm then false
   else begin
     ensure_capacity t;
-    for i = 0 to t.m - 1 do
-      v.(i) <- v.(i) /. nrm
+    (* Normalize, and accumulate ⟨q, b⟩ from the normalized values. *)
+    let b = t.b in
+    let qb = ref 0. in
+    for i = 0 to m - 1 do
+      let u = Array.unsafe_get v i /. nrm in
+      Array.unsafe_set v i u;
+      qb := !qb +. (u *. Array.unsafe_get b i)
     done;
     rj.(t.k) <- nrm;
-    let c = dot t.m v t.b in
+    let c = !qb in
     t.q.(t.k) <- v;
     t.r.(t.k) <- rj;
     t.qtb.(t.k) <- c;
-    for i = 0 to t.m - 1 do
-      t.resid.(i) <- t.resid.(i) -. (c *. v.(i));
-      t.h.(i) <- t.h.(i) +. (v.(i) *. v.(i))
+    let resid = t.resid and h = t.h in
+    for i = 0 to m - 1 do
+      let u = Array.unsafe_get v i and hi = Array.unsafe_get h i in
+      Array.unsafe_set resid i (Array.unsafe_get resid i -. (u *. c));
+      Array.unsafe_set h i (hi +. (u *. u))
     done;
     t.max_diag <- Float.max t.max_diag nrm;
     t.k <- t.k + 1;
@@ -145,7 +222,11 @@ let leverages t = Array.copy t.h
 let residual t = Array.copy t.resid
 
 let predictions t =
-  Array.init t.m (fun i -> t.b.(i) -. t.resid.(i))
+  let p = Array.create_float t.m in
+  for i = 0 to t.m - 1 do
+    p.(i) <- t.b.(i) -. t.resid.(i)
+  done;
+  p
 
 let press_of ~m ~resid ~h =
   let acc = ref 0. in
@@ -159,22 +240,24 @@ let press t = press_of ~m:t.m ~resid:t.resid ~h:t.h
 
 let press_probe t col =
   if Array.length col <> t.m then invalid_arg "Qr_update.press_probe: length mismatch";
-  let v = Array.copy col in
-  let col_norm = norm2 t.m col in
+  let m = t.m in
+  let v = Array.create_float m in
   let rj = Array.make (t.k + 1) 0. in
-  orthogonalize t v rj;
-  let nrm = norm2 t.m v in
+  let sums = Array.create_float 3 in
+  orthogonalize t col v rj ~with_b:true sums;
+  let col_norm = sqrt sums.(0) and nrm = sqrt sums.(1) in
   if dependent t ~col_norm ~resid_norm:nrm then None
   else begin
-    let c = dot t.m v t.b /. nrm in
+    let c = sums.(2) /. nrm in
     (* With u = v/nrm the updated residual is resid − (c/1)·u and the
        updated leverage is h_i + u_i²; accumulate PRESS directly instead
        of materializing the updated vectors. *)
+    let resid = t.resid and h = t.h in
     let acc = ref 0. in
-    for i = 0 to t.m - 1 do
-      let u = v.(i) /. nrm in
-      let r = t.resid.(i) -. (c *. u) in
-      let hh = t.h.(i) +. (u *. u) in
+    for i = 0 to m - 1 do
+      let u = Array.unsafe_get v i /. nrm and hi = Array.unsafe_get h i in
+      let r = Array.unsafe_get resid i -. (c *. u) in
+      let hh = hi +. (u *. u) in
       let e = r /. Float.max (1. -. hh) 1e-9 in
       acc := !acc +. (e *. e)
     done;

@@ -33,10 +33,10 @@ let check_columns name columns =
     columns;
   n
 
-(* Filled column by column straight into the row-major data, with no
-   closure call per element. *)
-let design_matrix columns =
-  let n = check_columns "Linfit.design_matrix" columns in
+(* The design [ones | columns] of [n]-row columns a caller has checked,
+   filled column by column straight into the row-major data, with no
+   closure call per element and no second scan. *)
+let fill_design n columns =
   let dim = Array.length columns + 1 in
   let design = Matrix.create n dim in
   let d = design.data in
@@ -50,6 +50,8 @@ let design_matrix columns =
       done)
     columns;
   design
+
+let design_matrix columns = fill_design (check_columns "Linfit.design_matrix" columns) columns
 
 let fit_constant ~targets =
   if Array.length targets = 0 then invalid_arg "Linfit.fit_constant: no targets";
@@ -115,18 +117,18 @@ let ridge_is_forced columns =
   Array.exists (fun col -> all_zero col 0) columns
   && Array.for_all (fun col -> Float.is_finite (sum_squares col)) columns
 
-(* The QR fit of checked columns.  [normal] is the design's aᵀa and aᵀy
-   when the caller already holds them, for the ridge solve.  When the
-   ridge is forced, neither factorization runs; the counters move as
+(* The QR fit of checked [n]-row columns.  [normal] is the design's aᵀa
+   and aᵀy when the caller already holds them, for the ridge solve.  When
+   the ridge is forced, neither factorization runs; the counters move as
    they would have. *)
-let qr_fit ?normal ~basis_values ~targets () =
+let qr_fit ?normal ~n ~basis_values ~targets () =
   Metrics.incr m_fits;
   let forced = ridge_is_forced basis_values in
   match if forced then None else incremental_design basis_values targets with
   | Some qr -> finish ~targets (Qr_update.coefficients qr) (Qr_update.predictions qr)
   | None ->
       Metrics.incr m_qr_fallbacks;
-      let design = design_matrix basis_values in
+      let design = fill_design n basis_values in
       let coeffs =
         match normal with
         | Some (ata, atb) when forced -> Decomp.lstsq_ridge ~ata ~atb design targets
@@ -141,7 +143,7 @@ let fit ~basis_values ~targets =
   else begin
     let n = check_columns "Linfit.fit" basis_values in
     if n <> Array.length targets then invalid_arg "Linfit.fit: sample count mismatch";
-    qr_fit ~basis_values ~targets ()
+    qr_fit ~n ~basis_values ~targets ()
   end
 
 let predict model ~basis_values =
@@ -177,7 +179,7 @@ let press ~basis_values ~targets =
     | Some qr -> Qr_update.press qr
     | None ->
         Metrics.incr m_qr_fallbacks;
-        Decomp.press (design_matrix basis_values) targets
+        Decomp.press (fill_design n basis_values) targets
   end
 
 (* The bordered Gram [ones | columns]ᵀ[ones | columns] (row-major) and the
@@ -241,8 +243,7 @@ let gram_coefficients ~dim gd raw_rhs =
            threatens the 1e-8 agreement contract, so use QR instead. *)
         if !min_pivot < 1e-3 *. !max_pivot then None
         else begin
-          let lt = Matrix.transpose l in
-          let solve b = Decomp.solve_upper_triangular lt (Decomp.solve_lower_triangular l b) in
+          let solve b = Decomp.solve_lower_transposed l (Decomp.solve_lower_triangular l b) in
           let x0 = solve rs in
           let residual = Array.make dim 0. in
           for i = 0 to dim - 1 do
@@ -257,17 +258,35 @@ let gram_coefficients ~dim gd raw_rhs =
         end
   end
 
+(* Whether every column of the bordered Gram [gd] has a finite diagonal
+   entry ⟨colᵢ, colᵢ⟩.  That entry is a sum of squares, so a NaN or
+   infinite cell leaves it NaN or +∞ whatever the order of the sum: a
+   finite diagonal proves the column finite, and only a non-finite one
+   (a bad cell, or squares that overflow) leaves a scan to decide. *)
+let diagonal_finite ~dim gd =
+  let rec from i = i = dim || (Float.is_finite gd.((i * dim) + i) && from (i + 1)) in
+  from 1
+
+(* A chunk that is the whole pass: [k] columns of exactly [n] cells. *)
+let whole_columns ~k ~n ~row0 ~len (columns : float array array) =
+  row0 = 0 && len = n && Array.length columns = k
+  && Array.for_all (fun (col : float array) -> Array.length col = n) columns
+
 (* The per-individual fit: solve the normal equations from a bordered
    Gram matrix whose entries the caller supplies (typically memoized dot
    products shared across the population), with basis values arriving as
    row chunks through [iter].  Each sample's prediction is an independent
    left fold, so the chunking does not change a word.  The fallback has
-   no streaming form — it materializes the columns through one [iter]
-   pass and runs [fit]'s QR path, except that a ridge solve takes aᵀa and
-   aᵀy from the Gram it was handed: for finite columns those are the
-   words [fit] would form from the design (every entry a row-order sum
-   from +0, which never holds -0, so its skipped zero terms and swapped
-   product operands change no bit). *)
+   no streaming form — it runs [fit]'s QR path on the columns of one
+   [iter] pass, except that a ridge solve takes aᵀa and aᵀy from the Gram
+   it was handed: for finite columns those are the words [fit] would form
+   from the design (every entry a row-order sum from +0, which never
+   holds -0, so its skipped zero terms and swapped product operands
+   change no bit).  A pass that hands over all [n] rows in one chunk of
+   exact-length columns (resident data) is fitted in place, inside the
+   callback where the columns are valid; chunks of a longer stream are
+   copied into fresh columns first.  Either way the columns are read, never
+   written, and the Gram's diagonal decides their finiteness. *)
 let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
   if k = 0 then fit_constant ~targets
   else begin
@@ -278,13 +297,20 @@ let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
     match gram_coefficients ~dim:(k + 1) ata atb with
     | None ->
         Metrics.incr m_gram_fallbacks;
-        let basis_values = Array.init k (fun _ -> Array.make n 0.) in
+        let finite = diagonal_finite ~dim:(k + 1) ata in
+        let fallback basis_values =
+          if not finite then ignore (check_columns "Linfit.fit" basis_values : int);
+          qr_fit ~normal:(ata, atb) ~n ~basis_values ~targets ()
+        in
+        let fitted = ref None and copy = lazy (Array.init k (fun _ -> Array.make n 0.)) in
         iter (fun ~row0 ~len (columns : float array array) ->
-            for j = 0 to k - 1 do
-              Array.blit columns.(j) 0 basis_values.(j) row0 len
-            done);
-        ignore (check_columns "Linfit.fit" basis_values : int);
-        qr_fit ~normal:(ata, atb) ~basis_values ~targets ()
+            if whole_columns ~k ~n ~row0 ~len columns then fitted := Some (fallback columns)
+            else
+              let copy = Lazy.force copy in
+              for j = 0 to k - 1 do
+                Array.blit columns.(j) 0 copy.(j) row0 len
+              done);
+        (match !fitted with Some fitted -> fitted | None -> fallback (Lazy.force copy))
     | Some coeffs ->
         let predictions = Array.make n 0. in
         iter (fun ~row0 ~len (columns : float array array) ->

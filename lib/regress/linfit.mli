@@ -74,18 +74,26 @@ val fit_stream :
     bases, so how the rows are chunked changes no word.  When
     conditioning threatens accuracy (non-positive diagonal, singular
     factorization, or a minimum Cholesky pivot below 1e-3 of the maximum)
-    the columns are materialized through one extra [iter] pass and the
-    call falls back to {!fit}, so the result always matches the QR answer
-    within the engine's 1e-8 contract.  On that fallback a rank-deficient
-    design's ridge solve takes [aᵀa] and [aᵀy] from the supplied products
-    instead of forming them from the columns again; when every product
-    is the row-order sum from [+0.] of finite columns (as
-    {!Caffeine_io.Dataset.gram} and {!Gram_stream} form them), the result
-    is {!fit}'s word for word.  The fallback is {!fit}'s, so a design with
-    an all-zero column skips both rank decisions as {!fit} does.  [iter]
-    is invoked once (the prediction pass, or the materialization on
-    fallback); the pass {!Caffeine_io.Dataset.finite_gram} returns hands
-    over the resident columns it already holds, with no second lookup. *)
+    the call falls back to {!fit} on the columns of one [iter] pass, so
+    the result always matches the QR answer within the engine's 1e-8
+    contract.  A pass that hands over all [n] rows in one call, as [k]
+    columns of exactly [n] cells (resident data), is fitted inside that
+    call, reading the columns in place; the chunks of a longer pass are
+    copied into fresh columns first.  The columns are never written.  The
+    fallback takes each column's finiteness from the diagonal entry [dot i
+    i], a sum of squares that a NaN or infinite cell leaves non-finite:
+    only when some diagonal entry is not finite are the columns scanned,
+    and a non-finite column raises [Invalid_argument] as {!fit} does.  On
+    that fallback a rank-deficient design's ridge solve takes [aᵀa] and
+    [aᵀy] from the supplied products instead of forming them from the
+    columns again; when every product is the row-order sum from [+0.] of
+    finite columns (as {!Caffeine_io.Dataset.gram} and {!Gram_stream} form
+    them), the result is {!fit}'s word for word.  The fallback is
+    {!fit}'s, so a design with an all-zero column skips both rank
+    decisions as {!fit} does.  [iter] is invoked once (the prediction
+    pass, or the fallback's); the pass
+    {!Caffeine_io.Dataset.finite_gram} returns hands over the resident
+    columns it already holds, with no second lookup. *)
 
 val fit_gram :
   dot:(int -> int -> float) ->

@@ -171,6 +171,43 @@ let test_cli_bad_inputs_and_options () =
     (fun path -> if Sys.file_exists path then Sys.remove path)
     [ train; scored; models; snapshot; missing ]
 
+(* An output file the command cannot write exits 2 with one line naming
+   it, before any work: a fit prints no front, and an existing --out file
+   keeps its bytes when the run is refused. *)
+let test_cli_unwritable_outputs () =
+  let train = Filename.temp_file "caffeine_cli" ".csv" in
+  let models = Filename.temp_file "caffeine_cli" ".txt" in
+  let kept = Filename.temp_file "caffeine_cli" ".txt" in
+  let nowhere = Filename.concat (Filename.get_temp_dir_name ()) "caffeine_cli_no_such_dir" in
+  if Sys.file_exists nowhere then Alcotest.failf "%s exists" nowhere;
+  let into name = Filename.concat nowhere name in
+  let directory = Filename.get_temp_dir_name () in
+  write_file train "x,PM\n1,2\n2,3.5\n3,5\n4,4.5\n5,6\n";
+  write_file kept "keep\n";
+  let fit extra =
+    [ "fit"; "--train"; train; "--target"; "PM"; "--pop"; "10"; "--gens"; "2" ] @ extra
+  in
+  let refused msg arguments path = expect_refused msg arguments ("cannot write " ^ path) in
+  refused "gen-data --out" [ "gen-data"; "--out"; into "x.csv" ] (into "x.csv");
+  refused "fit --out" (fit [ "--out"; into "x.models" ]) (into "x.models");
+  refused "fit --out DIRECTORY" (fit [ "--out"; directory ]) directory;
+  refused "fit --trace" (fit [ "--trace"; into "x.jsonl" ]) (into "x.jsonl");
+  refused "fit --checkpoint" (fit [ "--checkpoint"; into "x.ckpt" ]) (into "x.ckpt");
+  refused "fit --trace with an existing --out"
+    (fit [ "--trace"; into "x.jsonl"; "--out"; kept ])
+    (into "x.jsonl");
+  Alcotest.(check string) "a refused fit leaves --out as it was" "keep\n"
+    (In_channel.with_open_bin kept In_channel.input_all);
+  (match run_cli (fit [ "--seed"; "1"; "--out"; models ]) with
+  | Some (status, _) when status = Unix.WEXITED 0 ->
+      refused "predict --dump"
+        [ "predict"; "--models"; models; "--data"; train; "--target"; "PM"; "--dump"; into "x.dump" ]
+        (into "x.dump");
+      refused "export -o" [ "export"; "--models"; models; "-o"; into "x.c" ] (into "x.c")
+  | Some (_, output) -> Alcotest.failf "fit failed: %s" output
+  | None -> ());
+  List.iter (fun path -> if Sys.file_exists path then Sys.remove path) [ train; models; kept ]
+
 let suite =
   [
     Alcotest.test_case "cli: grammar" `Quick test_cli_grammar;
@@ -180,4 +217,6 @@ let suite =
     Alcotest.test_case "cli: unusable training data exits 2" `Quick test_cli_unusable_training_data;
     Alcotest.test_case "cli: bad input files and option values exit 2" `Quick
       test_cli_bad_inputs_and_options;
+    Alcotest.test_case "cli: unwritable output paths exit 2 before any work" `Quick
+      test_cli_unwritable_outputs;
   ]

@@ -548,6 +548,163 @@ module Reference = struct
     !acc
 end
 
+(* [Qr_update] as it read before its sweeps were fused, kept verbatim
+   (minus [rows], [cols], [drop_last] and [residual], which did not
+   change): one loop per dot, per axpy and per norm.  The property below
+   pins the rewritten module to it IEEE word for IEEE word. *)
+module Qr_reference = struct
+  type t = {
+    m : int;                       (* rows *)
+    b : float array;               (* target, copied at create *)
+    mutable k : int;               (* columns committed so far *)
+    mutable q : float array array; (* q.(j), j < k: orthonormal columns *)
+    mutable r : float array array; (* r.(j), j < k: length j+1 *)
+    mutable qtb : float array;     (* qtb.(j) = q_jᵀ b, j < k *)
+    resid : float array;           (* b − Q Qᵀ b *)
+    h : float array;               (* leverages *)
+    mutable max_diag : float;      (* max |r_jj| seen among committed cols *)
+  }
+
+  let create b =
+    let m = Array.length b in
+    if m = 0 then invalid_arg "Qr_update.create: empty target";
+    {
+      m;
+      b = Array.copy b;
+      k = 0;
+      q = [||];
+      r = [||];
+      qtb = [||];
+      resid = Array.copy b;
+      h = Array.make m 0.;
+      max_diag = 0.;
+    }
+
+  let dot m a b =
+    let acc = ref 0. in
+    for i = 0 to m - 1 do
+      acc := !acc +. (a.(i) *. b.(i))
+    done;
+    !acc
+
+  let norm2 m a = sqrt (dot m a a)
+
+  (* Columns whose orthogonalized remainder falls at or below this fraction
+     of the column scale are treated as dependent on the current span —
+     the same 1e-10 threshold Decomp.rank_from_r applies to R diagonals. *)
+  let dependence_tol = 1e-10
+
+  let ensure_capacity t =
+    let cap = Array.length t.q in
+    if t.k >= cap then begin
+      let cap' = Int.max 4 (2 * cap) in
+      let grow arr = Array.init cap' (fun j -> if j < cap then arr.(j) else [||]) in
+      t.q <- grow t.q;
+      t.r <- grow t.r;
+      let qtb' = Array.make cap' 0. in
+      Array.blit t.qtb 0 qtb' 0 cap;
+      t.qtb <- qtb'
+    end
+
+  (* Orthogonalize [v] (destructively) against the committed columns,
+     accumulating projection coefficients into [rj].  Two MGS passes keep
+     ‖Qᵀq_new‖ at machine-epsilon level, which the 1e-8 contract needs. *)
+  let orthogonalize t v rj =
+    for _pass = 0 to 1 do
+      for j = 0 to t.k - 1 do
+        let qj = t.q.(j) in
+        let c = dot t.m v qj in
+        rj.(j) <- rj.(j) +. c;
+        for i = 0 to t.m - 1 do
+          v.(i) <- v.(i) -. (c *. qj.(i))
+        done
+      done
+    done
+
+  let dependent t ~col_norm ~resid_norm =
+    resid_norm <= dependence_tol *. Float.max col_norm t.max_diag
+
+  let append t col =
+    if Array.length col <> t.m then invalid_arg "Qr_update.append: length mismatch";
+    let v = Array.copy col in
+    let col_norm = norm2 t.m col in
+    let rj = Array.make (t.k + 1) 0. in
+    orthogonalize t v rj;
+    let nrm = norm2 t.m v in
+    if dependent t ~col_norm ~resid_norm:nrm then false
+    else begin
+      ensure_capacity t;
+      for i = 0 to t.m - 1 do
+        v.(i) <- v.(i) /. nrm
+      done;
+      rj.(t.k) <- nrm;
+      let c = dot t.m v t.b in
+      t.q.(t.k) <- v;
+      t.r.(t.k) <- rj;
+      t.qtb.(t.k) <- c;
+      for i = 0 to t.m - 1 do
+        t.resid.(i) <- t.resid.(i) -. (c *. v.(i));
+        t.h.(i) <- t.h.(i) +. (v.(i) *. v.(i))
+      done;
+      t.max_diag <- Float.max t.max_diag nrm;
+      t.k <- t.k + 1;
+      true
+    end
+
+  let coefficients t =
+    let x = Array.make t.k 0. in
+    for j = t.k - 1 downto 0 do
+      (* Row j of R lives spread across columns j..k-1: R[j][col] = r.(col).(j). *)
+      let acc = ref t.qtb.(j) in
+      for col = j + 1 to t.k - 1 do
+        acc := !acc -. (t.r.(col).(j) *. x.(col))
+      done;
+      let pivot = t.r.(j).(j) in
+      if pivot = 0. then raise Decomp.Singular;
+      x.(j) <- !acc /. pivot
+    done;
+    x
+
+  let leverages t = Array.copy t.h
+
+  let predictions t =
+    Array.init t.m (fun i -> t.b.(i) -. t.resid.(i))
+
+  let press_of ~m ~resid ~h =
+    let acc = ref 0. in
+    for i = 0 to m - 1 do
+      let e = resid.(i) /. Float.max (1. -. h.(i)) 1e-9 in
+      acc := !acc +. (e *. e)
+    done;
+    !acc
+
+  let press t = press_of ~m:t.m ~resid:t.resid ~h:t.h
+
+  let press_probe t col =
+    if Array.length col <> t.m then invalid_arg "Qr_update.press_probe: length mismatch";
+    let v = Array.copy col in
+    let col_norm = norm2 t.m col in
+    let rj = Array.make (t.k + 1) 0. in
+    orthogonalize t v rj;
+    let nrm = norm2 t.m v in
+    if dependent t ~col_norm ~resid_norm:nrm then None
+    else begin
+      let c = dot t.m v t.b /. nrm in
+      (* With u = v/nrm the updated residual is resid − (c/1)·u and the
+         updated leverage is h_i + u_i²; accumulate PRESS directly instead
+         of materializing the updated vectors. *)
+      let acc = ref 0. in
+      for i = 0 to t.m - 1 do
+        let u = v.(i) /. nrm in
+        let r = t.resid.(i) -. (c *. u) in
+        let hh = t.h.(i) +. (u *. u) in
+        let e = r /. Float.max (1. -. hh) 1e-9 in
+        acc := !acc +. (e *. e)
+      done;
+      Some !acc
+    end
+end
+
 (* IEEE-word equality, NaN payloads included. *)
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
@@ -584,6 +741,47 @@ let reference_design seed =
     cols.(Rng.int rng n).(Rng.int rng m) <-
       [| Float.infinity; Float.neg_infinity; Float.nan |].(Rng.int rng 3);
   (Matrix.init m n (fun i j -> cols.(j).(i)), random_vector rng m)
+
+(* A cell no fit should hold, but every kernel must treat alike: a NaN
+   with a random payload and sign (so that which operand of a product
+   comes first shows in the result), ±∞, a huge magnitude whose square
+   overflows, a subnormal, or -0. *)
+let odd_cell rng =
+  match Rng.int rng 6 with
+  | 0 | 1 ->
+      let payload = Int64.of_int (1 + Rng.int rng 0xfffff) in
+      let sign = if Rng.bool rng then Int64.min_int else 0L in
+      Int64.float_of_bits (Int64.logor (Int64.logor 0x7ff8000000000000L payload) sign)
+  | 2 -> if Rng.bool rng then Float.infinity else Float.neg_infinity
+  | 3 -> Rng.range rng (-1.) 1. *. 1e300
+  | 4 -> Rng.range rng (-1.) 1. *. 1e-310
+  | _ -> -0.
+
+(* Columns and a target of the shapes the fit fallback hands CGS2: 1-8
+   columns of 1-243 rows, some duplicated, scaled duplicates, constant,
+   all ±0 or scaled to huge magnitudes, and sometimes odd cells. *)
+let fallback_case seed =
+  let rng = Rng.create ~seed () in
+  let k = 1 + Rng.int rng 8 and m = 1 + Rng.int rng 243 in
+  let cols = Array.init k (fun _ -> random_vector rng m) in
+  for _ = 1 to Rng.int rng 4 do
+    let j = Rng.int rng k and src = Rng.int rng k in
+    cols.(j) <-
+      (match Rng.int rng 5 with
+      | 0 -> Array.copy cols.(src)
+      | 1 -> Array.map (fun x -> 2.5 *. x) cols.(src)
+      | 2 -> Array.make m (Rng.range rng (-2.) 2.)
+      | 3 -> Array.init m (fun _ -> if Rng.bool rng then 0. else -0.)
+      | _ -> Array.map (fun x -> x *. 1e300) cols.(src))
+  done;
+  for _ = 1 to Rng.int rng 4 do
+    cols.(Rng.int rng k).(Rng.int rng m) <- odd_cell rng
+  done;
+  let b = random_vector rng m in
+  if Rng.int rng 8 = 0 then b.(Rng.int rng m) <- odd_cell rng;
+  (* The fits append the ones column first. *)
+  let cols = if Rng.int rng 4 = 0 then cols else Array.append [| Array.make m 1. |] cols in
+  (cols, b)
 
 let rank_deficient_243x8 () =
   let rng = Rng.create ~seed:243 () in
@@ -692,6 +890,44 @@ let property_tests =
   in
   let reference_tests =
     [
+      QCheck.Test.make ~count:1000 QCheck.int
+        ~name:"reference: fused CGS2 sweeps IEEE-identical to one loop per dot and axpy"
+        (fun seed ->
+          let cols, b = fallback_case seed in
+          let t = Qr_update.create b and r = Qr_reference.create b in
+          (* Probe each column, then append it, on both: every decision
+             and every word must agree, rejected columns included. *)
+          let agree col =
+            (match (Qr_update.press_probe t col, Qr_reference.press_probe r col) with
+            | None, None -> true
+            | Some x, Some y -> same_bits x y
+            | Some _, None | None, Some _ -> false)
+            && Qr_update.append t col = Qr_reference.append r col
+          in
+          Array.for_all agree cols
+          && same_outcome same_vec
+               (fun () -> Qr_update.coefficients t)
+               (fun () -> Qr_reference.coefficients r)
+          && same_vec (Qr_update.predictions t) (Qr_reference.predictions r)
+          && same_bits (Qr_update.press t) (Qr_reference.press r)
+          && same_vec (Qr_update.leverages t) (Qr_reference.leverages r));
+      QCheck.Test.make ~count:500 QCheck.int
+        ~name:"reference: mul_vec IEEE-identical to the Array.init fold" (fun seed ->
+          let rng = Rng.create ~seed () in
+          let rows = 1 + Rng.int rng 12 and cols = 1 + Rng.int rng 8 in
+          let cell () = if Rng.int rng 4 = 0 then odd_cell rng else Rng.range rng (-3.) 3. in
+          let a = Matrix.init rows cols (fun _ _ -> cell ()) in
+          let v = Array.init cols (fun _ -> cell ()) in
+          (* [Matrix.mul_vec] as it read before it became a plain loop. *)
+          let fold (a : Matrix.t) v =
+            Array.init a.Matrix.rows (fun i ->
+                let acc = ref 0. in
+                for j = 0 to a.Matrix.cols - 1 do
+                  acc := !acc +. (a.Matrix.data.((i * a.Matrix.cols) + j) *. v.(j))
+                done;
+                !acc)
+          in
+          same_vec (Matrix.mul_vec a v) (fold a v));
       QCheck.Test.make ~count:1000 QCheck.int
         ~name:"reference: qr/lstsq/hat_diag/press IEEE-identical to the Matrix.get kernels"
         (fun seed ->

@@ -289,6 +289,97 @@ let test_sag_identity () =
         (fun (name, storage) -> check_same (name ^ "/domains") (run executor storage))
         (("dense", dense) :: storages))
 
+(* The rank-deficient fallback reads resident columns in place: the
+   memoized columns a fit hands it must come out bit for bit as they went
+   in, and the fit must be the one a fresh dataset gives and the one
+   [Linfit.fit] makes of the same columns.  Every individual here repeats
+   a basis, scales one or holds a constant, so its Gram guard trips. *)
+let test_fallback_reads_columns_in_place () =
+  let n = 243 in
+  let rng = Rng.create ~seed:31 () in
+  let columns = Array.init 3 (fun _ -> Array.init n (fun _ -> Rng.range rng 0.2 2.)) in
+  let targets = Array.init n (fun _ -> Rng.range rng (-3.) 3.) in
+  let vc e = { Expr.vc = Some e; factors = [] } in
+  let scaled s (b : Expr.basis) =
+    let factor = Expr.Unary (Caffeine_expr.Op.Abs, Expr.constant_wsum s) in
+    { b with Expr.factors = factor :: b.Expr.factors }
+  in
+  let a = vc [| 1; 0; 0 |] and b = vc [| 0; 1; 0 |] and ac = vc [| 1; 0; 1 |] in
+  let constant = scaled 1.7 { Expr.vc = None; factors = [] } in
+  let individuals =
+    [
+      [| a; a |];
+      [| a; scaled 2.5 a |];
+      [| b; constant |];
+      [| a; b; ac; scaled 2.5 a |];
+      [| constant; b; a; b |];
+      [| ac; scaled (-0.5) ac; b; scaled 3. b; a |];
+    ]
+  in
+  let data = Dataset.of_columns columns in
+  let used = List.concat_map Array.to_list individuals in
+  let before = List.map (fun basis -> Array.copy (Dataset.basis_column data basis)) used in
+  let fallbacks = Caffeine_obs.Metrics.(counter default "linfit.gram_fallbacks") in
+  List.iteri
+    (fun index bases ->
+      let label = Printf.sprintf "individual %d" index in
+      let taken = Caffeine_obs.Metrics.counter_value fallbacks in
+      let fitted = Model.fit ~wb ~wvc bases ~data ~targets in
+      Alcotest.(check bool) (label ^ ": took the fallback") true
+        (Caffeine_obs.Metrics.counter_value fallbacks > taken);
+      Alcotest.(check bool) (label ^ ": equals the fit on a fresh dataset") true
+        (fit_eq fitted (Model.fit ~wb ~wvc bases ~data:(Dataset.of_columns columns) ~targets));
+      let fresh = Dataset.of_columns columns in
+      let direct =
+        Linfit.fit ~basis_values:(Array.map (Dataset.basis_column fresh) bases) ~targets
+      in
+      match fitted with
+      | None -> Alcotest.failf "%s: no model" label
+      | Some (m : Model.t) ->
+          Alcotest.(check bool) (label ^ ": equals Linfit.fit of its columns") true
+            (feq m.Model.intercept direct.Linfit.intercept
+            && farr_eq m.Model.weights direct.Linfit.weights
+            && feq m.Model.train_error direct.Linfit.train_error))
+    individuals;
+  List.iter2
+    (fun basis copy ->
+      Alcotest.(check bool) "memoized column unchanged" true
+        (farr_eq copy (Dataset.basis_column data basis)))
+    used before;
+  (* The Gram diagonal decides finiteness: a column with a NaN cell still
+     raises, whether its pass is one whole chunk or copied from several. *)
+  let bad = Array.map Array.copy columns in
+  bad.(1).(17) <- Float.nan;
+  let row_dot (x : float array) (y : float array) =
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      acc := !acc +. (x.(i) *. y.(i))
+    done;
+    !acc
+  in
+  let fit_stream iter =
+    Linfit.fit_stream
+      ~dot:(fun i j -> row_dot bad.(i) bad.(j))
+      ~dot_y:(fun i -> row_dot bad.(i) targets)
+      ~col_sum:(fun i -> row_dot bad.(i) (Array.make n 1.))
+      ~k:3 ~n ~iter ~targets
+  in
+  let whole f = f ~row0:0 ~len:n bad in
+  let chunked f =
+    let row0 = ref 0 in
+    while !row0 < n do
+      let len = min 50 (n - !row0) in
+      f ~row0:!row0 ~len (Array.map (fun col -> Array.sub col !row0 len) bad);
+      row0 := !row0 + len
+    done
+  in
+  List.iter
+    (fun (label, iter) ->
+      match fit_stream iter with
+      | _ -> Alcotest.failf "%s pass: a non-finite column was fitted" label
+      | exception Invalid_argument _ -> ())
+    [ ("whole", whole); ("chunked", chunked) ]
+
 let suite =
   (Alcotest.test_case "evolved fronts are bit-identical across storages/backends" `Quick
      test_front_identity
@@ -298,4 +389,6 @@ let suite =
         `Quick test_sag_identity;
       Alcotest.test_case "dense and chunked Grams agree word for word on NaN-heavy repeats"
         `Quick test_gram_nan_repeats;
+      Alcotest.test_case "the fit fallback reads resident columns in place, unchanged" `Quick
+        test_fallback_reads_columns_in_place;
     ]
