@@ -1438,9 +1438,8 @@ let experiment_fuse options =
     exactness;
   let fronts_identical = List.for_all snd exactness in
   (* --- determinism: projected traces must not move either ------------------ *)
-  (* The per-generation fused_stats records depend on chunk boundaries and
-     cache state, so the deterministic projection must drop them: jobs 1
-     and 4 project to the same lines. *)
+  (* Every record but the cache reports and wall times is deterministic,
+     so jobs 1 and 4 project to the same lines. *)
   let capture ~jobs =
     let data = fresh_data () in
     Executor.with_executor ~jobs Executor.Domains @@ fun executor ->

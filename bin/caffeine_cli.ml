@@ -388,9 +388,6 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
         let test_set, test_raw = split_target ~path test target in
         Some (test_set, fit_targets ~path ~target ~log_target test_raw)
   in
-  (* One fused pass over the whole front fills the testing dataset's column
-     cache before the per-model error loop below reads it. *)
-  (match test_data with Some (test_set, _) -> Model.warm_front front test_set | None -> ());
   Printf.printf "\n%-10s %-10s %-9s expression\n" "train err" "test err" "complexity";
   List.iter
     (fun (m : Model.t) ->
@@ -628,9 +625,6 @@ let predict models_path data_path target log_target dump =
         exit 2
       end;
       let targets = fit_targets ~path:data_path ~target ~log_target raw_targets in
-      (* Fill the fresh dataset's column cache with one fused pass over
-         every model before the per-model scoring loop. *)
-      Model.warm_front models data;
       Printf.printf "%-10s %-9s expression\n" "error" "#bases";
       List.iter
         (fun (m : Model.t) ->
@@ -1031,10 +1025,11 @@ let counts_arg =
         ~doc:
           "Print the deterministic projection of each record instead of a summary — \
            byte-identical for the same seeded run at any --jobs setting.  Wall times are \
-           zeroed; the dataset cache_stats record, the eval_cache_stats record (the final \
-           eval.cache_hits/misses/evictions counters of --eval-cache runs) and per-generation \
-           fused_stats records are dropped, since all depend on scheduling or cache state; \
-           per-generation op_stats records are kept verbatim.")
+           zeroed; the dataset cache_stats record and the eval_cache_stats record (the final \
+           eval.cache_hits/misses/evictions counters of --eval-cache runs) are dropped, since \
+           both depend on scheduling or cache state, and so are the per-generation fused_stats \
+           records of traces written before the search stopped fused warming; per-generation \
+           op_stats records are kept verbatim.")
 
 let trace_cmd =
   let info =

@@ -74,14 +74,8 @@ let sobol_first_order ?(samples = 1024) rng (model : Model.t) ~lo ~hi =
   let a = Array.init samples (fun _ -> draw_point ()) in
   let b = Array.init samples (fun _ -> draw_point ()) in
   (* Batch every response through the compiled engine: one dataset per
-     sample matrix instead of a tree interpretation per point.  Each fresh
-     dataset's columns are filled by one fused pass over the model's bases
-     (shared subtrees computed once) before [predict] reads them. *)
-  let batch rows =
-    let data = Caffeine_io.Dataset.of_rows rows in
-    Model.warm model data;
-    Model.predict model data
-  in
+     sample matrix instead of a tree interpretation per point. *)
+  let batch rows = Model.predict model (Caffeine_io.Dataset.of_rows rows) in
   let fa = batch a in
   let fb = batch b in
   let valid = Array.map Float.is_finite fa in

@@ -10,7 +10,7 @@
     Point probes run through {!Model.predict_point}, the tree
     interpreter (a handful of points per query), and the Sobol estimator
     batches its sample matrices through {!Model.predict} over
-    column-major datasets on fused tapes. *)
+    column-major datasets, one tape per basis. *)
 
 val variables_used : Model.t -> int list
 (** Sorted indices of the design variables appearing in the model (the

@@ -104,13 +104,6 @@ let predict model data =
   end;
   predictions
 
-let warm model data = ignore (Dataset.warm_columns data model.bases : Dataset.fuse_stats)
-
-let warm_front front data =
-  ignore
-    (Dataset.warm_columns data (Array.concat (List.map (fun m -> m.bases) front))
-      : Dataset.fuse_stats)
-
 let error_on model ~data ~targets =
   let predictions = predict model data in
   if Stats.is_finite_array predictions then Stats.normalized_error targets predictions

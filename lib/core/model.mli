@@ -63,21 +63,11 @@ val predict_point : t -> float array -> float
 
 val predict : t -> Dataset.t -> float array
 (** Batched response over a dataset: per row, the intercept plus each
-    weighted basis value in order.  Reads cached columns on dense storage
-    and evaluates the model's bases in one fused pass on chunked storage.
+    weighted basis value in order.  Reads the memoized columns on dense
+    storage, evaluating a column the dataset does not hold yet on its own
+    one-root tape, and evaluates the model's bases in one fused pass on
+    chunked storage.
     A model with no bases predicts its intercept everywhere. *)
-
-val warm : t -> Dataset.t -> unit
-(** Fill the dataset's column cache for every basis of the model through
-    one fused tape ({!Dataset.warm_columns}): subtrees shared between the
-    model's bases evaluate once.  Purely a throughput optimization —
-    subsequent {!predict} / {!error_on} calls return bit-identical
-    results with or without warming. *)
-
-val warm_front : t list -> Dataset.t -> unit
-(** {!warm} for a whole front at once, sharing subtrees {e across}
-    models — fronts grown by the search overlap heavily, so this is the
-    cheap way to prepare SAG, scoring and export passes. *)
 
 val error_on : t -> data:Dataset.t -> targets:float array -> float
 (** Normalized error on a dataset; [infinity] when predictions are not

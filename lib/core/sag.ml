@@ -86,11 +86,6 @@ let process_front ?executor ?trace ?(already = []) ?on_model ~wb ~wvc front ~dat
   (* [already] is the prefix of results a resumed run restored from its
      checkpoint: those members are not re-simplified (fronts are small, so
      the List.nth walk is irrelevant). *)
-  (* Front models overlap heavily (neighbors on the front differ by a few
-     bases), so one fused evaluation of the whole front warms every column
-     the per-model selection loops below will read; a warmed column is
-     the words a lazily computed one would be. *)
-  Model.warm_front front data;
   let skip = List.length already in
   let simplified =
     List.mapi
@@ -110,9 +105,6 @@ let process_front ?executor ?trace ?(already = []) ?on_model ~wb ~wvc front ~dat
   |> List.sort (fun a b -> compare a.Model.complexity b.Model.complexity)
 
 let test_tradeoff ?(trace = Trace.null) front ~data ~targets =
-  (* Scoring evaluates every model on the testing data: fuse the whole
-     front against it once before the per-model error loop. *)
-  Model.warm_front front data;
   let scored =
     List.map (fun m -> { model = m; test_error = Model.error_on m ~data ~targets }) front
   in

@@ -63,9 +63,8 @@ val process_front :
     member (index in [front], result) as it completes;
     [Search.run_and_simplify] checkpoints from this callback.
 
-    The dataset's column cache is pre-warmed with one fused evaluation of
-    the whole front ({!Model.warm_front}) before the per-model selection
-    loops; a warmed column is the words a lazily computed one would be. *)
+    A column the dataset does not hold yet is evaluated on its own tape
+    when a selection loop first reads it. *)
 
 val test_tradeoff :
   ?trace:Caffeine_obs.Trace.sink ->
@@ -75,8 +74,7 @@ val test_tradeoff :
   scored list
 (** Score each model on testing data and keep only models on the
     (test error, complexity) tradeoff, sorted by increasing complexity.
-    The testing dataset's columns are warmed with one fused front
-    evaluation first.
+    Each model's columns are evaluated when its score first reads them.
 
     When {e every} model's test error is non-finite (the whole front blew
     up on out-of-range testing samples), an empty result would silently

@@ -78,7 +78,8 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
      structural hash — weights included: a mutated weight is a different
      column.  Resident data memoizes per-basis columns, so a basis shared
      between individuals (the common case under set crossover) is compiled
-     and evaluated once and each Gram is formed from held columns; chunked
+     and evaluated once, on its own one-root tape, by the first fit that
+     reads it, and each Gram is formed from held columns; chunked
      data memoizes Gram products and finiteness instead.  The dataset
      caches and scratch buffers are domain-safe, so the same closure
      serves the parallel evaluation paths unchanged. *)
@@ -100,26 +101,6 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
     Option.map
       (fun c -> { Nsga2.lookup = Eval_cache.lookup c; store = Eval_cache.store c })
       eval_cache
-  in
-  (* Fused warming: before a chunk of genomes is evaluated, all of their
-     bases are hash-consed into one Fused DAG and the missing columns are
-     computed together (shared subtrees once), so the per-genome fits that
-     follow hit the column cache.  Purely a throughput hint — a warmed
-     column is the words a lazily computed one would be — so fronts do
-     not depend on how the chunks were cut.  The accumulators are atomics
-     because [prepare] runs on pool domains; totals are drained per
-     generation into a Fused_stats trace record (dropped by the
-     deterministic projection, like the other effectiveness reports). *)
-  let fused_batches = Atomic.make 0
-  and fused_nodes_in = Atomic.make 0
-  and fused_nodes_out = Atomic.make 0 in
-  let prepare (chunk : Vary.individual array) =
-    let stats = Dataset.warm_columns data (Array.concat (Array.to_list chunk)) in
-    if stats.Dataset.fused_bases > 0 then begin
-      Atomic.incr fused_batches;
-      ignore (Atomic.fetch_and_add fused_nodes_in stats.Dataset.nodes_in);
-      ignore (Atomic.fetch_and_add fused_nodes_out stats.Dataset.nodes_out)
-    end
   in
   (* Record construction (objective sorts, variation tallies) happens only
      when someone listens — with the null sink and no callback a traced
@@ -172,15 +153,7 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
       Vary.reset_stats vary_stats;
       if not (Trace.is_null trace) then begin
         Trace.emit trace (Trace.Generation record);
-        Trace.emit trace (Trace.Op_stats op_record);
-        Trace.emit trace
-          (Trace.Fused_stats
-             {
-               gen;
-               batches = Atomic.exchange fused_batches 0;
-               nodes_in = Atomic.exchange fused_nodes_in 0;
-               nodes_out = Atomic.exchange fused_nodes_out 0;
-             })
+        Trace.emit trace (Trace.Op_stats op_record)
       end;
       match on_generation with None -> () | Some f -> f record
     end;
@@ -193,7 +166,7 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
     match on_checkpoint with None -> () | Some f -> f gen population
   in
   let population =
-    Nsga2.run ~on_generation:notify ~executor ?start ?cache:nsga_cache ~prepare ~rng
+    Nsga2.run ~on_generation:notify ~executor ?start ?cache:nsga_cache ~rng
       {
         Nsga2.pop_size = config.Config.pop_size;
         generations = config.Config.generations;

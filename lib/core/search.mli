@@ -1,11 +1,10 @@
 (** The CAFFEINE search loop: NSGA-II over (training error, complexity) with
     grammar-respecting initialization and variation.
 
-    Basis-function evaluation goes through the fused tape engine
-    ({!Caffeine_expr.Fused}): each generation's missing bases are lowered
-    into one shared DAG and evaluated column-wise over the whole dataset,
-    and the resulting columns are memoized in the dataset keyed by the
-    full structural hash ({!Caffeine_expr.Expr.Key} — not the
+    A basis's column is evaluated on its own one-root tape of the fused
+    tape engine ({!Caffeine_expr.Fused}) when a fit first reads it, on
+    whichever domain runs that fit, and memoized in the dataset keyed by
+    the full structural hash ({!Caffeine_expr.Expr.Key} — not the
     depth-bounded polymorphic [Hashtbl.hash], which collides on deep
     bases sharing a prefix).  Bases shared between individuals, the
     common case under set crossover, are evaluated on the training data
@@ -99,18 +98,12 @@ val run :
     rebuildable derived state: they never enter checkpoint snapshots, and
     resumed runs start cold.
 
-    Each generation's miss-batch is evaluated through fused
-    multi-expression tapes ({!Caffeine_expr.Fused}): the batch is split
-    into one chunk per executor job (one chunk on sequential and process
-    executors), each worker hash-conses its chunk's bases into a shared
-    DAG, and subtrees shared across the chunk are evaluated once
-    with cache-tiled kernels before the per-genome fits run against the
-    warmed column cache.  A basis's column does not depend on which
-    other bases shared its tape, so the evolved front is the same
-    however the batch was chunked, at every backend and cache mode.
-    When observing, one {!Caffeine_obs.Trace.Fused_stats} record per
-    generation reports the cross-tree CSE ratio (dropped by the
-    deterministic projection).
+    Each generation's miss-batch fans out one genome at a time; a fit
+    computes a column its dataset does not hold yet on the column's own
+    one-root tape ({!Caffeine_io.Dataset.finite_gram}) and stops at the
+    first non-finite one.  A column does not depend on which fit computed
+    it, so the evolved front is the same at every backend and cache
+    mode.
 
     [checkpoint_path] makes the run durable: every [checkpoint_every]
     generations (default 10) and once when the search completes, the full

@@ -84,17 +84,18 @@ val run :
     caller's [rng] in sequential order, so for a fixed seed the returned
     population is bit-identical under every backend.
 
-    [prepare], when given, turns per-genome evaluation into batched
-    evaluation: each generation's to-evaluate set (the cache misses, when
-    a cache is present) is split into contiguous chunks — roughly two per
-    executor job, so a single chunk on sequential and process executors —
-    and each worker calls [prepare] on its chunk's genomes before
-    evaluating them one by one.  This is the seam the search uses to warm
-    the dataset's column cache through one fused tape per chunk.
-    [prepare] must not affect results: it runs on pool domains (so it must
-    be domain-safe) and chunk boundaries change with the jobs setting, so
-    anything it precomputes must be bit-identical to what evaluation
-    would compute on its own.
+    Without [prepare], each generation's to-evaluate set (the cache
+    misses, when a cache is present) fans out one genome at a time.
+    [prepare], when given, turns that into batched evaluation: the set is
+    split into contiguous chunks — roughly two per executor job, so a
+    single chunk on sequential and process executors — and each worker
+    calls [prepare] on its chunk's genomes before evaluating them one by
+    one.  [prepare] must not affect results: it runs on pool domains (so
+    it must be domain-safe) and chunk boundaries change with the jobs
+    setting, so anything it precomputes must be bit-identical to what
+    evaluation would compute on its own.  The search passes none; only
+    the end-to-end benchmark's traced search ([perfbench/fits.ml]) does,
+    to time column warming, and the option goes with that search.
 
     [start = (gen0, population)] resumes an interrupted run: [population]
     must be the population returned by an earlier [on_generation gen0]

@@ -222,6 +222,14 @@ let channel t =
           Hashtbl.replace t.channels owner chan;
           chan)
 
+(* [Bytes.get_int64_le] without its bounds check, little-endian on every
+   host. *)
+external unsafe_get_int64_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] unsafe_get_int64_le b i =
+  if Sys.big_endian then swap64 (unsafe_get_int64_ne b i) else unsafe_get_int64_ne b i
+
 let iter_chunks t ~f =
   let chunks = chunk_count t in
   if chunks > 0 then begin
@@ -230,12 +238,17 @@ let iter_chunks t ~f =
     let scratch = Bytes.create (t.chunk_rows * 8) in
     for c = 0 to chunks - 1 do
       let len = chunk_len t c in
+      (* [openfile] bounds [len] by [chunk_rows], the length of every
+         column and of [scratch] in cells: checked once per chunk, so the
+         decode loop below loads and stores without a check per cell. *)
+      if len > t.chunk_rows then fail "%s: chunk %d holds %d rows" t.path c len;
       seek_in chan (chunk_offset t c);
       for d = 0 to t.dims - 1 do
         really_input chan scratch 0 (len * 8);
         let column = columns.(d) in
         for i = 0 to len - 1 do
-          column.(i) <- Int64.float_of_bits (Bytes.get_int64_le scratch (i * 8))
+          Array.unsafe_set column i
+            (Int64.float_of_bits (unsafe_get_int64_le scratch (i * 8)))
         done
       done;
       f ~row0:(c * t.chunk_rows) ~len columns

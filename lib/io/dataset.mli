@@ -9,10 +9,12 @@
     basis shared between individuals, or revisited by SAG after the
     search, is compiled and evaluated on a given dataset exactly once.
     Every column is evaluated on a {!Caffeine_expr.Fused} tape: one root
-    on a cache miss, a whole batch when warming, one tape per chunk on
-    streamed storage.  A root's values do not depend on the other roots
+    on a cache miss, one tape per chunk on streamed storage, a whole batch
+    in {!warm_columns}.  A root's values do not depend on the other roots
     of its tape, so a column's IEEE words, NaN payloads included, do not
-    depend on which of those paths computed it.
+    depend on which of those paths computed it.  Outside {!warm_columns},
+    the resident memo is filled only on a miss, inside the call that
+    reads the column.
 
     Datasets are safe to evaluate from multiple domains concurrently (the
     parallel search evaluates NSGA-II candidates and whole islands against
@@ -146,13 +148,18 @@ val warm_columns : t -> Expr.basis array -> fuse_stats
     into one {!Caffeine_expr.Fused} DAG and evaluating shared subtrees
     exactly once with tiled kernels.  Each installed column is the words
     {!basis_column} would have computed on a cold dataset, NaN payloads
-    included, so warming is purely a throughput optimization: subsequent
-    {!basis_column} / {!gram} calls return the same IEEE words whether or
-    not a batch was warmed (and under the same bounded-shard eviction
-    policy), each with the all-finite flag a miss would have found.
-    Chunked storage caches no columns, so there it does nothing.
-    Bumps the [fused.nodes_in] / [fused.nodes_out] counters and the
-    [fused.cse_ratio] gauge; the returned stats cover this call only. *)
+    included: subsequent {!basis_column} / {!gram} calls return the same
+    IEEE words whether or not a batch was warmed (and under the same
+    bounded-shard eviction policy), each with the all-finite flag a miss
+    would have found.  Chunked storage caches no columns, so there it
+    does nothing.  Bumps the [fused.nodes_in] / [fused.nodes_out]
+    counters and the [fused.cse_ratio] gauge; the returned stats cover
+    this call only.
+
+    No library code calls it: the search, SAG, scoring and the CLI
+    compute each column on demand.  It, [fuse_stats] and the [fused.*]
+    counters serve only the end-to-end benchmark's traced search
+    ([perfbench/fits.ml]), and go together with that search. *)
 
 type gram = {
   dots : float array array;  (** [k x k] symmetric: [⟨colᵢ, colⱼ⟩] *)
@@ -200,8 +207,9 @@ val finite_gram : t -> Expr.basis array -> targets:float array -> (gram * pass) 
     basis is known not to be finite on the data.  Each basis is hashed
     once.  Resident storage fetches each distinct basis's memoized column
     once (one column-cache lookup, and one evaluation on a miss), reads
-    its all-finite flag, set when the column was installed by a miss or
-    by {!warm_columns}, and returns [None] at the first false flag,
+    its all-finite flag, set when the column was installed, and returns
+    [None] at the first false flag (a miss evaluates the column on its
+    own one-root tape, so the columns after that flag are never computed),
     before any product; otherwise it forms every product from the held
     columns with no finiteness scan, and the pass hands over those same
     columns as one chunk, so the fit looks nothing up again.  Chunked

@@ -402,6 +402,11 @@ let lstsq_ridge ?ata ?atb a b =
 
 let hat_diag ?ridge a = leverages_factored a (factorize ?ridge a)
 
+(* [Float.max s 1e-9] word for word, without its [caml_signbit] calls: the
+   same clamp as [Qr_update.clamp_shrink], copied because a call across
+   modules boxes its float under [-opaque]. *)
+let[@inline] clamp_shrink s = if s < 1e-9 then 1e-9 else s
+
 let press ?ridge a b =
   check_rhs a b;
   let f = factorize ?ridge a in
@@ -411,7 +416,7 @@ let press ?ridge a b =
   let m = a.rows in
   let acc = ref 0. in
   for i = 0 to m - 1 do
-    let denom = Float.max (1. -. leverages.(i)) 1e-9 in
+    let denom = clamp_shrink (1. -. leverages.(i)) in
     let e = (b.(i) -. predicted.(i)) /. denom in
     acc := !acc +. (e *. e)
   done;

@@ -228,10 +228,18 @@ let predictions t =
   done;
   p
 
+(* PRESS divides each residual by 1 − hᵢ clamped below at 1e-9.  For a
+   positive constant bound this is [Float.max s 1e-9] word for word — a
+   NaN comes back as itself, payload included, and −0, −∞ and everything
+   below the bound give 1e-9 — without the two [caml_signbit] calls
+   [Float.max] makes per row.  A call across modules boxes its float
+   under [-opaque], so {!Decomp} keeps its own copy. *)
+let[@inline] clamp_shrink s = if s < 1e-9 then 1e-9 else s
+
 let press_of ~m ~resid ~h =
   let acc = ref 0. in
   for i = 0 to m - 1 do
-    let e = resid.(i) /. Float.max (1. -. h.(i)) 1e-9 in
+    let e = resid.(i) /. clamp_shrink (1. -. h.(i)) in
     acc := !acc +. (e *. e)
   done;
   !acc
@@ -258,7 +266,7 @@ let press_probe t col =
       let u = Array.unsafe_get v i /. nrm and hi = Array.unsafe_get h i in
       let r = Array.unsafe_get resid i -. (c *. u) in
       let hh = hi +. (u *. u) in
-      let e = r /. Float.max (1. -. hh) 1e-9 in
+      let e = r /. clamp_shrink (1. -. hh) in
       acc := !acc +. (e *. e)
     done;
     Some !acc

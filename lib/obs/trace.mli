@@ -94,11 +94,11 @@ type fused_stats = {
   nodes_in : int;  (** DAG nodes the batches' bases would create unshared *)
   nodes_out : int;  (** distinct DAG nodes actually evaluated *)
 }
-(** Per-generation cross-tree CSE effectiveness of fused evaluation
-    ({!Caffeine_expr.Fused}): [nodes_in / nodes_out] is the sharing
-    ratio.  Reporting data only — chunk boundaries follow the jobs
-    setting and already-cached bases depend on evaluation-order races —
-    so the record is dropped by {!deterministic}. *)
+(** Per-generation cross-tree CSE effectiveness of fused search-time
+    warming ({!Caffeine_expr.Fused}): [nodes_in / nodes_out] is the
+    sharing ratio.  The search no longer warms, so nothing writes this
+    record; it still decodes, so traces written before that change can
+    be read, and {!deterministic} drops it. *)
 
 type run_end = {
   front : (float * float) list;  (** (complexity, train NMSE) per model *)

@@ -165,10 +165,10 @@ let press ~basis_values ~targets =
     let n = Array.length targets in
     if n = 0 then invalid_arg "Linfit.press: no targets";
     let m = Stats.mean targets in
-    let shrink = 1. -. (1. /. float_of_int n) in
+    let denom = Float.max (1. -. (1. /. float_of_int n)) 1e-9 in
     Array.fold_left
       (fun acc y ->
-        let e = (y -. m) /. Float.max shrink 1e-9 in
+        let e = (y -. m) /. denom in
         acc +. (e *. e))
       0. targets
   end

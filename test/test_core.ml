@@ -959,3 +959,96 @@ let eval_cache_suite =
   ]
 
 let suite = suite @ eval_cache_suite
+
+(* --- Nsga2.run's prepare hint --------------------------------------------- *)
+
+module Nsga2 = Caffeine_evo.Nsga2
+module Ota = Caffeine_ota.Ota
+
+(* The OTA training DOE (dx 0.10) and its PM targets, simulated once. *)
+let ota_pm =
+  lazy
+    (let doe = Ota.doe_dataset ~dx:0.10 in
+     (doe.Ota.inputs, Array.map (Ota.modeling_target Ota.Pm) (Ota.targets doe Ota.Pm)))
+
+(* [Nsga2.run] with the search's closures — initialization, variation, and
+   objectives from [Model.fit] — on a fresh dataset, with or without a
+   [prepare] that warms each chunk's columns through one fused tape. *)
+let nsga2_with_search_closures ~seed ~executor ~eval_cache ~warm =
+  let inputs, targets = Lazy.force ota_pm in
+  let data = Dataset.of_rows ~var_names:Ota.var_names inputs in
+  let config = Config.scaled ~pop_size:30 ~generations:5 Config.default in
+  let wb = config.Config.wb and wvc = config.Config.wvc in
+  let dims = Dataset.dims data in
+  let objectives individual =
+    match Model.fit ~wb ~wvc individual ~data ~targets with
+    | Some m -> [| m.Model.train_error; m.Model.complexity |]
+    | None -> [| Float.infinity; Model.complexity_of ~wb ~wvc individual |]
+  in
+  let cache =
+    match eval_cache with
+    | Eval_cache.Off -> None
+    | mode ->
+        let c = Eval_cache.create ~mode ~wb ~wvc ~data () in
+        Some { Nsga2.lookup = Eval_cache.lookup c; store = Eval_cache.store c }
+  in
+  let prepare =
+    if warm then
+      Some
+        (fun (chunk : Expr.basis array array) ->
+          let bases = Array.concat (Array.to_list chunk) in
+          ignore (Dataset.warm_columns data bases : Dataset.fuse_stats))
+    else None
+  in
+  Nsga2.run ~executor ?cache ?prepare ~rng:(Rng.create ~seed ())
+    {
+      Nsga2.pop_size = config.Config.pop_size;
+      generations = config.Config.generations;
+      init = (fun rng -> Gen.random_individual rng config ~dims);
+      objectives;
+      vary = (fun rng p1 p2 -> Vary.vary rng config ~dims p1 p2);
+    }
+
+let same_individual (a : Expr.basis array Nsga2.individual)
+    (b : Expr.basis array Nsga2.individual) =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  Array.length a.Nsga2.genome = Array.length b.Nsga2.genome
+  && Array.for_all2 Expr.equal_basis a.Nsga2.genome b.Nsga2.genome
+  && Array.length a.Nsga2.objectives = Array.length b.Nsga2.objectives
+  && Array.for_all2 same_bits a.Nsga2.objectives b.Nsga2.objectives
+
+(* [prepare] is a pure hint: warming a chunk's columns before its fits
+   leaves the final population the same, genome for genome and objective
+   word for word, on one domain and on two, with the eval cache off and
+   exact. *)
+let test_nsga2_prepare_is_a_pure_hint () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, run) ->
+          List.iter
+            (fun eval_cache ->
+              let population warm =
+                run (fun executor -> nsga2_with_search_closures ~seed ~executor ~eval_cache ~warm)
+              in
+              let plain = population false and warmed = population true in
+              if
+                not
+                  (Array.length plain = Array.length warmed
+                  && Array.for_all2 same_individual plain warmed)
+              then
+                Alcotest.failf "seed %d, %s, eval cache %s: prepare changed the population" seed
+                  name (Eval_cache.mode_to_string eval_cache))
+            [ Eval_cache.Off; Eval_cache.Exact ])
+        [
+          ("sequential", fun f -> f Executor.sequential);
+          ("2 domains", fun f -> Executor.with_executor ~jobs:2 Executor.Domains f);
+        ])
+    [ 3; 17; 101 ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "nsga2: prepare warming is a pure hint on OTA PM" `Quick
+        test_nsga2_prepare_is_a_pure_hint;
+    ]

@@ -543,6 +543,75 @@ let test_colstore_roundtrip () =
   check_store_contents ~rows ~dims ~chunk_rows path cell;
   Sys.remove path
 
+(* Every cell reads back as the word written — NaNs of both signs with
+   payloads, ±0, ±∞ and subnormals included — through each reader, at
+   chunk sizes 1, 7 and the whole store.  [<>] is false on every NaN, so
+   this compares bit patterns. *)
+let test_colstore_odd_cells_bit_for_bit () =
+  let rows = 23 and dims = 3 in
+  let nan_with ~negative payload =
+    Int64.float_of_bits
+      (Int64.logor
+         (Int64.logor 0x7ff8000000000000L payload)
+         (if negative then Int64.min_int else 0L))
+  in
+  let odd =
+    [|
+      nan_with ~negative:false 0x5a5aL;
+      nan_with ~negative:true 0xfedcbaL;
+      Float.nan;
+      0.;
+      -0.;
+      Float.infinity;
+      Float.neg_infinity;
+      4.9e-324;
+      -2.5e-310;
+      Float.max_float;
+    |]
+  in
+  let cell r d =
+    if (r + d) mod 3 = 0 then float_of_int ((r * 7) + d) /. 3.
+    else odd.(((r * dims) + d) mod Array.length odd)
+  in
+  let bits x = Int64.bits_of_float x in
+  let same what r d x =
+    if not (Int64.equal (bits x) (bits (cell r d))) then
+      Alcotest.failf "%s cell (%d, %d): %Lx, wrote %Lx" what r d (bits x) (bits (cell r d))
+  in
+  List.iter
+    (fun chunk_rows ->
+      let path = Filename.temp_file "caffeine_colstore_odd" ".cafs" in
+      let var_names = Array.init dims (fun d -> Printf.sprintf "v%d" d) in
+      let writer = Colstore.Writer.create ~path ~var_names ~chunk_rows () in
+      for r = 0 to rows - 1 do
+        Colstore.Writer.append_row writer (Array.init dims (cell r))
+      done;
+      Colstore.Writer.close writer;
+      let store = Colstore.openfile path in
+      let visited = ref 0 in
+      Colstore.iter_chunks store ~f:(fun ~row0 ~len columns ->
+          for d = 0 to dims - 1 do
+            for i = 0 to len - 1 do
+              same "iter_chunks" (row0 + i) d columns.(d).(i)
+            done
+          done;
+          visited := !visited + len);
+      Alcotest.(check int) "every row visited" rows !visited;
+      for d = 0 to dims - 1 do
+        Array.iteri (fun r x -> same "column" r d x) (Colstore.column store d)
+      done;
+      let indices = Array.init rows (fun j -> rows - 1 - j) in
+      let gathered = Colstore.gather store ~indices in
+      Array.iteri
+        (fun j r ->
+          for d = 0 to dims - 1 do
+            same "gather" r d gathered.(d).(j)
+          done)
+        indices;
+      Colstore.close store;
+      Sys.remove path)
+    [ 1; 7; rows ]
+
 (* Damaged copies of a packed store.  Each corrupt one must be refused
    with an [Invalid_argument] that names its file, before the header can
    size an allocation or a read can run off the end; a [chunk_rows] larger
@@ -671,6 +740,8 @@ let suite =
     Alcotest.test_case "ragged dataset names the offender" `Quick
       test_dataset_ragged_names_offender;
     Alcotest.test_case "colstore round-trip" `Quick test_colstore_roundtrip;
+    Alcotest.test_case "colstore reads odd cells back bit for bit" `Quick
+      test_colstore_odd_cells_bit_for_bit;
     Alcotest.test_case "colstore refuses corrupt stores" `Quick test_colstore_corrupt_stores;
     Alcotest.test_case "colstore validation" `Quick test_colstore_validation;
     Alcotest.test_case "colstore close releases every domain's channel" `Quick

@@ -783,6 +783,88 @@ let fallback_case seed =
   let cols = if Rng.int rng 4 = 0 then cols else Array.append [| Array.make m 1. |] cols in
   (cols, b)
 
+(* PRESS as it was first written: each residual over [Float.max (1 − h)
+   1e-9]. *)
+let press_by_float_max ~resid ~h =
+  let acc = ref 0. in
+  Array.iteri
+    (fun i r ->
+      let e = r /. Float.max (1. -. h.(i)) 1e-9 in
+      acc := !acc +. (e *. e))
+    resid;
+  !acc
+
+(* Designs whose leverages lie at, just above and far above 1 − 1e-9 (a
+   column [1; ε; 0; ...] gives row 0 the leverage 1/(1 + ε²)), square
+   designs whose leverages round to either side of 1, and rows that make
+   a residual or a leverage NaN, with payloads of both signs. *)
+let press_clamp_cases () =
+  let rng = Rng.create ~seed:1009 () in
+  let m = 6 in
+  let spike eps = Array.init m (fun i -> if i = 0 then 1. else if i = 1 then eps else 0.) in
+  let nan_payload sign payload =
+    Int64.float_of_bits
+      (Int64.logor (Int64.logor 0x7ff8000000000000L payload) (if sign then Int64.min_int else 0L))
+  in
+  let near_bound =
+    List.init 41 (fun j -> sqrt (1e-9 *. (1. +. (float_of_int (j - 20) *. 1e-7))))
+  in
+  let spikes =
+    List.map
+      (fun eps -> ([| spike eps |], random_vector rng m))
+      ([ 0.; 1e-12; 1e-8; 1e-6; 1e-3; 0.5 ] @ near_bound)
+  in
+  let square =
+    List.init 12 (fun c ->
+        let k = 2 + (c mod 4) in
+        (Array.init k (fun _ -> random_vector rng k), random_vector rng k))
+  in
+  let with_nan =
+    List.concat_map
+      (fun sign ->
+        let b = random_vector rng m in
+        b.(2) <- nan_payload sign 0x1234L;
+        let col = spike 3e-5 in
+        col.(3) <- nan_payload sign 0xbeefL;
+        [ ([| spike 3e-5 |], b); ([| col |], random_vector rng m) ])
+      [ false; true ]
+  in
+  spikes @ square @ with_nan
+
+let test_press_clamp_is_float_max () =
+  let clamped = ref 0 and at_bound = ref 0 and nan_rows = ref 0 in
+  let tally h =
+    Array.iter
+      (fun hi ->
+        let s = 1. -. hi in
+        if Float.is_nan s then incr nan_rows
+        else if s < 1e-9 then incr clamped
+        else if s < 1.001e-9 then incr at_bound)
+      h
+  in
+  List.iteri
+    (fun c (cols, b) ->
+      let m = Array.length b in
+      let a = columns_matrix m cols in
+      let h = Decomp.hat_diag a in
+      tally h;
+      let predicted = Matrix.mul_vec a (Decomp.lstsq a b) in
+      let resid = Array.mapi (fun i y -> y -. predicted.(i)) b in
+      if not (same_bits (press_by_float_max ~resid ~h) (Decomp.press a b)) then
+        Alcotest.failf "case %d: Decomp.press differs from the Float.max loop" c;
+      let qr = Qr_update.create b in
+      Array.iter (fun col -> ignore (Qr_update.append qr col : bool)) cols;
+      let h = Qr_update.leverages qr in
+      tally h;
+      let expected = press_by_float_max ~resid:(Qr_update.residual qr) ~h in
+      if not (same_bits expected (Qr_update.press qr)) then
+        Alcotest.failf "case %d: Qr_update.press differs from the Float.max loop" c)
+    (press_clamp_cases ());
+  (* The cases reach every branch of the clamp. *)
+  Alcotest.(check bool) "some leverages clamped" true (!clamped > 0);
+  Alcotest.(check bool) "some leverages at the bound" true (!at_bound > 0);
+  Alcotest.(check bool) "some leverages NaN" true (!nan_rows > 0)
+
 let rank_deficient_243x8 () =
   let rng = Rng.create ~seed:243 () in
   let cols = Array.init 8 (fun _ -> random_vector rng 243) in
@@ -1011,6 +1093,8 @@ let suite =
     Alcotest.test_case "lstsq: rank-deficient fallback" `Quick test_lstsq_rank_deficient_falls_back;
     Alcotest.test_case "hat diag: range and trace" `Quick test_hat_diag_range_and_trace;
     Alcotest.test_case "press equals explicit LOO" `Quick test_press_equals_explicit_loo;
+    Alcotest.test_case "press: the leverage clamp is Float.max word for word" `Quick
+      test_press_clamp_is_float_max;
     Alcotest.test_case "lstsq: rank-deficient 243x8 allocates under 256 KB" `Quick
       test_lstsq_allocation_ceiling;
     Alcotest.test_case "qr_update: validation" `Quick test_qr_update_validation;

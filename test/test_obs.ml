@@ -352,6 +352,20 @@ let test_older_generation_line_decodes () =
   | Error message -> Alcotest.failf "line rejected: %s" message);
   Alcotest.(check string) "same projection" (projected current) (projected older)
 
+(* The search wrote one fused_stats record per generation until it
+   stopped warming columns; traces written before that must still read,
+   and the projection drops the record as it always did. *)
+let test_older_fused_stats_line_decodes () =
+  let line = {|{"type":"fused_stats","gen":1,"batches":2,"nodes_in":347,"nodes_out":283}|} in
+  match Trace.of_line line with
+  | Ok (Trace.Fused_stats f as record) ->
+      Alcotest.(check (list int)) "fields" [ 1; 2; 347; 283 ]
+        [ f.Trace.gen; f.Trace.batches; f.Trace.nodes_in; f.Trace.nodes_out ];
+      Alcotest.(check string) "re-encodes to the same line" line (Trace.to_line record);
+      Alcotest.(check bool) "dropped by the projection" true (Trace.deterministic record = None)
+  | Ok _ -> Alcotest.fail "decoded as another record kind"
+  | Error message -> Alcotest.failf "line rejected: %s" message
+
 let test_deterministic_keeps_checkpoint_records () =
   (* Checkpointed runs serialize their islands, so these records arrive in
      the same order at every jobs setting — the projection must keep them
@@ -530,6 +544,131 @@ let test_pool_abandoned_counter () =
            abandons nothing; CI's multi-core matrix exercises the real one. *)
         Alcotest.(check int) "sequential path leaves the counter alone" 0 delta)
 
+(* --- readers never raise ---------------------------------------------------- *)
+
+module Model_io = Caffeine.Model_io
+
+(* One tag per record kind; the match is exhaustive, so a new kind must be
+   added to the corpus below. *)
+let kind_tag = function
+  | Trace.Run_start _ -> 0
+  | Trace.Generation _ -> 1
+  | Trace.Op_stats _ -> 2
+  | Trace.Sag_round _ -> 3
+  | Trace.Sag_model _ -> 4
+  | Trace.Cache_stats _ -> 5
+  | Trace.Eval_cache_stats _ -> 6
+  | Trace.Fused_stats _ -> 7
+  | Trace.Checkpoint_written _ -> 8
+  | Trace.Run_resumed _ -> 9
+  | Trace.Warning _ -> 10
+  | Trace.Migration _ -> 11
+  | Trace.Run_end _ -> 12
+
+let record_kinds = 13
+
+(* The seed corpora: the lines of a trace a small search and SAG emit, plus
+   one line of every kind the run did not write, encoded by [to_line]; and
+   the text of the front file that run saves. *)
+let emitted =
+  lazy
+    (let inputs, targets = toy_problem 47 in
+     let data = Dataset.of_rows inputs in
+     let config = Config.scaled ~pop_size:12 ~generations:3 ~jobs:1 Config.default in
+     let sink = Trace.memory () in
+     let outcome =
+       Search.run ~seed:5 ~executor:Executor.sequential ~trace:sink config ~data ~targets
+     in
+     let front =
+       Sag.process_front ~trace:sink ~wb:config.Config.wb ~wvc:config.Config.wvc
+         outcome.Search.front ~data ~targets
+     in
+     let others =
+       [
+         Trace.Cache_stats
+           {
+             Trace.columns_cached = 40;
+             column_hits = 310;
+             column_misses = 40;
+             column_evictions = 0;
+             dots_cached = 0;
+             dot_hits = 0;
+             dot_misses = 0;
+             dot_evictions = 0;
+           };
+         Trace.Eval_cache_stats { Trace.eval_hits = 9; eval_misses = 27; eval_evictions = 0 };
+         Trace.Fused_stats { Trace.gen = 2; batches = 2; nodes_in = 174; nodes_out = 146 };
+         Trace.Checkpoint_written
+           { Trace.path = "run.ckpt"; phase = "evolving"; island = 0; gen = 3 };
+         Trace.Run_resumed { Trace.phase = "simplifying"; island = -1; gen = 2 };
+         Trace.Warning { Trace.context = "sag.test_tradeoff"; message = "every model \"blew\" up" };
+         Trace.Migration { Trace.island = 1; shard = 0; models = 4; bytes = 812 };
+       ]
+     in
+     let records = Trace.contents sink @ others in
+     let path = Filename.temp_file "caffeine_front" ".models" in
+     Model_io.save ~path ~var_names:(Dataset.var_names data) front;
+     let text = In_channel.with_open_bin path In_channel.input_all in
+     Sys.remove path;
+     (records, List.map Trace.to_line records, text))
+
+let test_reader_corpus_covers_every_kind () =
+  let records, _, text = Lazy.force emitted in
+  let seen = Array.make record_kinds false in
+  List.iter (fun r -> seen.(kind_tag r) <- true) records;
+  Alcotest.(check bool) "every record kind in the trace corpus" true (Array.for_all Fun.id seen);
+  Alcotest.(check bool) "the front file holds models" true (String.length text > 0)
+
+(* A mutated copy of [text]: one to four edits, each a byte replaced (half
+   the time by a character the codecs give meaning to), the text cut short,
+   or a tail of it repeated. *)
+let mutated text : string QCheck.Gen.t =
+ fun st ->
+  let meaningful = "{}[]\",:.-+eE0123456789()*/^#=nNaifty \n\\" in
+  let edit s =
+    let n = String.length s in
+    match QCheck.Gen.int_bound 2 st with
+    | 0 when n > 0 ->
+        let b = Bytes.of_string s in
+        let c =
+          if QCheck.Gen.bool st then Char.chr (QCheck.Gen.int_bound 255 st)
+          else meaningful.[QCheck.Gen.int_bound (String.length meaningful - 1) st]
+        in
+        Bytes.set b (QCheck.Gen.int_bound (n - 1) st) c;
+        Bytes.to_string b
+    | 0 | 1 -> String.sub s 0 (QCheck.Gen.int_bound n st)
+    | _ ->
+        let from = QCheck.Gen.int_bound n st in
+        s ^ String.sub s from (n - from)
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (edit s) in
+  go (1 + QCheck.Gen.int_bound 3 st) text
+
+let returns_a_result what f =
+  match f () with
+  | Ok _ | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+let trace_reader_never_raises =
+  QCheck.Test.make ~name:"trace: of_line never raises on mutated lines" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") (fun st ->
+         let _, lines, _ = Lazy.force emitted in
+         mutated (QCheck.Gen.oneofl lines st) st))
+    (fun line -> returns_a_result "Trace.of_line" (fun () -> Trace.of_line line))
+
+let model_reader_never_raises =
+  QCheck.Test.make ~name:"model io: load never raises on mutated front files" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") (fun st ->
+         let _, _, text = Lazy.force emitted in
+         mutated text st))
+    (fun text ->
+      let path = Filename.temp_file "caffeine_mutated" ".models" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+          returns_a_result "Model_io.load" (fun () -> Model_io.load ~path ~wb:10. ~wvc:0.25)))
+
 let suite =
   [
     Alcotest.test_case "metrics: counter and gauge" `Quick test_counter_and_gauge;
@@ -541,6 +680,10 @@ let suite =
     Alcotest.test_case "trace: of_line rejects garbage" `Quick test_of_line_rejects_garbage;
     Alcotest.test_case "trace: older generation lines still decode" `Quick
       test_older_generation_line_decodes;
+    Alcotest.test_case "trace: older fused_stats lines still decode" `Quick
+      test_older_fused_stats_line_decodes;
+    Alcotest.test_case "readers: the mutation corpora cover every record kind" `Quick
+      test_reader_corpus_covers_every_kind;
     Alcotest.test_case "trace: projection keeps checkpoint records" `Quick
       test_deterministic_keeps_checkpoint_records;
     Alcotest.test_case "trace: sinks" `Quick test_sinks;
@@ -553,7 +696,13 @@ let suite =
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
-      [ roundtrip_test; single_line_test; deterministic_projection_test ]
+      [
+        roundtrip_test;
+        single_line_test;
+        deterministic_projection_test;
+        trace_reader_never_raises;
+        model_reader_never_raises;
+      ]
 
 (* --- Float_text: exact %.17g ----------------------------------------------- *)
 
