@@ -860,69 +860,125 @@ let insight_cmd =
 
 (* --- analyze ------------------------------------------------------------ *)
 
+(* The AC sweep's source and output node, resolved before any work.  A
+   source matches exactly, else case-insensitively as nodes do; an unknown
+   or ambiguous name, or the ground node, is refused naming the option. *)
+let resolve_ac deck input output_name =
+  let circuit = deck.Caffeine_spice.Netlist.circuit in
+  let sources = Caffeine_spice.Circuit.vsource_names circuit in
+  let listed names = if names = [] then "none" else String.concat ", " names in
+  let nodes = listed (List.map fst deck.Caffeine_spice.Netlist.node_names) in
+  let source =
+    if List.mem input sources then Ok input
+    else
+      let key = String.lowercase_ascii input in
+      match List.filter (fun s -> String.lowercase_ascii s = key) sources with
+      | [ source ] -> Ok source
+      | [] ->
+          Error
+            (Printf.sprintf "--ac-input %s: no voltage source of that name (sources: %s)" input
+               (listed sources))
+      | _ :: _ :: _ ->
+          Error
+            (Printf.sprintf "--ac-input %s: names more than one voltage source (sources: %s)" input
+               (listed sources))
+  in
+  match source with
+  | Error _ as e -> e
+  | Ok source -> (
+      match Caffeine_spice.Netlist.node deck output_name with
+      | exception Not_found ->
+          Error
+            (Printf.sprintf "--ac-output %s: no node of that name (nodes: %s)" output_name nodes)
+      | 0 ->
+          Error
+            (Printf.sprintf "--ac-output %s: ground has no AC response (nodes: %s)" output_name
+               nodes)
+      | output -> Ok (source, output))
+
+let print_operating_point deck want_op dc =
+  Printf.printf "DC operating point (%d Newton iterations):\n" dc.Caffeine_spice.Dc.iterations;
+  List.iter
+    (fun (name, index) -> Printf.printf "  v(%s) = %.6g V\n" name
+        (Caffeine_spice.Dc.node_voltage dc index))
+    deck.Caffeine_spice.Netlist.node_names;
+  List.iter
+    (fun (name, current) -> Printf.printf "  i(%s) = %.6g A\n" name current)
+    dc.Caffeine_spice.Dc.branch_currents;
+  if want_op then begin
+    Printf.printf "device operating points:\n";
+    List.iter
+      (fun (bias : Caffeine_spice.Dc.mos_bias) ->
+        Printf.printf "  %-8s ids=%.4g A gm=%.4g S gds=%.4g S (%s)\n" bias.Caffeine_spice.Dc.name
+          bias.Caffeine_spice.Dc.op.Caffeine_spice.Mos.ids
+          bias.Caffeine_spice.Dc.op.Caffeine_spice.Mos.gm
+          bias.Caffeine_spice.Dc.op.Caffeine_spice.Mos.gds
+          (match bias.Caffeine_spice.Dc.op.Caffeine_spice.Mos.region with
+          | `Cutoff -> "cutoff"
+          | `Triode -> "triode"
+          | `Saturation -> "saturation"))
+      dc.Caffeine_spice.Dc.mos_biases
+  end
+
+(* The AC sweep from [input] to node [output]; exit 1 when its system is
+   singular, as for a failed DC solve. *)
+let print_ac_sweep deck dc ~input ~output output_name =
+  let freqs = Caffeine_spice.Ac.log_frequencies ~start_hz:1. ~stop_hz:1e10 ~points_per_decade:10 in
+  match
+    Caffeine_spice.Ac.transfer ~circuit:deck.Caffeine_spice.Netlist.circuit ~dc ~input ~output
+      ~freqs
+  with
+  | exception Caffeine_linalg.Decomp.Singular ->
+      Printf.printf "AC solve failed: singular MNA system\n";
+      1
+  | sweep ->
+      Printf.printf "AC (%s -> %s):\n" input output_name;
+      Printf.printf "  low-frequency gain %.2f dB\n"
+        (Caffeine_spice.Ac.low_frequency_gain_db sweep);
+      (match Caffeine_spice.Ac.unity_gain_frequency sweep with
+      | Some fu -> Printf.printf "  unity-gain frequency %.4g Hz\n" fu
+      | None -> Printf.printf "  no unity-gain crossing in sweep\n");
+      (match Caffeine_spice.Ac.phase_margin_deg sweep with
+      | Some pm -> Printf.printf "  phase margin %.1f deg\n" pm
+      | None -> ());
+      0
+
 let analyze netlist_path want_op ac_input ac_output =
   match Caffeine_spice.Netlist.parse_file netlist_path with
   | Error msg ->
       Printf.eprintf "cannot parse %s: %s\n" netlist_path msg;
       2
   | Ok deck -> (
-      (match deck.Caffeine_spice.Netlist.title with
-      | Some title -> Printf.printf "* %s\n" title
-      | None -> ());
-      match Caffeine_spice.Dc.solve deck.Caffeine_spice.Netlist.circuit with
+      let sweep =
+        match (ac_input, ac_output) with
+        | Some input, Some output_name ->
+            Result.map
+              (fun resolved -> `Sweep (resolved, output_name))
+              (resolve_ac deck input output_name)
+        | Some _, None | None, Some _ -> Ok `Half
+        | None, None -> Ok `No_sweep
+      in
+      match sweep with
       | Error msg ->
-          Printf.printf "DC solve failed: %s\n" msg;
-          1
-      | Ok dc ->
-          Printf.printf "DC operating point (%d Newton iterations):\n" dc.Caffeine_spice.Dc.iterations;
-          List.iter
-            (fun (name, index) -> Printf.printf "  v(%s) = %.6g V\n" name
-                (Caffeine_spice.Dc.node_voltage dc index))
-            deck.Caffeine_spice.Netlist.node_names;
-          List.iter
-            (fun (name, current) -> Printf.printf "  i(%s) = %.6g A\n" name current)
-            dc.Caffeine_spice.Dc.branch_currents;
-          if want_op then begin
-            Printf.printf "device operating points:\n";
-            List.iter
-              (fun (bias : Caffeine_spice.Dc.mos_bias) ->
-                Printf.printf "  %-8s ids=%.4g A gm=%.4g S gds=%.4g S (%s)\n" bias.Caffeine_spice.Dc.name
-                  bias.Caffeine_spice.Dc.op.Caffeine_spice.Mos.ids
-                  bias.Caffeine_spice.Dc.op.Caffeine_spice.Mos.gm
-                  bias.Caffeine_spice.Dc.op.Caffeine_spice.Mos.gds
-                  (match bias.Caffeine_spice.Dc.op.Caffeine_spice.Mos.region with
-                  | `Cutoff -> "cutoff"
-                  | `Triode -> "triode"
-                  | `Saturation -> "saturation"))
-              dc.Caffeine_spice.Dc.mos_biases
-          end;
-          (match (ac_input, ac_output) with
-          | Some input, Some output_name -> (
-              match Caffeine_spice.Netlist.node deck output_name with
-              | exception Not_found ->
-                  Printf.printf "unknown output node %s\n" output_name
-              | output ->
-                  let freqs =
-                    Caffeine_spice.Ac.log_frequencies ~start_hz:1. ~stop_hz:1e10
-                      ~points_per_decade:10
-                  in
-                  let sweep =
-                    Caffeine_spice.Ac.transfer ~circuit:deck.Caffeine_spice.Netlist.circuit ~dc
-                      ~input ~output ~freqs
-                  in
-                  Printf.printf "AC (%s -> %s):\n" input output_name;
-                  Printf.printf "  low-frequency gain %.2f dB\n"
-                    (Caffeine_spice.Ac.low_frequency_gain_db sweep);
-                  (match Caffeine_spice.Ac.unity_gain_frequency sweep with
-                  | Some fu -> Printf.printf "  unity-gain frequency %.4g Hz\n" fu
-                  | None -> Printf.printf "  no unity-gain crossing in sweep\n");
-                  match Caffeine_spice.Ac.phase_margin_deg sweep with
-                  | Some pm -> Printf.printf "  phase margin %.1f deg\n" pm
-                  | None -> ())
-          | Some _, None | None, Some _ ->
-              Printf.printf "(need both --ac-input and --ac-output for an AC sweep)\n"
-          | None, None -> ());
-          0)
+          Printf.eprintf "%s\n" msg;
+          2
+      | Ok sweep -> (
+          (match deck.Caffeine_spice.Netlist.title with
+          | Some title -> Printf.printf "* %s\n" title
+          | None -> ());
+          match Caffeine_spice.Dc.solve deck.Caffeine_spice.Netlist.circuit with
+          | Error msg ->
+              Printf.printf "DC solve failed: %s\n" msg;
+              1
+          | Ok dc -> (
+              print_operating_point deck want_op dc;
+              match sweep with
+              | `Sweep ((input, output), output_name) ->
+                  print_ac_sweep deck dc ~input ~output output_name
+              | `Half ->
+                  Printf.printf "(need both --ac-input and --ac-output for an AC sweep)\n";
+                  0
+              | `No_sweep -> 0)))
 
 let netlist_arg =
   Arg.(required & opt (some string) None & info [ "netlist" ] ~docv:"FILE" ~doc:"SPICE-format deck.")

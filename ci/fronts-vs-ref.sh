@@ -23,8 +23,11 @@
 # population is rank 0 and nondominated sorting meets few, wide fronts, a
 # shape the 15-generation fits barely reach.
 #
-# Every other float writer is byte-diffed too: the two `gen-data` CSVs,
-# one `predict --dump` per target on the test DOE (the serve protocol's
+# Every other float writer is byte-diffed too: the two `gen-data` CSVs
+# and a third at dx 0.30, where evaluation drops 171 of the 243 points (so
+# which points the simulator keeps is pinned too), `analyze --op` of both
+# example netlists (the DC solve, and on cs_amp an AC sweep), one
+# `predict --dump` per target on the test DOE (the serve protocol's
 # JSON encoding), one `--checkpoint` snapshot per target (snapshot codec
 # and input fingerprint), `export --language c-front` of each front, and
 # `insight --index k` for every model of each target's seed-7 front (point
@@ -62,6 +65,19 @@ diff -u "$scratch/train-ref.csv" "$scratch/train-new.csv"
 diff -u "$scratch/test-ref.csv" "$scratch/test-new.csv"
 train=$scratch/train-new.csv
 test=$scratch/test-new.csv
+
+# The simulator on its own: a wide DOE, and SPICE decks through the DC
+# solve and an AC sweep.
+for side in ref new; do
+  cli=$(cli_of $side)
+  "$cli" gen-data --dx 0.30 --out "$scratch/wide-$side.csv" > /dev/null
+  "$cli" analyze --netlist examples/netlists/cs_amp.sp --op --ac-input VIN --ac-output out \
+    > "$scratch/cs_amp-$side.txt"
+  "$cli" analyze --netlist examples/netlists/mirror.sp --op > "$scratch/mirror-$side.txt"
+done
+diff -u "$scratch/wide-ref.csv" "$scratch/wide-new.csv"
+diff -u "$scratch/cs_amp-ref.txt" "$scratch/cs_amp-new.txt"
+diff -u "$scratch/mirror-ref.txt" "$scratch/mirror-new.txt"
 
 fits=0
 insights=0
@@ -165,7 +181,7 @@ diff -u "$scratch/PM-long-ref.counts" "$scratch/PM-long-new.counts"
 fits=$((fits + 1))
 
 echo "fronts-vs-ref: $fits fronts and traces (2 streamed, 1 on 12 rows, 1 at 200 generations)," \
-  "2 data CSVs," \
+  "3 data CSVs, 2 analyze reports," \
   "a packed store," \
   "$insights insight reports," \
   "and per target a prediction dump, snapshot and C export byte-identical to $ref" \

@@ -6,8 +6,9 @@
 #      headers are rejected naming the column and both positions,
 #      empty, truncated or foreign .cafs stores exit 2 naming the file,
 #      and so does training data with no design variable or a non-finite
-#      target; missing input files, out-of-range option values and output
-#      files that cannot be written exit 2 naming the file or the option.
+#      target; missing input files, out-of-range option values, output
+#      files that cannot be written and AC names `analyze` cannot resolve
+#      exit 2 naming the file or the option.
 #   2. Front bit-identity: the same seeded fit must print byte-identical
 #      fronts from a CSV (resident) and from the CSV packed into a .cafs
 #      store (streamed), across chunk sizes and execution backends.
@@ -120,6 +121,10 @@ refused "--pop 1" fit --train "$scratch/data.csv" --target PM --pop 1
 refused "--max-bases 0" fit --train "$scratch/data.csv" --target PM --max-bases 0
 refused "--checkpoint-every 0" fit --train "$scratch/data.csv" --target PM --checkpoint-every 0
 refused "--chunk-rows 0" pack --csv "$scratch/data.csv" --chunk-rows 0 --out "$scratch/never.cafs"
+refused "--ac-input nosuch: no voltage source of that name (sources: VDD, VIN)" \
+  analyze --netlist examples/netlists/cs_amp.sp --ac-input nosuch --ac-output out
+refused "--ac-output nosuch: no node of that name (nodes: in, out, vdd)" \
+  analyze --netlist examples/netlists/cs_amp.sp --ac-input VIN --ac-output nosuch
 awk -F, 'NR == 2 { $NF = "nan" } { print }' OFS=, "$scratch/data.csv" > "$scratch/nan-first.csv"
 "$CLI" fit --train "$scratch/data.csv" --target SRn --pop 20 --gens 2 --seed 9 \
   --out "$scratch/srn.txt" > /dev/null

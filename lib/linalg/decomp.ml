@@ -200,11 +200,17 @@ let solve_lower_transposed (l : Matrix.t) b =
   check_square_system "Decomp.solve_lower_transposed" l b;
   upper_solve_transposed ~n:l.rows l.data b
 
-let lu_solve (a : Matrix.t) b =
-  check_square_system "Decomp.lu_solve" a b;
-  let n = a.rows in
-  let work = Array.copy a.data in
-  let rhs = Array.copy b in
+(* Partial-pivot elimination of the row-major [n x n] [work] and the
+   right-hand side [rhs], both overwritten: [rhs] ends holding the
+   solution, each entry solved by [upper_solve]'s back substitution in
+   place (entry [i] is read before it is written, entries past [i] are
+   already solved).  Cells below the diagonal left of the pivot column are
+   neither swapped nor updated: no later pivot search, update or back
+   substitution reads them.  Reads in the two inner loops are
+   [Array.unsafe_get] within the checked [n x n] bounds. *)
+let lu_solve_in_place ~n work rhs =
+  if n < 1 || Array.length work <> n * n || Array.length rhs <> n then
+    invalid_arg "Decomp.lu_solve: dimension mismatch";
   for k = 0 to n - 1 do
     (* Partial pivoting. *)
     let best = ref k in
@@ -212,7 +218,7 @@ let lu_solve (a : Matrix.t) b =
       if Float.abs work.((i * n) + k) > Float.abs work.((!best * n) + k) then best := i
     done;
     if !best <> k then begin
-      for j = 0 to n - 1 do
+      for j = k to n - 1 do
         let tmp = work.((k * n) + j) in
         work.((k * n) + j) <- work.((!best * n) + j);
         work.((!best * n) + j) <- tmp
@@ -226,14 +232,30 @@ let lu_solve (a : Matrix.t) b =
     for i = k + 1 to n - 1 do
       let factor = work.((i * n) + k) /. pivot in
       if factor <> 0. then begin
-        for j = k to n - 1 do
-          work.((i * n) + j) <- work.((i * n) + j) -. (factor *. work.((k * n) + j))
+        for j = k + 1 to n - 1 do
+          let p = (i * n) + j in
+          Array.unsafe_set work p
+            (Array.unsafe_get work p -. (factor *. Array.unsafe_get work ((k * n) + j)))
         done;
         rhs.(i) <- rhs.(i) -. (factor *. rhs.(k))
       end
     done
   done;
-  upper_solve ~n work rhs
+  for i = n - 1 downto 0 do
+    let acc = ref rhs.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (Array.unsafe_get work ((i * n) + j) *. Array.unsafe_get rhs j)
+    done;
+    let pivot = work.((i * n) + i) in
+    if pivot = 0. then raise Singular;
+    rhs.(i) <- !acc /. pivot
+  done
+
+let lu_solve (a : Matrix.t) b =
+  check_square_system "Decomp.lu_solve" a b;
+  let rhs = Array.copy b in
+  lu_solve_in_place ~n:a.rows (Array.copy a.data) rhs;
+  rhs
 
 (* Lower factor of the row-major [n x n] array [a]. *)
 let cholesky_data ~n a =

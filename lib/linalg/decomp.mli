@@ -26,7 +26,16 @@ val solve_lower_transposed : Matrix.t -> float array -> float array
 
 val lu_solve : Matrix.t -> float array -> float array
 (** [lu_solve a b] solves the square system [a x = b] with partial pivoting.
-    Raises {!Singular} when a pivot vanishes. *)
+    Raises {!Singular} when a pivot vanishes.  It is {!lu_solve_in_place}
+    on copies of [a] and [b]. *)
+
+val lu_solve_in_place : n:int -> float array -> float array -> unit
+(** [lu_solve_in_place ~n work rhs] solves [a x = rhs] for the row-major
+    [n x n] matrix [a] held in [work], overwriting [work] with its
+    elimination and [rhs] with [x]: for a caller that stamps a fresh system
+    into the same two arrays on every solve (the circuit simulator's
+    Newton iterations).  Raises {!Singular} when a pivot vanishes and
+    [Invalid_argument] unless [work] has [n * n] entries and [rhs] [n]. *)
 
 val cholesky : Matrix.t -> Matrix.t
 (** [cholesky a] is the lower-triangular [l] with [a = l lᵀ] for a symmetric

@@ -121,8 +121,7 @@ let bias_of x =
    5 mirror node (M3 diode, gate of M4)
    6 cascode internal node (drain M4, source M5)
    7 output node (drain M5, drain M2d, CL). *)
-let small_signal_circuit x =
-  let* b = bias_of x in
+let small_signal_netlist b =
   let resistor name n1 n2 conductance =
     Circuit.Resistor { name; n1; n2; ohms = 1. /. conductance }
   in
@@ -130,81 +129,78 @@ let small_signal_circuit x =
   let vccs name out_pos out_neg in_pos in_neg gm =
     Circuit.Vccs { name; out_pos; out_neg; in_pos; in_neg; gm }
   in
-  Ok
-    (Circuit.make
-       [
-         Circuit.Vsource { name = "vin"; pos = 1; neg = 0; dc = 0.; ac = 1. };
-         (* M1a: PMOS input device, gate = 1, source = tail, drain = 3. *)
-         vccs "gm1a" 3 2 1 2 b.m1.gm;
-         resistor "gds1a" 3 2 b.m1.gds;
-         cap "cgs1a" 1 2 b.m1.cgs;
-         cap "cgd1a" 1 3 b.m1.cgd;
-         cap "cdb1a" 3 0 b.m1.cdb;
-         (* M1b: gate at AC ground, drain = 4. *)
-         vccs "gm1b" 4 2 0 2 b.m1.gm;
-         resistor "gds1b" 4 2 b.m1.gds;
-         cap "cgs1b" 2 0 b.m1.cgs;
-         cap "cgd1b" 4 0 b.m1.cgd;
-         cap "cdb1b" 4 0 b.m1.cdb;
-         (* M2a / M2b: NMOS diode loads. *)
-         resistor "gm2a" 3 0 (b.m2.gm +. b.m2.gds);
-         cap "cgs2a" 3 0 b.m2.cgs;
-         cap "cdb2a" 3 0 b.m2.cdb;
-         resistor "gm2b" 4 0 (b.m2.gm +. b.m2.gds);
-         cap "cgs2b" 4 0 b.m2.cgs;
-         cap "cdb2b" 4 0 b.m2.cdb;
-         (* M2c: NMOS mirror output into the PMOS diode M3 (node 5). *)
-         vccs "gm2c" 5 0 3 0 b.m2k.gm;
-         resistor "gds2c" 5 0 b.m2k.gds;
-         cap "cgs2c" 3 0 b.m2k.cgs;
-         cap "cgd2c" 3 5 b.m2k.cgd;
-         cap "cdb2c" 5 0 b.m2k.cdb;
-         (* M2d: NMOS mirror output pulling the output node. *)
-         vccs "gm2d" 7 0 4 0 b.m2k.gm;
-         resistor "gds2d" 7 0 b.m2k.gds;
-         cap "cgs2d" 4 0 b.m2k.cgs;
-         cap "cgd2d" 4 7 b.m2k.cgd;
-         cap "cdb2d" 7 0 b.m2k.cdb;
-         (* M3: PMOS diode at node 5 (source at AC-ground VDD). *)
-         resistor "gm3" 5 0 (b.m3.gm +. b.m3.gds);
-         cap "cgs3" 5 0 b.m3.cgs;
-         cap "cdb3" 5 0 b.m3.cdb;
-         (* M4: PMOS mirror output, gate = 5, drain = 6. *)
-         vccs "gm4" 6 0 5 0 b.m4.gm;
-         resistor "gds4" 6 0 b.m4.gds;
-         cap "cgs4" 5 0 b.m4.cgs;
-         cap "cgd4" 5 6 b.m4.cgd;
-         cap "cdb4" 6 0 b.m4.cdb;
-         (* M5: PMOS cascode, gate AC ground, source = 6, drain = 7. *)
-         vccs "gm5" 7 6 0 6 b.m5.gm;
-         resistor "gds5" 7 6 b.m5.gds;
-         cap "cgs5" 6 0 b.m5.cgs;
-         cap "cgd5" 7 0 b.m5.cgd;
-         cap "cdb5" 7 0 b.m5.cdb;
-         (* M6: tail current source. *)
-         resistor "gds6" 2 0 b.m6.gds;
-         cap "cdb6" 2 0 b.m6.cdb;
-         cap "cgd6" 2 0 b.m6.cgd;
-         (* Load. *)
-         cap "cl" 7 0 load_capacitance;
-       ])
+  Circuit.make
+    [
+      Circuit.Vsource { name = "vin"; pos = 1; neg = 0; dc = 0.; ac = 1. };
+      (* M1a: PMOS input device, gate = 1, source = tail, drain = 3. *)
+      vccs "gm1a" 3 2 1 2 b.m1.gm;
+      resistor "gds1a" 3 2 b.m1.gds;
+      cap "cgs1a" 1 2 b.m1.cgs;
+      cap "cgd1a" 1 3 b.m1.cgd;
+      cap "cdb1a" 3 0 b.m1.cdb;
+      (* M1b: gate at AC ground, drain = 4. *)
+      vccs "gm1b" 4 2 0 2 b.m1.gm;
+      resistor "gds1b" 4 2 b.m1.gds;
+      cap "cgs1b" 2 0 b.m1.cgs;
+      cap "cgd1b" 4 0 b.m1.cgd;
+      cap "cdb1b" 4 0 b.m1.cdb;
+      (* M2a / M2b: NMOS diode loads. *)
+      resistor "gm2a" 3 0 (b.m2.gm +. b.m2.gds);
+      cap "cgs2a" 3 0 b.m2.cgs;
+      cap "cdb2a" 3 0 b.m2.cdb;
+      resistor "gm2b" 4 0 (b.m2.gm +. b.m2.gds);
+      cap "cgs2b" 4 0 b.m2.cgs;
+      cap "cdb2b" 4 0 b.m2.cdb;
+      (* M2c: NMOS mirror output into the PMOS diode M3 (node 5). *)
+      vccs "gm2c" 5 0 3 0 b.m2k.gm;
+      resistor "gds2c" 5 0 b.m2k.gds;
+      cap "cgs2c" 3 0 b.m2k.cgs;
+      cap "cgd2c" 3 5 b.m2k.cgd;
+      cap "cdb2c" 5 0 b.m2k.cdb;
+      (* M2d: NMOS mirror output pulling the output node. *)
+      vccs "gm2d" 7 0 4 0 b.m2k.gm;
+      resistor "gds2d" 7 0 b.m2k.gds;
+      cap "cgs2d" 4 0 b.m2k.cgs;
+      cap "cgd2d" 4 7 b.m2k.cgd;
+      cap "cdb2d" 7 0 b.m2k.cdb;
+      (* M3: PMOS diode at node 5 (source at AC-ground VDD). *)
+      resistor "gm3" 5 0 (b.m3.gm +. b.m3.gds);
+      cap "cgs3" 5 0 b.m3.cgs;
+      cap "cdb3" 5 0 b.m3.cdb;
+      (* M4: PMOS mirror output, gate = 5, drain = 6. *)
+      vccs "gm4" 6 0 5 0 b.m4.gm;
+      resistor "gds4" 6 0 b.m4.gds;
+      cap "cgs4" 5 0 b.m4.cgs;
+      cap "cgd4" 5 6 b.m4.cgd;
+      cap "cdb4" 6 0 b.m4.cdb;
+      (* M5: PMOS cascode, gate AC ground, source = 6, drain = 7. *)
+      vccs "gm5" 7 6 0 6 b.m5.gm;
+      resistor "gds5" 7 6 b.m5.gds;
+      cap "cgs5" 6 0 b.m5.cgs;
+      cap "cgd5" 7 0 b.m5.cgd;
+      cap "cdb5" 7 0 b.m5.cdb;
+      (* M6: tail current source. *)
+      resistor "gds6" 2 0 b.m6.gds;
+      cap "cdb6" 2 0 b.m6.cdb;
+      cap "cgd6" 2 0 b.m6.cgd;
+      (* Load. *)
+      cap "cl" 7 0 load_capacitance;
+    ]
 
-let ac_measurements x =
-  let* circuit = small_signal_circuit x in
-  let dc =
-    match Dc.solve circuit with
-    | Ok solution -> solution
-    | Error _ ->
-        (* The small-signal netlist is linear with zero DC sources; a solve
-           failure would indicate a disconnected node. *)
-        { Dc.voltages = Array.make (Circuit.num_nodes circuit + 1) 0.;
-          branch_currents = List.map (fun n -> (n, 0.)) (Circuit.vsource_names circuit);
-          iterations = 0;
-          mos_biases = [];
-        }
-  in
-  let freqs = Ac.log_frequencies ~start_hz:100. ~stop_hz:1e10 ~points_per_decade:12 in
-  let sweep = Ac.transfer ~circuit ~dc ~input:"vin" ~output:7 ~freqs in
+let small_signal_circuit x =
+  let* b = bias_of x in
+  Ok (small_signal_netlist b)
+
+(* The AC sweep's grid, the same for every design point. *)
+let ac_freqs = Ac.log_frequencies ~start_hz:100. ~stop_hz:1e10 ~points_per_decade:12
+
+(* The small-signal netlist has no MOSFET, so [Ac.transfer] looks up no
+   bias and needs no DC solution. *)
+let no_bias = { Dc.voltages = [||]; branch_currents = []; iterations = 0; mos_biases = [] }
+
+let ac_measurements b =
+  let circuit = small_signal_netlist b in
+  let sweep = Ac.transfer ~circuit ~dc:no_bias ~input:"vin" ~output:7 ~freqs:ac_freqs in
   let alf_db = Ac.low_frequency_gain_db sweep in
   match (Ac.unity_gain_frequency sweep, Ac.phase_margin_deg sweep) with
   | Some fu, Some pm -> Ok (alf_db, fu, pm)
@@ -242,7 +238,7 @@ let slew_rates x b =
 
 let evaluate x =
   let* b = bias_of x in
-  let* alf_db, fu, pm = ac_measurements x in
+  let* alf_db, fu, pm = ac_measurements b in
   if pm <= 0. then Error "negative phase margin (simulation did not converge)"
   else begin
     let voffset = offset_voltage x b in

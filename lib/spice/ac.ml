@@ -12,35 +12,50 @@ let log_frequencies ~start_hz ~stop_hz ~points_per_decade =
   Array.init count (fun i ->
       start_hz *. (10. ** (float_of_int i /. float_of_int points_per_decade)))
 
-(* Linearized stamps for one frequency.  Same unknown layout as Dc. *)
-let stamp_ac circuit dc omega =
+(* The linearized circuit as a plan for a whole sweep.  Every stamp is
+   either purely real (conductances, transconductances, source incidence)
+   or purely imaginary (capacitive susceptances ωc), so each cell's real
+   part is the sum of its real stamps and its imaginary part the sum of its
+   imaginary stamps, each in element order.  The other half of every stamp
+   is +0, and adding +0 leaves any accumulator that is not −0 unchanged; an
+   accumulator that starts at +0 never holds −0 (a sum is −0 only when both
+   addends are), so leaving those halves out keeps every word of the
+   complex sums.  The real parts do not depend on the frequency and are
+   summed once; the imaginary parts are summed at each frequency from
+   [omega *. c].  Cells are row-major indices into the [size x size]
+   system; stamps on the ground row or column are dropped. *)
+type plan = {
+  size : int;
+  real : float array;  (* every cell's real part *)
+  cap_cells : int array;  (* per capacitance: its four cells, -1 where dropped *)
+  farads : float array;  (* per capacitance, in element order *)
+  rhs : float array;  (* real right-hand side; its imaginary part is 0 *)
+}
+
+let[@inline] add_at a p value = if p >= 0 then a.(p) <- a.(p) +. value
+
+let plan_of circuit dc ~input_index =
   let n = Circuit.num_nodes circuit in
-  let sources = Circuit.vsource_names circuit in
-  let m = List.length sources in
-  let size = n + m in
-  let y = Cmatrix.create (max size 1) (max size 1) in
-  let rhs = Array.make (max size 1) Complex.zero in
-  let add_y row col value = if row > 0 && col > 0 then Cmatrix.add_entry y (row - 1) (col - 1) value in
-  let real g = { Complex.re = g; im = 0. } in
-  let imaginary c = { Complex.re = 0.; im = c } in
+  let size = n + List.length (Circuit.vsource_names circuit) in
+  let real = Array.make (size * size) 0. in
+  let rhs = Array.make size 0. in
+  let caps = ref [] in
+  let cell row col = if row > 0 && col > 0 then ((row - 1) * size) + col - 1 else -1 in
+  let add_real row col g = add_at real (cell row col) g in
   let add_conductance n1 n2 g =
-    add_y n1 n1 (real g);
-    add_y n2 n2 (real g);
-    add_y n1 n2 (real (-.g));
-    add_y n2 n1 (real (-.g))
+    add_real n1 n1 g;
+    add_real n2 n2 g;
+    add_real n1 n2 (-.g);
+    add_real n2 n1 (-.g)
   in
   let add_capacitance n1 n2 c =
-    let admittance = omega *. c in
-    add_y n1 n1 (imaginary admittance);
-    add_y n2 n2 (imaginary admittance);
-    add_y n1 n2 (imaginary (-.admittance));
-    add_y n2 n1 (imaginary (-.admittance))
+    caps := (c, [| cell n1 n1; cell n2 n2; cell n1 n2; cell n2 n1 |]) :: !caps
   in
   let add_vccs out_pos out_neg in_pos in_neg gm =
-    add_y out_pos in_pos (real gm);
-    add_y out_pos in_neg (real (-.gm));
-    add_y out_neg in_pos (real (-.gm));
-    add_y out_neg in_neg (real gm)
+    add_real out_pos in_pos gm;
+    add_real out_pos in_neg (-.gm);
+    add_real out_neg in_pos (-.gm);
+    add_real out_neg in_neg gm
   in
   let branch = ref 0 in
   List.iter
@@ -48,24 +63,24 @@ let stamp_ac circuit dc omega =
       match element with
       | Circuit.Resistor { n1; n2; ohms; _ } -> add_conductance n1 n2 (1. /. ohms)
       | Circuit.Capacitor { n1; n2; farads; _ } -> add_capacitance n1 n2 farads
-      | Circuit.Vsource { pos; neg; ac; _ } ->
+      | Circuit.Vsource { pos; neg; _ } ->
           let k = n + !branch in
-          if pos > 0 then begin
-            Cmatrix.add_entry y (pos - 1) k Complex.one;
-            Cmatrix.add_entry y k (pos - 1) Complex.one
-          end;
-          if neg > 0 then begin
-            Cmatrix.add_entry y (neg - 1) k { Complex.re = -1.; im = 0. };
-            Cmatrix.add_entry y k (neg - 1) { Complex.re = -1.; im = 0. }
-          end;
-          rhs.(k) <- { Complex.re = ac; im = 0. };
+          let incidence node value =
+            if node > 0 then begin
+              add_at real (((node - 1) * size) + k) value;
+              add_at real ((k * size) + node - 1) value
+            end
+          in
+          incidence pos 1.;
+          incidence neg (-1.);
+          (* Unit AC on the chosen source; the others are AC grounds. *)
+          rhs.(k) <- (if !branch = input_index then 1. else 0.);
           incr branch
       | Circuit.Isource _ -> ()
       | Circuit.Vccs { out_pos; out_neg; in_pos; in_neg; gm; _ } ->
           add_vccs out_pos out_neg in_pos in_neg gm
       | Circuit.Mosfet { name; drain; gate; source; bulk; params; w; l } ->
-          let bias = Dc.mos_bias dc name in
-          let op = bias.Dc.op in
+          let op = (Dc.mos_bias dc name).Dc.op in
           add_vccs drain source gate source op.Mos.gm;
           add_conductance drain source op.Mos.gds;
           add_vccs drain source bulk source op.Mos.gmb;
@@ -74,7 +89,28 @@ let stamp_ac circuit dc omega =
           add_capacitance drain bulk (Mos.cdb params ~w);
           add_capacitance source bulk (Mos.cdb params ~w))
     (Circuit.elements circuit);
-  (y, rhs, size)
+  let caps = Array.of_list (List.rev !caps) in
+  {
+    size;
+    real;
+    cap_cells = Array.concat (Array.to_list (Array.map snd caps));
+    farads = Array.map fst caps;
+    rhs;
+  }
+
+(* The capacitive stamps at [omega], in element order: [omega *. c] on the
+   two diagonal cells, its negation on the two off-diagonal ones. *)
+let stamp_susceptances plan omega im =
+  Array.fill im 0 (Array.length im) 0.;
+  let cells = plan.cap_cells in
+  for c = 0 to Array.length plan.farads - 1 do
+    let admittance = omega *. plan.farads.(c) in
+    let across = -.admittance in
+    add_at im cells.(4 * c) admittance;
+    add_at im cells.((4 * c) + 1) admittance;
+    add_at im cells.((4 * c) + 2) across;
+    add_at im cells.((4 * c) + 3) across
+  done
 
 let transfer ~circuit ~dc ~input ~output ~freqs =
   let input_index =
@@ -84,25 +120,23 @@ let transfer ~circuit ~dc ~input ~output ~freqs =
   in
   if output <= 0 || output > Circuit.num_nodes circuit then
     invalid_arg "Ac.transfer: output node out of range";
-  (* Drive the chosen source with unit AC; silence the others. *)
-  let adjusted =
-    Circuit.make
-      (List.map
-         (fun element ->
-           match element with
-           | Circuit.Vsource ({ name; _ } as v) ->
-               Circuit.Vsource { v with ac = (if Circuit.vsource_index circuit name = input_index then 1. else 0.) }
-           | Circuit.Resistor _ | Circuit.Capacitor _ | Circuit.Isource _ | Circuit.Vccs _
-           | Circuit.Mosfet _ -> element)
-         (Circuit.elements circuit))
-  in
-  Array.map
-    (fun freq_hz ->
-      let omega = 2. *. Float.pi *. freq_hz in
-      let y, rhs, _ = stamp_ac adjusted dc omega in
-      let solution = Cmatrix.solve y rhs in
-      { freq_hz; response = solution.(output - 1) })
-    freqs
+  (* With no frequency nothing is stamped, so no MOSFET bias is looked up. *)
+  if Array.length freqs = 0 then [||]
+  else begin
+    let plan = plan_of circuit dc ~input_index in
+    let y = Cmatrix.create plan.size plan.size in
+    let xr = Array.make plan.size 0. and xi = Array.make plan.size 0. in
+    Array.map
+      (fun freq_hz ->
+        let omega = 2. *. Float.pi *. freq_hz in
+        Array.blit plan.real 0 y.Cmatrix.re 0 (Array.length plan.real);
+        stamp_susceptances plan omega y.Cmatrix.im;
+        Array.blit plan.rhs 0 xr 0 plan.size;
+        Array.fill xi 0 plan.size 0.;
+        Cmatrix.solve_in_place y xr xi;
+        { freq_hz; response = { Complex.re = xr.(output - 1); im = xi.(output - 1) } })
+      freqs
+  end
 
 let gain_db sweep =
   Array.map (fun p -> 20. *. log10 (Float.max (Complex.norm p.response) 1e-300)) sweep

@@ -27,8 +27,19 @@ val transfer :
 (** [transfer ~circuit ~dc ~input ~output ~freqs]: the AC response at node
     [output] when the voltage source named [input] drives a unit AC signal
     and all other sources are AC grounds.  Raises [Invalid_argument] when
-    [input] is unknown; raises {!Caffeine_linalg.Decomp.Singular} if the
-    admittance matrix is singular at some frequency. *)
+    [input] is unknown or [output] is not a node, and [Not_found] when [dc]
+    has no bias for one of the circuit's MOSFETs; raises
+    {!Caffeine_linalg.Decomp.Singular} if the admittance matrix is singular
+    at some frequency.
+
+    The circuit is compiled once per sweep: the real part of every matrix
+    cell (conductances, transconductances, source incidence) is summed once
+    in element order, and each capacitance keeps its cells.  At each
+    frequency the imaginary parts are summed from [ω·c] in element order
+    into unboxed arrays, which {!Caffeine_linalg.Cmatrix.solve_in_place}
+    then solves.  Every response is the word that adding each element's
+    complex stamps into a zero matrix at that frequency and solving it with
+    {!Caffeine_linalg.Cmatrix.solve} gives. *)
 
 val gain_db : sweep -> float array
 val phase_deg_unwrapped : sweep -> float array

@@ -9,97 +9,110 @@ type waveform = {
 
 let node_waveform w node = Array.map (fun row -> row.(node)) w.voltages
 
-type capacitor = { n1 : int; n2 : int; farads : float }
-
-let capacitors_of circuit =
-  List.filter_map
-    (fun element ->
-      match element with
-      | Circuit.Capacitor { n1; n2; farads; _ } -> Some { n1; n2; farads }
-      | Circuit.Resistor _ | Circuit.Vsource _ | Circuit.Isource _ | Circuit.Vccs _
-      | Circuit.Mosfet _ -> None)
-    (Circuit.elements circuit)
-
 let simulate_stream ?(integration = Trapezoidal) ?stimulus ?initial ~circuit ~step ~duration
     ~on_step () =
   if step <= 0. || duration <= 0. then invalid_arg "Tran.simulate: step and duration must be positive";
-  let vsource_value time =
+  let system = Dc.compile circuit in
+  let n = Circuit.num_nodes circuit in
+  let elements = Circuit.elements circuit in
+  let names, dc_values =
+    List.split
+      (List.filter_map
+         (function
+           | Circuit.Vsource { name; dc; _ } -> Some (name, dc)
+           | Circuit.Resistor _ | Circuit.Capacitor _ | Circuit.Isource _ | Circuit.Vccs _
+           | Circuit.Mosfet _ -> None)
+         elements)
+  in
+  let names = Array.of_list names and dc_values = Array.of_list dc_values in
+  let sources = Array.copy dc_values in
+  (* Each source's value at [time]: the stimulus's, or its DC value. *)
+  let drive time =
     match stimulus with
-    | None -> fun _ -> None
-    | Some f -> fun name -> f name time
+    | None -> ()
+    | Some f ->
+        for k = 0 to Array.length names - 1 do
+          sources.(k) <- (match f names.(k) time with Some v -> v | None -> dc_values.(k))
+        done
   in
   let operating_point =
     match initial with
-    | Some solution -> Ok solution
-    | None -> Dc.solve_with ~vsource_value:(vsource_value 0.) circuit
+    | Some solution -> Ok (Array.copy solution.Dc.voltages)
+    | None -> (
+        drive 0.;
+        let voltages = Array.make (n + 1) 0. in
+        match Dc.newton system ~sources ~start:(Array.make (n + 1) 0.) ~voltages with
+        | Ok (_ : int) -> Ok voltages
+        | Error _ as e -> e)
   in
   match operating_point with
   | Error msg -> Error ("transient: no operating point: " ^ msg)
-  | Ok start ->
-      let caps = capacitors_of circuit in
+  | Ok first ->
+      let caps =
+        Array.of_list
+          (List.filter_map
+             (function
+               | Circuit.Capacitor { n1; n2; farads; _ } -> Some (n1, n2, farads)
+               | Circuit.Resistor _ | Circuit.Vsource _ | Circuit.Isource _ | Circuit.Vccs _
+               | Circuit.Mosfet _ -> None)
+             elements)
+      in
+      let n1 = Array.map (fun (a, _, _) -> a) caps and n2 = Array.map (fun (_, b, _) -> b) caps in
+      (* Companion conductances: backward Euler's and the trapezoidal rule's. *)
+      let euler = Array.map (fun (_, _, farads) -> farads /. step) caps in
+      let trapezoid = Array.map (fun (_, _, farads) -> 2. *. farads /. step) caps in
+      let count = Array.length caps in
+      let companions = { Dc.conductance = Array.make count 0.; current = Array.make count 0. } in
       let num_steps = int_of_float (ceil (duration /. step)) in
-      let first = Array.copy start.Dc.voltages in
       on_step ~k:0 ~time:0. first;
       (* Per-capacitor branch current, needed by the trapezoidal companion;
          zero at the operating point. *)
-      let cap_currents = Array.make (List.length caps) 0. in
+      let cap_currents = Array.make count 0. in
       let failed = ref None in
-      let previous = ref first in
+      (* Two voltage buffers, the previous step's and the one being
+         solved, swapped after every step: [on_step] may not keep its
+         array. *)
+      let previous = ref first and spare = ref (Array.make (n + 1) 0.) in
       let k = ref 1 in
       while !failed = None && !k <= num_steps do
-        let prev = !previous in
+        let prev = !previous and fresh = !spare in
         (* The very first step always uses backward Euler (standard SPICE
            practice after a breakpoint): it needs no capacitor-current
            history, which is unknown or discontinuous at t = 0. *)
-        let integration = if !k = 1 then Backward_euler else integration in
-        let companion ~add_g ~add_b =
-          List.iteri
-            (fun index { n1; n2; farads } ->
-              let v_prev = prev.(n1) -. prev.(n2) in
-              match integration with
-              | Backward_euler ->
-                  let geq = farads /. step in
-                  add_g n1 n1 geq;
-                  add_g n2 n2 geq;
-                  add_g n1 n2 (-.geq);
-                  add_g n2 n1 (-.geq);
-                  add_b n1 (geq *. v_prev);
-                  add_b n2 (-.(geq *. v_prev))
-              | Trapezoidal ->
-                  let geq = 2. *. farads /. step in
-                  let ieq = (geq *. v_prev) +. cap_currents.(index) in
-                  add_g n1 n1 geq;
-                  add_g n2 n2 geq;
-                  add_g n1 n2 (-.geq);
-                  add_g n2 n1 (-.geq);
-                  add_b n1 ieq;
-                  add_b n2 (-.ieq))
-            caps
-        in
+        let trapezoidal = !k > 1 && integration = Trapezoidal in
+        (* A caller's [initial] of the wrong width fails here, before the
+           companions read it, as {!Dc.newton} would fail on it. *)
+        if Array.length prev <> n + 1 then
+          invalid_arg "Dc.solve: initial must have num_nodes + 1 entries";
+        for c = 0 to count - 1 do
+          let v_prev = prev.(n1.(c)) -. prev.(n2.(c)) in
+          if trapezoidal then begin
+            let geq = trapezoid.(c) in
+            companions.conductance.(c) <- geq;
+            companions.current.(c) <- (geq *. v_prev) +. cap_currents.(c)
+          end
+          else begin
+            let geq = euler.(c) in
+            companions.conductance.(c) <- geq;
+            companions.current.(c) <- geq *. v_prev
+          end
+        done;
         let time = float_of_int !k *. step in
-        (match
-           Dc.solve_with ~initial:prev ~vsource_value:(vsource_value time) ~extra_stamp:companion
-             circuit
-         with
+        drive time;
+        match Dc.newton ~companions system ~sources ~start:prev ~voltages:fresh with
         | Error msg -> failed := Some (Printf.sprintf "t = %g s: %s" time msg)
-        | Ok solution ->
-            let fresh = solution.Dc.voltages in
-            List.iteri
-              (fun index { n1; n2; farads } ->
-                let v_new = fresh.(n1) -. fresh.(n2) in
-                let v_prev = prev.(n1) -. prev.(n2) in
-                let current =
-                  match integration with
-                  | Backward_euler -> farads /. step *. (v_new -. v_prev)
-                  | Trapezoidal ->
-                      (2. *. farads /. step *. (v_new -. v_prev)) -. cap_currents.(index)
-                in
-                cap_currents.(index) <- current)
-              caps;
+        | Ok (_ : int) ->
+            for c = 0 to count - 1 do
+              let v_new = fresh.(n1.(c)) -. fresh.(n2.(c)) in
+              let v_prev = prev.(n1.(c)) -. prev.(n2.(c)) in
+              cap_currents.(c) <-
+                (if trapezoidal then (trapezoid.(c) *. (v_new -. v_prev)) -. cap_currents.(c)
+                 else euler.(c) *. (v_new -. v_prev))
+            done;
             on_step ~k:!k ~time fresh;
             previous := fresh;
-            incr k);
-        ()
+            spare := prev;
+            incr k
       done;
       (match !failed with Some msg -> Error msg | None -> Ok num_steps)
 

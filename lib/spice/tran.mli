@@ -36,11 +36,18 @@ val simulate_stream :
     waveform (an [num_steps x nodes] matrix), [on_step ~k ~time voltages]
     is called once per solved time point in order, starting with the
     operating point at [k = 0].  The voltage array is only valid during
-    the callback and must not be mutated — copy what must outlive it.
-    Returns the number of integration steps taken.  This is the native
-    producer for million-sample waveform datasets: each solved step can
-    be appended straight to a {!Caffeine_io.Colstore} writer with O(1)
-    resident memory.  {!simulate} is implemented on top of this. *)
+    the callback and must not be mutated — copy what must outlive it (the
+    run reuses two buffers).  Returns the number of integration steps
+    taken.  This is the native producer for million-sample waveform
+    datasets: each solved step can be appended straight to a
+    {!Caffeine_io.Colstore} writer with O(1) resident memory.  {!simulate}
+    is implemented on top of this.
+
+    The circuit is compiled once per run ({!Dc.compile}); each step sets
+    the capacitor companions and the source values (the stimulus is called
+    once per source per time point) and runs {!Dc.newton} on the same
+    system, so every voltage is the word a fresh DC solve with the
+    companions stamped after the elements gives. *)
 
 val simulate :
   ?integration:integration ->

@@ -208,6 +208,49 @@ let test_cli_unwritable_outputs () =
   | None -> ());
   List.iter (fun path -> if Sys.file_exists path then Sys.remove path) [ train; models; kept ]
 
+(* [analyze] resolves the AC source and output node before any work: an
+   unknown or ambiguous name, or the ground node, exits 2 with one line
+   naming the option and listing the deck's names; a source matches
+   case-insensitively, as nodes do.  A singular AC system ends the run with
+   one line and exit 1, as a failed DC solve does. *)
+let test_cli_analyze_ac_names () =
+  let deck = "../examples/netlists/cs_amp.sp" in
+  let analyze extra = [ "analyze"; "--netlist"; deck ] @ extra in
+  expect_refused "analyze --ac-input nosuch"
+    (analyze [ "--ac-input"; "nosuch"; "--ac-output"; "out" ])
+    "--ac-input nosuch: no voltage source of that name (sources: VDD, VIN)";
+  expect_refused "analyze --ac-output nosuch"
+    (analyze [ "--ac-input"; "VIN"; "--ac-output"; "nosuch" ])
+    "--ac-output nosuch: no node of that name (nodes: in, out, vdd)";
+  expect_refused "analyze --ac-output gnd"
+    (analyze [ "--ac-input"; "VIN"; "--ac-output"; "gnd" ])
+    "--ac-output gnd: ground has no AC response";
+  expect_success "analyze --ac-input vin"
+    (analyze [ "--ac-input"; "vin"; "--ac-output"; "OUT" ])
+    "AC (VIN -> OUT)";
+  let ambiguous = Filename.temp_file "caffeine_cli" ".sp" in
+  write_file ambiguous "Vin a 0 DC 1\nVIN b 0 DC 2\nR1 a b 1k\n.end\n";
+  expect_refused "analyze, two sources of one name"
+    [ "analyze"; "--netlist"; ambiguous; "--ac-input"; "vin"; "--ac-output"; "a" ]
+    "--ac-input vin: names more than one voltage source (sources: Vin, VIN)";
+  (* At 1 Hz, the sweep's first point, each capacitor's susceptance is
+     exactly 1 S and the VCCS pair makes the a-b block [[j, 1], [-1, j]],
+     which is singular; at DC it is [[0, 1], [-1, 0]]. *)
+  let singular = Filename.temp_file "caffeine_cli" ".sp" in
+  write_file singular
+    "C1 a 0 0.15915494309189535\nC2 b 0 0.15915494309189535\nG1 a 0 b 0 1\nG2 b 0 a 0 -1\n\
+     V1 in 0 DC 1 AC 1\nR1 in 0 1k\n.end\n";
+  (match run_cli [ "analyze"; "--netlist"; singular; "--ac-input"; "V1"; "--ac-output"; "in" ] with
+  | None -> ()
+  | Some (status, output) ->
+      Alcotest.(check bool) "singular AC: exits 1" true (status = Unix.WEXITED 1);
+      Alcotest.(check bool) "singular AC: DC reported" true (contains output "DC operating point");
+      Alcotest.(check bool) "singular AC: says why" true
+        (contains output "AC solve failed: singular MNA system\n");
+      Alcotest.(check bool) "singular AC: no internal error" false
+        (contains output "internal error"));
+  List.iter Sys.remove [ ambiguous; singular ]
+
 let suite =
   [
     Alcotest.test_case "cli: grammar" `Quick test_cli_grammar;
@@ -219,4 +262,6 @@ let suite =
       test_cli_bad_inputs_and_options;
     Alcotest.test_case "cli: unwritable output paths exit 2 before any work" `Quick
       test_cli_unwritable_outputs;
+    Alcotest.test_case "cli: analyze refuses AC names it cannot resolve" `Quick
+      test_cli_analyze_ac_names;
   ]

@@ -15,6 +15,7 @@ let () =
       ("spice", Test_spice.suite);
       ("netlist", Test_netlist.suite);
       ("ota", Test_ota.suite);
+      ("simref", Test_sim_reference.suite);
       ("posyn", Test_posyn.suite);
       ("core", Test_core.suite);
       ("checkpoint", Test_checkpoint.suite);
