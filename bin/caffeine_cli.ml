@@ -955,7 +955,10 @@ let analyze netlist_path want_op ac_input ac_output =
             Result.map
               (fun resolved -> `Sweep (resolved, output_name))
               (resolve_ac deck input output_name)
-        | Some _, None | None, Some _ -> Ok `Half
+        | Some input, None ->
+            Error (Printf.sprintf "--ac-input %s: an AC sweep also needs --ac-output" input)
+        | None, Some output_name ->
+            Error (Printf.sprintf "--ac-output %s: an AC sweep also needs --ac-input" output_name)
         | None, None -> Ok `No_sweep
       in
       match sweep with
@@ -975,9 +978,6 @@ let analyze netlist_path want_op ac_input ac_output =
               match sweep with
               | `Sweep ((input, output), output_name) ->
                   print_ac_sweep deck dc ~input ~output output_name
-              | `Half ->
-                  Printf.printf "(need both --ac-input and --ac-output for an AC sweep)\n";
-                  0
               | `No_sweep -> 0)))
 
 let netlist_arg =

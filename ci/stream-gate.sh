@@ -8,7 +8,9 @@
 #      and so does training data with no design variable or a non-finite
 #      target; missing input files, out-of-range option values, output
 #      files that cannot be written and AC names `analyze` cannot resolve
-#      exit 2 naming the file or the option.
+#      exit 2 naming the file or the option, as does half an `analyze` AC
+#      request; `bench` refuses an unknown experiment, a --pop below 2
+#      or a --gens below 1 the same way.
 #   2. Front bit-identity: the same seeded fit must print byte-identical
 #      fronts from a CSV (resident) and from the CSV packed into a .cafs
 #      store (streamed), across chunk sizes and execution backends.
@@ -99,11 +101,12 @@ done
 # one line naming the file or the option (exit 2), never with an uncaught
 # exception.
 missing=$scratch/no-such-file
-refused() {
-  expected=$1
-  shift
+refused_by() {
+  program=$1
+  expected=$2
+  shift 2
   status=0
-  "$CLI" "$@" > "$scratch/refused.out" 2>&1 || status=$?
+  "$program" "$@" > "$scratch/refused.out" 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then
     echo "stream-gate: '$*' exited with status $status, expected 2" >&2; exit 1
   fi
@@ -113,6 +116,7 @@ refused() {
   fi
   test "$(wc -l < "$scratch/refused.out")" -eq 1
 }
+refused() { refused_by "$CLI" "$@"; }
 refused "cannot read $missing" trace "$missing"
 refused "cannot read $missing" grammar --check "$missing"
 refused "cannot read $missing" fit --train "$scratch/data.csv" --target PM --grammar "$missing"
@@ -125,6 +129,13 @@ refused "--ac-input nosuch: no voltage source of that name (sources: VDD, VIN)" 
   analyze --netlist examples/netlists/cs_amp.sp --ac-input nosuch --ac-output out
 refused "--ac-output nosuch: no node of that name (nodes: in, out, vdd)" \
   analyze --netlist examples/netlists/cs_amp.sp --ac-input VIN --ac-output nosuch
+refused "--ac-input VIN: an AC sweep also needs --ac-output" \
+  analyze --netlist examples/netlists/cs_amp.sp --ac-input VIN
+refused "--ac-output out: an AC sweep also needs --ac-input" \
+  analyze --netlist examples/netlists/cs_amp.sp --ac-output out
+refused_by "$BENCH" "unknown experiment nosuch (experiments: all, fig3," --experiment nosuch
+refused_by "$BENCH" "--pop abc: expected an integer of at least 2" --pop abc
+refused_by "$BENCH" "--gens 0: expected an integer of at least 1" --gens 0
 awk -F, 'NR == 2 { $NF = "nan" } { print }' OFS=, "$scratch/data.csv" > "$scratch/nan-first.csv"
 "$CLI" fit --train "$scratch/data.csv" --target SRn --pop 20 --gens 2 --seed 9 \
   --out "$scratch/srn.txt" > /dev/null

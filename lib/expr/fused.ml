@@ -261,8 +261,6 @@ let roots t = t.root_ids
 let nodes t = t.dag
 let nodes_in t = t.nodes_in
 let nodes_out t = Array.length t.dag
-let tile t = t.tile_width
-let slots t = t.slot_count
 
 (* --- evaluation ---------------------------------------------------------- *)
 

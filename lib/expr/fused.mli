@@ -71,13 +71,6 @@ val nodes_out : t -> int
 (** Distinct DAG nodes after hash-consing ([Array.length (nodes t)]).
     [nodes_in / nodes_out] is the cross-tree CSE ratio. *)
 
-val tile : t -> int
-(** Samples per block: chosen at compile time so all live slots' tiles
-    fit the L1 budget, clamped to keep per-tile loop overhead amortized. *)
-
-val slots : t -> int
-(** Scratch columns needed (after liveness-based slot reuse). *)
-
 type scratch
 (** Reusable arena of tile buffers; grows to the largest
     (slots × tile width) seen and can be shared by sequential calls. *)

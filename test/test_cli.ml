@@ -225,6 +225,10 @@ let test_cli_analyze_ac_names () =
   expect_refused "analyze --ac-output gnd"
     (analyze [ "--ac-input"; "VIN"; "--ac-output"; "gnd" ])
     "--ac-output gnd: ground has no AC response";
+  expect_refused "analyze --ac-input alone" (analyze [ "--ac-input"; "VIN" ])
+    "--ac-input VIN: an AC sweep also needs --ac-output";
+  expect_refused "analyze --ac-output alone" (analyze [ "--ac-output"; "out" ])
+    "--ac-output out: an AC sweep also needs --ac-input";
   expect_success "analyze --ac-input vin"
     (analyze [ "--ac-input"; "vin"; "--ac-output"; "OUT" ])
     "AC (VIN -> OUT)";

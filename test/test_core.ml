@@ -876,9 +876,28 @@ let suite = suite @ sobol_suite
 
 module Eval_cache = Caffeine.Eval_cache
 module Executor = Caffeine_par.Executor
+module Ota = Caffeine_ota.Ota
 
-let front_pairs outcome =
-  List.map (fun (m : Model.t) -> (m.Model.train_error, m.Model.complexity)) outcome.Search.front
+(* The OTA training DOE (dx 0.10) and its PM targets, simulated once. *)
+let ota_pm =
+  lazy
+    (let doe = Ota.doe_dataset ~dx:0.10 in
+     (doe.Ota.inputs, Array.map (Ota.modeling_target Ota.Pm) (Ota.targets doe Ota.Pm)))
+
+(* Whole fronts word for word: every float of every model by its IEEE
+   bits, every basis by [Expr.equal_basis]. *)
+let same_front a b =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let same_floats x y = Array.length x = Array.length y && Array.for_all2 same_bits x y in
+  let same_model (a : Model.t) (b : Model.t) =
+    same_bits a.Model.intercept b.Model.intercept
+    && same_floats a.Model.weights b.Model.weights
+    && same_bits a.Model.train_error b.Model.train_error
+    && same_bits a.Model.complexity b.Model.complexity
+    && Array.length a.Model.bases = Array.length b.Model.bases
+    && Array.for_all2 Expr.equal_basis a.Model.bases b.Model.bases
+  in
+  List.length a = List.length b && List.for_all2 same_model a b
 
 let test_eval_cache_mode_strings () =
   List.iter
@@ -925,9 +944,25 @@ let test_eval_cache_off_is_inert () =
   Alcotest.(check bool) "off never hits" true (Eval_cache.lookup cache ind = None);
   Alcotest.(check int) "off stores nothing" 0 (Eval_cache.stats cache).Eval_cache.entries
 
-(* The exactness contract, end to end: for any seed, turning the cache
-   on — at any backend — leaves the evolved front bit-identical to the
-   cache-off sequential run. *)
+(* The exactness contract, end to end: every cell of {seq, 4 domains,
+   3 shards} x {off, exact} evolves the front of the cache-off sequential
+   run, model for model and word for word. *)
+let front_invariant ~seed config ~inputs ~targets =
+  let data = data_of inputs in
+  let run backend ?jobs ?shards mode =
+    Executor.with_executor ?jobs ?shards backend @@ fun executor ->
+    (Search.run ~seed ~executor ~eval_cache:mode config ~data ~targets).Search.front
+  in
+  let reference = run Executor.Seq Eval_cache.Off in
+  List.for_all (same_front reference)
+    [
+      run Executor.Seq Eval_cache.Exact;
+      run Executor.Domains ~jobs:4 Eval_cache.Off;
+      run Executor.Domains ~jobs:4 Eval_cache.Exact;
+      run Executor.Processes ~shards:3 Eval_cache.Off;
+      run Executor.Processes ~shards:3 Eval_cache.Exact;
+    ]
+
 let eval_cache_front_invariance =
   QCheck.Test.make ~name:"eval cache never changes the front (any backend)" ~count:3
     QCheck.(int_bound 1000)
@@ -935,27 +970,29 @@ let eval_cache_front_invariance =
       let seed = 700 + salt in
       let inputs = cache_inputs seed 24 2 in
       let targets = Array.map (fun x -> (x.(0) *. x.(0)) +. (0.7 /. x.(1))) inputs in
-      let data = data_of inputs in
-      let config = Config.scaled ~pop_size:12 ~generations:6 Config.default in
-      let run backend ?jobs ?shards mode =
-        Executor.with_executor ?jobs ?shards backend @@ fun executor ->
-        front_pairs (Search.run ~seed ~executor ~eval_cache:mode config ~data ~targets)
-      in
-      let reference = run Executor.Seq Eval_cache.Off in
-      List.for_all
-        (fun front -> front = reference)
-        [
-          run Executor.Seq Eval_cache.Exact;
-          run Executor.Domains ~jobs:4 Eval_cache.Exact;
-          run Executor.Processes ~shards:3 Eval_cache.Exact;
-        ])
+      front_invariant ~seed (Config.scaled ~pop_size:12 ~generations:6 Config.default) ~inputs
+        ~targets)
+
+(* The property's case checks one fixed input first, which its generator
+   cannot draw: OTA PM on the paper's configuration at pop 24 x 12, seed 11. *)
+let eval_cache_front_invariance_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest ~long:false eval_cache_front_invariance in
+  ( name,
+    speed,
+    fun () ->
+      let inputs, targets = Lazy.force ota_pm in
+      Alcotest.(check bool) "OTA PM, pop 24 x 12, seed 11" true
+        (front_invariant ~seed:11
+           (Config.scaled ~pop_size:24 ~generations:12 Config.paper)
+           ~inputs ~targets);
+      run () )
 
 let eval_cache_suite =
   [
     Alcotest.test_case "eval cache: mode strings" `Quick test_eval_cache_mode_strings;
     Alcotest.test_case "eval cache: exact lookup/store" `Quick test_eval_cache_exact_lookup_store;
     Alcotest.test_case "eval cache: off is inert" `Quick test_eval_cache_off_is_inert;
-    QCheck_alcotest.to_alcotest ~long:false eval_cache_front_invariance;
+    eval_cache_front_invariance_case;
   ]
 
 let suite = suite @ eval_cache_suite
@@ -963,13 +1000,6 @@ let suite = suite @ eval_cache_suite
 (* --- Nsga2.run's prepare hint --------------------------------------------- *)
 
 module Nsga2 = Caffeine_evo.Nsga2
-module Ota = Caffeine_ota.Ota
-
-(* The OTA training DOE (dx 0.10) and its PM targets, simulated once. *)
-let ota_pm =
-  lazy
-    (let doe = Ota.doe_dataset ~dx:0.10 in
-     (doe.Ota.inputs, Array.map (Ota.modeling_target Ota.Pm) (Ota.targets doe Ota.Pm)))
 
 (* [Nsga2.run] with the search's closures — initialization, variation, and
    objectives from [Model.fit] — on a fresh dataset, with or without a

@@ -12,6 +12,7 @@ module Config = Caffeine.Config
 module Search = Caffeine.Search
 module Sag = Caffeine.Sag
 module Dataset = Caffeine_io.Dataset
+module Eval_cache = Caffeine.Eval_cache
 
 (* --- metrics registry --- *)
 
@@ -483,14 +484,15 @@ let toy_problem seed =
   in
   (inputs, targets)
 
+(* One projection in every cell of {seq, 4 domains} x {cache off, exact}. *)
 let test_trace_jobs_invariant () =
   let inputs, targets = toy_problem 31 in
   let config = Config.scaled ~pop_size:14 ~generations:6 ~jobs:1 Config.default in
-  let capture use_pool =
+  let capture use_pool eval_cache =
     let data = Dataset.of_rows inputs in
     let sink = Trace.memory () in
     let run executor =
-      let outcome = Search.run ~seed:21 ~executor ~trace:sink config ~data ~targets in
+      let outcome = Search.run ~seed:21 ~executor ~eval_cache ~trace:sink config ~data ~targets in
       ignore
         (Sag.process_front ~executor ~trace:sink ~wb:config.Config.wb ~wvc:config.Config.wvc
            outcome.Search.front ~data ~targets)
@@ -499,11 +501,17 @@ let test_trace_jobs_invariant () =
     else run Executor.sequential;
     Trace.contents sink
   in
-  let sequential = capture false in
-  let parallel = capture true in
+  let sequential = capture false Eval_cache.Off in
   let project records = List.filter_map Trace.deterministic records in
-  Alcotest.(check bool) "deterministic projections identical across jobs" true
-    (record_equal (project sequential) (project parallel));
+  List.iter
+    (fun (label, use_pool, eval_cache) ->
+      Alcotest.(check bool) ("deterministic projections identical: " ^ label) true
+        (record_equal (project sequential) (project (capture use_pool eval_cache))))
+    [
+      ("4 domains, cache off", true, Eval_cache.Off);
+      ("seq, cache exact", false, Eval_cache.Exact);
+      ("4 domains, cache exact", true, Eval_cache.Exact);
+    ];
   (match sequential with
   | Trace.Run_start s :: _ -> Alcotest.(check int) "run_start carries the seed" 21 s.Trace.seed
   | _ -> Alcotest.fail "first record is not run_start");

@@ -221,6 +221,97 @@ let same_fit (a : Linfit.t) (b : Linfit.t) =
 let gram_fallbacks =
   Caffeine_obs.Metrics.(counter default "linfit.gram_fallbacks")
 
+(* On random columns the selection must be the scratch replay's. *)
+let forward_select_replay =
+  QCheck.Test.make ~name:"forward_select matches the scratch reference replay" ~count:60
+    QCheck.(pair small_int (int_range 20 40))
+    (fun (seed, n) ->
+      let rng = Rng.create ~seed () in
+      let total = 12 in
+      let columns =
+        Array.init total (fun _ -> Array.init n (fun _ -> Rng.range rng (-2.) 2.))
+      in
+      let targets =
+        Array.init n (fun i ->
+            (2. *. columns.(1).(i)) -. columns.(4).(i) +. Rng.gaussian ~sigma:0.3 rng)
+      in
+      Linfit.forward_select ~max_bases:5 ~basis_values:columns ~targets ()
+      = reference_forward_select ~max_bases:5 ~basis_values:columns ~targets ())
+
+(* The fixed OTA case: the PM DOE (dx 0.10) and 60 random bases (seed 11,
+   depth 5, at most 3 VC variables), each column scaled to unit 2-norm.
+   PRESS and the selected span do not depend on column scale, while
+   unscaled VC exponents spread column norms over tens of decades, where
+   the coefficients of any two stable factorizations differ by far more
+   than 1e-8.  The selection of at most 8 bases must be the scratch
+   replay's, and on every selected prefix the QR fit, PRESS, and
+   [fit_gram] fed by [Dataset.gram] (its products divided by the same
+   scales) must be within 1e-8 of scratch [Decomp.lstsq] and
+   [Decomp.press]. *)
+let ota_forward_select_agrees () =
+  let module Ota = Caffeine_ota.Ota in
+  let module Dataset = Caffeine_io.Dataset in
+  let module Decomp = Caffeine_linalg.Decomp in
+  let module Config = Caffeine.Config in
+  let doe = Ota.doe_dataset ~dx:0.10 in
+  let targets = Array.map (Ota.modeling_target Ota.Pm) (Ota.targets doe Ota.Pm) in
+  let data = Dataset.of_rows ~var_names:Ota.var_names doe.Ota.inputs in
+  let rng = Rng.create ~seed:11 () in
+  let bases =
+    Array.init 60 (fun _ ->
+        Caffeine.Gen.random_basis rng Config.paper.Config.opset
+          ~dims:(Array.length Ota.var_names) ~depth:5 ~max_vc_vars:3)
+  in
+  let norm v = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v) in
+  let raw_columns = Array.map (Dataset.basis_column data) bases in
+  let scales =
+    Array.map
+      (fun col ->
+        let s = norm col in
+        if Float.is_finite s && s > 0. then s else 1.)
+      raw_columns
+  in
+  let columns = Array.mapi (fun i col -> Array.map (fun x -> x /. scales.(i)) col) raw_columns in
+  let within a b =
+    let diff = Array.mapi (fun i x -> x -. b.(i)) a in
+    norm diff /. Float.max (Float.max (norm a) (norm b)) 1e-30 <= 1e-8
+  in
+  let coefficients (m : Linfit.t) = Array.append [| m.Linfit.intercept |] m.Linfit.weights in
+  let prefix_agrees selection k =
+    let chosen = Array.sub selection 0 k in
+    let cols = Array.map (fun c -> columns.(c)) chosen in
+    let design = Linfit.design_matrix cols in
+    let scratch = Decomp.lstsq design targets in
+    let scratch_press = Decomp.press design targets in
+    let g = Dataset.gram data (Array.map (fun c -> bases.(c)) chosen) ~targets in
+    let scale i = scales.(chosen.(i)) in
+    let gram =
+      Linfit.fit_gram
+        ~dot:(fun i j -> g.Dataset.dots.(i).(j) /. (scale i *. scale j))
+        ~dot_y:(fun i -> g.Dataset.dot_ys.(i) /. scale i)
+        ~col_sum:(fun i -> g.Dataset.col_sums.(i) /. scale i)
+        ~basis_values:cols ~targets
+    in
+    within (coefficients (Linfit.fit ~basis_values:cols ~targets)) scratch
+    && Float.abs (Linfit.press ~basis_values:cols ~targets -. scratch_press)
+       /. Float.max (Float.abs scratch_press) 1e-30
+       <= 1e-8
+    && within (coefficients gram) scratch
+  in
+  let selection = Linfit.forward_select ~max_bases:8 ~basis_values:columns ~targets () in
+  selection = reference_forward_select ~max_bases:8 ~basis_values:columns ~targets ()
+  && List.for_all (prefix_agrees selection) (List.init (Array.length selection) succ)
+
+(* The property's case checks the fixed OTA case first. *)
+let forward_select_replay_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest ~long:false forward_select_replay in
+  ( name,
+    speed,
+    fun () ->
+      Alcotest.(check bool) "OTA PM, 60 unit-norm random bases, max_bases 8" true
+        (ota_forward_select_agrees ());
+      run () )
+
 let property_tests =
   [
     QCheck.Test.make ~name:"fit residual error is within [0, constant-model error]" ~count:100
@@ -265,20 +356,10 @@ let property_tests =
           (Array.append [| gram.Linfit.intercept |] gram.Linfit.weights)
           (Array.append [| fitted.Linfit.intercept |] fitted.Linfit.weights)
         && rel_vec_close 1e-8 gram.Linfit.predictions fitted.Linfit.predictions);
-    QCheck.Test.make ~name:"forward_select matches the scratch reference replay" ~count:60
-      QCheck.(pair small_int (int_range 20 40))
-      (fun (seed, n) ->
-        let rng = Rng.create ~seed () in
-        let total = 12 in
-        let columns =
-          Array.init total (fun _ -> Array.init n (fun _ -> Rng.range rng (-2.) 2.))
-        in
-        let targets =
-          Array.init n (fun i ->
-              (2. *. columns.(1).(i)) -. columns.(4).(i) +. Rng.gaussian ~sigma:0.3 rng)
-        in
-        Linfit.forward_select ~max_bases:5 ~basis_values:columns ~targets ()
-        = reference_forward_select ~max_bases:5 ~basis_values:columns ~targets ());
+  ]
+
+let fallback_properties =
+  [
     QCheck.Test.make ~name:"fit_stream fallback equals fit word for word on rank-deficient designs"
       ~count:300 QCheck.small_int (fun seed ->
         let columns, targets = rank_deficient_case ~seed in
@@ -444,4 +525,8 @@ let suite =
     Alcotest.test_case "forward select: error names it" `Quick test_forward_select_names_itself;
     Alcotest.test_case "design matrix shape" `Quick test_design_matrix_shape;
   ]
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false) (property_tests @ zero_column_properties)
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests
+  @ [ forward_select_replay_case ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~long:false)
+      (fallback_properties @ zero_column_properties)
