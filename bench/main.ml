@@ -476,9 +476,8 @@ let experiment_ablation_scalar context =
         (percent (model_test_error context run m))
         (Model.num_bases m)
 
-let experiment_tran_slew context =
+let experiment_tran_slew _options =
   section "Validation: analytic vs transient-measured slew rate";
-  ignore context;
   Printf.printf "%-28s  %12s  %12s  %12s  %12s\n" "design point" "SRp analytic" "SRp transient"
     "SRn analytic" "SRn transient";
   let points =
@@ -890,6 +889,7 @@ let experiment_trace options =
    (any backend)" and the obs case "trace: jobs-invariant projection". *)
 let experiment_dedup options =
   let module Eval_cache = Caffeine.Eval_cache in
+  let module Trace = Caffeine_obs.Trace in
   section "dedup: evaluation-cache effectiveness";
   let config = gate_config options ~min_gens:12 in
   let reps = if options.smoke then 3 else 5 in
@@ -903,8 +903,8 @@ let experiment_dedup options =
   let before = Eval_cache.global_stats () in
   search Eval_cache.Exact (pm_data w);
   let after = Eval_cache.global_stats () in
-  let exact_hits = after.Eval_cache.total_hits - before.Eval_cache.total_hits in
-  let exact_misses = after.Eval_cache.total_misses - before.Eval_cache.total_misses in
+  let exact_hits = after.Trace.eval_hits - before.Trace.eval_hits in
+  let exact_misses = after.Trace.eval_misses - before.Trace.eval_misses in
   let exact_rate =
     float_of_int exact_hits /. float_of_int (Stdlib.max 1 (exact_hits + exact_misses))
   in
@@ -1384,7 +1384,7 @@ let () =
       ("ablation-sag", true, with_context experiment_ablation_sag);
       ("ablation-moo", true, with_context experiment_ablation_moo);
       ("ablation-scalar", true, with_context experiment_ablation_scalar);
-      ("tran-slew", true, with_context experiment_tran_slew);
+      ("tran-slew", true, with_options experiment_tran_slew);
       ("miller", false, with_options experiment_miller);
       ("stream", false, with_options experiment_stream);
       ("parallel", true, with_options experiment_parallel);

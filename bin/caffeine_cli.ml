@@ -28,6 +28,7 @@ module Checkpoint = Caffeine.Checkpoint
 module Eval_cache = Caffeine.Eval_cache
 module Pool = Caffeine_par.Pool
 module Executor = Caffeine_par.Executor
+module Json = Caffeine_obs.Json
 module Metrics = Caffeine_obs.Metrics
 module Trace = Caffeine_obs.Trace
 
@@ -356,28 +357,9 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
   | Some channel ->
       (* Cache effectiveness, last: informative but nondeterministic across
          jobs settings, so [trace --counts] projects it away. *)
-      let s = Dataset.stats data in
-      Trace.emit trace
-        (Trace.Cache_stats
-           {
-             columns_cached = s.Dataset.columns_cached;
-             column_hits = s.Dataset.column_hits;
-             column_misses = s.Dataset.column_misses;
-             column_evictions = s.Dataset.column_evictions;
-             dots_cached = s.Dataset.dots_cached;
-             dot_hits = s.Dataset.dot_hits;
-             dot_misses = s.Dataset.dot_misses;
-             dot_evictions = s.Dataset.dot_evictions;
-           });
-      (if eval_cache <> Eval_cache.Off then
-         let g = Eval_cache.global_stats () in
-         Trace.emit trace
-           (Trace.Eval_cache_stats
-              {
-                eval_hits = g.Eval_cache.total_hits;
-                eval_misses = g.Eval_cache.total_misses;
-                eval_evictions = g.Eval_cache.total_evictions;
-              }));
+      Trace.emit trace (Trace.Cache_stats (Dataset.stats data));
+      if eval_cache <> Eval_cache.Off then
+        Trace.emit trace (Trace.Eval_cache_stats (Eval_cache.global_stats ()));
       close_out channel;
       Printf.printf "wrote run trace to %s\n" (Option.get trace_path));
   let test_data =
@@ -639,22 +621,10 @@ let predict models_path data_path target log_target dump =
              exactly as the serve protocol encodes its "outputs" field —
              one [[...],...] line, models x rows — so the serving layer's
              bit-identity contract is a plain [diff] away. *)
-          let b = Buffer.create 4096 in
-          Buffer.add_char b '[';
-          List.iteri
-            (fun k m ->
-              if k > 0 then Buffer.add_char b ',';
-              Buffer.add_char b '[';
-              Array.iteri
-                (fun i y ->
-                  if i > 0 then Buffer.add_char b ',';
-                  Caffeine_obs.Json.add_float b y)
-                (Model.predict m data);
-              Buffer.add_char b ']')
-            models;
-          Buffer.add_string b "]\n";
+          let row m = Json.Arr (List.map Json.float (Array.to_list (Model.predict m data))) in
+          let text = Json.to_string (Json.Arr (List.map row models)) ^ "\n" in
           write_or_exit path (fun () ->
-              Out_channel.with_open_text path (fun channel -> Buffer.output_buffer channel b));
+              Out_channel.with_open_text path (fun channel -> output_string channel text));
           Printf.printf "dumped predictions for %d models to %s\n" (List.length models) path);
       0
 

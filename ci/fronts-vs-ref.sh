@@ -33,6 +33,16 @@
 # `insight --index k` for every model of each target's seed-7 front (point
 # evaluation by the interpreter, Sobol indices by batched prediction).
 # The new CLI must also resume REF's snapshot to REF's front.
+#
+# Those snapshots end in the simplifying phase, so the snapshot codec's
+# other lines are diffed on PM seed 7 as well: a fit killed after
+# generation 7 (`--kill-after 7`, exit 3) leaves the generation-5 snapshot
+# of an in-progress island, with its whole population and generator words,
+# and a `--no-sag` fit ends on an evolving snapshot with a done island.
+# PM seed 11 runs once more on one worker process (`--backend processes
+# --shard 1`): its front and trace projection must match too, and the
+# projection's migration record carries the byte length of the done island
+# line the worker sent back.
 . "$(dirname "$0")/lib.sh"
 
 if [ $# -ne 1 ]; then
@@ -130,6 +140,39 @@ for target in ALF fu PM voffset SRp SRn; do
   diff -u "$front" "$scratch/$target-resumed.models"
 done
 
+# The snapshot codec's in-progress and evolving-done lines.
+for side in ref new; do
+  cli=$(cli_of $side)
+  rc=0
+  "$cli" fit --train "$train" --target PM --pop 200 --gens 15 --seed 7 --eval-cache exact \
+    --checkpoint "$scratch/PM-killed-$side.ckpt" --checkpoint-every 5 --kill-after 7 \
+    > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 3 ]; then
+    echo "fronts-vs-ref: $side fit --kill-after 7 exited $rc, not 3" >&2
+    exit 1
+  fi
+  "$cli" fit --train "$train" --target PM --pop 200 --gens 15 --seed 7 --eval-cache exact \
+    --no-sag --checkpoint "$scratch/PM-nosag-$side.ckpt" \
+    --out "$scratch/PM-nosag-$side.models" > /dev/null
+done
+diff -u "$scratch/PM-killed-ref.ckpt" "$scratch/PM-killed-new.ckpt"
+diff -u "$scratch/PM-nosag-ref.ckpt" "$scratch/PM-nosag-new.ckpt"
+diff -u "$scratch/PM-nosag-ref.models" "$scratch/PM-nosag-new.models"
+
+# The process backend's wire: one worker process runs the island.
+for side in ref new; do
+  cli=$(cli_of $side)
+  run=$scratch/PM-processes-$side
+  "$cli" fit --train "$train" --test "$test" --target PM \
+    --pop 200 --gens 15 --seed 11 --eval-cache exact --backend processes --shard 1 \
+    --out "$run.models" --trace "$run.jsonl" > /dev/null
+  "$cli" trace --counts "$run.jsonl" > "$run.counts"
+done
+diff -u "$scratch/PM-processes-ref.models" "$scratch/PM-processes-new.models"
+diff -u "$scratch/PM-processes-ref.counts" "$scratch/PM-processes-new.counts"
+grep -q '"type":"migration"' "$scratch/PM-processes-new.counts"
+fits=$((fits + 1))
+
 # Streamed training data: each CLI packs the CSV into a column store of
 # 50-row chunks and fits from the store.
 for side in ref new; do
@@ -180,9 +223,10 @@ diff -u "$scratch/PM-long-ref.models" "$scratch/PM-long-new.models"
 diff -u "$scratch/PM-long-ref.counts" "$scratch/PM-long-new.counts"
 fits=$((fits + 1))
 
-echo "fronts-vs-ref: $fits fronts and traces (2 streamed, 1 on 12 rows, 1 at 200 generations)," \
-  "3 data CSVs, 2 analyze reports," \
+echo "fronts-vs-ref: $fits fronts and traces (2 streamed, 1 on 12 rows, 1 at 200 generations," \
+  "1 on a worker process), 3 data CSVs, 2 analyze reports," \
   "a packed store," \
   "$insights insight reports," \
-  "and per target a prediction dump, snapshot and C export byte-identical to $ref" \
+  "per target a prediction dump, snapshot and C export," \
+  "and PM's in-progress and no-SAG snapshots byte-identical to $ref" \
   "($(echo "$rev" | cut -c1-12)); its snapshots resume to its fronts"

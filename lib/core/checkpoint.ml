@@ -73,76 +73,37 @@ let validate t ~fingerprint ~seed ~restarts =
    round-trip bit-identically, which rules out the pretty-printed infix of
    Model_io (it rounds weights for human eyes). *)
 
-let rec add_basis buffer (basis : Expr.basis) =
-  Buffer.add_string buffer "{\"vc\":";
-  (match basis.Expr.vc with
-  | None -> Buffer.add_string buffer "null"
-  | Some vc ->
-      Buffer.add_char buffer '[';
-      Array.iteri
-        (fun i e ->
-          if i > 0 then Buffer.add_char buffer ',';
-          Buffer.add_string buffer (string_of_int e))
-        vc;
-      Buffer.add_char buffer ']');
-  Buffer.add_string buffer ",\"f\":[";
-  List.iteri
-    (fun i factor ->
-      if i > 0 then Buffer.add_char buffer ',';
-      add_factor buffer factor)
-    basis.Expr.factors;
-  Buffer.add_string buffer "]}"
+let array_json element values = Json.Arr (List.map element (Array.to_list values))
 
-and add_factor buffer = function
-  | Expr.Unary (op, w) ->
-      Buffer.add_string buffer "[\"u\",";
-      Json.add_string buffer (Op.unary_name op);
-      Buffer.add_char buffer ',';
-      add_wsum buffer w;
-      Buffer.add_char buffer ']'
+let rec basis_json (basis : Expr.basis) =
+  Json.Obj
+    [
+      ("vc", match basis.Expr.vc with None -> Json.Null | Some vc -> array_json Json.int vc);
+      ("f", Json.Arr (List.map factor_json basis.Expr.factors));
+    ]
+
+and factor_json = function
+  | Expr.Unary (op, w) -> Json.Arr [ Json.Str "u"; Json.Str (Op.unary_name op); wsum_json w ]
   | Expr.Binary (op, a1, a2) ->
-      Buffer.add_string buffer "[\"b\",";
-      Json.add_string buffer (Op.binary_name op);
-      Buffer.add_char buffer ',';
-      add_arg buffer a1;
-      Buffer.add_char buffer ',';
-      add_arg buffer a2;
-      Buffer.add_char buffer ']'
+      Json.Arr [ Json.Str "b"; Json.Str (Op.binary_name op); arg_json a1; arg_json a2 ]
   | Expr.Lte { test; threshold; less; otherwise } ->
-      Buffer.add_string buffer "[\"lte\",";
-      add_wsum buffer test;
-      Buffer.add_char buffer ',';
-      add_arg buffer threshold;
-      Buffer.add_char buffer ',';
-      add_arg buffer less;
-      Buffer.add_char buffer ',';
-      add_arg buffer otherwise;
-      Buffer.add_char buffer ']'
+      Json.Arr
+        [ Json.Str "lte"; wsum_json test; arg_json threshold; arg_json less; arg_json otherwise ]
 
-and add_arg buffer = function
-  | Expr.Const c ->
-      Buffer.add_string buffer "[\"c\",";
-      Json.add_float buffer c;
-      Buffer.add_char buffer ']'
-  | Expr.Sum w ->
-      Buffer.add_string buffer "[\"s\",";
-      add_wsum buffer w;
-      Buffer.add_char buffer ']'
+and arg_json = function
+  | Expr.Const c -> Json.Arr [ Json.Str "c"; Json.float c ]
+  | Expr.Sum w -> Json.Arr [ Json.Str "s"; wsum_json w ]
 
-and add_wsum buffer (w : Expr.wsum) =
-  Buffer.add_string buffer "{\"bias\":";
-  Json.add_float buffer w.Expr.bias;
-  Buffer.add_string buffer ",\"t\":[";
-  List.iteri
-    (fun i (weight, basis) ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_char buffer '[';
-      Json.add_float buffer weight;
-      Buffer.add_char buffer ',';
-      add_basis buffer basis;
-      Buffer.add_char buffer ']')
-    w.Expr.terms;
-  Buffer.add_string buffer "]}"
+and wsum_json (w : Expr.wsum) =
+  Json.Obj
+    [
+      ("bias", Json.float w.Expr.bias);
+      ( "t",
+        Json.Arr
+          (List.map
+             (fun (weight, basis) -> Json.Arr [ Json.float weight; basis_json basis ])
+             w.Expr.terms) );
+    ]
 
 let rec basis_of json : Expr.basis =
   let fields = Json.obj json in
@@ -194,34 +155,18 @@ and wsum_of json : Expr.wsum =
 
 (* {2 Model / individual / rng-state encoding} *)
 
-let add_float_array buffer values =
-  Buffer.add_char buffer '[';
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Json.add_float buffer v)
-    values;
-  Buffer.add_char buffer ']'
-
 let float_array_of fields name =
   Array.of_list (List.map (Json.to_float name) (Json.arr_of fields name))
 
-let add_model buffer (model : Model.t) =
-  Buffer.add_string buffer "{\"bases\":[";
-  Array.iteri
-    (fun i basis ->
-      if i > 0 then Buffer.add_char buffer ',';
-      add_basis buffer basis)
-    model.Model.bases;
-  Buffer.add_string buffer "],\"intercept\":";
-  Json.add_float buffer model.Model.intercept;
-  Buffer.add_string buffer ",\"weights\":";
-  add_float_array buffer model.Model.weights;
-  Buffer.add_string buffer ",\"train_error\":";
-  Json.add_float buffer model.Model.train_error;
-  Buffer.add_string buffer ",\"complexity\":";
-  Json.add_float buffer model.Model.complexity;
-  Buffer.add_char buffer '}'
+let model_json (model : Model.t) =
+  Json.Obj
+    [
+      ("bases", array_json basis_json model.Model.bases);
+      ("intercept", Json.float model.Model.intercept);
+      ("weights", array_json Json.float model.Model.weights);
+      ("train_error", Json.float model.Model.train_error);
+      ("complexity", Json.float model.Model.complexity);
+    ]
 
 let model_of json : Model.t =
   let fields = Json.obj json in
@@ -233,31 +178,17 @@ let model_of json : Model.t =
     complexity = Json.float_of fields "complexity";
   }
 
-let add_models buffer models =
-  Buffer.add_char buffer '[';
-  List.iteri
-    (fun i model ->
-      if i > 0 then Buffer.add_char buffer ',';
-      add_model buffer model)
-    models;
-  Buffer.add_char buffer ']'
-
+let models_json models = Json.Arr (List.map model_json models)
 let models_of fields name = List.map model_of (Json.arr_of fields name)
 
-let add_individual buffer (ind : Vary.individual Nsga2.individual) =
-  Buffer.add_string buffer "{\"genome\":[";
-  Array.iteri
-    (fun i basis ->
-      if i > 0 then Buffer.add_char buffer ',';
-      add_basis buffer basis)
-    ind.Nsga2.genome;
-  Buffer.add_string buffer "],\"obj\":";
-  add_float_array buffer ind.Nsga2.objectives;
-  Buffer.add_string buffer ",\"rank\":";
-  Buffer.add_string buffer (string_of_int ind.Nsga2.rank);
-  Buffer.add_string buffer ",\"crowding\":";
-  Json.add_float buffer ind.Nsga2.crowding;
-  Buffer.add_char buffer '}'
+let individual_json (ind : Vary.individual Nsga2.individual) =
+  Json.Obj
+    [
+      ("genome", array_json basis_json ind.Nsga2.genome);
+      ("obj", array_json Json.float ind.Nsga2.objectives);
+      ("rank", Json.int ind.Nsga2.rank);
+      ("crowding", Json.float ind.Nsga2.crowding);
+    ]
 
 let individual_of json : Vary.individual Nsga2.individual =
   let fields = Json.obj json in
@@ -270,17 +201,11 @@ let individual_of json : Vary.individual Nsga2.individual =
 
 (* Generator words travel as decimal int64 strings: they use all 64 bits,
    which neither a JSON number nor an OCaml float can carry exactly. *)
-let add_rng_state buffer (state : Rng.state) =
-  let word w = Json.add_string buffer (Int64.to_string w) in
-  Buffer.add_char buffer '[';
-  word state.Rng.w0;
-  Buffer.add_char buffer ',';
-  word state.Rng.w1;
-  Buffer.add_char buffer ',';
-  word state.Rng.w2;
-  Buffer.add_char buffer ',';
-  word state.Rng.w3;
-  Buffer.add_char buffer ']'
+let rng_state_json (state : Rng.state) =
+  Json.Arr
+    (List.map
+       (fun w -> Json.Str (Int64.to_string w))
+       [ state.Rng.w0; state.Rng.w1; state.Rng.w2; state.Rng.w3 ])
 
 let rng_state_of fields name : Rng.state =
   let word = function
@@ -297,68 +222,48 @@ let rng_state_of fields name : Rng.state =
 (* {2 Snapshot lines} *)
 
 let header_line t =
-  let buffer = Buffer.create 160 in
-  Buffer.add_string buffer "{\"type\":\"caffeine_checkpoint\",\"version\":";
-  Buffer.add_string buffer (string_of_int version);
-  Buffer.add_string buffer ",\"fingerprint\":";
-  Json.add_string buffer t.fingerprint;
-  Buffer.add_string buffer ",\"seed\":";
-  Buffer.add_string buffer (string_of_int t.seed);
-  Buffer.add_string buffer ",\"restarts\":";
-  Buffer.add_string buffer (string_of_int t.restarts);
-  Buffer.add_string buffer ",\"phase\":";
-  Json.add_string buffer (phase_name t.phase);
-  Buffer.add_char buffer '}';
-  Buffer.contents buffer
-
-let island_line index island =
-  let buffer = Buffer.create 4096 in
-  let open_line status =
-    Buffer.add_string buffer "{\"type\":\"island\",\"index\":";
-    Buffer.add_string buffer (string_of_int index);
-    Buffer.add_string buffer ",\"status\":";
-    Json.add_string buffer status
-  in
-  (match island with
-  | Pending rng ->
-      open_line "pending";
-      Buffer.add_string buffer ",\"rng\":";
-      add_rng_state buffer rng
-  | In_progress { gen; rng; population } ->
-      open_line "in_progress";
-      Buffer.add_string buffer ",\"gen\":";
-      Buffer.add_string buffer (string_of_int gen);
-      Buffer.add_string buffer ",\"rng\":";
-      add_rng_state buffer rng;
-      Buffer.add_string buffer ",\"population\":[";
-      Array.iteri
-        (fun i ind ->
-          if i > 0 then Buffer.add_char buffer ',';
-          add_individual buffer ind)
-        population;
-      Buffer.add_char buffer ']'
-  | Done front ->
-      open_line "done";
-      Buffer.add_string buffer ",\"front\":";
-      add_models buffer front);
-  Buffer.add_char buffer '}';
-  Buffer.contents buffer
-
-let sag_line front processed =
-  let buffer = Buffer.create 4096 in
-  Buffer.add_string buffer "{\"type\":\"sag\",\"front\":";
-  add_models buffer front;
-  Buffer.add_string buffer ",\"processed\":";
-  add_models buffer processed;
-  Buffer.add_char buffer '}';
-  Buffer.contents buffer
+  Json.to_string
+    (Json.Obj
+       [
+         ("type", Json.Str "caffeine_checkpoint");
+         ("version", Json.int version);
+         ("fingerprint", Json.Str t.fingerprint);
+         ("seed", Json.int t.seed);
+         ("restarts", Json.int t.restarts);
+         ("phase", Json.Str (phase_name t.phase));
+       ])
 
 (* The island line doubles as the wire format of the multi-process island
    backend (Shard): the coordinator sends each worker its assignments as
    island lines, and workers send progress and final fronts back as
    island lines, so a migrated front is byte-for-byte what the snapshot
    file would hold. *)
-let island_to_line ~index island = island_line index island
+let island_to_line ~index island =
+  let status, members =
+    match island with
+    | Pending rng -> ("pending", [ ("rng", rng_state_json rng) ])
+    | In_progress { gen; rng; population } ->
+        ( "in_progress",
+          [
+            ("gen", Json.int gen);
+            ("rng", rng_state_json rng);
+            ("population", array_json individual_json population);
+          ] )
+    | Done front -> ("done", [ ("front", models_json front) ])
+  in
+  Json.to_string
+    (Json.Obj
+       (("type", Json.Str "island") :: ("index", Json.int index) :: ("status", Json.Str status)
+       :: members))
+
+let sag_line front processed =
+  Json.to_string
+    (Json.Obj
+       [
+         ("type", Json.Str "sag");
+         ("front", models_json front);
+         ("processed", models_json processed);
+       ])
 
 let island_of fields =
   match Json.str_of fields "status" with
@@ -392,7 +297,7 @@ let save ~path t =
      | Evolving islands ->
          Array.iteri
            (fun index island ->
-             output_string channel (island_line index island);
+             output_string channel (island_to_line ~index island);
              output_char channel '\n')
            islands
      | Simplifying { front; processed } ->

@@ -97,11 +97,9 @@ type stats = Caffeine_par.Memo.stats = {
 
 let stats t = Memo.stats t.memo
 
-type global_stats = { total_hits : int; total_misses : int; total_evictions : int }
-
 let global_stats () =
   {
-    total_hits = Metrics.counter_value m_hits;
-    total_misses = Metrics.counter_value m_misses;
-    total_evictions = Metrics.counter_value m_evictions;
+    Caffeine_obs.Trace.eval_hits = Metrics.counter_value m_hits;
+    eval_misses = Metrics.counter_value m_misses;
+    eval_evictions = Metrics.counter_value m_evictions;
   }

@@ -61,8 +61,7 @@ type stats = Caffeine_par.Memo.stats = {
 val stats : t -> stats
 (** Lifetime counters of this instance, for effectiveness reporting. *)
 
-type global_stats = { total_hits : int; total_misses : int; total_evictions : int }
-
-val global_stats : unit -> global_stats
+val global_stats : unit -> Caffeine_obs.Trace.eval_cache_stats
 (** Process-wide [eval.cache_*] counter values (all instances of this
-    process combined — worker processes keep their own). *)
+    process combined — worker processes keep their own), as the trace
+    record [fit --trace] emits. *)

@@ -101,16 +101,7 @@ and wsum_code language var_names (ws : Expr.wsum) =
   in
   "(" ^ String.concat " + " (literal ws.Expr.bias :: terms) ^ ")"
 
-let model_expression language var_names (model : Model.t) =
-  let ws =
-    {
-      Expr.bias = model.Model.intercept;
-      terms =
-        Array.to_list
-          (Array.mapi (fun j basis -> (model.Model.weights.(j), basis)) model.Model.bases);
-    }
-  in
-  wsum_code language var_names ws
+let model_expression language var_names model = wsum_code language var_names (Model.wsum model)
 
 let to_c ~name ~var_names model =
   let buffer = Buffer.create 512 in
@@ -156,21 +147,7 @@ let fused_node_code var_names nodes id =
   | Fused.Fma { acc; w; term } -> Printf.sprintf "%s + %s * %s" (ref_of acc) (literal w) (ref_of term)
 
 let to_c_front ~name ~var_names front =
-  let wsums =
-    Array.of_list
-      (List.map
-         (fun (model : Model.t) ->
-           {
-             Expr.bias = model.Model.intercept;
-             terms =
-               Array.to_list
-                 (Array.mapi
-                    (fun j basis -> (model.Model.weights.(j), basis))
-                    model.Model.bases);
-           })
-         front)
-  in
-  let fused = Fused.compile_wsums wsums in
+  let fused = Fused.compile_wsums (Array.of_list (List.map Model.wsum front)) in
   let nodes = Fused.nodes fused in
   let roots = Fused.roots fused in
   let buffer = Buffer.create 2048 in

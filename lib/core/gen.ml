@@ -1,3 +1,12 @@
+(* Determinism contract: the order in which this module draws from the
+   generator is part of every seeded front.  OCaml leaves the evaluation
+   order of constructor arguments, operator operands, tuple and list
+   elements and record fields unspecified (ocamlopt evaluates them right to
+   left, and record fields in reverse declaration order), so no such
+   expression holds two draws: each is bound by its own [let], in the order
+   ocamlopt used before the order was spelled out, which every recorded
+   front depends on. *)
+
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
 module Op = Caffeine_expr.Op
@@ -37,11 +46,11 @@ let rec random_basis rng opset ~dims ~depth ~max_vc_vars =
   else begin
     let shape = Rng.uniform rng in
     if shape < 0.55 then vc_only ()
-    else if shape < 0.8 then
-      {
-        Expr.vc = Some (random_vc rng opset ~dims ~max_vars:max_vc_vars);
-        factors = [ random_factor rng opset ~dims ~depth ~max_vc_vars ];
-      }
+    else if shape < 0.8 then begin
+      let factor = random_factor rng opset ~dims ~depth ~max_vc_vars in
+      let vc = random_vc rng opset ~dims ~max_vars:max_vc_vars in
+      { Expr.vc = Some vc; factors = [ factor ] }
+    end
     else begin
       let extra =
         if Rng.bernoulli rng 0.2 then [ random_factor rng opset ~dims ~depth ~max_vc_vars ]
@@ -70,13 +79,12 @@ and random_factor rng opset ~dims ~depth ~max_vc_vars =
       if Rng.bool rng then Expr.Binary (op, sum_side, maybe_side)
       else Expr.Binary (op, maybe_side, sum_side)
   | 2 ->
-      Expr.Lte
-        {
-          test = random_wsum rng opset ~dims ~depth:(depth - 1) ~max_vc_vars;
-          threshold = random_maybew rng opset ~dims ~depth:(depth - 1) ~max_vc_vars;
-          less = random_maybew rng opset ~dims ~depth:(depth - 1) ~max_vc_vars;
-          otherwise = random_maybew rng opset ~dims ~depth:(depth - 1) ~max_vc_vars;
-        }
+      let maybew () = random_maybew rng opset ~dims ~depth:(depth - 1) ~max_vc_vars in
+      let otherwise = maybew () in
+      let less = maybew () in
+      let threshold = maybew () in
+      let test = random_wsum rng opset ~dims ~depth:(depth - 1) ~max_vc_vars in
+      Expr.Lte { test; threshold; less; otherwise }
   | _ -> assert false
 
 and random_maybew rng opset ~dims ~depth ~max_vc_vars =
@@ -85,9 +93,16 @@ and random_maybew rng opset ~dims ~depth ~max_vc_vars =
 
 and random_wsum rng opset ~dims ~depth ~max_vc_vars =
   let term () =
-    (Weight.random_value rng, random_basis rng opset ~dims ~depth:(max 0 (depth - 1)) ~max_vc_vars)
+    let basis = random_basis rng opset ~dims ~depth:(max 0 (depth - 1)) ~max_vc_vars in
+    (Weight.random_value rng, basis)
   in
-  let terms = if Rng.bernoulli rng 0.3 then [ term (); term () ] else [ term () ] in
+  let terms =
+    if Rng.bernoulli rng 0.3 then begin
+      let second = term () in
+      [ term (); second ]
+    end
+    else [ term () ]
+  in
   { Expr.bias = Weight.random_value rng; terms }
 
 let random_individual rng config ~dims =

@@ -34,15 +34,8 @@ let sensitivities (model : Model.t) ~at =
       end)
 
 let exact_sensitivities (model : Model.t) ~at =
-  let ws =
-    {
-      Expr.bias = model.Model.intercept;
-      terms =
-        Array.to_list (Array.mapi (fun j basis -> (model.Model.weights.(j), basis)) model.Model.bases);
-    }
-  in
   let base_value = Model.predict_point model at in
-  let gradient = Caffeine_expr.Deriv.gradient_wsum ws at in
+  let gradient = Caffeine_expr.Deriv.gradient_wsum (Model.wsum model) at in
   Array.mapi
     (fun i g ->
       if g = 0. then 0.

@@ -111,12 +111,16 @@ let error_on model ~data ~targets =
 
 let num_bases model = Array.length model.bases
 
+let wsum model =
+  {
+    Expr.bias = model.intercept;
+    terms = Array.to_list (Array.mapi (fun j basis -> (model.weights.(j), basis)) model.bases);
+  }
+
 let to_string ~var_names model =
-  let terms =
-    Array.to_list (Array.mapi (fun j basis -> (model.weights.(j), basis)) model.bases)
-  in
-  let visible = List.filter (fun (w, _) -> w <> 0.) terms in
-  Expr.wsum_to_string ~var_names { Expr.bias = model.intercept; terms = visible }
+  let ws = wsum model in
+  let visible = List.filter (fun (w, _) -> w <> 0.) ws.Expr.terms in
+  Expr.wsum_to_string ~var_names { ws with Expr.terms = visible }
 
 let simplify ~wb ~wvc model =
   let intercept = ref model.intercept in

@@ -75,6 +75,10 @@ val error_on : t -> data:Dataset.t -> targets:float array -> float
 
 val num_bases : t -> int
 
+val wsum : t -> Expr.wsum
+(** The model as one weighted sum: its intercept as the bias and one
+    [(weights.(j), bases.(j))] term per basis, in basis order. *)
+
 val to_string : var_names:string array -> t -> string
 (** Paper-style rendering, e.g.
     ["90.5 + 190.6 * id1 / vsg1 + 22.2 * id2 / vds2"]. *)

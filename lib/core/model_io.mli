@@ -14,12 +14,6 @@
     carrying them still load under readers that only skip comments, and
     files without them load with [train_error = nan] as before. *)
 
-val parse_model :
-  var_names:string array -> wb:float -> wvc:float -> string -> (Model.t, string) result
-(** Parse one printed expression back into a model.  The training error is
-    not stored in the expression text and is returned as [nan]; the
-    complexity is recomputed from the parsed structure. *)
-
 val save :
   path:string -> var_names:string array -> Model.t list -> unit
 (** Write a models file (header + per-model [#:] metadata + expression). *)

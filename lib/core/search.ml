@@ -361,67 +361,43 @@ let load_store ~path ~streamed =
   end
 
 let job_line ~store ~streamed ~observing ~checkpoint_every ~eval_cache (config : Config.t) =
-  let b = Buffer.create 512 in
-  let obj members () =
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i (name, add) ->
-        if i > 0 then Buffer.add_char b ',';
-        Json.add_string b name;
-        Buffer.add_char b ':';
-        add ())
-      members;
-    Buffer.add_char b '}'
-  in
-  let raw text () = Buffer.add_string b text in
-  let int n = raw (string_of_int n) and bool x = raw (string_of_bool x) in
-  let float x () = Json.add_float b x and str text () = Json.add_string b text in
-  let names name_of ops () =
-    Buffer.add_char b '[';
-    Array.iteri
-      (fun i op ->
-        if i > 0 then Buffer.add_char b ',';
-        Json.add_string b (name_of op))
-      ops;
-    Buffer.add_char b ']'
-  in
-  let every = match checkpoint_every with Some every -> int every | None -> raw "null" in
+  let names name_of ops = Json.Arr (List.map (fun op -> Json.Str (name_of op)) (Array.to_list ops))
+  and every = match checkpoint_every with Some every -> Json.int every | None -> Json.Null in
   let opset = config.opset in
-  obj
-    [
-      ("store", str store);
-      ("streamed", bool streamed);
-      ("observed", bool observing);
-      ("checkpoint_every", every);
-      ("eval_cache", str (Eval_cache.mode_to_string eval_cache));
-      ( "config",
-        obj
-          [
-            ("pop_size", int config.pop_size);
-            ("generations", int config.generations);
-            ("max_bases", int config.max_bases);
-            ("max_depth", int config.max_depth);
-            ("wb", float config.wb);
-            ("wvc", float config.wvc);
-            ( "opset",
-              obj
-                [
-                  ("unops", names Op.unary_name opset.Opset.unops);
-                  ("binops", names Op.binary_name opset.Opset.binops);
-                  ("allow_lte", bool opset.Opset.allow_lte);
-                  ("allow_vc", bool opset.Opset.allow_vc);
-                  ("allow_nonlinear", bool opset.Opset.allow_nonlinear);
-                  ("max_exponent", int opset.Opset.max_exponent);
-                  ("min_exponent", int opset.Opset.min_exponent);
-                ] );
-            ("param_mutation_weight", float config.param_mutation_weight);
-            ("crossover_probability", float config.crossover_probability);
-            ("max_vc_vars", int config.max_vc_vars);
-            ("jobs", int config.jobs);
-          ] );
-    ]
-    ();
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [
+         ("store", Json.Str store);
+         ("streamed", Json.Bool streamed);
+         ("observed", Json.Bool observing);
+         ("checkpoint_every", every);
+         ("eval_cache", Json.Str (Eval_cache.mode_to_string eval_cache));
+         ( "config",
+           Json.Obj
+             [
+               ("pop_size", Json.int config.pop_size);
+               ("generations", Json.int config.generations);
+               ("max_bases", Json.int config.max_bases);
+               ("max_depth", Json.int config.max_depth);
+               ("wb", Json.float config.wb);
+               ("wvc", Json.float config.wvc);
+               ( "opset",
+                 Json.Obj
+                   [
+                     ("unops", names Op.unary_name opset.Opset.unops);
+                     ("binops", names Op.binary_name opset.Opset.binops);
+                     ("allow_lte", Json.Bool opset.Opset.allow_lte);
+                     ("allow_vc", Json.Bool opset.Opset.allow_vc);
+                     ("allow_nonlinear", Json.Bool opset.Opset.allow_nonlinear);
+                     ("max_exponent", Json.int opset.Opset.max_exponent);
+                     ("min_exponent", Json.int opset.Opset.min_exponent);
+                   ] );
+               ("param_mutation_weight", Json.float config.param_mutation_weight);
+               ("crossover_probability", Json.float config.crossover_probability);
+               ("max_vc_vars", Json.int config.max_vc_vars);
+               ("jobs", Json.int config.jobs);
+             ] );
+       ])
 
 let bool_of fields name =
   match Json.member fields name with

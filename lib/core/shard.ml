@@ -104,19 +104,17 @@ let write_all fd line =
 (* --- wire helpers -------------------------------------------------------- *)
 
 let hello_line ~job islands =
-  let buffer = Buffer.create (96 + String.length job) in
-  Printf.bprintf buffer "{\"type\":\"shard_hello\",\"version\":%d,\"islands\":%d,\"job\":"
-    Checkpoint.version islands;
-  Json.add_string buffer job;
-  Buffer.add_char buffer '}';
-  Buffer.contents buffer
+  Json.to_string
+    (Json.Obj
+       [
+         ("type", Json.Str "shard_hello");
+         ("version", Json.int Checkpoint.version);
+         ("islands", Json.int islands);
+         ("job", Json.Str job);
+       ])
 
 let error_line message =
-  let buffer = Buffer.create 96 in
-  Buffer.add_string buffer "{\"type\":\"shard_error\",\"message\":";
-  Json.add_string buffer message;
-  Buffer.add_char buffer '}';
-  Buffer.contents buffer
+  Json.to_string (Json.Obj [ ("type", Json.Str "shard_error"); ("message", Json.Str message) ])
 
 (* --- worker side --------------------------------------------------------- *)
 

@@ -1,3 +1,13 @@
+(* Determinism contract: the order in which this module draws from the
+   generator, and in which its traversals number mutation sites, is part
+   of every seeded front.  OCaml leaves the evaluation order of
+   constructor arguments, operator operands, tuple and list elements and
+   record fields unspecified (ocamlopt evaluates them right to left, and
+   record fields in reverse declaration order), so no such expression
+   holds two draws or two site visits: each is bound by its own [let], in
+   the order ocamlopt used before the order was spelled out, which every
+   recorded front depends on. *)
+
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
 module Op = Caffeine_expr.Op
@@ -40,24 +50,26 @@ and map_weights_wsum f (ws : Expr.wsum) =
   in
   { Expr.bias; terms }
 
-(* Rebuild applying [f] to every VC. *)
+(* Rebuild applying [f] to every VC: a basis's factors before its own VC,
+   a binary factor's second argument before its first, and a conditional's
+   parts from [otherwise] back to [test]. *)
 let rec map_vcs_basis f (b : Expr.basis) =
-  {
-    Expr.vc = Option.map f b.Expr.vc;
-    factors = List.map (map_vcs_factor f) b.Expr.factors;
-  }
+  let factors = List.map (map_vcs_factor f) b.Expr.factors in
+  let vc = Option.map f b.Expr.vc in
+  { Expr.vc; factors }
 
 and map_vcs_factor f = function
   | Expr.Unary (op, ws) -> Expr.Unary (op, map_vcs_wsum f ws)
-  | Expr.Binary (op, a1, a2) -> Expr.Binary (op, map_vcs_arg f a1, map_vcs_arg f a2)
+  | Expr.Binary (op, a1, a2) ->
+      let a2 = map_vcs_arg f a2 in
+      let a1 = map_vcs_arg f a1 in
+      Expr.Binary (op, a1, a2)
   | Expr.Lte { test; threshold; less; otherwise } ->
-      Expr.Lte
-        {
-          test = map_vcs_wsum f test;
-          threshold = map_vcs_arg f threshold;
-          less = map_vcs_arg f less;
-          otherwise = map_vcs_arg f otherwise;
-        }
+      let otherwise = map_vcs_arg f otherwise in
+      let less = map_vcs_arg f less in
+      let threshold = map_vcs_arg f threshold in
+      let test = map_vcs_wsum f test in
+      Expr.Lte { test; threshold; less; otherwise }
 
 and map_vcs_arg f = function
   | Expr.Const w -> Expr.Const w
@@ -66,21 +78,23 @@ and map_vcs_arg f = function
 and map_vcs_wsum f (ws : Expr.wsum) =
   { ws with Expr.terms = List.map (fun (w, b) -> (w, map_vcs_basis f b)) ws.Expr.terms }
 
-(* Rebuild applying [f] to every operator-bearing factor. *)
+(* Rebuild applying [f] to every operator-bearing factor, after the
+   factors inside it, in the order of [map_vcs_factor]. *)
 let rec map_factors_basis f (b : Expr.basis) =
   { b with Expr.factors = List.map (fun factor -> f (map_factors_inside f factor)) b.Expr.factors }
 
 and map_factors_inside f = function
   | Expr.Unary (op, ws) -> Expr.Unary (op, map_factors_wsum f ws)
-  | Expr.Binary (op, a1, a2) -> Expr.Binary (op, map_factors_arg f a1, map_factors_arg f a2)
+  | Expr.Binary (op, a1, a2) ->
+      let a2 = map_factors_arg f a2 in
+      let a1 = map_factors_arg f a1 in
+      Expr.Binary (op, a1, a2)
   | Expr.Lte { test; threshold; less; otherwise } ->
-      Expr.Lte
-        {
-          test = map_factors_wsum f test;
-          threshold = map_factors_arg f threshold;
-          less = map_factors_arg f less;
-          otherwise = map_factors_arg f otherwise;
-        }
+      let otherwise = map_factors_arg f otherwise in
+      let less = map_factors_arg f less in
+      let threshold = map_factors_arg f threshold in
+      let test = map_factors_wsum f test in
+      Expr.Lte { test; threshold; less; otherwise }
 
 and map_factors_arg f = function
   | Expr.Const w -> Expr.Const w
@@ -228,8 +242,9 @@ let crossover_bases rng ~max_bases parent1 parent2 =
     let indices = Rng.sample_without_replacement rng count (Array.length parent) in
     Array.to_list (Array.map (fun i -> parent.(i)) indices)
   in
-  let combined = dedup_bases (take parent1 @ take parent2) in
-  let combined = Array.of_list combined in
+  let from2 = take parent2 in
+  let from1 = take parent1 in
+  let combined = Array.of_list (dedup_bases (from1 @ from2)) in
   if Array.length combined <= max_bases then combined
   else begin
     let keep = Rng.sample_without_replacement rng max_bases (Array.length combined) in

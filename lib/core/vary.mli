@@ -28,9 +28,6 @@ type op_stats = {
     sequentially on the caller's RNG (see {!Caffeine_evo.Nsga2.run}), so
     plain mutable fields suffice. *)
 
-val num_ops : int
-(** Number of variation operators ([Array.length op_counts]). *)
-
 val fresh_stats : unit -> op_stats
 val reset_stats : op_stats -> unit
 
@@ -62,35 +59,16 @@ val mutate_vc : Caffeine_util.Rng.t -> Opset.t -> individual -> individual
 (** Add or subtract 1 from one exponent of one VC, keeping it within the
     opset's exponent range and never producing an all-zero VC. *)
 
-val crossover_vc : Caffeine_util.Rng.t -> individual -> individual -> individual
-(** One-point crossover between a VC of the child and a VC of the donor. *)
-
-val swap_operator : Caffeine_util.Rng.t -> Opset.t -> individual -> individual
-(** Replace one operator with another of the same arity. *)
-
 val add_basis : Caffeine_util.Rng.t -> Config.t -> dims:int -> individual -> individual
 (** Append a freshly generated basis function (no-op at [max_bases]). *)
 
 val delete_basis : Caffeine_util.Rng.t -> individual -> individual
 (** Remove one random basis function (no-op when only one remains). *)
 
-val copy_basis_from : Caffeine_util.Rng.t -> max_bases:int -> individual -> individual -> individual
-(** Copy a (possibly nested) subtree basis of the donor as a new top-level
-    basis function of the child. *)
-
 val subtree_crossover : Caffeine_util.Rng.t -> individual -> individual -> individual
 (** Replace one nested basis of the child by a nested basis of the donor
     (same grammar nonterminal, REPVC). *)
 
-val randomize_subtree :
-  Caffeine_util.Rng.t -> Config.t -> dims:int -> individual -> individual
-(** Replace one inner weighted sum with a freshly generated one. *)
-
 val nested_bases : individual -> Expr.basis list
 (** All bases appearing anywhere in the individual (top-level and nested);
     exposed for tests. *)
-
-val equal_individual : individual -> individual -> bool
-(** Structural equality: same length and pairwise
-    {!Caffeine_expr.Expr.equal_basis} in order — the equality the
-    evaluation cache's exact level keys on. *)

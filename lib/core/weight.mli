@@ -27,9 +27,6 @@ val of_value : float -> t
     [1e-B] boundary keeps its sign and round-trips,
     [value (of_value v) = v]. *)
 
-val random : Caffeine_util.Rng.t -> t
-(** Uniform over the raw range. *)
-
 val mutate : ?scale:float -> Caffeine_util.Rng.t -> t -> t
 (** Zero-mean Cauchy perturbation of the raw value (default [scale = 1.0]),
     re-clamped. *)

@@ -8,13 +8,8 @@
 
 type dual = { value : float; deriv : float }
 
-val constant : float -> dual
-val variable : float -> dual
-(** [variable v] seeds the derivative to 1 — the differentiation variable. *)
-
 val eval_vc : Expr.vc -> float array -> wrt:int -> dual
 val eval_basis : Expr.basis -> float array -> wrt:int -> dual
-val eval_wsum : Expr.wsum -> float array -> wrt:int -> dual
 (** Evaluate value and ∂/∂x_[wrt] simultaneously at the point. *)
 
 val gradient_wsum : Expr.wsum -> float array -> float array

@@ -114,9 +114,6 @@ val simplify_basis : basis -> float * basis option
 
 (* {2 Printing} *)
 
-val weight_to_string : float -> string
-(** Compact numeric rendering used in printed models. *)
-
 val basis_to_string : var_names:string array -> basis -> string
 (** Render like the paper's tables, e.g. ["id2 / vds2"] or
     ["ln(-1.95e+09 + 1e+10 / (vsg1*vsg3))"]. *)

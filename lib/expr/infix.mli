@@ -26,12 +26,9 @@ val eval : t -> env:(string -> float option) -> (float, string) result
 (** Numeric evaluation; unknown variables or function names are errors,
     domain violations follow {!Op} semantics (nan). *)
 
-val to_canonical :
-  var_names:string array -> t -> (float * (float * Expr.basis) list, string) result
-(** Canonicalize a parsed expression into [(intercept, weighted bases)].
-    Succeeds on anything the model printer emits (a linear combination of
-    canonical-form bases); returns [Error] for genuinely non-canonical
-    shapes such as a bare product of sums. *)
-
 val parse_wsum : var_names:string array -> string -> (Expr.wsum, string) result
-(** [parse] followed by {!to_canonical}, packaged as a weighted sum. *)
+(** {!parse}, then canonicalization into an intercept and weighted
+    bases, packaged as a weighted sum.  Succeeds on anything the model
+    printer emits (a linear combination of canonical-form bases); returns
+    [Error] for genuinely non-canonical shapes such as a bare product of
+    sums. *)

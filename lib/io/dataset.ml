@@ -122,7 +122,7 @@ type t = {
   mutable next_target_id : int;
 }
 
-type cache_stats = {
+type cache_stats = Caffeine_obs.Trace.cache_stats = {
   columns_cached : int;
   column_hits : int;
   column_misses : int;

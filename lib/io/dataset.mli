@@ -245,7 +245,7 @@ val basis_columns : t -> Expr.basis array -> float array array
 val cached_columns : t -> int
 (** Number of distinct bases memoized so far (cache introspection). *)
 
-type cache_stats = {
+type cache_stats = Caffeine_obs.Trace.cache_stats = {
   columns_cached : int;  (** basis columns currently memoized *)
   column_hits : int;
   column_misses : int;
@@ -259,7 +259,8 @@ type cache_stats = {
 val stats : t -> cache_stats
 (** Lifetime counters of both caches (since creation or the last process
     start — {!clear_cache} drops entries but keeps counters), for cache
-    effectiveness reporting ([fit --metrics] and [--trace], perf PRs).
+    effectiveness reporting ([fit --metrics], and [--trace], which emits
+    the record as it is).
     The column counters move on resident storage only and the dot
     counters on chunked storage only, the level each storage caches.  A
     resident {!finite_gram} counts one column lookup per distinct basis

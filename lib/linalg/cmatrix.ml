@@ -4,9 +4,6 @@ let create rows cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Cmatrix.create: dimensions must be positive";
   { rows; cols; re = Array.make (rows * cols) 0.; im = Array.make (rows * cols) 0. }
 
-let rows m = m.rows
-let cols m = m.cols
-
 let check_bounds m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then invalid_arg "Cmatrix: index out of bounds"
 

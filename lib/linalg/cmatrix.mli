@@ -13,17 +13,12 @@ type t = private { rows : int; cols : int; re : float array; im : float array }
 val create : int -> int -> t
 (** Zero matrix; dimensions must be positive. *)
 
-val rows : t -> int
-val cols : t -> int
-
 val get : t -> int -> int -> Complex.t
 val set : t -> int -> int -> Complex.t -> unit
 
 val add_entry : t -> int -> int -> Complex.t -> unit
 (** [add_entry m i j z] accumulates [z] into entry [(i, j)] — the natural
     operation for MNA stamping. *)
-
-val copy : t -> t
 
 val mul_vec : t -> Complex.t array -> Complex.t array
 

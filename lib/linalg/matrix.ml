@@ -25,11 +25,6 @@ let of_arrays arrays =
     arrays;
   init rows cols (fun i j -> arrays.(i).(j))
 
-let of_column v =
-  let rows = Array.length v in
-  if rows = 0 then invalid_arg "Matrix.of_column: empty vector";
-  init rows 1 (fun i _ -> v.(i))
-
 let rows m = m.rows
 let cols m = m.cols
 
@@ -53,16 +48,6 @@ let transpose m = init m.cols m.rows (fun i j -> get m j i)
 let row m i =
   if i < 0 || i >= m.rows then invalid_arg "Matrix.row: out of bounds";
   Array.sub m.data (i * m.cols) m.cols
-
-let column m j =
-  if j < 0 || j >= m.cols then invalid_arg "Matrix.column: out of bounds";
-  Array.init m.rows (fun i -> get m i j)
-
-let set_column m j v =
-  if Array.length v <> m.rows then invalid_arg "Matrix.set_column: length mismatch";
-  for i = 0 to m.rows - 1 do
-    set m i j v.(i)
-  done
 
 let select_columns m idx =
   if Array.length idx = 0 then invalid_arg "Matrix.select_columns: no columns";
@@ -119,16 +104,3 @@ let max_abs_diff a b =
 
 let equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols && max_abs_diff a b <= tol
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "@[<h>";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf "  ";
-      Format.fprintf ppf "%12.6g" (get m i j)
-    done;
-    Format.fprintf ppf "@]";
-    if i < m.rows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

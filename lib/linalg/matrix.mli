@@ -24,9 +24,6 @@ val of_arrays : float array array -> t
 
 val to_arrays : t -> float array array
 
-val of_column : float array -> t
-(** A single-column matrix. *)
-
 val rows : t -> int
 val cols : t -> int
 
@@ -37,9 +34,6 @@ val copy : t -> t
 val transpose : t -> t
 
 val row : t -> int -> float array
-val column : t -> int -> float array
-
-val set_column : t -> int -> float array -> unit
 
 val select_columns : t -> int array -> t
 (** [select_columns m idx] keeps the listed columns, in order. *)
@@ -58,10 +52,5 @@ val gram : t -> t
 
 val frobenius_norm : t -> float
 
-val max_abs_diff : t -> t -> float
-(** Largest absolute entrywise difference; matrices must share dimensions. *)
-
 val equal : ?tol:float -> t -> t -> bool
 (** Entrywise comparison within [tol] (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

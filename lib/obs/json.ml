@@ -219,15 +219,7 @@ let arr_of fields name = to_arr name (member fields name)
 let int_array_of fields name =
   Array.of_list (List.map (to_int name) (to_arr name (member fields name)))
 
-(* --- encoding helpers ---------------------------------------------------- *)
-
-(* The three non-finite values are not valid JSON numbers and travel as
-   strings. *)
-let add_float buffer v =
-  if Float.is_finite v then Float_text.add_g17 buffer v
-  else if Float.is_nan v then Buffer.add_string buffer "\"NaN\""
-  else if v > 0. then Buffer.add_string buffer "\"Infinity\""
-  else Buffer.add_string buffer "\"-Infinity\""
+(* --- encoding ------------------------------------------------------------ *)
 
 let add_string buffer s =
   Buffer.add_char buffer '"';
@@ -245,3 +237,42 @@ let add_string buffer s =
       | c -> Buffer.add_char buffer c)
     s;
   Buffer.add_char buffer '"'
+
+(* The three non-finite values are not valid JSON numbers and travel as
+   strings. *)
+let non_finite_name v = if Float.is_nan v then "NaN" else if v > 0. then "Infinity" else "-Infinity"
+
+let add_float buffer v =
+  if Float.is_finite v then Float_text.add_g17 buffer v else add_string buffer (non_finite_name v)
+
+let int n = Num (string_of_int n)
+let float v = if Float.is_finite v then Num (Float_text.g17 v) else Str (non_finite_name v)
+
+let to_string value =
+  let buffer = Buffer.create 256 in
+  let rec write = function
+    | Null -> Buffer.add_string buffer "null"
+    | Bool b -> Buffer.add_string buffer (string_of_bool b)
+    | Num lexeme -> Buffer.add_string buffer lexeme
+    | Str s -> add_string buffer s
+    | Arr elements ->
+        Buffer.add_char buffer '[';
+        List.iteri
+          (fun i element ->
+            if i > 0 then Buffer.add_char buffer ',';
+            write element)
+          elements;
+        Buffer.add_char buffer ']'
+    | Obj members ->
+        Buffer.add_char buffer '{';
+        List.iteri
+          (fun i (name, member) ->
+            if i > 0 then Buffer.add_char buffer ',';
+            add_string buffer name;
+            Buffer.add_char buffer ':';
+            write member)
+          members;
+        Buffer.add_char buffer '}'
+  in
+  write value;
+  Buffer.contents buffer

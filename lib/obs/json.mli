@@ -1,15 +1,19 @@
-(** Minimal JSON reader/writer shared by the trace codec and the checkpoint
-    snapshot codec.
+(** Minimal JSON reader and writer: the one representation every codec
+    in the library reads and writes.
 
-    The reader covers exactly the subset the library's encoders emit:
+    The reader covers exactly the subset the library's writers emit:
     objects, arrays, strings, literals, and numbers kept as raw lexemes so
     63-bit integers survive without a round-trip through [float].  The
-    writer side provides the encoding conventions every codec in the
-    repository uses: finite floats as {!Float_text.add_g17} writes them
-    (exactly [%.17g], which round-trips every finite double through
-    [float_of_string]) with the three non-finite values travelling as the
-    JSON strings ["NaN"], ["Infinity"] and ["-Infinity"], and strings with
-    full escaping. *)
+    writer is {!to_string} of a value built with {!int}, {!float} and the
+    constructors; the checkpoint snapshot and island lines, trace records,
+    the process backend's job, hello and error lines, and [predict --dump]
+    are all written that way.  Its conventions: finite floats as
+    {!Float_text.add_g17} writes them (exactly [%.17g], which round-trips
+    every finite double through [float_of_string]), the three non-finite
+    values as the JSON strings ["NaN"], ["Infinity"] and ["-Infinity"],
+    and strings with full escaping.  The serve protocol's responses stream
+    straight into a buffer with {!add_float} and {!add_string}, which
+    spell floats and strings the same way. *)
 
 type t =
   | Null
@@ -49,11 +53,23 @@ val str_of : (string * t) list -> string -> string
 val arr_of : (string * t) list -> string -> t list
 val int_array_of : (string * t) list -> string -> int array
 
-(** {2 Encoding helpers} *)
+(** {2 Encoding} *)
+
+val int : int -> t
+(** [Num (string_of_int n)]. *)
+
+val float : float -> t
+(** A finite float as the number {!Float_text.g17} spells; NaN, [infinity]
+    and [neg_infinity] as the strings ["NaN"], ["Infinity"] and
+    ["-Infinity"].  {!to_float} reads every such value back bit for bit
+    (a NaN as some NaN). *)
+
+val to_string : t -> string
+(** Compact text, no whitespace: members in list order, names and strings
+    escaped as {!add_string} escapes them, [Num] lexemes as they are. *)
 
 val add_float : Buffer.t -> float -> unit
-(** {!Float_text.add_g17} for a finite float, or a quoted ["NaN"] /
-    ["Infinity"] / ["-Infinity"]. *)
+(** Append the text {!to_string} writes for [float v]. *)
 
 val add_string : Buffer.t -> string -> unit
 (** Quoted and escaped. *)

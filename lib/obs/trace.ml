@@ -113,154 +113,111 @@ type record =
 
 (* --- encoding ----------------------------------------------------------- *)
 
-let add_fields buffer kind fields =
-  Buffer.add_string buffer "{\"type\":\"";
-  Buffer.add_string buffer kind;
-  Buffer.add_char buffer '"';
-  List.iter
-    (fun (name, write) ->
-      Buffer.add_string buffer ",\"";
-      Buffer.add_string buffer name;
-      Buffer.add_string buffer "\":";
-      write buffer)
-    fields;
-  Buffer.add_char buffer '}'
-
-let int_field v buffer = Buffer.add_string buffer (string_of_int v)
-let float_field v buffer = Json.add_float buffer v
-let string_field v buffer = Json.add_string buffer v
-
-let int_array_field values buffer =
-  Buffer.add_char buffer '[';
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_string buffer (string_of_int v))
-    values;
-  Buffer.add_char buffer ']'
-
-let pair_list_field pairs buffer =
-  Buffer.add_char buffer '[';
-  List.iteri
-    (fun i (a, b) ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_char buffer '[';
-      Json.add_float buffer a;
-      Buffer.add_char buffer ',';
-      Json.add_float buffer b;
-      Buffer.add_char buffer ']')
-    pairs;
-  Buffer.add_char buffer ']'
-
 let to_line record =
-  let buffer = Buffer.create 160 in
-  (match record with
-  | Run_start r ->
-      add_fields buffer "run_start"
-        [
-          ("seed", int_field r.seed);
-          ("pop_size", int_field r.pop_size);
-          ("generations", int_field r.generations);
-          ("max_bases", int_field r.max_bases);
-          ("samples", int_field r.samples);
-          ("dims", int_field r.dims);
-        ]
-  | Generation g ->
-      add_fields buffer "generation"
-        [
-          ("gen", int_field g.gen);
-          ("evals", int_field g.evals);
-          ("front_size", int_field g.front_size);
-          ("best_nmse", float_field g.best_nmse);
-          ("median_nmse", float_field g.median_nmse);
-          ("complexity_min", float_field g.complexity_min);
-          ("complexity_median", float_field g.complexity_median);
-          ("complexity_max", float_field g.complexity_max);
-          ("crossovers", int_field g.crossovers);
-          ("op_counts", int_array_field g.op_counts);
-          ("depth_rejects", int_field g.depth_rejects);
-          ("wall_s", float_field g.wall_s);
-        ]
-  | Op_stats s ->
-      add_fields buffer "op_stats"
-        [
-          ("gen", int_field s.gen);
-          ("applied", int_array_field s.applied);
-          ("changed", int_array_field s.changed);
-        ]
-  | Sag_round r ->
-      add_fields buffer "sag_round"
-        [
-          ("model_index", int_field r.model_index);
-          ("round", int_field r.round);
-          ("chosen", int_field r.chosen);
-          ("press_before", float_field r.press_before);
-          ("press_after", float_field r.press_after);
-        ]
-  | Sag_model m ->
-      add_fields buffer "sag_model"
-        [
-          ("model_index", int_field m.model_index);
-          ("bases_before", int_field m.bases_before);
-          ("bases_after", int_field m.bases_after);
-        ]
-  | Cache_stats c ->
-      add_fields buffer "cache_stats"
-        [
-          ("columns_cached", int_field c.columns_cached);
-          ("column_hits", int_field c.column_hits);
-          ("column_misses", int_field c.column_misses);
-          ("column_evictions", int_field c.column_evictions);
-          ("dots_cached", int_field c.dots_cached);
-          ("dot_hits", int_field c.dot_hits);
-          ("dot_misses", int_field c.dot_misses);
-          ("dot_evictions", int_field c.dot_evictions);
-        ]
-  | Eval_cache_stats e ->
-      add_fields buffer "eval_cache_stats"
-        [
-          ("eval_hits", int_field e.eval_hits);
-          ("eval_misses", int_field e.eval_misses);
-          ("eval_evictions", int_field e.eval_evictions);
-        ]
-  | Fused_stats f ->
-      add_fields buffer "fused_stats"
-        [
-          ("gen", int_field f.gen);
-          ("batches", int_field f.batches);
-          ("nodes_in", int_field f.nodes_in);
-          ("nodes_out", int_field f.nodes_out);
-        ]
-  | Run_end r ->
-      add_fields buffer "run_end"
-        [
-          ("front", pair_list_field r.front); ("total_wall_s", float_field r.total_wall_s);
-        ]
-  | Checkpoint_written c ->
-      add_fields buffer "checkpoint_written"
-        [
-          ("path", string_field c.path);
-          ("phase", string_field c.phase);
-          ("island", int_field c.island);
-          ("gen", int_field c.gen);
-        ]
-  | Run_resumed r ->
-      add_fields buffer "run_resumed"
-        [
-          ("phase", string_field r.phase); ("island", int_field r.island); ("gen", int_field r.gen);
-        ]
-  | Warning w ->
-      add_fields buffer "warning"
-        [ ("context", string_field w.context); ("message", string_field w.message) ]
-  | Migration m ->
-      add_fields buffer "migration"
-        [
-          ("island", int_field m.island);
-          ("shard", int_field m.shard);
-          ("models", int_field m.models);
-          ("bytes", int_field m.bytes);
-        ]);
-  Buffer.contents buffer
+  let ints values = Json.Arr (List.map Json.int (Array.to_list values)) in
+  let kind, members =
+    match record with
+    | Run_start r ->
+        ( "run_start",
+          [
+            ("seed", Json.int r.seed);
+            ("pop_size", Json.int r.pop_size);
+            ("generations", Json.int r.generations);
+            ("max_bases", Json.int r.max_bases);
+            ("samples", Json.int r.samples);
+            ("dims", Json.int r.dims);
+          ] )
+    | Generation g ->
+        ( "generation",
+          [
+            ("gen", Json.int g.gen);
+            ("evals", Json.int g.evals);
+            ("front_size", Json.int g.front_size);
+            ("best_nmse", Json.float g.best_nmse);
+            ("median_nmse", Json.float g.median_nmse);
+            ("complexity_min", Json.float g.complexity_min);
+            ("complexity_median", Json.float g.complexity_median);
+            ("complexity_max", Json.float g.complexity_max);
+            ("crossovers", Json.int g.crossovers);
+            ("op_counts", ints g.op_counts);
+            ("depth_rejects", Json.int g.depth_rejects);
+            ("wall_s", Json.float g.wall_s);
+          ] )
+    | Op_stats s ->
+        ( "op_stats",
+          [ ("gen", Json.int s.gen); ("applied", ints s.applied); ("changed", ints s.changed) ] )
+    | Sag_round r ->
+        ( "sag_round",
+          [
+            ("model_index", Json.int r.model_index);
+            ("round", Json.int r.round);
+            ("chosen", Json.int r.chosen);
+            ("press_before", Json.float r.press_before);
+            ("press_after", Json.float r.press_after);
+          ] )
+    | Sag_model m ->
+        ( "sag_model",
+          [
+            ("model_index", Json.int m.model_index);
+            ("bases_before", Json.int m.bases_before);
+            ("bases_after", Json.int m.bases_after);
+          ] )
+    | Cache_stats c ->
+        ( "cache_stats",
+          [
+            ("columns_cached", Json.int c.columns_cached);
+            ("column_hits", Json.int c.column_hits);
+            ("column_misses", Json.int c.column_misses);
+            ("column_evictions", Json.int c.column_evictions);
+            ("dots_cached", Json.int c.dots_cached);
+            ("dot_hits", Json.int c.dot_hits);
+            ("dot_misses", Json.int c.dot_misses);
+            ("dot_evictions", Json.int c.dot_evictions);
+          ] )
+    | Eval_cache_stats e ->
+        ( "eval_cache_stats",
+          [
+            ("eval_hits", Json.int e.eval_hits);
+            ("eval_misses", Json.int e.eval_misses);
+            ("eval_evictions", Json.int e.eval_evictions);
+          ] )
+    | Fused_stats f ->
+        ( "fused_stats",
+          [
+            ("gen", Json.int f.gen);
+            ("batches", Json.int f.batches);
+            ("nodes_in", Json.int f.nodes_in);
+            ("nodes_out", Json.int f.nodes_out);
+          ] )
+    | Run_end r ->
+        let pair (a, b) = Json.Arr [ Json.float a; Json.float b ] in
+        ( "run_end",
+          [
+            ("front", Json.Arr (List.map pair r.front));
+            ("total_wall_s", Json.float r.total_wall_s);
+          ] )
+    | Checkpoint_written c ->
+        ( "checkpoint_written",
+          [
+            ("path", Json.Str c.path);
+            ("phase", Json.Str c.phase);
+            ("island", Json.int c.island);
+            ("gen", Json.int c.gen);
+          ] )
+    | Run_resumed r ->
+        ( "run_resumed",
+          [ ("phase", Json.Str r.phase); ("island", Json.int r.island); ("gen", Json.int r.gen) ] )
+    | Warning w -> ("warning", [ ("context", Json.Str w.context); ("message", Json.Str w.message) ])
+    | Migration m ->
+        ( "migration",
+          [
+            ("island", Json.int m.island);
+            ("shard", Json.int m.shard);
+            ("models", Json.int m.models);
+            ("bytes", Json.int m.bytes);
+          ] )
+  in
+  Json.to_string (Json.Obj (("type", Json.Str kind) :: members))
 
 (* --- decoding ----------------------------------------------------------- *)
 

@@ -157,7 +157,9 @@ type record =
 (** {2 JSONL codec} *)
 
 val to_line : record -> string
-(** One-line JSON object (no trailing newline), fields in a fixed order. *)
+(** One-line JSON object (no trailing newline): {!Json.to_string} of an
+    object whose first member is ["type"], then the record's fields in
+    declaration order. *)
 
 val of_line : string -> (record, string) result
 (** Fields are looked up by name and unknown ones are ignored, so lines

@@ -253,10 +253,6 @@ let performance_index p =
   in
   find 0 all_performances
 
-let evaluate_performance p x =
-  let* values = evaluate x in
-  Ok values.(performance_index p)
-
 type dataset = {
   inputs : float array array;
   outputs : float array array;

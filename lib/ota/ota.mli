@@ -60,8 +60,6 @@ val evaluate : float array -> (float array, string) result
     [Error] mirrors a non-converging SPICE run (infeasible bias, no unity
     crossing, ...). *)
 
-val evaluate_performance : performance -> float array -> (float, string) result
-
 type dataset = {
   inputs : float array array;  (** design points, row-major *)
   outputs : float array array;  (** per row: six performances *)

@@ -23,11 +23,6 @@ type report = {
   devices : device_report list;
 }
 
-val netlist : float array -> (Caffeine_spice.Circuit.t, string) result
-(** Transistor-level netlist (supply, bias mirror, input pair, load mirrors,
-    cascode, output) for a design point, with device sizes derived from the
-    square law.  [Error] when the point cannot be biased. *)
-
 val validate : float array -> (report, string) result
 (** Build and DC-solve the netlist, then compare solved vs designed drain
     currents device by device. *)

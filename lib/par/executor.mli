@@ -42,24 +42,20 @@ type t
 val sequential : t
 (** The {!Seq} executor: [map] is [Array.map], no resources owned. *)
 
-val create : ?jobs:int -> ?shards:int -> backend -> t
-(** Build an executor.
+val of_pool : Pool.t -> t
+(** A {!Domains} executor borrowing the caller's pool.  The caller keeps
+    ownership: {!shutdown} on the result is a no-op. *)
+
+val with_executor : ?jobs:int -> ?shards:int -> backend -> (t -> 'a) -> 'a
+(** [with_executor ?jobs ?shards backend f] builds an executor, applies
+    [f] to it and releases it with {!shutdown}, including on exception.
 
     For {!Domains}, [jobs] (default auto, clamped by
     {!Pool.effective_jobs}) sets the pool size; an effective size of 1
     spawns no domains.  For {!Processes}, [shards] sets how many worker
     processes an island run starts (default/0 = one per core; never more
     than there are islands); [jobs] is ignored — in-process maps stay
-    sequential.  For {!Seq} both are ignored.  Executors that spawned a
-    pool must be released with {!shutdown} (or use {!with_executor}). *)
-
-val of_pool : Pool.t -> t
-(** A {!Domains} executor borrowing the caller's pool.  The caller keeps
-    ownership: {!shutdown} on the result is a no-op. *)
-
-val with_executor : ?jobs:int -> ?shards:int -> backend -> (t -> 'a) -> 'a
-(** [create] scoped with a guaranteed {!shutdown}, including on
-    exception. *)
+    sequential.  For {!Seq} both are ignored. *)
 
 val shutdown : t -> unit
 (** Release the executor's owned resources (the domain pool, when it

@@ -90,8 +90,6 @@ let effective_jobs requested =
   in
   Stdlib.max 1 (Stdlib.min requested cores)
 
-let default_jobs () = effective_jobs 0
-
 let worker_loop pool =
   let seen = ref 0 in
   let running = ref true in

@@ -57,14 +57,10 @@ val take_env_warning : unit -> string option
     trace sink so the misconfiguration also lands in the run trace as a
     [Trace.Warning] (context ["pool.effective_jobs"]).  Clears on read. *)
 
-val default_jobs : unit -> int
-(** [effective_jobs 0]: the parallelism used when the caller does not
-    say. *)
-
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [effective_jobs jobs - 1] worker domains (the
     submitting domain is the remaining worker).  [jobs] defaults to auto
-    ({!default_jobs}); [jobs = 0] is auto explicitly; the result never
+    ([effective_jobs 0]); [jobs = 0] is auto explicitly; the result never
     exceeds the machine's core count.  An effective size of 1 spawns
     nothing and makes every operation purely sequential.  Pools must be
     released with {!shutdown} (or use {!with_pool}) — live worker domains

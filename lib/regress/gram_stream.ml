@@ -178,7 +178,6 @@ let update t ~columns ~targets ~row0 ~len =
   sweep_pairs t columns len;
   t.rows_seen <- t.rows_seen + len
 
-let rows_seen t = t.rows_seen
 let dot t p = t.dots.(p)
 let dot_y t p = t.dot_ys.(p)
 let col_sum t p = t.col_sums.(p)

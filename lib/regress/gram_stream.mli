@@ -27,13 +27,12 @@ val update : t -> columns:float array array -> targets:float array -> row0:int -
 (** Feed the chunk covering rows [row0 .. row0+len-1]: [columns.(i)] holds
     column [i]'s values for those rows in its first [len] cells (longer
     scratch buffers are fine), [targets] is the full dense target vector.
-    Chunks must arrive in row order with no gaps ([row0] must equal
-    {!rows_seen}); raises [Invalid_argument] otherwise, or when a column
-    holds fewer than [len] cells.  The sweeps advance four accumulators at
-    a time, each still a left fold over the rows in order, so every entry
-    is the word a lone row-order loop from [+0.] would give. *)
-
-val rows_seen : t -> int
+    Chunks must arrive in row order with no gaps ([row0] must equal the
+    number of rows already seen); raises [Invalid_argument] otherwise, or
+    when a column holds fewer than [len] cells.  The sweeps advance four
+    accumulators at a time, each still a left fold over the rows in order,
+    so every entry is the word a lone row-order loop from [+0.] would
+    give. *)
 
 val dot : t -> int -> float
 (** [dot t p] is the product asked for by [pairs.(p)], over the rows seen

@@ -1,6 +1,5 @@
 module Model = Caffeine.Model
 module Model_io = Caffeine.Model_io
-module Expr = Caffeine_expr.Expr
 module Fused = Caffeine_expr.Fused
 module Metrics = Caffeine_obs.Metrics
 
@@ -22,16 +21,11 @@ type t = {
   m_reload_failures : Metrics.counter;
 }
 
-(* A model is the weighted sum [intercept + Σ wⱼ·basisⱼ]; lowering it
-   through [Fused.compile_wsums] produces exactly the [Const bias] +
-   per-term [Fma] chain that mirrors [Model.predict]'s accumulation order,
-   so served rows are bit-identical to direct evaluation. *)
-let wsum_of_model (m : Model.t) =
-  {
-    Expr.bias = m.Model.intercept;
-    terms = Array.to_list (Array.map2 (fun w b -> (w, b)) m.Model.weights m.Model.bases);
-  }
-
+(* A model is the weighted sum [intercept + Σ wⱼ·basisⱼ] ([Model.wsum]);
+   lowering it through [Fused.compile_wsums] produces exactly the
+   [Const bias] + per-term [Fma] chain that mirrors [Model.predict]'s
+   accumulation order, so served rows are bit-identical to direct
+   evaluation. *)
 let load_front ~path ~wb ~wvc =
   match Unix.stat path with
   | exception Unix.Unix_error (code, _, _) ->
@@ -42,7 +36,7 @@ let load_front ~path ~wb ~wvc =
       | Ok (_, []) -> Error (Printf.sprintf "%s: no models in file" path)
       | Ok (var_names, models) ->
           let models = Array.of_list models in
-          let fused = Fused.compile_wsums (Array.map wsum_of_model models) in
+          let fused = Fused.compile_wsums (Array.map Model.wsum models) in
           Ok
             {
               path;

@@ -35,10 +35,6 @@ type front = {
 
 type t
 
-val load_front : path:string -> wb:float -> wvc:float -> (front, string) result
-(** Load and fuse one models file ([generation] 0).  Errors are one-line
-    strings naming the file (and the offending line, for parse errors). *)
-
 val create : ?metrics:Metrics.t -> path:string -> wb:float -> wvc:float -> unit -> (t, string) result
 (** Load the initial front; [wb]/[wvc] recompute complexities on (re)load.
     Reload counters register on [metrics] (default {!Metrics.default}). *)

@@ -39,7 +39,6 @@ let config ?(metrics = Metrics.default) ?(reload = false) registry =
     h_stats = histogram "serve.latency.stats";
   }
 
-let registry config = config.registry
 let drain config = Atomic.set config.drain true
 let draining config = Atomic.get config.drain
 

@@ -48,8 +48,6 @@ val config : ?metrics:Metrics.t -> ?reload:bool -> Registry.t -> config
     per-endpoint latency histograms ([serve.latency.<op>], seconds)
     register on [metrics] (default {!Metrics.default}). *)
 
-val registry : config -> Registry.t
-
 val drain : config -> unit
 (** Request a graceful stop: the in-flight request (if any) completes and
     its response is written, then the serving loop returns. *)

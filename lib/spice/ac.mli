@@ -41,10 +41,6 @@ val transfer :
     complex stamps into a zero matrix at that frequency and solving it with
     {!Caffeine_linalg.Cmatrix.solve} gives. *)
 
-val gain_db : sweep -> float array
-val phase_deg_unwrapped : sweep -> float array
-(** Phase in degrees, unwrapped to be continuous across the sweep. *)
-
 val low_frequency_gain_db : sweep -> float
 (** Gain magnitude at the first sweep point, in dB. *)
 

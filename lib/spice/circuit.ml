@@ -89,5 +89,3 @@ let vsource_index c name =
     | candidate :: rest -> if candidate = name then i else search (i + 1) rest
   in
   search 0 (vsource_names c)
-
-let mosfets c = List.filter (function Mosfet _ -> true | _ -> false) c.elements

@@ -57,8 +57,3 @@ val vsource_names : t -> string list
 val vsource_index : t -> string -> int
 (** Position of a voltage source in {!vsource_names}.
     Raises [Not_found] for an unknown name. *)
-
-val element_name : element -> string
-
-val mosfets : t -> element list
-(** The MOSFET elements, in element order. *)

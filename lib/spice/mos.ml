@@ -123,8 +123,6 @@ let saturation_gm ~id ~vov =
   if vov <= 0. then invalid_arg "Mos.saturation_gm: overdrive must be positive";
   2. *. id /. vov
 
-let saturation_gds p ~id = p.lambda *. Float.abs id
-
 let cgs p ~w ~l = (2. /. 3. *. w *. l *. p.cox) +. (p.cov *. w)
 
 let cgd p ~w = p.cov *. w

@@ -53,9 +53,6 @@ val size_for_current :
 val saturation_gm : id:float -> vov:float -> float
 (** [2·id / vov], the square-law transconductance identity. *)
 
-val saturation_gds : params -> id:float -> float
-(** [λ·id], the square-law output conductance. *)
-
 val cgs : params -> w:float -> l:float -> float
 (** Gate-source capacitance in saturation: [2/3·w·l·cox + cov·w]. *)
 

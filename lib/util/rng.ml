@@ -123,11 +123,6 @@ let choose rng xs =
   if Array.length xs = 0 then invalid_arg "Rng.choose: empty array";
   xs.(int rng (Array.length xs))
 
-let choose_list rng xs =
-  match xs with
-  | [] -> invalid_arg "Rng.choose_list: empty list"
-  | _ :: _ -> List.nth xs (int rng (List.length xs))
-
 let weighted_index rng ws =
   let total = Array.fold_left (fun acc w ->
       if w < 0. then invalid_arg "Rng.weighted_index: negative weight";

@@ -37,9 +37,6 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int rng bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
-val float : t -> float -> float
-(** [float rng bound] is uniform in [\[0, bound)]. *)
-
 val uniform : t -> float
 (** [uniform rng] is uniform in [\[0, 1)]. *)
 
@@ -61,9 +58,6 @@ val cauchy : ?scale:float -> t -> float
 
 val choose : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array. *)
-
-val choose_list : t -> 'a list -> 'a
-(** Uniformly random element of a non-empty list. *)
 
 val weighted_index : t -> float array -> int
 (** [weighted_index rng ws] samples an index with probability proportional to

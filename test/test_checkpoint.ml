@@ -136,6 +136,141 @@ let test_snapshot_roundtrip_simplifying () =
       | Ok loaded ->
           Alcotest.(check bool) "simplifying snapshot round-trips" true (equal snapshot loaded))
 
+(* Hand-built snapshot parts covering every encoding the codec has: VCs
+   present and absent with negative exponents, unary, binary and [Lte]
+   factors with nested sums and constants, non-finite objectives and
+   errors, -0., a subnormal, and generator words that fill all 64 bits. *)
+let pinned_parts () =
+  let open Caffeine_expr in
+  let monomial = { Expr.vc = Some [| 1; -2 |]; factors = [] } in
+  let ratio =
+    {
+      Expr.vc = None;
+      factors =
+        [
+          Expr.Binary
+            (Op.Div, Expr.Const 0.1, Expr.Sum { Expr.bias = -0.; terms = [ (2.5, monomial) ] });
+        ];
+    }
+  in
+  let switch =
+    {
+      Expr.vc = Some [| 0; -1 |];
+      factors =
+        [
+          Expr.Lte
+            {
+              test = { Expr.bias = 1e300; terms = [ (-3., monomial) ] };
+              threshold = Expr.Const 5e-324;
+              less = Expr.Const Float.infinity;
+              otherwise = Expr.Sum { Expr.bias = 0.5; terms = [] };
+            };
+          Expr.Unary (Op.Log_10, { Expr.bias = 0.; terms = [ (1., ratio) ] });
+        ];
+    }
+  in
+  let population =
+    [|
+      {
+        Nsga2.genome = [| monomial; switch |];
+        objectives = [| Float.nan; 12. |];
+        rank = 0;
+        crowding = Float.infinity;
+      };
+      { Nsga2.genome = [| ratio |]; objectives = [| 0.1; 7.5 |]; rank = 1; crowding = 0.25 };
+    |]
+  in
+  let model_a =
+    {
+      Model.bases = [| monomial; ratio |];
+      intercept = 3.;
+      weights = [| 0.5; -0. |];
+      train_error = Float.nan;
+      complexity = 14.5;
+    }
+  in
+  let model_b =
+    { Model.bases = [||]; intercept = 0.1; weights = [||]; train_error = 0.25; complexity = 0. }
+  in
+  let words w0 w1 w2 w3 = { Rng.w0; w1; w2; w3 } in
+  let islands =
+    [|
+      Checkpoint.Pending (words 1L (-1L) Int64.min_int Int64.max_int);
+      Checkpoint.In_progress
+        { gen = 7; rng = words 0x9E3779B97F4A7C15L 2L 3L (-4L); population };
+      Checkpoint.Done [ model_a; model_b ];
+    |]
+  in
+  (islands, [ model_a; model_b ], [ model_b ])
+
+(* The bytes [save] writes for [pinned_parts]: header, pending,
+   in-progress and done lines, then a simplifying snapshot's header and
+   sag line.  A codec change that moves one byte fails here, whatever the
+   round trips say. *)
+let pinned_evolving =
+  [
+    {|{"type":"caffeine_checkpoint","version":1,"fingerprint":"0123456789abcdef","seed":7,|}
+      ^ {|"restarts":3,"phase":"evolving"}|};
+    {|{"type":"island","index":0,"status":"pending","rng":["1","-1","-9223372036854775808",|}
+      ^ {|"9223372036854775807"]}|};
+    {|{"type":"island","index":1,"status":"in_progress","gen":7,|}
+      ^ {|"rng":["-7046029254386353131","2","3","-4"],"population":[{"genome":[{"vc":[1,-2],|}
+      ^ {|"f":[]},{"vc":[0,-1],"f":[["lte",{"bias":1.0000000000000001e+300,"t":[[-3,{"vc":[1,|}
+      ^ {|-2],"f":[]}]]},["c",4.9406564584124654e-324],["c","Infinity"],["s",{"bias":0.5,|}
+      ^ {|"t":[]}]],["u","LOG10",{"bias":0,"t":[[1,{"vc":null,"f":[["b","DIVIDE",["c",|}
+      ^ {|0.10000000000000001],["s",{"bias":-0,"t":[[2.5,{"vc":[1,-2],"f":[]}]]}]]]}]]}]]}],|}
+      ^ {|"obj":["NaN",12],"rank":0,"crowding":"Infinity"},{"genome":[{"vc":null,"f":[["b",|}
+      ^ {|"DIVIDE",["c",0.10000000000000001],["s",{"bias":-0,"t":[[2.5,{"vc":[1,-2],|}
+      ^ {|"f":[]}]]}]]]}],"obj":[0.10000000000000001,7.5],"rank":1,"crowding":0.25}]}|};
+    {|{"type":"island","index":2,"status":"done","front":[{"bases":[{"vc":[1,-2],"f":[]},|}
+      ^ {|{"vc":null,"f":[["b","DIVIDE",["c",0.10000000000000001],["s",{"bias":-0,"t":[[2.5,|}
+      ^ {|{"vc":[1,-2],"f":[]}]]}]]]}],"intercept":3,"weights":[0.5,-0],"train_error":"NaN",|}
+      ^ {|"complexity":14.5},{"bases":[],"intercept":0.10000000000000001,"weights":[],|}
+      ^ {|"train_error":0.25,"complexity":0}]}|};
+  ]
+
+let pinned_simplifying =
+  [
+    {|{"type":"caffeine_checkpoint","version":1,"fingerprint":"0123456789abcdef","seed":7,|}
+      ^ {|"restarts":1,"phase":"simplifying"}|};
+    {|{"type":"sag","front":[{"bases":[{"vc":[1,-2],"f":[]},{"vc":null,"f":[["b","DIVIDE",|}
+      ^ {|["c",0.10000000000000001],["s",{"bias":-0,"t":[[2.5,{"vc":[1,-2],"f":[]}]]}]]]}],|}
+      ^ {|"intercept":3,"weights":[0.5,-0],"train_error":"NaN","complexity":14.5},{"bases":[],|}
+      ^ {|"intercept":0.10000000000000001,"weights":[],"train_error":0.25,"complexity":0}],|}
+      ^ {|"processed":[{"bases":[],"intercept":0.10000000000000001,"weights":[],|}
+      ^ {|"train_error":0.25,"complexity":0}]}|};
+  ]
+
+let test_snapshot_lines_pinned () =
+  let islands, front, processed = pinned_parts () in
+  let check name expected snapshot =
+    with_temp_file (fun path ->
+        Checkpoint.save ~path snapshot;
+        let lines = String.split_on_char '\n' (String.trim (slurp path)) in
+        Alcotest.(check (list string)) (name ^ ": the pinned lines") expected lines;
+        match Checkpoint.load ~path with
+        | Error message -> Alcotest.failf "%s: pinned snapshot rejected: %s" name message
+        | Ok loaded ->
+            Checkpoint.save ~path loaded;
+            Alcotest.(check string) (name ^ ": load then save writes the same bytes")
+              (String.concat "\n" expected ^ "\n")
+              (slurp path))
+  in
+  check "evolving" pinned_evolving
+    {
+      Checkpoint.fingerprint = "0123456789abcdef";
+      seed = 7;
+      restarts = 3;
+      phase = Checkpoint.Evolving islands;
+    };
+  check "simplifying" pinned_simplifying
+    {
+      Checkpoint.fingerprint = "0123456789abcdef";
+      seed = 7;
+      restarts = 1;
+      phase = Checkpoint.Simplifying { front; processed };
+    }
+
 let test_load_rejects_bad_input () =
   let rejected path = match Checkpoint.load ~path with Ok _ -> false | Error _ -> true in
   Alcotest.(check bool) "missing file" true (rejected "/nonexistent/caffeine.ckpt");
@@ -541,6 +676,7 @@ let suite =
     Alcotest.test_case "rng state round-trip" `Quick test_rng_state_roundtrip;
     Alcotest.test_case "snapshot round-trip: evolving" `Quick test_snapshot_roundtrip_evolving;
     Alcotest.test_case "snapshot round-trip: simplifying" `Quick test_snapshot_roundtrip_simplifying;
+    Alcotest.test_case "snapshot lines are pinned" `Quick test_snapshot_lines_pinned;
     Alcotest.test_case "load rejects bad input" `Quick test_load_rejects_bad_input;
     Alcotest.test_case "load errors name file and line" `Quick
       test_load_errors_name_file_and_line;

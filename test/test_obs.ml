@@ -5,6 +5,7 @@
 
 module Metrics = Caffeine_obs.Metrics
 module Trace = Caffeine_obs.Trace
+module Json = Caffeine_obs.Json
 module Pool = Caffeine_par.Pool
 module Executor = Caffeine_par.Executor
 module Rng = Caffeine_util.Rng
@@ -402,6 +403,162 @@ let test_migration_codec_and_projection () =
       Alcotest.(check int) "bytes kept" 4096 p.Trace.bytes
   | _ -> Alcotest.fail "migration should project to a migration"
 
+(* One record of each kind, with every float spelling the codec has
+   (NaN, ±∞, -0., a subnormal, 1e300, 0.1), empty and non-empty int arrays
+   and a message needing every kind of escape, against the bytes the
+   writer produces: a codec change that moves one byte of any line fails
+   here, whatever its round trip says. *)
+let pinned_records =
+  [
+    ( Trace.Run_start
+        { Trace.seed = 7; pop_size = 200; generations = 5000; max_bases = 15; samples = 243; dims = 13 },
+      {|{"type":"run_start","seed":7,"pop_size":200,"generations":5000,"max_bases":15,|}
+      ^ {|"samples":243,"dims":13}|} );
+    ( Trace.Generation
+        {
+          Trace.gen = 3;
+          evals = 200;
+          front_size = 17;
+          best_nmse = Float.nan;
+          median_nmse = 0.1;
+          complexity_min = -0.;
+          complexity_median = 5e-324;
+          complexity_max = 1e300;
+          crossovers = 80;
+          op_counts = [| 0; 5; 12 |];
+          depth_rejects = 2;
+          wall_s = Float.infinity;
+        },
+      {|{"type":"generation","gen":3,"evals":200,"front_size":17,"best_nmse":"NaN",|}
+      ^ {|"median_nmse":0.10000000000000001,"complexity_min":-0,|}
+      ^ {|"complexity_median":4.9406564584124654e-324,"complexity_max":1.0000000000000001e+300,|}
+      ^ {|"crossovers":80,"op_counts":[0,5,12],"depth_rejects":2,"wall_s":"Infinity"}|} );
+    ( Trace.Op_stats { Trace.gen = 3; applied = [| 4; 0; 9 |]; changed = [||] },
+      {|{"type":"op_stats","gen":3,"applied":[4,0,9],"changed":[]}|} );
+    ( Trace.Sag_round
+        {
+          Trace.model_index = 2;
+          round = 0;
+          chosen = 5;
+          press_before = Float.neg_infinity;
+          press_after = 0.1;
+        },
+      {|{"type":"sag_round","model_index":2,"round":0,"chosen":5,"press_before":"-Infinity",|}
+      ^ {|"press_after":0.10000000000000001}|} );
+    ( Trace.Sag_model { Trace.model_index = 2; bases_before = 9; bases_after = 4 },
+      {|{"type":"sag_model","model_index":2,"bases_before":9,"bases_after":4}|} );
+    ( Trace.Cache_stats
+        {
+          Trace.columns_cached = 120;
+          column_hits = max_int;
+          column_misses = 33;
+          column_evictions = 0;
+          dots_cached = 1;
+          dot_hits = 2;
+          dot_misses = 3;
+          dot_evictions = 4;
+        },
+      {|{"type":"cache_stats","columns_cached":120,"column_hits":4611686018427387903,|}
+      ^ {|"column_misses":33,"column_evictions":0,"dots_cached":1,"dot_hits":2,"dot_misses":3,|}
+      ^ {|"dot_evictions":4}|} );
+    ( Trace.Eval_cache_stats { Trace.eval_hits = 5; eval_misses = 6; eval_evictions = 0 },
+      {|{"type":"eval_cache_stats","eval_hits":5,"eval_misses":6,"eval_evictions":0}|} );
+    ( Trace.Fused_stats { Trace.gen = 1; batches = 2; nodes_in = 347; nodes_out = 283 },
+      {|{"type":"fused_stats","gen":1,"batches":2,"nodes_in":347,"nodes_out":283}|} );
+    ( Trace.Run_end
+        {
+          Trace.front = [ (12., 0.1); (-0., 2.5e-310); (Float.nan, Float.infinity) ];
+          total_wall_s = 1e300;
+        },
+      {|{"type":"run_end","front":[[12,0.10000000000000001],[-0,2.5000000000000171e-310],|}
+      ^ {|["NaN","Infinity"]],"total_wall_s":1.0000000000000001e+300}|} );
+    ( Trace.Checkpoint_written
+        { Trace.path = "run/pm.ckpt"; phase = "evolving"; island = -1; gen = 5 },
+      {|{"type":"checkpoint_written","path":"run/pm.ckpt","phase":"evolving","island":-1,"gen":5}|}
+    );
+    ( Trace.Run_resumed { Trace.phase = "simplifying"; island = -1; gen = 3 },
+      {|{"type":"run_resumed","phase":"simplifying","island":-1,"gen":3}|} );
+    ( Trace.Warning { Trace.context = "sag.test_tradeoff"; message = "q\"b\\s\nn\tt\001x\xc3\xa9" },
+      {|{"type":"warning","context":"sag.test_tradeoff","message":"q\"b\\s\nn\tt\u0001x|}
+      ^ "\xc3\xa9\"}" );
+    ( Trace.Migration { Trace.island = 1; shard = 2; models = 14; bytes = 9000 },
+      {|{"type":"migration","island":1,"shard":2,"models":14,"bytes":9000}|} );
+  ]
+
+let test_every_kind_pinned () =
+  List.iter
+    (fun (record, line) ->
+      Alcotest.(check string) "to_line writes the pinned bytes" line (Trace.to_line record);
+      match Trace.of_line line with
+      | Ok decoded ->
+          Alcotest.(check string) "of_line re-encodes to the same bytes" line
+            (Trace.to_line decoded)
+      | Error message -> Alcotest.failf "pinned line rejected: %s" message)
+    pinned_records
+
+(* --- the JSON writer --- *)
+
+let json_float_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map Int64.float_of_bits int64);
+      (2, float);
+      ( 1,
+        oneofl
+          [
+            Float.nan;
+            Float.infinity;
+            Float.neg_infinity;
+            0.;
+            -0.;
+            5e-324;
+            -5e-324;
+            Float.min_float;
+            Float.pred Float.min_float;
+            Float.max_float;
+            -.Float.max_float;
+          ] );
+    ]
+
+(* Values as the writer builds them: numbers only through [Json.int] and
+   [Json.float], strings and member names of arbitrary bytes. *)
+let json_gen =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_bound 10) in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (2, map Json.int (frequency [ (3, int); (1, oneofl [ min_int; max_int; 0; -1 ]) ]));
+        (3, map Json.float json_float_gen);
+        (2, map (fun s -> Json.Str s) bytes);
+      ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (depth - 1))));
+               ( 1,
+                 map (fun m -> Json.Obj m) (list_size (int_bound 4) (pair bytes (self (depth - 1)))) );
+             ])
+
+let json_roundtrip_test =
+  QCheck.Test.make ~name:"Json: parse inverts to_string" ~count:2000
+    (QCheck.make
+       ~print:(fun (value, v) -> Printf.sprintf "%s / %h" (Json.to_string value) v)
+       (QCheck.Gen.pair json_gen json_float_gen))
+    (fun (value, v) ->
+      let reread = Json.parse (Json.to_string value) in
+      let v' = Json.to_float "v" (Json.parse_exn (Json.to_string (Json.float v))) in
+      reread = Ok value
+      && if Float.is_nan v then Float.is_nan v' else Int64.bits_of_float v' = Int64.bits_of_float v)
+
 let test_fn_sink () =
   let seen = ref [] in
   let sink = Trace.of_fn (fun r -> seen := r :: !seen) in
@@ -698,6 +855,7 @@ let suite =
     Alcotest.test_case "trace: fn sink" `Quick test_fn_sink;
     Alcotest.test_case "trace: migration codec and projection" `Quick
       test_migration_codec_and_projection;
+    Alcotest.test_case "trace: every record kind's line is pinned" `Quick test_every_kind_pinned;
     Alcotest.test_case "trace: channel sink" `Quick test_channel_sink;
     Alcotest.test_case "trace: jobs-invariant projection" `Quick test_trace_jobs_invariant;
     Alcotest.test_case "pool: abandoned tasks counted" `Quick test_pool_abandoned_counter;
@@ -708,6 +866,7 @@ let suite =
         roundtrip_test;
         single_line_test;
         deterministic_projection_test;
+        json_roundtrip_test;
         trace_reader_never_raises;
         model_reader_never_raises;
       ]
