@@ -5,7 +5,7 @@
      simulate   evaluate the OTA performances at one design point
      fit        evolve symbolic models for one column of a CSV dataset
      predict    evaluate saved models against a CSV dataset
-     grammar    print / validate canonical-form grammar files
+     grammar    print the paper's canonical-form grammar
      analyze    DC / AC analysis of a SPICE-format netlist
      export     render a saved model as C or Verilog-A
      insight    variable usage, sensitivities and Sobol indices of a model
@@ -19,7 +19,6 @@ module Ota = Caffeine_ota.Ota
 module Csv = Caffeine_io.Csv
 module Colstore = Caffeine_io.Colstore
 module Dataset = Caffeine_io.Dataset
-module Grammar = Caffeine_grammar.Grammar
 module Config = Caffeine.Config
 module Model = Caffeine.Model
 module Search = Caffeine.Search
@@ -259,7 +258,7 @@ let require_at_least ~option ~min value =
     exit 2
   end
 
-let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path
+let fit train_path test_path target pop gens seed jobs backend shards log_target operators
     max_bases no_sag trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after
     eval_cache out =
   require_at_least ~option:"pop" ~min:2 pop;
@@ -271,6 +270,16 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
     match checkpoint_opt with Some _ as given -> given | None -> resume_path
   in
   List.iter (Option.iter require_writable) [ out; trace_path; checkpoint_path ];
+  let opset =
+    match operators with
+    | None -> Opset.default
+    | Some list -> (
+        match Opset.of_names (if list = "" then [] else String.split_on_char ',' list) with
+        | Ok opset -> opset
+        | Error msg ->
+            Printf.eprintf "invalid --operators: %s\n" msg;
+            exit 2)
+  in
   let data, raw_targets =
     (* A .cafs store streams; a CSV loads resident ([pack] it to stream). *)
     if Filename.check_suffix train_path ".cafs" then load_store ~path:train_path ~target
@@ -278,16 +287,6 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
   in
   let var_names = Dataset.var_names data in
   let targets = fit_targets ~path:train_path ~target ~log_target raw_targets in
-  let opset =
-    match grammar_path with
-    | None -> Opset.default
-    | Some path -> (
-        match Grammar.parse (read_file path) with
-        | Ok g -> Opset.of_grammar g
-        | Error msg ->
-            Printf.eprintf "cannot parse grammar %s: %s\n" path msg;
-            exit 2)
-  in
   (* Resolve the parallelism up front (0 = auto) so the banner reports
      what the run actually uses: worker domains for --backend domains
      (clamped to the core count), worker processes for --backend
@@ -448,8 +447,16 @@ let shard_arg =
 let log_target_arg =
   Arg.(value & flag & info [ "log-target" ] ~doc:"Model log10 of the target (the paper's fu scaling).")
 
-let grammar_arg =
-  Arg.(value & opt (some string) None & info [ "grammar" ] ~docv:"FILE" ~doc:"Grammar file restricting the operator set.")
+let operators_arg =
+  let doc =
+    Printf.sprintf
+      "Comma-separated operators the search may use, from %s (default: all of them).  An \
+       empty list leaves the variable combos only: rational functions of the design \
+       variables.  The names are the grammar's terminals, as $(b,caffeine grammar) prints \
+       them."
+      (String.concat ", " Opset.names)
+  in
+  Arg.(value & opt (some string) None & info [ "operators" ] ~docv:"LIST" ~doc)
 
 let max_bases_arg =
   Arg.(value & opt int 15 & info [ "max-bases" ] ~docv:"N" ~doc:"Maximum basis functions (paper: 15).")
@@ -545,7 +552,7 @@ let fit_cmd =
   Cmd.v info
     Term.(
       const fit $ train_arg $ test_arg $ target_arg $ pop_arg $ gens_arg $ seed_arg $ jobs_arg
-      $ backend_arg $ shard_arg $ log_target_arg $ grammar_arg $ max_bases_arg $ no_sag_arg
+      $ backend_arg $ shard_arg $ log_target_arg $ operators_arg $ max_bases_arg $ no_sag_arg
       $ trace_out_arg $ metrics_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
       $ kill_after_arg $ eval_cache_arg $ fit_out_arg)
 
@@ -1065,36 +1072,35 @@ let trace_cmd =
 
 (* --- grammar ----------------------------------------------------------- *)
 
-let grammar_command check_path =
-  match check_path with
-  | None ->
-      print_string Grammar.caffeine_text;
-      0
-  | Some path -> (
-      match Grammar.parse (read_file path) with
-      | Error msg ->
-          Printf.printf "parse error: %s\n" msg;
-          1
-      | Ok g -> (
-          match Grammar.validate g with
-          | Ok () ->
-              Printf.printf "%s: ok (%d nonterminals, %d terminals)\n" path
-                (List.length (Grammar.nonterminals g))
-                (List.length (Grammar.terminals g));
-              0
-          | Error msgs ->
-              Printf.printf "%s: invalid\n" path;
-              List.iter (fun m -> Printf.printf "  %s\n" m) msgs;
-              1))
+(* The paper's canonical-form grammar (section 5) with the operator set of
+   its experimental setup (section 6.1).  [Gen] and [Vary] build and change
+   only trees of this form; [fit --operators] picks which 1OP/2OP terminals
+   and whether 'LTE' are on. *)
+let caffeine_grammar =
+  "# CAFFEINE canonical-form grammar (McConaghy et al., DATE 2005, section 5)\n\
+   # with the operator set of the experimental setup (section 6.1).\n\
+   REPVC => 'VC' | REPVC '*' REPOP | REPOP\n\
+   REPOP => REPOP '*' REPOP\n\
+   | 1OP '(' 'W' '+' REPADD ')'\n\
+   | 2OP '(' 2ARGS ')'\n\
+   | 'LTE' '(' 'W' '+' REPADD ',' MAYBEW ',' MAYBEW ',' MAYBEW ')'\n\
+   2ARGS => 'W' '+' REPADD ',' MAYBEW | MAYBEW ',' 'W' '+' REPADD\n\
+   MAYBEW => 'W' | 'W' '+' REPADD\n\
+   REPADD => 'W' '*' REPVC | REPADD '+' REPADD\n\
+   1OP => 'SQRT' | 'LOGE' | 'LOG10' | 'INV' | 'ABS' | 'SQUARE'\n\
+   | 'SIN' | 'COS' | 'TAN' | 'MAX0' | 'MIN0' | 'EXP2' | 'EXP10'\n\
+   2OP => 'DIVIDE' | 'POW' | 'MAX' | 'MIN'\n"
 
-let check_arg =
-  Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE" ~doc:"Validate a grammar file.")
+let grammar_command () =
+  print_string caffeine_grammar;
+  0
 
 let grammar_cmd =
   let info =
-    Cmd.info "grammar" ~doc:"Print the built-in canonical-form grammar or validate a grammar file."
+    Cmd.info "grammar"
+      ~doc:"Print the paper's canonical-form grammar; $(b,fit --operators) names its terminals."
   in
-  Cmd.v info Term.(const grammar_command $ check_arg)
+  Cmd.v info Term.(const grammar_command $ const ())
 
 (* --- main -------------------------------------------------------------- *)
 

@@ -6,9 +6,10 @@
 #      headers are rejected naming the column and both positions,
 #      empty, truncated or foreign .cafs stores exit 2 naming the file,
 #      and so does training data with no design variable or a non-finite
-#      target; missing input files, out-of-range option values, output
-#      files that cannot be written and AC names `analyze` cannot resolve
-#      exit 2 naming the file or the option, as does half an `analyze` AC
+#      target; missing input files, out-of-range option values, an
+#      unknown `fit --operators` name, output files that cannot be
+#      written and AC names `analyze` cannot resolve exit 2 naming the
+#      file, the option or the name, as does half an `analyze` AC
 #      request; `bench` refuses an unknown experiment, a --pop below 2
 #      or a --gens below 1 the same way.
 #   2. Front bit-identity: the same seeded fit must print byte-identical
@@ -118,8 +119,7 @@ refused_by() {
 }
 refused() { refused_by "$CLI" "$@"; }
 refused "cannot read $missing" trace "$missing"
-refused "cannot read $missing" grammar --check "$missing"
-refused "cannot read $missing" fit --train "$scratch/data.csv" --target PM --grammar "$missing"
+refused 'unknown operator "SINN"' fit --train "$scratch/data.csv" --target PM --operators SINN
 refused "cannot read $scratch" fit --train "$scratch" --target PM
 refused "--pop 1" fit --train "$scratch/data.csv" --target PM --pop 1
 refused "--max-bases 0" fit --train "$scratch/data.csv" --target PM --max-bases 0

@@ -42,9 +42,11 @@ let fingerprint (config : Config.t) ~data ~targets =
     (String.concat "," (List.map Op.unary_name (Array.to_list opset.Opset.unops)));
   add "binops=%s;"
     (String.concat "," (List.map Op.binary_name (Array.to_list opset.Opset.binops)));
-  add "lte=%b;vc=%b;nonlinear=%b;max_exp=%d;min_exp=%d;" opset.Opset.allow_lte
-    opset.Opset.allow_vc opset.Opset.allow_nonlinear opset.Opset.max_exponent
-    opset.Opset.min_exponent;
+  (* [vc=true] is constant now that every operator set has VCs; it stays in
+     the digested text so snapshots written when it was a setting still
+     match. *)
+  add "lte=%b;vc=true;nonlinear=%b;max_exp=%d;min_exp=%d;" opset.Opset.allow_lte
+    (Opset.allow_nonlinear opset) opset.Opset.max_exponent opset.Opset.min_exponent;
   add "n=%d;dims=%d;vars=%s;" (Dataset.n_samples data) (Dataset.dims data)
     (String.concat "," (Array.to_list (Dataset.var_names data)));
   let add_floats =

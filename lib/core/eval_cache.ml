@@ -1,5 +1,4 @@
 module Expr = Caffeine_expr.Expr
-module Dataset = Caffeine_io.Dataset
 module Metrics = Caffeine_obs.Metrics
 
 (* Exact objective-evaluation cache, keyed by the full structural hash of

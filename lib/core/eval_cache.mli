@@ -24,7 +24,6 @@
     [eval.cache_misses] and [eval.cache_evictions]. *)
 
 module Expr = Caffeine_expr.Expr
-module Dataset = Caffeine_io.Dataset
 
 type mode = Off | Exact
 
@@ -35,7 +34,8 @@ val mode_of_string : string -> (mode, string) result
 
 type t
 
-val create : mode:mode -> wb:float -> wvc:float -> data:Dataset.t -> unit -> t
+val create :
+  mode:mode -> wb:float -> wvc:float -> data:Caffeine_io.Dataset.t -> unit -> t
 (** [create ~mode ~wb ~wvc ~data ()] builds a cache for the objectives the
     search computes on [data] with the complexity weights [wb] and [wvc]:
     the entries are valid for those inputs only. *)

@@ -9,7 +9,6 @@
 
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
-module Op = Caffeine_expr.Op
 
 let random_exponent rng opset =
   let choices = Opset.exponent_choices opset in
@@ -22,7 +21,6 @@ let random_exponent rng opset =
   else Rng.choose rng choices
 
 let random_vc rng opset ~dims ~max_vars =
-  if not opset.Opset.allow_vc then invalid_arg "Gen.random_vc: VCs disabled in opset";
   if dims < 1 then invalid_arg "Gen.random_vc: dims < 1";
   let upper = max 1 (min max_vars dims) in
   (* 1 variable most of the time, occasionally more. *)
@@ -34,15 +32,11 @@ let random_vc rng opset ~dims ~max_vars =
   exponents
 
 let rec random_basis rng opset ~dims ~depth ~max_vc_vars =
-  let can_nest = depth > 1 && opset.Opset.allow_nonlinear in
+  let can_nest = depth > 1 && Opset.allow_nonlinear opset in
   let vc_only () =
     { Expr.vc = Some (random_vc rng opset ~dims ~max_vars:max_vc_vars); factors = [] }
   in
-  if not can_nest then
-    if opset.Opset.allow_vc then vc_only ()
-    else invalid_arg "Gen.random_basis: opset allows neither VCs nor operators"
-  else if not opset.Opset.allow_vc then
-    { Expr.vc = None; factors = [ random_factor rng opset ~dims ~depth ~max_vc_vars ] }
+  if not can_nest then vc_only ()
   else begin
     let shape = Rng.uniform rng in
     if shape < 0.55 then vc_only ()

@@ -9,8 +9,7 @@ module Expr = Caffeine_expr.Expr
 val random_vc :
   Caffeine_util.Rng.t -> Opset.t -> dims:int -> max_vars:int -> Expr.vc
 (** A variable combo touching 1..[max_vars] distinct variables, exponents
-    drawn from the opset's allowed range with a bias towards ±1.
-    Requires [opset.allow_vc]. *)
+    drawn from the opset's allowed range with a bias towards ±1. *)
 
 val random_basis :
   Caffeine_util.Rng.t -> Opset.t -> dims:int -> depth:int -> max_vc_vars:int -> Expr.basis

@@ -1,12 +1,9 @@
 module Op = Caffeine_expr.Op
-module Grammar = Caffeine_grammar.Grammar
 
 type t = {
   unops : Op.unary array;
   binops : Op.binary array;
   allow_lte : bool;
-  allow_vc : bool;
-  allow_nonlinear : bool;
   max_exponent : int;
   min_exponent : int;
 }
@@ -16,20 +13,11 @@ let default =
     unops = Array.of_list Op.all_unary;
     binops = Array.of_list Op.all_binary;
     allow_lte = true;
-    allow_vc = true;
-    allow_nonlinear = true;
     max_exponent = 2;
     min_exponent = -2;
   }
 
-let rational =
-  {
-    default with
-    unops = [||];
-    binops = [||];
-    allow_lte = false;
-    allow_nonlinear = false;
-  }
+let rational = { default with unops = [||]; binops = [||]; allow_lte = false }
 
 let polynomial = { rational with min_exponent = 0 }
 
@@ -43,24 +31,28 @@ let no_trig =
            Op.all_unary);
   }
 
-let of_grammar grammar =
-  let terminal_names = Grammar.terminals grammar in
-  let unops =
-    Array.of_list (List.filter_map Op.unary_of_name terminal_names)
-  in
-  let binops =
-    Array.of_list (List.filter_map Op.binary_of_name terminal_names)
-  in
-  let allow_lte = List.mem "LTE" terminal_names in
-  let allow_vc = List.mem "VC" terminal_names in
-  {
-    default with
-    unops;
-    binops;
-    allow_lte;
-    allow_vc;
-    allow_nonlinear = Array.length unops > 0 || Array.length binops > 0 || allow_lte;
-  }
+let allow_nonlinear t = Array.length t.unops > 0 || Array.length t.binops > 0 || t.allow_lte
+
+let names =
+  List.map Op.unary_name Op.all_unary @ List.map Op.binary_name Op.all_binary @ [ "LTE" ]
+
+let of_names listed =
+  match List.find_opt (fun name -> not (List.mem name names)) listed with
+  | Some unknown ->
+      Error
+        (Printf.sprintf "unknown operator %S (operators: %s)" unknown
+           (String.concat ", " names))
+  | None ->
+      let keep name_of ops =
+        Array.of_list (List.filter (fun op -> List.mem (name_of op) listed) ops)
+      in
+      Ok
+        {
+          default with
+          unops = keep Op.unary_name Op.all_unary;
+          binops = keep Op.binary_name Op.all_binary;
+          allow_lte = List.mem "LTE" listed;
+        }
 
 let exponent_choices t =
   if t.max_exponent < 1 then invalid_arg "Opset.exponent_choices: max_exponent < 1";

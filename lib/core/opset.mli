@@ -3,9 +3,10 @@
     "The designer can turn off any of the rules if they are considered
     unwanted or unneeded.  For example, one could easily restrict the search
     to polynomials or rationals, or remove potentially difficult-to-interpret
-    functions such as sin and cos."  An {!t} captures exactly that: the
-    enabled operators plus VC exponent limits.  It can be built from a
-    grammar file via {!of_grammar}. *)
+    functions such as sin and cos."  The canonical form itself is fixed:
+    {!Gen} and {!Vary} build and change only canonical-form trees.  An {!t}
+    is the designer's freedom within it: the enabled operators plus VC
+    exponent limits.  A list of operator names builds one via {!of_names}. *)
 
 module Op = Caffeine_expr.Op
 
@@ -13,8 +14,6 @@ type t = {
   unops : Op.unary array;  (** enabled single-input operators *)
   binops : Op.binary array;  (** enabled double-input operators *)
   allow_lte : bool;  (** the paper's [lte] conditional *)
-  allow_vc : bool;  (** variable combos (rational monomials) *)
-  allow_nonlinear : bool;  (** any operator factors at all *)
   max_exponent : int;  (** |VC exponent| limit, >= 1 *)
   min_exponent : int;  (** smallest allowed exponent (e.g. 0 to forbid
                            negative powers in the polynomial ablation) *)
@@ -34,10 +33,22 @@ val no_trig : t
 (** {!default} without sin, cos and tan — the "difficult-to-interpret"
     functions the paper suggests removing. *)
 
-val of_grammar : Caffeine_grammar.Grammar.t -> t
-(** Derive the operator set from a grammar's terminals (1OP/2OP rule names,
-    presence of 'VC' and 'LTE').  Unknown operator terminals are ignored.
-    Exponent limits keep their defaults. *)
+val allow_nonlinear : t -> bool
+(** Whether any operator factor is enabled: a unary or binary operator, or
+    [lte].  When none is, every basis function is a bare VC. *)
+
+val names : string list
+(** Every operator name {!of_names} accepts, in {!Op.all_unary},
+    {!Op.all_binary} order, then ["LTE"]: the terminal names of the
+    paper's grammar, e.g. ["LOG10"], ["DIVIDE"]. *)
+
+val of_names : string list -> (t, string) result
+(** The operator set enabling exactly the listed {!names}, with
+    {!default}'s exponent limits.  The arrays follow {!Op.all_unary} and
+    {!Op.all_binary} order whatever the order of the list, and duplicates
+    count once, so a set of names gives one search.  [[]] is {!rational},
+    all of {!names} is {!default}.  [Error] names the first token that is
+    not in {!names}. *)
 
 val exponent_choices : t -> int array
 (** The nonzero exponents a VC entry may take, e.g. [{-2,-1,1,2}]. *)

@@ -1,5 +1,4 @@
 module Expr = Caffeine_expr.Expr
-module Dataset = Caffeine_io.Dataset
 module Linfit = Caffeine_regress.Linfit
 module Trace = Caffeine_obs.Trace
 

@@ -13,8 +13,6 @@
     model's bases are evaluated in one fused pass, and the refits reuse
     those columns instead of streaming the data again. *)
 
-module Dataset = Caffeine_io.Dataset
-
 type scored = {
   model : Model.t;
   test_error : float;
@@ -27,7 +25,7 @@ val simplify_model :
   wb:float ->
   wvc:float ->
   Model.t ->
-  data:Dataset.t ->
+  data:Caffeine_io.Dataset.t ->
   targets:float array ->
   Model.t
 (** PRESS forward selection over the model's own basis functions, refit,
@@ -49,7 +47,7 @@ val process_front :
   wb:float ->
   wvc:float ->
   Model.t list ->
-  data:Dataset.t ->
+  data:Caffeine_io.Dataset.t ->
   targets:float array ->
   Model.t list
 (** Apply {!simplify_model} to every front member (tagging records with the
@@ -69,7 +67,7 @@ val process_front :
 val test_tradeoff :
   ?trace:Caffeine_obs.Trace.sink ->
   Model.t list ->
-  data:Dataset.t ->
+  data:Caffeine_io.Dataset.t ->
   targets:float array ->
   scored list
 (** Score each model on testing data and keep only models on the

@@ -1,6 +1,5 @@
 module Rng = Caffeine_util.Rng
 module Stats = Caffeine_util.Stats
-module Expr = Caffeine_expr.Expr
 module Dataset = Caffeine_io.Dataset
 module Linfit = Caffeine_regress.Linfit
 module Nsga2 = Caffeine_evo.Nsga2
@@ -387,8 +386,6 @@ let job_line ~store ~streamed ~observing ~checkpoint_every ~eval_cache (config :
                      ("unops", names Op.unary_name opset.Opset.unops);
                      ("binops", names Op.binary_name opset.Opset.binops);
                      ("allow_lte", Json.Bool opset.Opset.allow_lte);
-                     ("allow_vc", Json.Bool opset.Opset.allow_vc);
-                     ("allow_nonlinear", Json.Bool opset.Opset.allow_nonlinear);
                      ("max_exponent", Json.int opset.Opset.max_exponent);
                      ("min_exponent", Json.int opset.Opset.min_exponent);
                    ] );
@@ -429,8 +426,6 @@ let config_of fields : Config.t =
         Opset.unops = ops_of opset "unops" Op.unary_of_name;
         binops = ops_of opset "binops" Op.binary_of_name;
         allow_lte = bool_of opset "allow_lte";
-        allow_vc = bool_of opset "allow_vc";
-        allow_nonlinear = bool_of opset "allow_nonlinear";
         max_exponent = Json.int_of opset "max_exponent";
         min_exponent = Json.int_of opset "min_exponent";
       };

@@ -48,7 +48,6 @@
     per-genome evaluation — or a whole island's deterministic loop — is
     distributed. *)
 
-module Expr = Caffeine_expr.Expr
 module Dataset = Caffeine_io.Dataset
 
 type outcome = {

@@ -10,7 +10,6 @@
 
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
-module Op = Caffeine_expr.Op
 
 type individual = Expr.basis array
 

@@ -5,9 +5,9 @@
     monomial over the design variables with integer exponents — and zero or
     more nonlinear operator applications; each operator argument is again a
     weighted sum of basis functions.  This datatype is the semantic image of
-    the grammar in {!Caffeine_grammar.Grammar.caffeine}: [basis] corresponds
-    to REPVC, [factor] to REPOP, [wsum] to ['W' '+' REPADD], and [arg] to
-    MAYBEW.
+    the paper's canonical-form grammar (section 5, printed by [caffeine
+    grammar]): [basis] corresponds to REPVC, [factor] to REPOP, [wsum] to
+    ['W' '+' REPADD], and [arg] to MAYBEW.
 
     Inner weights are stored as plain floats (the weight-space transform used
     during evolution lives in the search layer). *)

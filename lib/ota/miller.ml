@@ -3,7 +3,6 @@ module Circuit = Caffeine_spice.Circuit
 module Dc = Caffeine_spice.Dc
 module Ac = Caffeine_spice.Ac
 module Doe = Caffeine_doe.Doe
-module Rng = Caffeine_util.Rng
 
 type performance =
   | Alf

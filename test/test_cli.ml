@@ -42,7 +42,17 @@ let expect_success msg arguments fragment =
         (Printf.sprintf "%s: output mentions %S" msg fragment)
         true (contains output fragment)
 
-let test_cli_grammar () = expect_success "grammar" [ "grammar" ] "REPVC"
+(* [grammar] prints the paper's grammar, whose terminals include every name
+   [fit --operators] accepts. *)
+let test_cli_grammar () =
+  match run_cli [ "grammar" ] with
+  | None -> ()
+  | Some (status, output) ->
+      Alcotest.(check bool) "grammar: exits 0" true (status = Unix.WEXITED 0);
+      List.iter
+        (fun fragment ->
+          Alcotest.(check bool) ("grammar: prints " ^ fragment) true (contains output fragment))
+        ("REPVC =>" :: List.map (Printf.sprintf "'%s'") Caffeine.Opset.names)
 
 let test_cli_simulate () =
   expect_success "simulate" [ "simulate"; "--set"; "id1=1.2e-5" ] "PM"
@@ -133,10 +143,12 @@ let test_cli_bad_inputs_and_options () =
   write_file train "x,PM\n1,2\n2,3.5\n3,5\n4,4.5\n5,6\n";
   write_file scored "x,PM\n1,nan\n2,3.5\n";
   let fit extra = [ "fit"; "--train"; train; "--target"; "PM"; "--gens"; "2" ] @ extra in
-  expect_refused "fit --grammar MISSING" (fit [ "--grammar"; missing ]) ("cannot read " ^ missing);
   expect_refused "trace MISSING" [ "trace"; missing ] ("cannot read " ^ missing);
-  expect_refused "grammar --check MISSING" [ "grammar"; "--check"; missing ]
-    ("cannot read " ^ missing);
+  List.iter
+    (fun (operators, token) ->
+      expect_refused ("fit --operators " ^ operators) (fit [ "--operators"; operators ])
+        (Printf.sprintf "unknown operator %S" token))
+    [ ("SINN", "SINN"); ("SIN,SINN,COSS", "SINN"); ("sin", "sin"); ("SIN,", ""); (",", "") ];
   let directory = Filename.get_temp_dir_name () in
   expect_refused "fit --train DIRECTORY"
     [ "fit"; "--train"; directory; "--target"; "PM" ]
@@ -170,6 +182,22 @@ let test_cli_bad_inputs_and_options () =
   List.iter
     (fun path -> if Sys.file_exists path then Sys.remove path)
     [ train; scored; models; snapshot; missing ]
+
+(* Every list of known operator names runs, the empty one as the
+   rational-functions search. *)
+let test_cli_fit_operators () =
+  let train = Filename.temp_file "caffeine_cli" ".csv" in
+  write_file train "x,PM\n1,2\n2,3.5\n3,5\n4,4.5\n5,6\n";
+  let fit operators =
+    [
+      "fit"; "--train"; train; "--target"; "PM"; "--pop"; "10"; "--gens"; "2"; "--operators";
+      operators;
+    ]
+  in
+  List.iter
+    (fun operators -> expect_success ("fit --operators " ^ operators) (fit operators) "train err")
+    [ ""; "LTE"; "POW"; "SQRT,LOGE,SQRT" ];
+  Sys.remove train
 
 (* An output file the command cannot write exits 2 with one line naming
    it, before any work: a fit prints no front, and an existing --out file
@@ -268,4 +296,5 @@ let suite =
       test_cli_unwritable_outputs;
     Alcotest.test_case "cli: analyze refuses AC names it cannot resolve" `Quick
       test_cli_analyze_ac_names;
+    Alcotest.test_case "cli: fit --operators lists run" `Quick test_cli_fit_operators;
   ]

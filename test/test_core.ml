@@ -83,10 +83,39 @@ let test_weight_mutation_moves () =
 let test_opset_presets () =
   Alcotest.(check int) "default unary count" 13 (Array.length Opset.default.Opset.unops);
   Alcotest.(check int) "rational has no ops" 0 (Array.length Opset.rational.Opset.unops);
-  Alcotest.(check bool) "rational allows vc" true Opset.rational.Opset.allow_vc;
+  Alcotest.(check bool) "default is nonlinear" true (Opset.allow_nonlinear Opset.default);
+  Alcotest.(check bool) "rational is not" false (Opset.allow_nonlinear Opset.rational);
   Alcotest.(check int) "polynomial min exponent" 0 Opset.polynomial.Opset.min_exponent;
   Alcotest.(check bool) "no_trig drops sin" true
     (not (Array.mem Op.Sin Opset.no_trig.Opset.unops))
+
+let opset_of_names names =
+  match Opset.of_names names with Ok opset -> opset | Error msg -> Alcotest.fail msg
+
+let test_opset_of_names () =
+  let no_trig = List.filter (fun n -> not (List.mem n [ "SIN"; "COS"; "TAN" ])) Opset.names in
+  Alcotest.(check bool) "all names: default" true (opset_of_names Opset.names = Opset.default);
+  Alcotest.(check bool) "no-trig names: no_trig" true (opset_of_names no_trig = Opset.no_trig);
+  Alcotest.(check bool) "no names: rational" true (opset_of_names [] = Opset.rational);
+  Alcotest.(check bool) "reversed and repeated: default" true
+    (opset_of_names (List.rev Opset.names @ Opset.names) = Opset.default);
+  Alcotest.(check bool) "reversed: no_trig" true
+    (opset_of_names (List.rev no_trig) = Opset.no_trig);
+  let opset = opset_of_names [ "MIN"; "ABS"; "LTE"; "SQRT"; "ABS"; "DIVIDE" ] in
+  Alcotest.(check bool) "unary in Op.all_unary order" true
+    (opset.Opset.unops = [| Op.Sqrt; Op.Abs |]);
+  Alcotest.(check bool) "binary in Op.all_binary order" true
+    (opset.Opset.binops = [| Op.Div; Op.Min |]);
+  Alcotest.(check bool) "LTE listed" true opset.Opset.allow_lte;
+  List.iter
+    (fun (names, token) ->
+      match Opset.of_names names with
+      | Ok _ -> Alcotest.failf "%S accepted" token
+      | Error msg ->
+          let prefix = Printf.sprintf "unknown operator %S " token in
+          Alcotest.(check string) "names the first unknown token" prefix
+            (String.sub msg 0 (min (String.length msg) (String.length prefix))))
+    [ ([ "SIN"; "SINN"; "COSS" ], "SINN"); ([ "sin" ], "sin"); ([ "ABS"; "" ], "") ]
 
 let test_opset_exponent_choices () =
   let choices = Opset.exponent_choices Opset.default in
@@ -134,13 +163,6 @@ let test_gen_individual_bounds () =
       ind
   done
 
-let test_gen_rational_opset_produces_plain_monomials () =
-  let rng = Rng.create ~seed:6 () in
-  for _ = 1 to 100 do
-    let b = Gen.random_basis rng Opset.rational ~dims ~depth:6 ~max_vc_vars:2 in
-    Alcotest.(check bool) "no operator factors" true (b.Expr.factors = [])
-  done
-
 (* --- Vary --- *)
 
 let random_parents seed =
@@ -174,7 +196,7 @@ let test_mutate_weight_changes_exactly_one_site () =
   let rng = Rng.create ~seed:9 () in
   (* Build an individual with several weights. *)
   let opset = Opset.default in
-  let b = Gen.random_basis rng { opset with Opset.allow_vc = true } ~dims ~depth:5 ~max_vc_vars:2 in
+  let b = Gen.random_basis rng opset ~dims ~depth:5 ~max_vc_vars:2 in
   let individual = [| b; b |] in
   let mutated = Vary.mutate_weight rng individual in
   Alcotest.(check bool) "still valid" true (all_valid mutated)
@@ -517,19 +539,62 @@ let test_sag_test_tradeoff_all_nonfinite_fallback () =
 
 (* --- qcheck properties --- *)
 
+(* The name of every operator factor of a basis, at any depth. *)
+let rec operator_names (b : Expr.basis) = List.concat_map factor_names b.Expr.factors
+
+and factor_names = function
+  | Expr.Unary (op, ws) -> Op.unary_name op :: wsum_names ws
+  | Expr.Binary (op, a1, a2) -> (Op.binary_name op :: arg_names a1) @ arg_names a2
+  | Expr.Lte { test; threshold; less; otherwise } ->
+      ("LTE" :: wsum_names test) @ arg_names threshold @ arg_names less @ arg_names otherwise
+
+and arg_names = function Expr.Const _ -> [] | Expr.Sum ws -> wsum_names ws
+and wsum_names (ws : Expr.wsum) = List.concat_map (fun (_, b) -> operator_names b) ws.Expr.terms
+
+(* A subset of the operator names: one draw in six the empty subset, whose
+   bases must all be plain monomials, one in six all of them ({!Opset.default}),
+   otherwise each name in or out at even odds. *)
+let operator_subset =
+  QCheck.make ~print:(fun names -> "[" ^ String.concat "," names ^ "]")
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return []);
+          (1, return Opset.names);
+          ( 4,
+            map
+              (fun keep -> List.filteri (fun i _ -> List.nth keep i) Opset.names)
+              (list_repeat (List.length Opset.names) bool) );
+        ])
+
 let property_tests =
   [
+    (* Generation and a line of 20 variations under a drawn operator set:
+       every basis drawn and every child uses only the listed operators and
+       keeps the canonical form. *)
     QCheck.Test.make ~name:"vary preserves canonical invariants" ~count:200
-      QCheck.(pair small_int small_int)
-      (fun (seed1, seed2) ->
+      QCheck.(triple small_int small_int operator_subset)
+      (fun (seed1, seed2, names) ->
+        let config = { default_config with Config.opset = opset_of_names names } in
+        let obeys individual =
+          Array.length individual >= 1
+          && Array.length individual <= config.Config.max_bases
+          && all_valid individual
+          && Array.for_all
+               (fun b -> List.for_all (fun name -> List.mem name names) (operator_names b))
+               individual
+        in
         let rng = Rng.create ~seed:(seed1 + 1) () in
-        let p1 = Gen.random_individual rng default_config ~dims in
-        let p2 = Gen.random_individual rng default_config ~dims in
+        let p1 = Gen.random_individual rng config ~dims in
+        let p2 = Gen.random_individual rng config ~dims in
         let child_rng = Rng.create ~seed:(seed2 + 1) () in
-        let child = Vary.vary child_rng default_config ~dims p1 p2 in
-        Array.length child >= 1
-        && Array.length child <= default_config.Config.max_bases
-        && all_valid child);
+        let rec line steps parent donor =
+          steps = 0
+          ||
+          let child = Vary.vary child_rng config ~dims parent donor in
+          obeys child && line (steps - 1) child parent
+        in
+        obeys p1 && obeys p2 && line 20 p1 p2);
     QCheck.Test.make ~name:"weight transform round-trips" ~count:300
       QCheck.(float_range (-20.) 20.)
       (fun raw ->
@@ -578,10 +643,10 @@ let suite =
     Alcotest.test_case "weight: mutation moves" `Quick test_weight_mutation_moves;
     Alcotest.test_case "opset: presets" `Quick test_opset_presets;
     Alcotest.test_case "opset: exponent choices" `Quick test_opset_exponent_choices;
+    Alcotest.test_case "opset: of_names" `Quick test_opset_of_names;
     Alcotest.test_case "gen: vc validity" `Quick test_gen_vc_valid;
     Alcotest.test_case "gen: polynomial exponents" `Quick test_gen_polynomial_opset_nonnegative_exponents;
     Alcotest.test_case "gen: individual bounds" `Quick test_gen_individual_bounds;
-    Alcotest.test_case "gen: rational monomials" `Quick test_gen_rational_opset_produces_plain_monomials;
     Alcotest.test_case "vary: valid children" `Quick test_vary_produces_valid_children;
     Alcotest.test_case "vary: crossover provenance" `Quick test_crossover_bases_mixes_parents;
     Alcotest.test_case "vary: weight mutation" `Quick test_mutate_weight_changes_exactly_one_site;
@@ -766,16 +831,6 @@ let test_search_handles_constant_target () =
       check_close "zero error" 0. first.Model.train_error
   | [] -> Alcotest.fail "empty front"
 
-let test_full_grammar_text_roundtrip () =
-  let module Grammar = Caffeine_grammar.Grammar in
-  let g = Grammar.caffeine in
-  let reparsed = Grammar.parse_exn (Grammar.to_text g) in
-  Alcotest.(check bool) "same terminals" true (Grammar.terminals g = Grammar.terminals reparsed);
-  Alcotest.(check bool) "same nonterminals" true
-    (Grammar.nonterminals g = Grammar.nonterminals reparsed);
-  let opset_a = Opset.of_grammar g and opset_b = Opset.of_grammar reparsed in
-  Alcotest.(check bool) "same derived opset" true (opset_a = opset_b)
-
 let integration_suite =
   [
     Alcotest.test_case "integration: discovers ln structure" `Slow
@@ -783,8 +838,6 @@ let integration_suite =
     Alcotest.test_case "integration: rational opset respected" `Quick
       test_search_with_rational_opset_stays_rational;
     Alcotest.test_case "integration: constant target" `Quick test_search_handles_constant_target;
-    Alcotest.test_case "integration: grammar text round-trip" `Quick
-      test_full_grammar_text_roundtrip;
   ]
 
 let suite = suite @ integration_suite

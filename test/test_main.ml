@@ -4,7 +4,6 @@ let () =
       ("util", Test_util.suite);
       ("linalg", Test_linalg.suite);
       ("doe", Test_doe.suite);
-      ("grammar", Test_grammar.suite);
       ("expr", Test_expr.suite);
       ("compiled", Test_compiled.suite);
       ("fused", Test_fused.suite);
