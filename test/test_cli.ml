@@ -42,17 +42,7 @@ let expect_success msg arguments fragment =
         (Printf.sprintf "%s: output mentions %S" msg fragment)
         true (contains output fragment)
 
-(* [grammar] prints the paper's grammar, whose terminals include every name
-   [fit --operators] accepts. *)
-let test_cli_grammar () =
-  match run_cli [ "grammar" ] with
-  | None -> ()
-  | Some (status, output) ->
-      Alcotest.(check bool) "grammar: exits 0" true (status = Unix.WEXITED 0);
-      List.iter
-        (fun fragment ->
-          Alcotest.(check bool) ("grammar: prints " ^ fragment) true (contains output fragment))
-        ("REPVC =>" :: List.map (Printf.sprintf "'%s'") Caffeine.Opset.names)
+let test_cli_grammar () = expect_success "grammar" [ "grammar" ] "REPVC"
 
 let test_cli_simulate () =
   expect_success "simulate" [ "simulate"; "--set"; "id1=1.2e-5" ] "PM"
@@ -282,6 +272,91 @@ let test_cli_analyze_ac_names () =
       Alcotest.(check bool) "singular AC: no internal error" false
         (contains output "internal error"));
   List.iter Sys.remove [ ambiguous; singular ]
+
+(* --- The grammar [caffeine grammar] prints ------------------------------- *)
+
+(* Its rule and continuation lines, comments and blank lines dropped. *)
+let grammar_lines text =
+  String.split_on_char '\n' text
+  |> List.map String.trim
+  |> List.filter (fun line -> line <> "" && line.[0] <> '#')
+
+(* The nonterminal a rule line [NAME => ...] defines; a continuation line
+   starts with ['|'] and defines none. *)
+let rule_name line =
+  match String.split_on_char ' ' line with name :: "=>" :: _ -> Some name | _ -> None
+
+(* Every quoted terminal, in order of appearance. *)
+let quoted_terminals lines =
+  let rec scan line i acc =
+    match String.index_from_opt line i '\'' with
+    | None -> acc
+    | Some first -> (
+        match String.index_from_opt line (first + 1) '\'' with
+        | None -> acc
+        | Some last -> scan line (last + 1) (String.sub line (first + 1) (last - first - 1) :: acc))
+  in
+  List.rev (List.fold_left (fun acc line -> scan line 0 acc) [] lines)
+
+(* The operator terminals: the quoted names other than the variable combo
+   'VC' and the weight 'W' (punctuation such as '*' or ',' is quoted too). *)
+let operator_terminals lines =
+  List.filter
+    (fun t -> t <> "VC" && t <> "W" && match t.[0] with 'A' .. 'Z' -> true | _ -> false)
+    (quoted_terminals lines)
+
+let with_printed_grammar check =
+  match run_cli [ "grammar" ] with
+  | None -> () (* executable not found: skip *)
+  | Some (status, output) ->
+      Alcotest.(check bool) "grammar: exits 0" true (status = Unix.WEXITED 0);
+      check (grammar_lines output)
+
+(* The printed grammar starts at REPVC, defines the paper's nonterminals and
+   spells every name [fit --operators] accepts as a terminal. *)
+let test_grammar_structure () =
+  with_printed_grammar (fun lines ->
+      Alcotest.(check (option string)) "start symbol" (Some "REPVC")
+        (match lines with first :: _ -> rule_name first | [] -> None);
+      let defined = List.filter_map rule_name lines in
+      List.iter
+        (fun nt -> Alcotest.(check bool) (nt ^ " defined") true (List.mem nt defined))
+        [ "REPVC"; "REPOP"; "REPADD"; "MAYBEW"; "2ARGS"; "1OP"; "2OP" ];
+      let terminals = quoted_terminals lines in
+      List.iter
+        (fun t -> Alcotest.(check bool) (t ^ " present") true (List.mem t terminals))
+        ("VC" :: "W" :: Caffeine.Opset.names))
+
+let opset_of_terminals names =
+  match Caffeine.Opset.of_names names with Ok opset -> opset | Error msg -> Alcotest.fail msg
+
+(* The grammar's operator terminals, passed to [fit --operators], give the
+   default search's operator set. *)
+let test_opset_of_grammar () =
+  with_printed_grammar (fun lines ->
+      let opset = opset_of_terminals (operator_terminals lines) in
+      Alcotest.(check int) "13 unary ops" 13 (Array.length opset.Caffeine.Opset.unops);
+      Alcotest.(check int) "4 binary ops" 4 (Array.length opset.Caffeine.Opset.binops);
+      Alcotest.(check bool) "lte enabled" true opset.Caffeine.Opset.allow_lte;
+      Alcotest.(check bool) "the default set" true (opset = Caffeine.Opset.default))
+
+(* Turning the LTE and SIN rules off leaves the rest of the grammar's set. *)
+let test_opset_of_restricted_grammar () =
+  with_printed_grammar (fun lines ->
+      let names = List.filter (fun t -> t <> "LTE" && t <> "SIN") (operator_terminals lines) in
+      let opset = opset_of_terminals names in
+      Alcotest.(check bool) "lte disabled" false opset.Caffeine.Opset.allow_lte;
+      Alcotest.(check int) "12 unary ops" 12 (Array.length opset.Caffeine.Opset.unops);
+      Alcotest.(check bool) "sin dropped" false
+        (Array.mem Caffeine_expr.Op.Sin opset.Caffeine.Opset.unops);
+      Alcotest.(check int) "4 binary ops" 4 (Array.length opset.Caffeine.Opset.binops))
+
+let grammar_suite =
+  [
+    Alcotest.test_case "caffeine grammar: structure" `Quick test_grammar_structure;
+    Alcotest.test_case "opset from grammar" `Quick test_opset_of_grammar;
+    Alcotest.test_case "opset from restricted grammar" `Quick test_opset_of_restricted_grammar;
+  ]
 
 let suite =
   [

@@ -163,6 +163,16 @@ let test_gen_individual_bounds () =
       ind
   done
 
+(* A fixed-seed check of the property's empty subset below, which the
+   property draws only one time in six: under {!Opset.rational} every basis
+   is a plain monomial. *)
+let test_gen_rational_opset_produces_plain_monomials () =
+  let rng = Rng.create ~seed:6 () in
+  for _ = 1 to 100 do
+    let b = Gen.random_basis rng Opset.rational ~dims ~depth:6 ~max_vc_vars:2 in
+    Alcotest.(check bool) "no operator factors" true (b.Expr.factors = [])
+  done
+
 (* --- Vary --- *)
 
 let random_parents seed =
@@ -647,6 +657,7 @@ let suite =
     Alcotest.test_case "gen: vc validity" `Quick test_gen_vc_valid;
     Alcotest.test_case "gen: polynomial exponents" `Quick test_gen_polynomial_opset_nonnegative_exponents;
     Alcotest.test_case "gen: individual bounds" `Quick test_gen_individual_bounds;
+    Alcotest.test_case "gen: rational monomials" `Quick test_gen_rational_opset_produces_plain_monomials;
     Alcotest.test_case "vary: valid children" `Quick test_vary_produces_valid_children;
     Alcotest.test_case "vary: crossover provenance" `Quick test_crossover_bases_mixes_parents;
     Alcotest.test_case "vary: weight mutation" `Quick test_mutate_weight_changes_exactly_one_site;

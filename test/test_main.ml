@@ -25,5 +25,6 @@ let () =
       ("serve", Test_serve.suite);
       ("io", Test_io.suite);
       ("stream", Test_stream.suite);
+      ("grammar", Test_cli.grammar_suite);
       ("cli", Test_cli.suite);
     ]
